@@ -106,6 +106,10 @@ let cell_miss_uncached (c : cell) =
   c.misses <- c.misses + 1;
   c.read_throughs <- c.read_throughs + 1
 
+(* Valid lines displaced on top of the access's own outcome (RF's fill
+   of a neighbouring line, RE's periodic random eviction). *)
+let cell_evictions (c : cell) n = c.evictions <- c.evictions + n
+
 let cell_record (c : cell) o = bump c o
 
 let record_flush t ~pid =

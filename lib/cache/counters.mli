@@ -37,7 +37,13 @@ val cell_miss_cached : cell -> evictions:int -> unit
     set-associative fills, up to 2 for Newcache). *)
 
 val cell_miss_uncached : cell -> unit
-(** Miss served read-through (PL locked victim). *)
+(** Miss served read-through (PL locked victim, SP cross-partition
+    miss, RF window line already cached). *)
+
+val cell_evictions : cell -> int -> unit
+(** Add displaced valid lines beyond the ones {!cell_miss_cached}
+    counts: RF's read-through miss that still fills a neighbouring line,
+    RE's periodic random eviction. *)
 
 val cell_record : cell -> Outcome.t -> unit
 (** Bump one cell from a full outcome (the Trace-mode path). *)

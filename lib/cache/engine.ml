@@ -3,7 +3,7 @@ type t = {
   config : Config.t;
   sigma : float;
   kernel : string;
-  slab_bytes : int;
+  slab : Slab.t;
   access : pid:int -> int -> Outcome.t;
   access_run :
     pid:int -> trace:int array -> pos:int -> len:int -> Kernel.mode -> unit;

@@ -17,9 +17,11 @@ type t = {
           name (["sa-lru"], ["newcache"], ...) or ["generic"] for the
           policy-dispatching fallback. Reported as the [cache.kernel]
           telemetry gauge and in bench rows. *)
-  slab_bytes : int;
-      (** resident footprint of the engine's flat line-state slabs in
-          bytes (0 for wrappers without slabs of their own). *)
+  slab : Slab.t;
+      (** the engine's line state of record (a wrapper reports its inner
+          engine's; Hierarchy its L2's), for footprint gauges
+          ([Slab.bytes]) and white-box tests. Mutating it bypasses the
+          engine's counters. *)
   access : pid:int -> int -> Outcome.t;
       (** one read of a memory line (line-number addressing) *)
   access_run :

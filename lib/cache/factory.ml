@@ -10,18 +10,14 @@ let build ?(config = Config.standard) ?kernel spec scenario ~rng =
   | Spec.Sa { ways; policy } ->
     Sa.engine ?kernel (Sa.create ~config:(with_ways config ways) ~policy ~rng ())
   | Spec.Sp { ways; policy; partitions } ->
-    let in_victim_ranges line =
-      List.exists (fun (lo, hi) -> line >= lo && line <= hi) scenario.victim_lines
-    in
-    let home line = if in_victim_ranges line then 0 else 1 in
-    let partition_of_pid pid = if pid = scenario.victim_pid then 0 else 1 in
-    Sp.engine
-      (Sp.create ~config:(with_ways config ways) ~policy ~partitions ~home
-         ~partition_of_pid ~rng ())
+    Sp.engine ?kernel
+      (Sp.create_two_domain ~config:(with_ways config ways) ~policy ~partitions
+         ~victim_pid:scenario.victim_pid ~victim_lines:scenario.victim_lines ~rng
+         ())
   | Spec.Pl { ways; policy } ->
     Pl.engine ?kernel (Pl.create ~config:(with_ways config ways) ~policy ~rng ())
   | Spec.Nomo { ways; policy; reserved } ->
-    Nomo.engine
+    Nomo.engine ?kernel
       (Nomo.create ~config:(with_ways config ways) ~policy ~reserved
          ~protected_pids:[ scenario.victim_pid ] ~rng ())
   | Spec.Newcache { extra_bits } ->
@@ -32,9 +28,9 @@ let build ?(config = Config.standard) ?kernel spec scenario ~rng =
   | Spec.Rf { ways; policy; back; fwd } ->
     let rf = Rf.create ~config:(with_ways config ways) ~policy ~rng () in
     Rf.set_window rf ~pid:scenario.victim_pid ~back ~fwd;
-    Rf.engine rf
+    Rf.engine ?kernel rf
   | Spec.Re { ways; policy; interval } ->
-    Re.engine (Re.create ~config:(with_ways config ways) ~policy ~interval ~rng ())
+    Re.engine ?kernel (Re.create ~config:(with_ways config ways) ~policy ~interval ~rng ())
   | Spec.Noisy { ways; policy; sigma } ->
     Noisy.engine ?kernel
       (Noisy.create ~config:(with_ways config ways) ~policy ~sigma ~rng ())

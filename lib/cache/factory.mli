@@ -22,6 +22,6 @@ val build :
 (** Instantiate. [config]'s [ways] is overridden by the spec's [ways]
     (its line count and line size are kept); Newcache ignores [ways].
     [?kernel] (default [Auto]) selects monomorphized access kernels
-    where they exist (SA, PL, RP, Newcache, Noisy's inner SA) and is
-    ignored by the always-generic architectures; [Generic] forces the
+    where they exist (SA, PL, RP, Newcache, Noisy's inner SA) and the
+    batched run loops of SP, Nomo, RF and RE; [Generic] forces the
     dispatching fallback everywhere (the differential-testing oracle). *)

@@ -84,7 +84,7 @@ let engine t =
     (* The L1s are private per-pid Sa engines created on demand; the
        hierarchy reports the shared level's path and footprint. *)
     kernel = t.l2.Engine.kernel;
-    slab_bytes = t.l2.Engine.slab_bytes;
+    slab = t.l2.Engine.slab;
     access = (fun ~pid addr -> access t ~pid addr);
     (* The batched run must route through the hierarchy's own access
        (L1 probe + L2 fallback), not the L2's. *)

@@ -98,10 +98,11 @@ let count_miss (c : counter) =
   end
 
 (* Generic [access_run]: loop the scalar access closure. Serves three
-   roles — the fallback for engines without batched kernels (sp, nomo,
-   rf, re, wrappers), the [Scalar] selection's pre-batching cost model
-   (monomorphized scalar access under the same loop), and the
-   differential oracle the batched kernels are fuzzed against. *)
+   roles — the fallback for engines without batched kernels (wrappers,
+   Skewed, PL/RP under the newer policies), the [Scalar] selection's
+   pre-batching cost model (monomorphized scalar access under the same
+   loop), and the differential oracle the batched kernels are fuzzed
+   against. *)
 let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     mode =
   match mode with
@@ -118,3 +119,19 @@ let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     for k = 0 to len - 1 do
       Array.unsafe_set out k (access ~pid (Array.unsafe_get trace (pos + k)))
     done
+
+(* Selection for the engines with one policy-dispatching run loop per
+   architecture (SP, Nomo, RF, RE): [Auto] sends Fill/Count runs to
+   [run] and keeps Trace runs on the scalar loop, whose outcomes [run]
+   never builds; [Generic] and [Scalar] loop [access] in every mode, so
+   the differential fuzz compares [run] against an independent path. *)
+let arch_run kernel ~name ~access run =
+  let scalar = run_of_scalar access in
+  match kernel with
+  | Auto ->
+    ( (fun ~pid ~trace ~pos ~len mode ->
+        match mode with
+        | Trace _ -> scalar ~pid ~trace ~pos ~len mode
+        | Fill | Count _ -> run ~pid ~trace ~pos ~len mode),
+      name )
+  | Generic | Scalar -> (scalar, generic)

@@ -90,3 +90,16 @@ val run_of_scalar :
     [Engine.t.access_run] fallback, the [Scalar] selection's
     pre-batching cost model, and the differential oracle the batched
     kernels are fuzzed against. *)
+
+val arch_run :
+  selection ->
+  name:string ->
+  access:(pid:int -> int -> Outcome.t) ->
+  (pid:int -> trace:int array -> pos:int -> len:int -> mode -> unit) ->
+  (pid:int -> trace:int array -> pos:int -> len:int -> mode -> unit) * string
+(** [arch_run kernel ~name ~access run] binds the [access_run] of an
+    engine whose batched loop dispatches its policy per access (SP,
+    Nomo, RF, RE) and returns it with its [run_kernel] label. Under
+    [Auto], Fill and Count runs go to [run] (labelled [name]) and Trace
+    runs loop [access]; [Generic] and [Scalar] loop [access] in every
+    mode (labelled {!generic}), the oracle [run] is fuzzed against. *)

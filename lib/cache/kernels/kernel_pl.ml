@@ -100,14 +100,8 @@ let access_random (b : Backing.t) ~pid addr =
    SA fill epilogue. *)
 let finish_miss_pl (s : Slab.t) way ~pid ~addr ~seq g p (mode : Kernel.mode) k
     =
-  if Array.unsafe_get s.Slab.locked way = 1 then begin
-    Counters.cell_miss_uncached g;
-    Counters.cell_miss_uncached p;
-    match mode with
-    | Kernel.Fill -> ()
-    | Kernel.Count c -> Kernel.count_miss c
-    | Kernel.Trace out -> Array.unsafe_set out k Outcome.miss_uncached
-  end
+  if Array.unsafe_get s.Slab.locked way = 1 then
+    Kernel_sa.finish_miss_uncached g p mode k
   else Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k
 
 let run_lru (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =

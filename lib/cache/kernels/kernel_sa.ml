@@ -274,6 +274,15 @@ let finish_miss_fill (s : Slab.t) way ~pid ~addr ~seq g p (mode : Kernel.mode)
     Counters.cell_miss_cached p ~evictions;
     (match mode with Kernel.Count c -> Kernel.count_miss c | _ -> ())
 
+(* Read-through miss epilogue: nothing filled, nothing displaced. *)
+let finish_miss_uncached g p (mode : Kernel.mode) k =
+  Counters.cell_miss_uncached g;
+  Counters.cell_miss_uncached p;
+  match mode with
+  | Kernel.Fill -> ()
+  | Kernel.Count c -> Kernel.count_miss c
+  | Kernel.Trace out -> Array.unsafe_set out k Outcome.miss_uncached
+
 let run_lru (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
   let s = b.Backing.slab in
   let tags = s.Slab.tags in

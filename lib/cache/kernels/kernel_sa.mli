@@ -43,6 +43,12 @@ val finish_miss_fill :
     [Slab.victim]/[Outcome.fill] tail; Fill/Count fill without
     allocating and count the displaced valid line directly. *)
 
+val finish_miss_uncached :
+  Counters.cell -> Counters.cell -> Kernel.mode -> int -> unit
+(** Shared read-through epilogue (no fill): bump both cells as an
+    uncached miss, then accumulate per mode (Trace writes
+    [Outcome.miss_uncached]). *)
+
 val run_lru :
   Backing.t -> pid:int -> trace:int array -> pos:int -> len:int ->
   Kernel.mode -> unit

@@ -37,14 +37,10 @@ let owned_in_range t ~base ~len ~pid =
 (* The set's ways split into two contiguous slices: the first [reserved]
    ways and the shared remainder. A protected pid that holds fewer than
    [reserved] lines in the whole set fills into the reserved slice;
-   everyone else fills into the shared slice. Returns (base, len). *)
-let fill_range t ~set ~pid =
-  let base = Backing.base_of_set t.b ~set in
-  let w = t.b.Backing.cfg.Config.ways in
-  if not (is_protected t pid) then (base + t.reserved, w - t.reserved)
-  else if owned_in_range t ~base ~len:w ~pid < t.reserved then
-    (base, t.reserved)
-  else (base + t.reserved, w - t.reserved)
+   everyone else fills into the shared slice. *)
+let fills_reserved t ~protected ~base ~pid =
+  protected
+  && owned_in_range t ~base ~len:t.b.Backing.cfg.Config.ways ~pid < t.reserved
 
 let access t ~pid addr =
   let b = t.b in
@@ -58,7 +54,12 @@ let access t ~pid addr =
       Outcome.hit
     end
     else begin
-      let cand_base, cand_len = fill_range t ~set ~pid in
+      let base = Backing.base_of_set b ~set and w = b.cfg.Config.ways in
+      let in_reserved =
+        fills_reserved t ~protected:(is_protected t pid) ~base ~pid
+      in
+      let cand_base = if in_reserved then base else base + t.reserved in
+      let cand_len = if in_reserved then t.reserved else w - t.reserved in
       if cand_len <= 0 then
         (* reserved = 0 for a protected pid never happens (owned < 0 is
            impossible); an empty shared slice can only occur if
@@ -96,17 +97,56 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-let engine t =
+(* Batched Fill/Count replay ({!Kernel.arch_run} keeps Trace on the
+   scalar loop): [access] with the counter cells, geometry and the pid's
+   protection hoisted, the policy still dispatched per access. *)
+let run t ~pid ~trace ~pos ~len (mode : Kernel.mode) =
+  let b = t.b in
+  let s = b.Backing.slab in
+  let tags = s.Slab.tags in
+  let ways = s.Slab.ways in
+  let protected = is_protected t pid in
+  let g = Counters.global_cell b.Backing.counters in
+  let p = Counters.cell b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    let addr = Array.unsafe_get trace (pos + k) in
+    let seq = Backing.tick b in
+    let base = set_of t addr * ways in
+    let i = Slab.scan_tag tags addr base (base + ways) in
+    if i >= 0 then begin
+      Policy.touch t.policy s i ~seq;
+      Kernel_sa.finish_hit g p mode k
+    end
+    else begin
+      let in_reserved = fills_reserved t ~protected ~base ~pid in
+      let cand_base = if in_reserved then base else base + t.reserved in
+      let cand_len = if in_reserved then t.reserved else ways - t.reserved in
+      if cand_len <= 0 then Kernel_sa.finish_miss_uncached g p mode k
+      else begin
+        let way =
+          Policy.victim_in t.policy b.rng s ~base:cand_base ~len:cand_len
+        in
+        Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k;
+        Policy.filled t.policy s way
+      end
+    end
+  done
+
+let engine ?(kernel = Kernel.Auto) t =
+  let access ~pid addr = access t ~pid addr in
+  let access_run, run_kernel =
+    Kernel.arch_run kernel ~name:"nomo" ~access (run t)
+  in
   {
     Engine.name =
       Printf.sprintf "nomo-%d/%d-reserved" t.reserved (config t).Config.ways;
     config = config t;
     sigma = 0.;
     kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
+    slab = t.b.Backing.slab;
+    access;
+    access_run;
+    run_kernel;
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

@@ -128,7 +128,7 @@ let engine ?(kernel = Kernel.Auto) t =
     config = config t;
     sigma = 0.;
     kernel = kernel_name;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
+    slab = t.b.Backing.slab;
     access;
     access_run = run;
     run_kernel = run_name;

@@ -26,19 +26,26 @@ let random_evictions t = t.random_evictions
    [Address.set_index]. *)
 let set_of t addr = Backing.set_of t.b addr
 
-(* Fires after every [interval]-th access; evicts a uniformly random slot. *)
-let periodic_eviction t =
+(* Fires after every [interval]-th access: returns a uniformly random
+   slot for the caller to evict, else -1. *)
+let eviction_slot t =
   t.since_eviction <- t.since_eviction + 1;
   if t.since_eviction >= t.interval then begin
     t.since_eviction <- 0;
     t.random_evictions <- t.random_evictions + 1;
+    Rng.int t.b.Backing.rng t.b.Backing.slab.Slab.n
+  end
+  else -1
+
+let periodic_eviction t =
+  let slot = eviction_slot t in
+  if slot < 0 then None
+  else begin
     let s = t.b.Backing.slab in
-    let slot = Rng.int t.b.Backing.rng s.Slab.n in
     let victim = Slab.victim s slot in
     if Slab.valid s slot then Slab.invalidate s slot;
     victim
   end
-  else None
 
 let access t ~pid addr =
   let b = t.b in
@@ -85,17 +92,53 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-let engine t =
+(* Batched Fill/Count replay ({!Kernel.arch_run} keeps Trace on the
+   scalar loop): [access] with the counter cells and geometry hoisted,
+   the policy still dispatched per access, and the periodic eviction
+   counted straight into the cells instead of an [also_evicted]
+   payload. *)
+let run t ~pid ~trace ~pos ~len (mode : Kernel.mode) =
+  let b = t.b in
+  let s = b.Backing.slab in
+  let tags = s.Slab.tags in
+  let ways = s.Slab.ways in
+  let g = Counters.global_cell b.Backing.counters in
+  let p = Counters.cell b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    let addr = Array.unsafe_get trace (pos + k) in
+    let seq = Backing.tick b in
+    let base = set_of t addr * ways in
+    let i = Slab.scan_tag tags addr base (base + ways) in
+    if i >= 0 then begin
+      Policy.touch t.policy s i ~seq;
+      Kernel_sa.finish_hit g p mode k
+    end
+    else begin
+      let way = Policy.victim_in t.policy b.rng s ~base ~len:ways in
+      Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k;
+      Policy.filled t.policy s way
+    end;
+    let slot = eviction_slot t in
+    if slot >= 0 && Array.unsafe_get tags slot >= 0 then begin
+      Slab.invalidate s slot;
+      Counters.cell_evictions g 1;
+      Counters.cell_evictions p 1
+    end
+  done
+
+let engine ?(kernel = Kernel.Auto) t =
+  let access ~pid addr = access t ~pid addr in
+  let access_run, run_kernel = Kernel.arch_run kernel ~name:"re" ~access (run t) in
   {
     Engine.name =
       Printf.sprintf "re-%d-way-T%d" (config t).Config.ways t.interval;
     config = config t;
     sigma = 0.;
     kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
+    slab = t.b.Backing.slab;
+    access;
+    access_run;
+    run_kernel;
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

@@ -93,16 +93,63 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-let engine t =
+(* Batched Fill/Count replay ({!Kernel.arch_run} keeps Trace on the
+   scalar loop): [access] with the counter cells, geometry and the pid's
+   window hoisted (no [set_window] can run mid-replay), the policy still
+   dispatched per access. A window line other than [addr] is fetched
+   read-through: it counts as an uncached miss plus whatever it
+   displaced. *)
+let run t ~pid ~trace ~pos ~len (mode : Kernel.mode) =
+  let b = t.b in
+  let s = b.Backing.slab in
+  let tags = s.Slab.tags in
+  let ways = s.Slab.ways in
+  let back, fwd = window t ~pid in
+  let g = Counters.global_cell b.Backing.counters in
+  let p = Counters.cell b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    let addr = Array.unsafe_get trace (pos + k) in
+    let seq = Backing.tick b in
+    let base = set_of t addr * ways in
+    let i = Slab.scan_tag tags addr base (base + ways) in
+    if i >= 0 then begin
+      Policy.touch t.policy s i ~seq;
+      Kernel_sa.finish_hit g p mode k
+    end
+    else begin
+      let lo = Stdlib.max 0 (addr - back) and hi = addr + fwd in
+      let line = if lo = hi then lo else lo + Rng.int b.rng (hi - lo + 1) in
+      let lbase = set_of t line * ways in
+      if Slab.scan_tag tags line lbase (lbase + ways) >= 0 then
+        Kernel_sa.finish_miss_uncached g p mode k
+      else begin
+        let way = Policy.victim_in t.policy b.rng s ~base:lbase ~len:ways in
+        if line = addr then
+          Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k
+        else begin
+          let evictions = if Array.unsafe_get tags way >= 0 then 1 else 0 in
+          Slab.fill s way ~tag:line ~owner:pid ~seq;
+          Counters.cell_evictions g evictions;
+          Counters.cell_evictions p evictions;
+          Kernel_sa.finish_miss_uncached g p mode k
+        end;
+        Policy.filled t.policy s way
+      end
+    end
+  done
+
+let engine ?(kernel = Kernel.Auto) t =
+  let access ~pid addr = access t ~pid addr in
+  let access_run, run_kernel = Kernel.arch_run kernel ~name:"rf" ~access (run t) in
   {
     Engine.name = Printf.sprintf "rf-%d-way" (config t).Config.ways;
     config = config t;
     sigma = 0.;
     kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
+    slab = t.b.Backing.slab;
+    access;
+    access_run;
+    run_kernel;
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

@@ -90,7 +90,7 @@ let engine t =
     config = config t;
     sigma = 0.;
     kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
+    slab = t.b.Backing.slab;
     access = (fun ~pid addr -> access t ~pid addr);
     access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
     run_kernel = Kernel.generic;

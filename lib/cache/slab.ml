@@ -13,6 +13,18 @@
      retain their timestamps, mirroring [Line.invalidate]/[Line.make]
      exactly (so {!line} snapshots are bit-compatible with the seed
      per-line records).
+   - dirty log: every line that is valid, and every set whose [tree]
+     word is non-zero, was reached by a {!fill} of an invalid line since
+     the last {!clear}, and that fill pushed the line onto
+     [dirty.(0 .. dirty_len - 1)]. Lines absent from the log are
+     therefore already in the cleared state, so {!clear} resets only the
+     logged lines (and their sets' tree words). Entries are never
+     removed before a clear, so a line invalidated and refilled (a
+     [flush_line], an RE random eviction) is logged twice. The log holds
+     [n / 2] entries, since every engine pays for it and a collision
+     trial's 160-access encryption (plus RE refills) fills fewer; past
+     that it overflows ([dirty_len] = capacity + 1) and {!clear} falls
+     back to the full pass.
    - set [s] occupies the contiguous index range
      [s * ways, (s + 1) * ways): the per-set stride is [ways] and every
      range handed to the scan loops below satisfies
@@ -35,6 +47,9 @@ type t = {
   locked : int array;  (** PL protection bit, 0/1 *)
   freq : int array;  (** access count since fill (LFU/MFU); 0 when invalid *)
   tree : int array;  (** per-set tree-PLRU bits word, indexed by set *)
+  dirty : int array;  (** lines filled from invalid since the last clear *)
+  mutable dirty_len : int;
+      (** used prefix of [dirty]; its length + 1 = overflowed *)
 }
 
 let invalid_tag = -1
@@ -54,13 +69,16 @@ let create ~lines ~ways =
     locked = Array.make lines 0;
     freq = Array.make lines 0;
     tree = Array.make (lines / ways) 0;
+    dirty = Array.make (lines / 2) 0;
+    dirty_len = 0;
   }
 
-(* Resident footprint of the seven per-line field slabs plus the
-   per-set PLRU tree slab (header word + elements, unboxed words,
-   8 bytes per word on 64-bit): the [cache.slab_bytes] gauge the bench
-   reports per engine. *)
-let bytes t = ((7 * (t.n + 1)) + (t.n / t.ways) + 1) * 8
+(* Resident footprint of the seven per-line field slabs, the dirty log
+   and the per-set PLRU tree slab (header word + elements, unboxed
+   words, 8 bytes per word on 64-bit): the [cache.slab_bytes] gauge the
+   bench reports per engine. *)
+let bytes t =
+  ((7 * (t.n + 1)) + (Array.length t.dirty + 1) + (t.n / t.ways) + 1) * 8
 
 let valid t i = t.tags.(i) >= 0
 
@@ -129,6 +147,14 @@ let max_freq t ~base ~len =
 (* --- per-line mutators --------------------------------------------- *)
 
 let fill t i ~tag ~owner ~seq =
+  if t.tags.(i) < 0 then begin
+    let k = t.dirty_len and cap = Array.length t.dirty in
+    if k < cap then begin
+      t.dirty.(k) <- i;
+      t.dirty_len <- k + 1
+    end
+    else t.dirty_len <- cap + 1
+  end;
   t.tags.(i) <- tag;
   t.owners.(i) <- owner;
   t.locked.(i) <- 0;
@@ -169,7 +195,7 @@ let line t i =
 
 (* Invalidate everything in one pass per field slab; returns how many
    valid lines were displaced. *)
-let clear t =
+let clear_full t =
   let displaced = ref 0 in
   for i = 0 to t.n - 1 do
     if t.tags.(i) >= 0 then incr displaced
@@ -180,4 +206,22 @@ let clear t =
   Array.fill t.aux 0 t.n 0;
   Array.fill t.freq 0 t.n 0;
   Array.fill t.tree 0 (t.n / t.ways) 0;
+  t.dirty_len <- 0;
   !displaced
+
+(* Same state and count as [clear_full], touching only the logged lines
+   (see the dirty-log invariant in the header). A line logged twice is
+   counted once: its first visit invalidates it. *)
+let clear t =
+  if t.dirty_len > Array.length t.dirty then clear_full t
+  else begin
+    let displaced = ref 0 in
+    for k = 0 to t.dirty_len - 1 do
+      let i = t.dirty.(k) in
+      if t.tags.(i) >= 0 then incr displaced;
+      invalidate t i;
+      t.tree.(i / t.ways) <- 0
+    done;
+    t.dirty_len <- 0;
+    !displaced
+  end

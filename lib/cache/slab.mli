@@ -7,6 +7,17 @@
     non-negative throughout the simulator, so [-1] is a free sentinel
     and validity needs no slab of its own.
 
+    Dirty log: {!fill} of an invalid line pushes its index onto
+    [dirty.(0 .. dirty_len - 1)]. Invariant: a line absent from the log
+    is in the cleared state (invalid, [owners = -1], [locked = aux =
+    freq = 0]) and a set with no logged line has [tree = 0] — valid
+    lines and non-zero tree words are only ever reached through such a
+    fill. {!clear} therefore resets just the logged lines and their
+    sets' tree words. Entries stay until the next {!clear}, so a line
+    invalidated and refilled is logged again. The log holds [n / 2]
+    entries; one more fill sets [dirty_len] to that capacity + 1, the
+    overflow mark, and {!clear} then falls back to a full pass.
+
     The scan entry points use [Array.unsafe_get] internally: callers
     must pass ranges with [0 <= base] and [base + len <= n], which every
     set-derived range satisfies by construction. *)
@@ -30,6 +41,12 @@ type t = {
           children [2k] (left) and [2k+1] (right), bit [k] = 1 points at
           the right subtree; leaves are ways [0, ways). Maintained by
           {!Policy.touch}/{!Policy.filled} under [Plru] only. *)
+  dirty : int array;
+      (** lines filled from invalid since the last {!clear}, in fill
+          order (capacity [n / 2]; see the dirty-log invariant above) *)
+  mutable dirty_len : int;
+      (** used prefix of [dirty]; [Array.length dirty + 1] once the log
+          has overflowed *)
 }
 
 val invalid_tag : int
@@ -39,8 +56,8 @@ val create : lines:int -> ways:int -> t
 (** All-invalid slabs. [ways] must divide [lines]. *)
 
 val bytes : t -> int
-(** Resident footprint of the field slabs in bytes (the
-    [cache.slab_bytes] bench gauge). *)
+(** Resident footprint of the field slabs and the dirty log in bytes
+    (the [cache.slab_bytes] bench gauge). *)
 
 val valid : t -> int -> bool
 
@@ -78,7 +95,8 @@ val max_freq : t -> base:int -> len:int -> int
 val fill : t -> int -> tag:int -> owner:int -> seq:int -> unit
 (** Install a memory line: clears the lock bit and [aux], sets both
     timestamps (same contract as [Line.fill]) and resets the frequency
-    counter to 1 (the fill itself is the first use). *)
+    counter to 1 (the fill itself is the first use). Logs the line in
+    the dirty log when it was invalid. *)
 
 val touch : t -> int -> seq:int -> unit
 (** LRU bookkeeping for a hit. *)
@@ -99,8 +117,10 @@ val line : t -> int -> Line.t
     bit-compatible with the seed per-line records). *)
 
 val clear : t -> int
-(** Invalidate every line in one pass per slab; returns the number of
-    valid lines displaced. *)
+(** Invalidate every line and zero every tree word; returns the number
+    of valid lines displaced. Touches only the logged lines unless the
+    dirty log overflowed, when it makes one pass per slab; the state
+    and count are the same either way. Empties the log. *)
 
 (* Raw scan loops over bare arrays, for the monomorphized kernels (all
    state passed explicitly; [Array.unsafe_get] under the range

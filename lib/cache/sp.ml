@@ -21,13 +21,18 @@ let create ?(config = Config.standard) ?(policy = Replacement.Random)
     partition_of_pid;
   }
 
-let create_two_domain ?config ?policy ~victim_pid ~victim_lines ~rng () =
-  let in_victim_ranges line =
-    List.exists (fun (lo, hi) -> line >= lo && line <= hi) victim_lines
-  in
-  let home line = if in_victim_ranges line then 0 else 1 in
+(* Top-level scan with every free variable as an argument: a
+   [List.exists] lambda capturing [line] would allocate its closure on
+   every [home] call, i.e. on every access. *)
+let rec in_ranges line = function
+  | [] -> false
+  | (lo, hi) :: rest -> (line >= lo && line <= hi) || in_ranges line rest
+
+let create_two_domain ?config ?policy ?(partitions = 2) ~victim_pid
+    ~victim_lines ~rng () =
+  let home line = if in_ranges line victim_lines then 0 else 1 in
   let partition_of_pid pid = if pid = victim_pid then 0 else 1 in
-  create ?config ?policy ~partitions:2 ~home ~partition_of_pid ~rng ()
+  create ?config ?policy ~partitions ~home ~partition_of_pid ~rng ()
 
 let config t = t.b.Backing.cfg
 let sets_per_partition t = Config.sets t.b.Backing.cfg / t.partitions
@@ -88,16 +93,49 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-let engine t =
+(* Batched Fill/Count replay ({!Kernel.arch_run} keeps Trace on the
+   scalar loop): [access] with the counter cells and geometry hoisted,
+   the policy still dispatched per access, no [Outcome.t] built. *)
+let run t ~pid ~trace ~pos ~len (mode : Kernel.mode) =
+  let b = t.b in
+  let s = b.Backing.slab in
+  let tags = s.Slab.tags in
+  let ways = s.Slab.ways in
+  let g = Counters.global_cell b.Backing.counters in
+  let p = Counters.cell b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    let addr = Array.unsafe_get trace (pos + k) in
+    let seq = Backing.tick b in
+    let base = set_of t addr * ways in
+    let i = Slab.scan_tag tags addr base (base + ways) in
+    if i >= 0 then begin
+      Policy.touch t.policy s i ~seq;
+      Kernel_sa.finish_hit g p mode k
+    end
+    else begin
+      let own = t.partition_of_pid pid in
+      check_partition t own "partition_of_pid";
+      if own <> t.home addr then Kernel_sa.finish_miss_uncached g p mode k
+      else begin
+        let way = Policy.victim_in t.policy b.rng s ~base ~len:ways in
+        Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k;
+        Policy.filled t.policy s way
+      end
+    end
+  done
+
+let engine ?(kernel = Kernel.Auto) t =
+  let access ~pid addr = access t ~pid addr in
+  let access_run, run_kernel = Kernel.arch_run kernel ~name:"sp" ~access (run t) in
   {
     Engine.name = Printf.sprintf "sp-%d-part-%d-way" t.partitions (config t).Config.ways;
     config = config t;
     sigma = 0.;
     kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
+    slab = t.b.Backing.slab;
+    access;
+    access_run;
+    run_kernel;
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

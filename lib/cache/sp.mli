@@ -31,14 +31,17 @@ val create :
 val create_two_domain :
   ?config:Config.t ->
   ?policy:Replacement.policy ->
+  ?partitions:int ->
   victim_pid:int ->
   victim_lines:(int * int) list ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
-(** Convenience two-partition construction: partition 0 belongs to
-    [victim_pid] and homes every line inside the inclusive ranges
-    [victim_lines]; everything else is partition 1. *)
+(** Two-domain construction (what {!Factory.build} uses): partition 0
+    belongs to [victim_pid] and homes every line inside the inclusive
+    ranges [victim_lines]; everything else is partition 1. [partitions]
+    (default 2) only sets the set split: partitions past the first two
+    stay unused. *)
 
 val config : t -> Config.t
 val sets_per_partition : t -> int
@@ -46,4 +49,7 @@ val access : t -> pid:int -> int -> Outcome.t
 val peek : t -> pid:int -> int -> bool
 val flush_line : t -> pid:int -> int -> bool
 val flush_all : t -> unit
-val engine : t -> Engine.t
+val engine : ?kernel:Kernel.selection -> t -> Engine.t
+(** [?kernel] (default [Auto]) binds the batched Fill/Count run loop;
+    [Generic] and [Scalar] loop the scalar access instead (see
+    {!Kernel.arch_run}). *)

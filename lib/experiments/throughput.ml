@@ -24,7 +24,7 @@ type entry = {
   repeats : int;  (** timed repetitions behind [seconds]/[stddev] *)
   stddev : float;  (** of accesses/sec across the repetitions *)
   kernel : string;  (** [Engine.t.kernel] of the engine measured *)
-  slab_bytes : int;  (** [Engine.t.slab_bytes] *)
+  slab_bytes : int;  (** [Slab.bytes] of [Engine.t.slab] *)
 }
 
 let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] }
@@ -92,7 +92,7 @@ let measure ?(accesses = 200_000) ?(seed = 0xBE7C) ?(repeats = 3) ?kernel spec =
     repeats;
     stddev = stddev_of !rates;
     kernel = engine.Engine.kernel;
-    slab_bytes = engine.Engine.slab_bytes;
+    slab_bytes = Slab.bytes engine.Engine.slab;
   }
 
 (* 9 architectures x {lru, random, fifo} (Newcache's SecRAND replacement

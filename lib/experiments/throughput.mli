@@ -18,7 +18,7 @@ type entry = {
       error bar; 0 for single-repetition (or v1-file) rows *)
   kernel : string;  (** [Engine.t.kernel]: the monomorphized kernel name
       or ["generic"]; [""] for rows read from a v1 file *)
-  slab_bytes : int;  (** [Engine.t.slab_bytes]; 0 for v1 rows *)
+  slab_bytes : int;  (** [Slab.bytes] of [Engine.t.slab]; 0 for v1 rows *)
 }
 
 val stddev_of : float list -> float

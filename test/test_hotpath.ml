@@ -133,6 +133,31 @@ let test_sa_mru_miss_path_allocation_lean () =
     Alcotest.failf "SA/MRU miss path allocates %.1f minor words/access"
       per_access
 
+(* Warm [Count] runs on the engines whose batched loop dispatches the
+   policy per access: the victim replays a 64-line trace inside its own
+   domain (SP partition, Nomo reserved ways, RF window) over and over,
+   so every run is mostly hits, plus RE's periodic evictions and RF's
+   window misses — none of which may allocate. Built through [Factory]
+   so SP's scenario-derived [home] closure is the one under test. *)
+let test_count_run_allocation_free spec () =
+  let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] } in
+  let engine = Factory.build spec scenario ~rng:(Rng.create ~seed:47) in
+  let trace = Array.init 64 (fun i -> 3 * i) in
+  let counter = Kernel.make_counter ~bins:1 in
+  let count = Kernel.Count counter in
+  let run () = engine.Engine.access_run ~pid:0 ~trace ~pos:0 ~len:64 count in
+  run ();
+  let iters = 2_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    run ()
+  done;
+  let after = Gc.minor_words () in
+  let delta = after -. before in
+  if delta > 64. then
+    Alcotest.failf "%s warm Count runs allocated %.0f minor words over %d accesses"
+      engine.Engine.name delta (iters * 64)
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -150,5 +175,12 @@ let () =
             test_sa_lfu_miss_path_allocation_lean;
           Alcotest.test_case "sa/mru miss path lean" `Quick
             test_sa_mru_miss_path_allocation_lean;
-        ] );
+        ]
+        @ List.map
+            (fun spec ->
+              Alcotest.test_case
+                (Spec.name spec ^ " warm Count run zero-alloc")
+                `Quick
+                (test_count_run_allocation_free spec))
+            Spec.[ paper_sp; paper_nomo; paper_rf; paper_re ] );
     ]

@@ -11,10 +11,11 @@
 
    Every factory cell is built twice from identical derived seeds —
    [Factory.build ~kernel:Generic] vs [~kernel:Auto] — and replayed
-   through the same op stream. Cells without a monomorphized kernel
-   (sp, nomo, rf, re) run both arms through the same generic code by
-   construction; they stay in the matrix so the cell list never needs
-   editing when a kernel is added for them.
+   through the same op stream. Cells without a monomorphized scalar
+   kernel (sp, nomo, rf, re) run both arms of this suite through the
+   same generic access by construction; they stay in the matrix so the
+   cell list never needs editing when a kernel is added for them. Their
+   batched run loops are covered by the second suite.
 
    A second QCheck suite fuzzes the batched [access_run] twins against
    the scalar-looping generic fallback in all three accumulation modes
@@ -136,7 +137,9 @@ let test_cell spec () =
   List.iter (fun seed -> check_cell ~seed ~steps spec) seeds
 
 (* The monomorphized cells must actually exercise a kernel — guard
-   against a silent fallback to generic making the diff test vacuous. *)
+   against a silent fallback to generic making the diff test vacuous.
+   Returns the (scalar [kernel], batched [run_kernel]) labels of an auto
+   build. *)
 let expected_kernel spec =
   let policy_suffix () =
     match Spec.policy_of spec with
@@ -150,12 +153,16 @@ let expected_kernel spec =
     | Some (Replacement.Lru | Replacement.Random | Replacement.Fifo) -> true
     | _ -> false
   in
+  let both k = Some (k, k) in
   match Spec.name spec with
-  | "sa" -> Some ("sa-" ^ policy_suffix ())
-  | "pl" when original_three () -> Some ("pl-" ^ policy_suffix ())
-  | "rp" when original_three () -> Some ("rp-" ^ policy_suffix ())
-  | "newcache" -> Some "newcache"
-  | "noisy" -> Some ("sa-" ^ policy_suffix ())
+  | "sa" -> both ("sa-" ^ policy_suffix ())
+  | "pl" when original_three () -> both ("pl-" ^ policy_suffix ())
+  | "rp" when original_three () -> both ("rp-" ^ policy_suffix ())
+  | "newcache" -> both "newcache"
+  | "noisy" -> both ("sa-" ^ policy_suffix ())
+  (* Generic scalar access, but one batched Fill/Count loop per
+     architecture under every policy. *)
+  | ("sp" | "nomo" | "rf" | "re") as arch -> Some (Kernel.generic, arch)
   | _ -> None (* generic-only (arch, policy) cells *)
 
 let test_kernel_selection () =
@@ -175,22 +182,29 @@ let test_kernel_selection () =
         (case_name spec ^ " forced generic run")
         Kernel.generic forced.Engine.run_kernel;
       match expected_kernel spec with
-      | Some k ->
+      | Some (k, r) ->
         Alcotest.(check string) (case_name spec ^ " auto kernel") k
           auto.Engine.kernel;
-        (* The batched twin must be live wherever the scalar kernel is —
-           a silent fall-back to the generic run loop would leave every
-           digest green (bit-identical by contract) while quietly
-           un-batching the attack hot paths. *)
-        Alcotest.(check string) (case_name spec ^ " auto run kernel") k
+        (* The batched path must be live — a silent fall-back to the
+           generic run loop would leave every digest green (bit-identical
+           by contract) while quietly un-batching the attack hot paths. *)
+        Alcotest.(check string) (case_name spec ^ " auto run kernel") r
           auto.Engine.run_kernel;
+        Alcotest.(check bool)
+          (case_name spec ^ " auto run kernel is batched")
+          true
+          (auto.Engine.run_kernel <> Kernel.generic);
         (* [Scalar] = monomorphized per-access kernel looped by the
-           generic run wrapper: the bench's pre-batching cost model. *)
+           generic run wrapper: the bench's pre-batching cost model. An
+           architecture without a scalar kernel loops its generic
+           access, so the batched fuzz below keeps an independent
+           oracle. *)
         Alcotest.(check string) (case_name spec ^ " scalar kernel") k
           scalar.Engine.kernel;
         Alcotest.(check string)
           (case_name spec ^ " scalar run label")
-          Kernel.scalar scalar.Engine.run_kernel
+          (if k = Kernel.generic then Kernel.generic else Kernel.scalar)
+          scalar.Engine.run_kernel
       | None ->
         Alcotest.(check string)
           (case_name spec ^ " auto falls back to generic")
@@ -303,6 +317,120 @@ let test_batched_cell spec =
          batched_program ~seed Kernel.Auto spec
          = batched_program ~seed Kernel.Generic spec))
 
+(* --- flush_all equivalence -------------------------------------------- *)
+
+(* [flush_all] clears only the lines the slab's dirty log names, falling
+   back to a full pass once the log overflows. Oracle: the full pass
+   written out here — every line invalid with [owners = -1] and lock,
+   aux and freq cleared, timestamps kept, every tree word zero — applied
+   to a snapshot taken just before the flush. The displaced count must
+   equal the snapshot's valid lines. *)
+let cleared_fields (s : Slab.t) =
+  let n = s.Slab.n in
+  [
+    ("tags", Array.make n Slab.invalid_tag);
+    ("owners", Array.make n (-1));
+    ("last_use", Array.copy s.Slab.last_use);
+    ("fill_seq", Array.copy s.Slab.fill_seq);
+    ("aux", Array.make n 0);
+    ("locked", Array.make n 0);
+    ("freq", Array.make n 0);
+    ("tree", Array.make (n / s.Slab.ways) 0);
+  ]
+
+let fields (s : Slab.t) =
+  [
+    ("tags", s.Slab.tags);
+    ("owners", s.Slab.owners);
+    ("last_use", s.Slab.last_use);
+    ("fill_seq", s.Slab.fill_seq);
+    ("aux", s.Slab.aux);
+    ("locked", s.Slab.locked);
+    ("freq", s.Slab.freq);
+    ("tree", s.Slab.tree);
+  ]
+
+let valid_lines (s : Slab.t) =
+  Array.fold_left (fun n tag -> if tag >= 0 then n + 1 else n) 0 s.Slab.tags
+
+(* Flush [engine] and compare against the oracle; [Error] names the first
+   diverging field. *)
+let check_flush what (engine : Engine.t) =
+  let s = engine.Engine.slab in
+  let want = cleared_fields s and displaced = valid_lines s in
+  let before = (engine.Engine.counters ()).Counters.evictions in
+  engine.Engine.flush_all ();
+  let got = (engine.Engine.counters ()).Counters.evictions - before in
+  match
+    List.find_opt (fun ((_, w), (_, g)) -> w <> g) (List.combine want (fields s))
+  with
+  | Some ((field, _), _) -> Error (Printf.sprintf "%s: %s differs" what field)
+  | None when got <> displaced ->
+    Error (Printf.sprintf "%s: displaced %d, expected %d" what got displaced)
+  | None when s.Slab.dirty_len <> 0 ->
+    Error (Printf.sprintf "%s: dirty log not emptied" what)
+  | None -> Ok ()
+
+(* A random program of fills, line flushes, PL locks, RF window changes
+   and batched Fill runs (PLRU and RE's periodic evictions come with the
+   cell), flushed twice in a row mid-way (the second flush finds an
+   empty cache) and once at the end. Odd seeds add
+   access + flush_line cycles until the log overflows, so the full-pass
+   fallback is exercised too. *)
+let flush_program ~seed spec =
+  let rng = Rng.create ~seed in
+  let engine = Factory.build spec scenario ~rng:(Rng.split rng) in
+  let s = engine.Engine.slab in
+  let addr () = if Rng.bool rng then Rng.int rng 600 else Rng.int rng 4096 in
+  let ops steps =
+    for _ = 1 to steps do
+      let pid = Rng.int rng 3 in
+      match Rng.int rng 10 with
+      | 0 -> ignore (engine.Engine.lock_line ~pid (addr ()))
+      | 1 -> ignore (engine.Engine.flush_line ~pid (addr ()))
+      | 2 ->
+        engine.Engine.set_window ~pid ~back:(Rng.int rng 4) ~fwd:(Rng.int rng 4)
+      | 3 ->
+        let trace = Array.init (Rng.int rng 48) (fun _ -> addr ()) in
+        engine.Engine.access_run ~pid ~trace ~pos:0 ~len:(Array.length trace)
+          Kernel.Fill
+      | _ -> ignore (engine.Engine.access ~pid (addr ()))
+    done
+  in
+  let ( let* ) = Result.bind in
+  ops (Rng.int rng 300);
+  let* () = check_flush "first flush" engine in
+  let* () = check_flush "flush of an empty cache" engine in
+  ops (Rng.int rng 300);
+  let* () =
+    if seed land 1 = 0 then Ok ()
+    else begin
+      let cycles = ref 0 in
+      let cap = Array.length s.Slab.dirty in
+      while s.Slab.dirty_len <= cap && !cycles < 8 * s.Slab.n do
+        incr cycles;
+        (* pid 1 above the victim's ranges fills on every architecture *)
+        let a = 201 + Rng.int rng 4000 in
+        ignore (engine.Engine.access ~pid:1 a);
+        ignore (engine.Engine.flush_line ~pid:1 a)
+      done;
+      ops 50;
+      if s.Slab.dirty_len > cap then Ok ()
+      else Error "refill cycles did not overflow the dirty log"
+    end
+  in
+  check_flush "final flush" engine
+
+let test_flush_cell spec =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20
+       ~name:(case_name spec ^ " flush_all = full pass")
+       QCheck.(int_range 0 0xFFFFFF)
+       (fun seed ->
+         match flush_program ~seed spec with
+         | Ok () -> true
+         | Error e -> QCheck.Test.fail_reportf "seed %#x: %s" seed e))
+
 let () =
   Alcotest.run "kernels"
     [
@@ -317,4 +445,5 @@ let () =
             Alcotest.test_case (case_name spec) `Quick (test_cell spec))
           (cells ()) );
       ("batched-fuzz", List.map test_batched_cell (cells ()));
+      ("flush-equivalence", List.map test_flush_cell (cells ()));
     ]
