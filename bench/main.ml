@@ -261,10 +261,12 @@ let run_perf ~quick () =
    are deliberately not overridden by it). *)
 let crosscheck_seed = 7
 let learning_curves_seed = 61
+let skewed_seed = 19
+let mitigation_seed = 67
+let llc_seed = 37
 
 let main perf sim (ctx : Run.ctx) =
   let quick = ctx.Run.quick in
-  let scale = if quick then Figures.Quick else Figures.Full in
   let section title body = section ctx title body in
   Printf.printf
     "cachesec reproduction harness - He & Lee, 'How secure is your cache \
@@ -314,15 +316,15 @@ let main perf sim (ctx : Run.ctx) =
         Validation.render matrix);
     section "Ablations" (fun () -> Ablations.render ctx);
     section "Extension: skewed randomized cache" (fun () ->
-        Extension.skewed_report ~scale ());
+        Extension.skewed_report (Run.with_seed skewed_seed ctx));
     section "Extension: multi-line evictions" (fun () ->
         Extension.multi_line_report ());
     section "Extension: PAS vs mutual information" (fun () ->
-        Metrics.render (Metrics.table ~trials:(Figures.trials_for scale 2000) ()));
+        Metrics.render (Metrics.table ~trials:(Figures.trials_for ctx 2000) ()));
     section "Extension: PAS vs SVF" (fun () ->
-        Svf.render (Svf.table ~intervals:(Figures.trials_for scale 80) ()));
+        Svf.render (Svf.table ~intervals:(Figures.trials_for ctx 80) ()));
     section "Extension: covert channels" (fun () ->
-        Covert.render (Covert.table ~bits:(Figures.trials_for scale 2000) ()));
+        Covert.render (Covert.table ~bits:(Figures.trials_for ctx 2000) ()));
     section "Extension: sample complexity (trials to recovery)" (fun () ->
         let curves =
           Learning_curves.curves
@@ -334,16 +336,16 @@ let main perf sim (ctx : Run.ctx) =
           ~rows:(Learning_curves.csv_rows curves);
         Learning_curves.render curves);
     section "Performance: victim hit rates" (fun () ->
-        Performance.hit_rate_table ~accesses:(Figures.trials_for scale 60000) ());
+        Performance.hit_rate_table ~accesses:(Figures.trials_for ctx 60000) ());
     section "Performance: IRM models vs simulator" (fun () ->
-        Performance.model_table ~accesses:(Figures.trials_for scale 120000) ());
+        Performance.model_table ~accesses:(Figures.trials_for ctx 120000) ());
     section "Edge-level validation (micro-measured conditionals)" (fun () ->
         Edge_measure.render
           (Edge_measure.table ~samples:(if quick then 4000 else 20000) ()));
     section "Software mitigations (prefetch / prefetch-and-lock)" (fun () ->
-        Mitigation.report ~scale ());
+        Mitigation.report (Run.with_seed mitigation_seed ctx));
     section "Extension: LLC attack through a two-level hierarchy" (fun () ->
-        Llc.report ~scale ());
+        Llc.report (Run.with_seed llc_seed ctx));
     section "Extension: exponent leak (square-and-multiply victim)" (fun () ->
       let render spec =
          let rng = Cachesec_stats.Rng.create ~seed:8 in
@@ -375,13 +377,13 @@ let main perf sim (ctx : Run.ctx) =
        let sa =
          Cachesec_attacks.Full_key.flush_reload ~victim:s.Setup.victim
            ~attacker_pid:s.Setup.attacker_pid ~rng:s.Setup.rng
-           ~trials_per_byte:(Figures.trials_for scale 1000)
+           ~trials_per_byte:(Figures.trials_for ctx 1000)
        in
        let s2 = Setup.make Cachesec_cache.Spec.paper_newcache in
        let nc =
          Cachesec_attacks.Full_key.flush_reload ~victim:s2.Setup.victim
            ~attacker_pid:s2.Setup.attacker_pid ~rng:s2.Setup.rng
-           ~trials_per_byte:(Figures.trials_for scale 500)
+           ~trials_per_byte:(Figures.trials_for ctx 500)
        in
        Printf.sprintf "SA Cache:  %s\nNewcache:  %s\n"
          (Cachesec_attacks.Full_key.render sa)
@@ -393,7 +395,7 @@ let main perf sim (ctx : Run.ctx) =
          let r =
            Cachesec_attacks.Last_round.run ~victim:s.Setup.victim
              ~attacker_pid:s.Setup.attacker_pid ~rng:s.Setup.rng
-             { Cachesec_attacks.Last_round.trials = Figures.trials_for scale trials }
+             { Cachesec_attacks.Last_round.trials = Figures.trials_for ctx trials }
          in
          Printf.sprintf
            "  %-12s round-10 bytes %2d/16, master key guess %s -> %s\n"

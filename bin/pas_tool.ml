@@ -88,8 +88,6 @@ let seed_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced trial counts.")
 
-let scale_of_quick quick = if quick then Figures.Quick else Figures.Full
-
 (* Commands that fan trials out over the trial runtime share one context
    term: --seed, --quick, --jobs, --progress, --metrics PATH. *)
 let ctx_term = Run.of_cmdline ~run:"pas_tool" ()
@@ -636,7 +634,7 @@ let expleak_cmd =
 
 let mitigation_cmd =
   let run quick seed =
-    print_string (Mitigation.report ~scale:(scale_of_quick quick) ~seed ())
+    print_string (Mitigation.report (Run.make ~quick ~seed ()))
   in
   Cmd.v
     (Cmd.info "mitigation"
@@ -645,7 +643,7 @@ let mitigation_cmd =
 
 let llc_cmd =
   let run quick seed =
-    print_string (Llc.report ~seed ~scale:(scale_of_quick quick) ())
+    print_string (Llc.report (Run.make ~quick ~seed ()))
   in
   Cmd.v
     (Cmd.info "llc"

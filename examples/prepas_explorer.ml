@@ -18,7 +18,7 @@ let () =
   let caches =
     [
       ("SA 8-way", Spec.paper_sa);
-      ("RE 8-way T=10", Spec.Re { ways = 8; policy = Replacement.Random; interval = 10 });
+      ("RE 8-way T=10", Spec.Re { ways = 8; policy = Policy.Random; interval = 10 });
       ("Nomo 2/8", Spec.paper_nomo);
       ("Newcache", Spec.paper_newcache);
       ("SP", Spec.paper_sp);

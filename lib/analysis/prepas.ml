@@ -48,13 +48,13 @@ let sa_plru ~ways ~k =
 
 let sa ~ways ~k ~policy =
   match policy with
-  | Replacement.Lru -> sa_lru ~ways ~k
-  | Replacement.Fifo -> sa_fifo ~ways ~k
-  | Replacement.Random -> sa_random ~ways ~k
-  | Replacement.Mru -> sa_mru ~ways ~k
-  | Replacement.Lfu -> sa_lfu ~ways ~k
-  | Replacement.Mfu -> sa_mfu ~ways ~k
-  | Replacement.Plru -> sa_plru ~ways ~k
+  | Policy.Lru -> sa_lru ~ways ~k
+  | Policy.Fifo -> sa_fifo ~ways ~k
+  | Policy.Random -> sa_random ~ways ~k
+  | Policy.Mru -> sa_mru ~ways ~k
+  | Policy.Lfu -> sa_lfu ~ways ~k
+  | Policy.Mfu -> sa_mfu ~ways ~k
+  | Policy.Plru -> sa_plru ~ways ~k
 
 let newcache ~logical_lines ~k =
   if logical_lines <= 0 then invalid_arg "Prepas.newcache: lines must be positive";

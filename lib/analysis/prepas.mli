@@ -53,7 +53,7 @@ val sa_plru : ways:int -> k:int -> float
     geometries use the engine's LRU fallback — the same step. Exact. *)
 
 val sa :
-  ways:int -> k:int -> policy:Replacement.policy -> float
+  ways:int -> k:int -> policy:Policy.t -> float
 (** Per-policy dispatch over the seven arms above; exhaustive, so a new
     {!Cachesec_cache.Policy} constructor is a compile error here until
     its formula is written. *)
@@ -78,17 +78,17 @@ val sp : k:int -> float
 val pl_locked : k:int -> float
 (** 0 when the security-critical lines were prefetched and locked. *)
 
-val pl_unlocked : ways:int -> k:int -> policy:Replacement.policy -> float
+val pl_unlocked : ways:int -> k:int -> policy:Policy.t -> float
 (** Without prefetching, PL behaves as a conventional SA cache. *)
 
-val rp : ways:int -> k:int -> policy:Replacement.policy -> float
+val rp : ways:int -> k:int -> policy:Policy.t -> float
 (** Section 5D: the attacker disables his own permutation, so RP cleans
     like SA. *)
 
-val rf : ways:int -> k:int -> policy:Replacement.policy -> float
+val rf : ways:int -> k:int -> policy:Policy.t -> float
 (** Section 5E: the attacker sets his window to zero, degrading to SA. *)
 
-val re : ways:int -> interval:int -> k:int -> policy:Replacement.policy -> float
+val re : ways:int -> interval:int -> k:int -> policy:Policy.t -> float
 (** Section 5F: periodic evictions are free lunches — the attacker
     effectively gets k + floor(k / interval) evictions. *)
 
@@ -97,7 +97,7 @@ val nomo :
   reserved:int ->
   victim_lines_in_set:int ->
   k:int ->
-  policy:Replacement.policy ->
+  policy:Policy.t ->
   float
 (** Section 5G: 0 when the victim fits in the reserved ways; otherwise
     the SA game over the (1 - alpha) w shared ways. *)

@@ -47,7 +47,7 @@ let verdict_mark = function High -> "Y" | Low -> "X"
 (* --- Policy resilience: policy x attack x architecture ---------------- *)
 
 type policy_cell = {
-  policy : Replacement.policy;
+  policy : Policy.t;
   attack : Attack_type.t;
   pas : float;
   limit : float;

@@ -53,7 +53,7 @@ val verdict_mark : verdict -> string
     types. *)
 
 type policy_cell = {
-  policy : Replacement.policy;
+  policy : Policy.t;
   attack : Attack_type.t;
   pas : float;  (** the raw PIFG PAS, identical across policies *)
   limit : float;
@@ -70,7 +70,7 @@ val policy_cell :
   ?threshold:float ->
   ?config:Config.t ->
   Spec.t ->
-  Replacement.policy ->
+  Policy.t ->
   Attack_type.t ->
   policy_cell
 (** One cell of the matrix; the spec is rebound with
@@ -85,9 +85,9 @@ val policy_matrix :
   ?threshold:float ->
   ?config:Config.t ->
   ?specs:Spec.t list ->
-  ?policies:Replacement.policy list ->
+  ?policies:Policy.t list ->
   unit ->
-  (Spec.t * (Replacement.policy * policy_cell list) list) list
+  (Spec.t * (Policy.t * policy_cell list) list) list
 (** The full matrix, one {!policy_cell} per attack type in
     {!Attack_type.all} order. Defaults: {!policy_specs} x
     {!Cachesec_cache.Policy.all}. *)

@@ -10,13 +10,6 @@ let nth_conflict_line cfg ?(base = default_base) ~set k =
     invalid_arg "Attacker.nth_conflict_line: bad set";
   base - (base mod sets) + set + (k * sets)
 
-(* Deprecated list form; the error message is frozen (tests pin it). *)
-let conflict_lines cfg ?(base = default_base) ~count set =
-  let sets = Config.sets cfg in
-  if set < 0 || set >= sets then invalid_arg "Attacker.conflict_lines: bad set";
-  let aligned = base - (base mod sets) in
-  List.init count (fun k -> aligned + set + (k * sets))
-
 let evict_set engine ~pid ?(base = default_base) set =
   let cfg = engine.Engine.config in
   let sets = Config.sets cfg in
@@ -35,20 +28,21 @@ type probe = { true_misses : int; classified_misses : int; time : float }
 
 let probe_set engine rng ~pid ?base set =
   let cfg = engine.Engine.config in
-  let lines = conflict_lines cfg ?base ~count:cfg.Config.ways set in
-  List.fold_left
-    (fun acc line ->
-      let o = engine.Engine.access ~pid line in
-      let t = Timing.observe_outcome rng ~sigma:engine.Engine.sigma o in
-      {
-        true_misses = (acc.true_misses + if Outcome.is_miss o then 1 else 0);
-        classified_misses =
-          (acc.classified_misses
-          + match Timing.classify t with Outcome.Miss -> 1 | Outcome.Hit -> 0);
-        time = acc.time +. t;
-      })
-    { true_misses = 0; classified_misses = 0; time = 0. }
-    lines
+  let true_misses = ref 0 and classified_misses = ref 0 and time = ref 0. in
+  for k = 0 to cfg.Config.ways - 1 do
+    let o = engine.Engine.access ~pid (nth_conflict_line cfg ?base ~set k) in
+    let t = Timing.observe_outcome rng ~sigma:engine.Engine.sigma o in
+    if Outcome.is_miss o then incr true_misses;
+    (match Timing.classify t with
+    | Outcome.Miss -> incr classified_misses
+    | Outcome.Hit -> ());
+    time := !time +. t
+  done;
+  {
+    true_misses = !true_misses;
+    classified_misses = !classified_misses;
+    time = !time;
+  }
 
 let probe_all_sets engine rng ~pid ?base () =
   Array.init (Config.sets engine.Engine.config) (fun set ->

@@ -17,17 +17,8 @@ val nth_conflict_line : Config.t -> ?base:int -> set:int -> int -> int
 (** [nth_conflict_line cfg ~set k] is the [k]-th distinct attacker line
     mapping (under conventional indexing) to [set]: base aligned down to
     the set stride, plus [set + k*sets]. Pure arithmetic — this is the
-    element formula behind {!conflict_lines} and {!Probe_plan}. Raises
+    element formula behind {!probe_set} and {!Probe_plan}. Raises
     [Invalid_argument] on a bad set. *)
-
-val conflict_lines : Config.t -> ?base:int -> count:int -> int -> int list
-[@@alert
-  deprecated
-    "allocates a fresh list per call; use nth_conflict_line or Probe_plan"]
-(** [conflict_lines cfg ~count set] is [count] distinct attacker line
-    numbers that map (under conventional indexing) to [set] — the list
-    form of {!nth_conflict_line} for [k = 0 .. count-1], kept as a thin
-    compatibility wrapper. *)
 
 val evict_set : Engine.t -> pid:int -> ?base:int -> int -> unit
 (** Access [ways] attacker lines mapping to [set] — the "evict" / "prime"

@@ -5,20 +5,9 @@ type selection = Auto | Generic | Scalar
 let generic = "generic"
 let scalar = "scalar"
 
-let selection_to_string = function
-  | Auto -> "auto"
-  | Generic -> "generic"
-  | Scalar -> "scalar"
-
-let selection_of_string = function
-  | "auto" -> Some Auto
-  | "generic" -> Some Generic
-  | "scalar" -> Some Scalar
-  | _ -> None
-
 (* Table-driven kernel registry, keyed by [Policy.id]: each engine
    declares its monomorphized kernels once and [pick] replaces the old
-   per-engine [Kernel.Auto, Replacement.Lru -> ...] match ladders. A
+   per-engine [Kernel.Auto, Policy.Lru -> ...] match ladders. A
    policy without an entry falls back to the generic path — adding a
    policy never breaks an engine, it just runs generic until someone
    monomorphizes it. *)

@@ -1,11 +1,11 @@
 type t = {
   b : Backing.t;
-  policy : Replacement.policy;
+  policy : Policy.t;
   reserved : int;
   protected_pids : int list;
 }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ?reserved
+let create ?(config = Config.standard) ?(policy = Policy.Random) ?reserved
     ~protected_pids ~rng () =
   let reserved = Option.value reserved ~default:(config.Config.ways / 4) in
   if reserved < 0 || reserved >= config.Config.ways then

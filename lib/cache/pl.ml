@@ -1,6 +1,6 @@
-type t = { b : Backing.t; policy : Replacement.policy }
+type t = { b : Backing.t; policy : Policy.t }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ~rng () =
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
 let config t = t.b.Backing.cfg

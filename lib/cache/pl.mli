@@ -12,7 +12,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t

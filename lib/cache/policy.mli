@@ -4,8 +4,7 @@
     are spelled, which {!Slab} field arrays they read and write, and how
     they pick victims and react to touches. Engines, monomorphized
     kernel selection ({!Kernel}), {!Factory}, {!Spec}, the CLI and the
-    serve protocol all dispatch through this module; the legacy
-    {!Replacement} entry points survive only as deprecated wrappers.
+    serve protocol all dispatch through this module.
 
     Adding a policy is a one-module change: extend {!t}, {!all}, {!id},
     the spellings, {!needs} and the three dispatch functions here (plus,

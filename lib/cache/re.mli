@@ -10,7 +10,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   ?interval:int ->
   rng:Cachesec_stats.Rng.t ->
   unit ->

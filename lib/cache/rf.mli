@@ -14,7 +14,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   ?default_window:int * int ->
   rng:Cachesec_stats.Rng.t ->
   unit ->

@@ -4,9 +4,9 @@ open Cachesec_stats
    [Kernel_rp.map] so the monomorphized kernels and this generic path
    share one state record — a stale memo in either would silently fork
    the mappings. *)
-type t = { b : Backing.t; policy : Replacement.policy; map : Kernel_rp.map }
+type t = { b : Backing.t; policy : Policy.t; map : Kernel_rp.map }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ~rng () =
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy; map = Kernel_rp.create_map () }
 
 let config t = t.b.Backing.cfg

@@ -1,6 +1,6 @@
-type t = { b : Backing.t; policy : Replacement.policy }
+type t = { b : Backing.t; policy : Policy.t }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ~rng () =
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
 let config t = t.b.Backing.cfg
@@ -84,7 +84,7 @@ let engine ?(kernel = Kernel.Auto) t =
   in
   {
     Engine.name = Printf.sprintf "sa-%d-way-%s" (config t).Config.ways
-        (Replacement.policy_to_string t.policy);
+        (Policy.to_string t.policy);
     config = config t;
     sigma = 0.;
     kernel = kernel_name;

@@ -10,14 +10,14 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
 (** Defaults: {!Config.standard}, random replacement. *)
 
 val config : t -> Config.t
-val policy : t -> Replacement.policy
+val policy : t -> Policy.t
 val access : t -> pid:int -> int -> Outcome.t
 val peek : t -> pid:int -> int -> bool
 val flush_line : t -> pid:int -> int -> bool

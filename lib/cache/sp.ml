@@ -1,13 +1,13 @@
 type t = {
   b : Backing.t;
-  policy : Replacement.policy;
+  policy : Policy.t;
   partitions : int;
   per : int;  (** sets per partition, precomputed off the access path *)
   home : int -> int;
   partition_of_pid : int -> int;
 }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random)
+let create ?(config = Config.standard) ?(policy = Policy.Random)
     ?(partitions = 2) ~home ~partition_of_pid ~rng () =
   if partitions <= 0 then invalid_arg "Sp.create: partitions must be positive";
   if Config.sets config mod partitions <> 0 then

@@ -16,7 +16,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   ?partitions:int ->
   home:(int -> int) ->
   partition_of_pid:(int -> int) ->
@@ -30,7 +30,7 @@ val create :
 
 val create_two_domain :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   ?partitions:int ->
   victim_pid:int ->
   victim_lines:(int * int) list ->

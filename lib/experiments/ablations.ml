@@ -15,14 +15,14 @@ let submit_collision (ctx : Run.ctx) spec trials =
   Driver.submit_collision ctx spec
     {
       Collision.default_config with
-      Collision.trials = Figures.trials_for (Figures.scale_of ctx) trials;
+      Collision.trials = Figures.trials_for ctx trials;
     }
 
 let submit_evict_time (ctx : Run.ctx) spec trials =
   Driver.submit_evict_time ctx spec
     {
       Evict_time.default_config with
-      Evict_time.trials = Figures.trials_for (Figures.scale_of ctx) trials;
+      Evict_time.trials = Figures.trials_for ctx trials;
     }
 
 (* Every sweep is one telemetry span; the Driver campaigns for its cells
@@ -38,7 +38,7 @@ let render_rf_window (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun w ->
-           let spec = Spec.Rf { ways = 8; policy = Replacement.Random; back = w; fwd = w } in
+           let spec = Spec.Rf { ways = 8; policy = Policy.Random; back = w; fwd = w } in
            let pas = Attack_models.pas Attack_type.Cache_collision spec () in
            Driver.map_pending
              (fun (r : Collision.result) ->
@@ -63,7 +63,7 @@ let render_re_interval (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun t ->
-           let spec = Spec.Re { ways = 1; policy = Replacement.Random; interval = t } in
+           let spec = Spec.Re { ways = 1; policy = Policy.Random; interval = t } in
            let pas = Attack_models.pas Attack_type.Cache_collision spec () in
            Driver.map_pending
              (fun (r : Collision.result) ->
@@ -88,7 +88,7 @@ let render_noise_sigma (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun sigma ->
-           let spec = Spec.Noisy { ways = 8; policy = Replacement.Random; sigma } in
+           let spec = Spec.Noisy { ways = 8; policy = Policy.Random; sigma } in
            let pas = Attack_models.pas Attack_type.Evict_and_time spec () in
            let trials_needed =
              if sigma = 0. then 1
@@ -119,7 +119,7 @@ let render_nomo_reserved (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun reserved ->
-           let spec = Spec.Nomo { ways = 8; policy = Replacement.Random; reserved } in
+           let spec = Spec.Nomo { ways = 8; policy = Policy.Random; reserved } in
            let pas = Attack_models.pas Attack_type.Evict_and_time spec () in
            Driver.map_pending
              (fun (r : Evict_time.result) ->
@@ -148,12 +148,12 @@ let render_replacement_policy (ctx : Run.ctx) =
            Driver.map_pending
              (fun (r : Evict_time.result) ->
                [
-                 Replacement.policy_to_string policy;
+                 Policy.to_string policy;
                  string_of_bool r.Evict_time.nibble_recovered;
                  Printf.sprintf "%.2f" r.Evict_time.separation;
                ])
              (submit_evict_time ctx spec 50000))
-         [ Replacement.Lru; Replacement.Random; Replacement.Fifo ])
+         [ Policy.Lru; Policy.Random; Policy.Fifo ])
   in
   "Ablation: replacement policy vs Type 1. With LRU (or FIFO) the\n\
    attacker's w fresh accesses evict the set deterministically, so the\n\
@@ -164,54 +164,16 @@ let render_replacement_policy (ctx : Run.ctx) =
       ~headers:[ "policy"; "nibble recovered"; "z" ]
       ~rows ()
 
-(* The historical sweep seeds: each sweep has always run under its own
-   default seed (11..15), so the combined report keeps doing the same —
-   [render] re-seeds the shared ctx per sweep rather than reusing
-   [ctx.seed] verbatim, preserving bit-identical output with the
-   deprecated [all]. *)
-let rf_window_seed = 11
-let re_interval_seed = 12
-let noise_sigma_seed = 13
-let nomo_reserved_seed = 14
-let replacement_policy_seed = 15
-
+(* Each sweep runs under its own historical seed (11..15): [render]
+   re-seeds the shared ctx per sweep rather than reusing [ctx.seed]. *)
 let render (ctx : Run.ctx) =
   String.concat "\n"
-    [
-      render_rf_window (Run.with_seed rf_window_seed ctx);
-      render_re_interval (Run.with_seed re_interval_seed ctx);
-      render_noise_sigma (Run.with_seed noise_sigma_seed ctx);
-      render_nomo_reserved (Run.with_seed nomo_reserved_seed ctx);
-      render_replacement_policy (Run.with_seed replacement_policy_seed ctx);
-    ]
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?(scale = Figures.Full) ~seed ?jobs () =
-  let ctx = { Run.default with Run.seed; jobs } in
-  if scale = Figures.Quick then Run.quick ctx else ctx
-
-let rf_window ?scale ?(seed = rf_window_seed) ?jobs () =
-  render_rf_window (ctx_of ?scale ~seed ?jobs ())
-
-let re_interval ?scale ?(seed = re_interval_seed) ?jobs () =
-  render_re_interval (ctx_of ?scale ~seed ?jobs ())
-
-let noise_sigma ?scale ?(seed = noise_sigma_seed) ?jobs () =
-  render_noise_sigma (ctx_of ?scale ~seed ?jobs ())
-
-let nomo_reserved ?scale ?(seed = nomo_reserved_seed) ?jobs () =
-  render_nomo_reserved (ctx_of ?scale ~seed ?jobs ())
-
-let replacement_policy ?scale ?(seed = replacement_policy_seed) ?jobs () =
-  render_replacement_policy (ctx_of ?scale ~seed ?jobs ())
-
-let all ?scale ?seed ?jobs () =
-  String.concat "\n"
-    [
-      rf_window ?scale ?seed ?jobs ();
-      re_interval ?scale ?seed ?jobs ();
-      noise_sigma ?scale ?seed ?jobs ();
-      nomo_reserved ?scale ?seed ?jobs ();
-      replacement_policy ?scale ?seed ?jobs ();
-    ]
+    (List.map
+       (fun (seed, sweep) -> sweep (Run.with_seed seed ctx))
+       [
+         (11, render_rf_window);
+         (12, render_re_interval);
+         (13, render_noise_sigma);
+         (14, render_nomo_reserved);
+         (15, render_replacement_policy);
+       ])

@@ -4,8 +4,6 @@ open Cachesec_attacks
 open Cachesec_runtime
 open Cachesec_telemetry
 
-let shard_seed ~seed i = Run.seed_for_batch ~seed i
-
 let setup_for ~(ctx : Run.ctx) spec (b : Scheduler.batch) =
   Setup.make ~seed:(Run.batch_seed ctx b.Scheduler.index) spec
 
@@ -455,26 +453,3 @@ let submit_timing_stats_adaptive ?(lo = 0.) ?(hi = 40.) ?(bins = 80)
 
 let run_timing_stats_adaptive ?lo ?hi ?bins ctx spec ~target () =
   await (submit_timing_stats_adaptive ?lo ?hi ?bins ctx spec ~target ())
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?jobs ?batch ~seed () =
-  { Run.default with Run.seed; jobs; batch }
-
-let evict_time ?jobs ?batch ~seed spec c =
-  run_evict_time (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let prime_probe ?jobs ?batch ~seed spec c =
-  run_prime_probe (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let collision ?jobs ?batch ~seed spec c =
-  run_collision (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let flush_reload ?jobs ?batch ~seed spec c =
-  run_flush_reload (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let cleaning_game ?jobs ?batch ~seed spec ~accesses ~samples =
-  run_cleaning_game (ctx_of ?jobs ?batch ~seed ()) spec ~accesses ~samples
-
-let timing_stats ?jobs ?batch ?lo ?hi ?bins ~seed spec ~trials () =
-  run_timing_stats ?lo ?hi ?bins (ctx_of ?jobs ?batch ~seed ()) spec ~trials ()

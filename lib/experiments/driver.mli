@@ -11,7 +11,7 @@
     [jobs:1] and [jobs:n] produces bit-identical results; [jobs] buys
     wall-clock only.
 
-    The primary API is ctx-first ([run_*]): one
+    Every entry point is ctx-first ([run_*]): one
     {!Cachesec_runtime.Run.ctx} carries seed, worker count, batch
     override and telemetry. With an active telemetry context each
     campaign is wrapped in a span (nested under [ctx.parent], carrying a
@@ -30,10 +30,7 @@
     barrier while another campaign has runnable shards. Results are
     bit-identical between sequential and pipelined execution (merges are
     deferred, never reordered); with [jobs <= 1] a [submit_*] runs
-    eagerly and pipelining degrades to the sequential order.
-
-    The old [?jobs ?batch ~seed] optional tails survive as thin
-    deprecated wrappers. *)
+    eagerly and pipelining degrades to the sequential order. *)
 
 open Cachesec_cache
 open Cachesec_attacks
@@ -69,7 +66,7 @@ val map_pending : ('a -> 'b) -> 'a pending -> 'b pending
 (** Post-process a campaign's result at await time (e.g. wrap a raw
     attack result into a report cell) without forcing the join now. *)
 
-(** {1 Primary ctx-first API}
+(** {1 Fixed-count campaigns}
 
     Each experiment has a blocking [run_*] ≡ [await ∘ submit_*]. *)
 
@@ -208,43 +205,3 @@ val run_cleaning_game_adaptive :
 val run_timing_stats_adaptive :
   ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t ->
   target:Sequential.target -> unit -> (Histogram.t * Summary.t) adaptive
-
-(** {1 Deprecated optional-tail wrappers}
-
-    Bit-identical to the ctx API for equal [(seed, batch, jobs)] —
-    enforced by [test_runtime]'s old-vs-new equivalence cases. *)
-
-val shard_seed : seed:int -> int -> int
-[@@alert deprecated "use Cachesec_runtime.Run.seed_for_batch"]
-(** Alias of {!Cachesec_runtime.Run.seed_for_batch}, the single point of
-    batch-seed derivation. *)
-
-val evict_time :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Evict_time.config ->
-  Evict_time.result
-[@@alert deprecated "use run_evict_time with a Run.ctx"]
-
-val prime_probe :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Prime_probe.config ->
-  Prime_probe.result
-[@@alert deprecated "use run_prime_probe with a Run.ctx"]
-
-val collision :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Collision.config ->
-  Collision.result
-[@@alert deprecated "use run_collision with a Run.ctx"]
-
-val flush_reload :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Flush_reload.config ->
-  Flush_reload.result
-[@@alert deprecated "use run_flush_reload with a Run.ctx"]
-
-val cleaning_game :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> accesses:int ->
-  samples:int -> float
-[@@alert deprecated "use run_cleaning_game with a Run.ctx"]
-
-val timing_stats :
-  ?jobs:int -> ?batch:int -> ?lo:float -> ?hi:float -> ?bins:int ->
-  seed:int -> Spec.t -> trials:int -> unit -> Histogram.t * Summary.t
-[@@alert deprecated "use run_timing_stats with a Run.ctx"]

@@ -2,6 +2,7 @@ open Cachesec_stats
 open Cachesec_cache
 open Cachesec_crypto
 open Cachesec_attacks
+open Cachesec_runtime
 open Cachesec_analysis
 open Cachesec_report
 
@@ -48,8 +49,9 @@ let make_skewed_victim seed =
   in
   (victim, Rng.split rng)
 
-let skewed_report ?(seed = 19) ?(scale = Figures.Full) () =
-  let t n = Figures.trials_for scale n in
+let skewed_report (ctx : Run.ctx) =
+  let seed = ctx.Run.seed in
+  let t n = Figures.trials_for ctx n in
   let analytic =
     String.concat ""
       (List.map

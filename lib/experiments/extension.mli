@@ -13,9 +13,10 @@ val skewed_pas : unit -> (string * float) list
     Type 1/2 eviction stages carry 1/(banks * slots) per line; Type 3 is
     demand-fetch reuse (1.0); Type 4 is cross-domain (0). *)
 
-val skewed_report : ?seed:int -> ?scale:Figures.scale -> unit -> string
+val skewed_report : Cachesec_runtime.Run.ctx -> string
 (** Analytical PAS table plus the outcome of the four simulated attacks
-    against the skewed engine. *)
+    against the skewed engine; the four attacks run
+    with seeds [ctx.seed] .. [ctx.seed + 3]. *)
 
 val multi_line_report : ?lines:int -> unit -> string
 (** Type 1 PAS, single vs [lines]-line requirement, across the nine

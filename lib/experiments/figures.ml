@@ -7,18 +7,8 @@ open Cachesec_report
 open Cachesec_runtime
 open Cachesec_telemetry
 
-type scale = Quick | Full
-
-let trials_for scale n =
-  match scale with Full -> n | Quick -> Stdlib.max 50 (n / 10)
-
-let scale_of (ctx : Run.ctx) = if ctx.Run.quick then Quick else Full
-
-(* Deprecated-wrapper plumbing: lift an old [?scale ?seed ?jobs] tail
-   into a ctx. *)
-let ctx_of ?(scale = Full) ~seed ?jobs () =
-  let ctx = { Run.default with Run.seed; jobs } in
-  if scale = Quick then Run.quick ctx else ctx
+let trials_for (ctx : Run.ctx) n =
+  if ctx.Run.quick then Stdlib.max 50 (n / 10) else n
 
 let figure4 () =
   let sigmas = List.init 31 (fun i -> float_of_int i /. 10.) in
@@ -38,10 +28,10 @@ let figure4 () =
 
 let figure8_specs =
   [
-    ("SA/RP/RF 8-way", Spec.Sa { ways = 8; policy = Replacement.Random });
-    ("SA/RP/RF 32-way", Spec.Sa { ways = 32; policy = Replacement.Random });
-    ("RE 8-way T=10", Spec.Re { ways = 8; policy = Replacement.Random; interval = 10 });
-    ("Nomo 8-way 1/4", Spec.Nomo { ways = 8; policy = Replacement.Random; reserved = 2 });
+    ("SA/RP/RF 8-way", Spec.Sa { ways = 8; policy = Policy.Random });
+    ("SA/RP/RF 32-way", Spec.Sa { ways = 32; policy = Policy.Random });
+    ("RE 8-way T=10", Spec.Re { ways = 8; policy = Policy.Random; interval = 10 });
+    ("Nomo 8-way 1/4", Spec.Nomo { ways = 8; policy = Policy.Random; reserved = 2 });
     ("Newcache", Spec.paper_newcache);
     ("SP / PL (locked)", Spec.paper_sp);
   ]
@@ -57,7 +47,7 @@ let figure8 ?policy () =
       ( List.map
           (fun (name, spec) -> (name, Spec.with_policy spec p))
           figure8_specs,
-        Replacement.policy_to_string p ^ " replacement" )
+        Policy.to_string p ^ " replacement" )
   in
   let series =
     List.map
@@ -89,7 +79,7 @@ let render_figure9 ?(pipeline = true) (ctx : Run.ctx) =
     let config =
       {
         Evict_time.default_config with
-        Evict_time.trials = trials_for (scale_of ctx) 50000;
+        Evict_time.trials = trials_for ctx 50000;
       }
     in
     Driver.map_pending (fun r -> (spec, r)) (Driver.submit_evict_time ctx spec config)
@@ -144,7 +134,7 @@ let render_figure10 ?(pipeline = true) (ctx : Run.ctx) =
     let config =
       {
         Prime_probe.default_config with
-        Prime_probe.trials = trials_for (scale_of ctx) 1500;
+        Prime_probe.trials = trials_for ctx 1500;
         lock_victim_tables = (match spec with Spec.Pl _ -> true | _ -> false);
       }
     in
@@ -175,7 +165,7 @@ let render_prepas_crosscheck (ctx : Run.ctx) =
   @@ fun sp ->
   let ctx = Run.with_parent sp ctx in
   let seed = ctx.Run.seed in
-  let samples = trials_for (scale_of ctx) 2000 in
+  let samples = trials_for ctx 2000 in
   let ks = [ 4; 8; 16; 32; 64 ] in
   let specs =
     [
@@ -186,7 +176,7 @@ let render_prepas_crosscheck (ctx : Run.ctx) =
       Spec.paper_newcache;
       Spec.paper_rp;
       Spec.paper_rf;
-      Spec.Re { ways = 8; policy = Replacement.Random; interval = 10 };
+      Spec.Re { ways = 8; policy = Policy.Random; interval = 10 };
     ]
   in
   let headers = "Cache" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks in
@@ -231,14 +221,3 @@ let render_prepas_crosscheck (ctx : Run.ctx) =
    (RE shown 8-way to exhibit the free-lunch effect; RP's Monte Carlo is \n\
    lower than the closed form by design - see DESIGN.md)\n"
   ^ Table.render ~headers ~rows ()
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let figure9 ?scale ?(seed = 42) ?jobs () =
-  render_figure9 (ctx_of ?scale ~seed ?jobs ())
-
-let figure10 ?scale ?(seed = 42) ?jobs () =
-  render_figure10 (ctx_of ?scale ~seed ?jobs ())
-
-let prepas_crosscheck ?scale ?(seed = 7) ?jobs () =
-  render_prepas_crosscheck (ctx_of ?scale ~seed ?jobs ())

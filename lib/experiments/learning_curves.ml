@@ -12,7 +12,6 @@ type curve = {
 }
 
 let default_grid = [ 50; 100; 200; 400; 800; 1600; 3200 ]
-let default_seed = 61
 
 (* The (trials x seed-instance) cross product is a flat bag of
    independent campaigns, so the whole curve fans out over the
@@ -21,7 +20,7 @@ let default_seed = 61
    [jobs]. *)
 let curve ?(seeds = 8) ?(grid = default_grid) (ctx : Run.ctx) spec =
   if seeds <= 0 then
-    invalid_arg "Learning_curves.run_curve: seeds must be positive";
+    invalid_arg "Learning_curves.curve: seeds must be positive";
   Telemetry.with_span ctx.Run.telemetry ~parent:ctx.Run.parent
     ("learning-curve:" ^ Spec.name spec)
   @@ fun sp ->
@@ -105,13 +104,3 @@ let csv_rows curves =
           ])
         c.points)
     curves
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?(seed = default_seed) ?jobs () =
-  { Run.default with Run.seed; jobs }
-
-let run_curve ?seed ?seeds ?jobs ?grid spec =
-  curve ?seeds ?grid (ctx_of ?seed ?jobs ()) spec
-
-let table ?seed ?seeds ?jobs () = curves ?seeds (ctx_of ?seed ?jobs ())

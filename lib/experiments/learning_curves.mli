@@ -13,8 +13,6 @@ type curve = {
   points : (int * float) list;  (** (trials, recovery frequency) *)
 }
 
-(** {1 Primary ctx-first API} *)
-
 val curve : ?seeds:int -> ?grid:int list -> Run.ctx -> Cachesec_cache.Spec.t -> curve
 (** Defaults: 8 seeds, trials grid [50; 100; ...; 3200]. The
     (trials x seed) campaigns fan out over the Domain-parallel trial
@@ -32,20 +30,3 @@ val curves : ?seeds:int -> Run.ctx -> curve list
 
 val render : curve list -> string
 val csv_rows : curve list -> string list list
-
-(** {1 Deprecated optional-tail wrappers}
-
-    Historical default seed 61; [?jobs] follows
-    {!Cachesec_runtime.Scheduler.resolve_jobs}. *)
-
-val run_curve :
-  ?seed:int ->
-  ?seeds:int ->
-  ?jobs:int ->
-  ?grid:int list ->
-  Cachesec_cache.Spec.t ->
-  curve
-[@@alert deprecated "use curve with a Run.ctx"]
-
-val table : ?seed:int -> ?seeds:int -> ?jobs:int -> unit -> curve list
-[@@alert deprecated "use curves with a Run.ctx"]

@@ -2,6 +2,7 @@ open Cachesec_stats
 open Cachesec_cache
 open Cachesec_crypto
 open Cachesec_attacks
+open Cachesec_runtime
 
 type result = {
   l2_name : string;
@@ -62,8 +63,9 @@ let run ?(seed = 37) ?(trials = 2000) ~l2_spec () =
     true_byte;
   }
 
-let report ?(seed = 37) ?(scale = Figures.Full) () =
-  let trials = Figures.trials_for scale 2000 in
+let report (ctx : Run.ctx) =
+  let seed = ctx.Run.seed in
+  let trials = Figures.trials_for ctx 2000 in
   let render (r : result) =
     Printf.sprintf
       "  shared L2 = %-12s %s (winner 0x%02x, true 0x%02x)\n" r.l2_name

@@ -19,5 +19,5 @@ type result = {
 val run :
   ?seed:int -> ?trials:int -> l2_spec:Cachesec_cache.Spec.t -> unit -> result
 
-val report : ?seed:int -> ?scale:Figures.scale -> unit -> string
-(** SA vs Newcache as the shared level. *)
+val report : Cachesec_runtime.Run.ctx -> string
+(** SA vs Newcache as the shared level, both run with [ctx.seed]. *)

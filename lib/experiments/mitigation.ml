@@ -1,11 +1,13 @@
 open Cachesec_cache
 open Cachesec_attacks
 open Cachesec_report
+open Cachesec_runtime
 
 type outcome = { label : string; recovered : bool }
 
-let report ?(scale = Figures.Full) ?(seed = 67) () =
-  let t n = Figures.trials_for scale n in
+let report (ctx : Run.ctx) =
+  let seed = ctx.Run.seed in
+  let t n = Figures.trials_for ctx n in
   let collision prefetch =
     let s = Setup.make ~seed Spec.paper_sa in
     let r =

@@ -11,7 +11,7 @@
 
 type outcome = { label : string; recovered : bool }
 
-val report : ?scale:Figures.scale -> ?seed:int -> unit -> string
+val report : Cachesec_runtime.Run.ctx -> string
 (** Six cells on the conventional SA cache (collision, flush-reload and
     evict-and-time, each without/with victim prefetching) plus the
-    locked-PL evict-and-time row. *)
+    locked-PL evict-and-time row, each cell seeded with [ctx.seed]. *)

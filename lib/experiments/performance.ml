@@ -49,9 +49,9 @@ let model_table ?(seed = 73) ?(accesses = 120000) () =
         [
           Printf.sprintf "%.2g" exponent;
           Printf.sprintf "%.3f" model_lru;
-          Printf.sprintf "%.3f" (simulate Replacement.Lru);
+          Printf.sprintf "%.3f" (simulate Policy.Lru);
           Printf.sprintf "%.3f" model_rand;
-          Printf.sprintf "%.3f" (simulate Replacement.Random);
+          Printf.sprintf "%.3f" (simulate Policy.Random);
         ])
       [ 0.6; 0.8; 1.0; 1.2 ]
   in

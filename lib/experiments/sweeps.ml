@@ -7,7 +7,7 @@ let sa_config ways = Config.v ~line_bytes:64 ~lines:512 ~ways
 let associativity_sweep ~ways =
   List.map
     (fun w ->
-      let spec = Spec.Sa { ways = w; policy = Replacement.Random } in
+      let spec = Spec.Sa { ways = w; policy = Policy.Random } in
       let pas =
         Attack_models.pas ~config:(sa_config w) Attack_type.Evict_and_time spec ()
       in
@@ -31,7 +31,7 @@ let cache_size_sweep ~lines =
 let rf_window_sweep ~windows =
   List.map
     (fun w ->
-      let spec = Spec.Rf { ways = 8; policy = Replacement.Random; back = w; fwd = w } in
+      let spec = Spec.Rf { ways = 8; policy = Policy.Random; back = w; fwd = w } in
       ( w,
         Attack_models.pas Attack_type.Cache_collision spec (),
         Attack_models.pas Attack_type.Prime_and_probe spec () ))
@@ -40,7 +40,7 @@ let rf_window_sweep ~windows =
 let re_interval_sweep ~intervals =
   List.map
     (fun t ->
-      let spec = Spec.Re { ways = 1; policy = Replacement.Random; interval = t } in
+      let spec = Spec.Re { ways = 1; policy = Policy.Random; interval = t } in
       ( t,
         Attack_models.pas Attack_type.Cache_collision spec (),
         1. /. float_of_int t ))
@@ -49,11 +49,11 @@ let re_interval_sweep ~intervals =
 let nomo_reservation_sweep ~ways ~reserved =
   List.map
     (fun r ->
-      let spec = Spec.Nomo { ways; policy = Replacement.Random; reserved = r } in
+      let spec = Spec.Nomo { ways; policy = Policy.Random; reserved = r } in
       let pas = Attack_models.pas Attack_type.Evict_and_time spec () in
       let prepas =
         Prepas.nomo ~ways ~reserved:r ~victim_lines_in_set:ways ~k:24
-          ~policy:Replacement.Random
+          ~policy:Policy.Random
       in
       (r, pas, prepas))
     reserved

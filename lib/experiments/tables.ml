@@ -106,15 +106,15 @@ let table6_alt_geometry () =
   let config = Config.v ~line_bytes:64 ~lines:256 ~ways:4 in
   let specs =
     [
-      Spec.Sa { ways = 4; policy = Replacement.Random };
-      Spec.Sp { ways = 4; policy = Replacement.Random; partitions = 2 };
-      Spec.Pl { ways = 4; policy = Replacement.Random };
-      Spec.Nomo { ways = 4; policy = Replacement.Random; reserved = 1 };
+      Spec.Sa { ways = 4; policy = Policy.Random };
+      Spec.Sp { ways = 4; policy = Policy.Random; partitions = 2 };
+      Spec.Pl { ways = 4; policy = Policy.Random };
+      Spec.Nomo { ways = 4; policy = Policy.Random; reserved = 1 };
       Spec.Newcache { extra_bits = 4 };
-      Spec.Rp { ways = 4; policy = Replacement.Random };
-      Spec.Rf { ways = 4; policy = Replacement.Random; back = 64; fwd = 64 };
-      Spec.Re { ways = 1; policy = Replacement.Random; interval = 10 };
-      Spec.Noisy { ways = 4; policy = Replacement.Random; sigma = 1.0 };
+      Spec.Rp { ways = 4; policy = Policy.Random };
+      Spec.Rf { ways = 4; policy = Policy.Random; back = 64; fwd = 64 };
+      Spec.Re { ways = 1; policy = Policy.Random; interval = 10 };
+      Spec.Noisy { ways = 4; policy = Policy.Random; sigma = 1.0 };
     ]
   in
   let rows =
@@ -155,7 +155,7 @@ let policy_resilience ?threshold ?specs ?policies () =
                 (fun acc (c : Resilience.policy_cell) -> Float.max acc c.bits)
                 0. cells
             in
-            [ Spec.display_name spec; Replacement.policy_to_string policy ]
+            [ Spec.display_name spec; Policy.to_string policy ]
             @ List.map
                 (fun (c : Resilience.policy_cell) ->
                   Printf.sprintf "%s %s" (Table.fmt_prob c.effective)
@@ -181,7 +181,7 @@ let policy_resilience_csv_rows () =
             (fun (c : Resilience.policy_cell) ->
               [
                 Spec.name spec;
-                Replacement.policy_to_string policy;
+                Policy.to_string policy;
                 Attack_type.name c.attack;
                 Printf.sprintf "%.6g" c.pas;
                 Printf.sprintf "%.6g" c.limit;

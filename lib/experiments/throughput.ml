@@ -83,7 +83,7 @@ let measure ?(accesses = 200_000) ?(seed = 0xBE7C) ?(repeats = 3) ?kernel spec =
     arch = Spec.name spec;
     policy =
       (match Spec.policy_of spec with
-      | Some p -> Replacement.policy_to_string p
+      | Some p -> Policy.to_string p
       | None -> "secrand");
     accesses;
     seconds = dt;
@@ -111,7 +111,7 @@ let cases () =
         List.map (Spec.with_policy spec) Policy.all
       | Some _ ->
         List.map (Spec.with_policy spec)
-          [ Replacement.Lru; Replacement.Random; Replacement.Fifo ])
+          [ Policy.Lru; Policy.Random; Policy.Fifo ])
     Spec.all_paper
 
 (* The timed loop itself is never instrumented (that would measure the
@@ -155,10 +155,6 @@ let bench (ctx : Run.ctx) =
         (float_of_int e.slab_bytes);
       e)
     (cases ())
-
-let run ?(quick = false) () =
-  let ctx = { Run.default with Run.quick = quick } in
-  bench ctx
 
 (* --- JSON (flat, line-oriented: one entry per line, fixed key order,
    so the file doubles as its own parser format) ------------------- *)

@@ -83,10 +83,6 @@ val render : ?baseline:string -> entry list -> string
 (** Human-readable table; when [baseline] names a readable
     {!write}-format file, adds a per-row speedup column against it. *)
 
-val run : ?quick:bool -> unit -> entry list
-[@@alert deprecated "use bench with a Run.ctx"]
-(** {!bench} under a default (null-telemetry) context. *)
-
 (** End-to-end attack throughput: whole attack trials per second
     (prime → victim encryption → probe → scoring) through the real
     harness via each attack's [run_span] — the unit Driver shards fan

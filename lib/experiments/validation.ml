@@ -97,7 +97,7 @@ let submit_cell ?adaptive (ctx : Run.ctx) spec attack =
          (Attack_type.short attack))
   in
   let ctx = Run.with_parent sp ctx in
-  let t n = Figures.trials_for (Figures.scale_of ctx) n in
+  let t n = Figures.trials_for ctx n in
   match
     match attack with
     | Attack_type.Evict_and_time ->
@@ -289,14 +289,3 @@ let render cells =
       /. Float.max 1. (float_of_int (total_trials cells)))
       (worst_half_width cells)
   else ""
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?(scale = Figures.Full) ?(seed = 42) ?jobs () =
-  let ctx = { Run.default with Run.seed; jobs } in
-  if scale = Figures.Quick then Run.quick ctx else ctx
-
-let run_cell ?scale ?seed ?jobs spec attack =
-  cell (ctx_of ?scale ?seed ?jobs ()) spec attack
-
-let matrix ?scale ?seed ?jobs () = cells (ctx_of ?scale ?seed ?jobs ())

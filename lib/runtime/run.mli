@@ -41,14 +41,13 @@ val with_telemetry : Telemetry.t -> ctx -> ctx
 val with_parent : Telemetry.span -> ctx -> ctx
 
 val quick : ctx -> ctx
-(** Reduced trial counts ([Figures.Quick] scale). *)
+(** Reduced trial counts (what [Figures.trials_for] reads). *)
 
 val seed_for_batch : seed:int -> int -> int
 (** Seed of trial batch [i]: the root [seed] itself for batch 0 (keeping
     single-batch runs bit-identical to the legacy serial loops and to
     the pre-runtime results), [Rng.derive_seed seed i] otherwise. The
-    single point of seed derivation for the experiments layer;
-    [Driver.shard_seed] is a deprecated alias. *)
+    single point of seed derivation for the experiments layer. *)
 
 val batch_seed : ctx -> int -> int
 (** [seed_for_batch ~seed:ctx.seed]. *)

@@ -69,7 +69,7 @@ let spec_ways = function
 (* Every field of the spec is emitted explicitly (no reliance on
    defaults), so encode/decode round-trips by construction. *)
 let spec_args spec =
-  let pol p = Printf.sprintf "policy=%s" (Replacement.policy_to_string p) in
+  let pol p = Printf.sprintf "policy=%s" (Policy.to_string p) in
   let base = Printf.sprintf "cache=%s" (Spec.name spec) in
   match spec with
   | Spec.Sa { ways; policy }
@@ -228,7 +228,7 @@ let parse_spec args =
     match List.assoc_opt "policy" args with
     | None -> Ok base
     | Some p -> (
-      match Replacement.policy_of_string p with
+      match Policy.of_string p with
       | Some policy -> (
         match base with
         | Spec.Newcache _ -> Error "newcache has no replacement policy"

@@ -85,7 +85,7 @@ let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] }
 
 let case_name spec =
   match Spec.policy_of spec with
-  | Some p -> Spec.name spec ^ ":" ^ Replacement.policy_to_string p
+  | Some p -> Spec.name spec ^ ":" ^ Policy.to_string p
   | None -> Spec.name spec ^ ":secrand"
 
 let cases () =
@@ -106,7 +106,7 @@ let cases () =
         fun rng ->
           let l2 =
             Sa.engine
-              (Sa.create ~config:Config.standard ~policy:Replacement.Random
+              (Sa.create ~config:Config.standard ~policy:Policy.Random
                  ~rng:(Rng.split rng) ())
           in
           Hierarchy.engine (Hierarchy.create ~l2 ~rng ()) );

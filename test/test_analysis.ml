@@ -234,28 +234,28 @@ let test_prepas_re_free_lunch () =
   (* RE at interval 10 equals SA with k + k/10 accesses. *)
   check_close 1e-12 "free lunches"
     (Prepas.sa_random ~ways:8 ~k:33)
-    (Prepas.re ~ways:8 ~interval:10 ~k:30 ~policy:Replacement.Random);
+    (Prepas.re ~ways:8 ~interval:10 ~k:30 ~policy:Policy.Random);
   (* LRU: 8-way cleaned at k=8 normally, k=7 with a free lunch at T=7. *)
   check_prob "lru boundary" 1.
-    (Prepas.re ~ways:8 ~interval:7 ~k:7 ~policy:Replacement.Lru)
+    (Prepas.re ~ways:8 ~interval:7 ~k:7 ~policy:Policy.Lru)
 
 let prop_re_dominates_sa =
   qtest "RE cleaning never harder than SA" QCheck.(int_range 0 120) (fun k ->
-      Prepas.re ~ways:8 ~interval:10 ~k ~policy:Replacement.Random
+      Prepas.re ~ways:8 ~interval:10 ~k ~policy:Policy.Random
       >= Prepas.sa_random ~ways:8 ~k -. 1e-12)
 
 let test_prepas_nomo () =
   check_prob "fits reservation" 0.
     (Prepas.nomo ~ways:8 ~reserved:2 ~victim_lines_in_set:2 ~k:100
-       ~policy:Replacement.Random);
+       ~policy:Policy.Random);
   check_close 1e-12 "exceeds: shared-way game"
     (Prepas.sa_random ~ways:6 ~k:20)
     (Prepas.nomo ~ways:8 ~reserved:2 ~victim_lines_in_set:3 ~k:20
-       ~policy:Replacement.Random);
+       ~policy:Policy.Random);
   check_prob "alpha 0 degrades to SA"
     (Prepas.sa_random ~ways:8 ~k:20)
     (Prepas.nomo ~ways:8 ~reserved:0 ~victim_lines_in_set:1 ~k:20
-       ~policy:Replacement.Random)
+       ~policy:Policy.Random)
 
 let test_prepas_for_spec () =
   check_prob "sp" 0. (Prepas.for_spec Spec.paper_sp ~k:1000);
@@ -287,16 +287,16 @@ let test_prepas_policy_arms () =
   (* The exhaustive dispatch routes each policy to its own arm. *)
   List.iter
     (fun (policy, expect) ->
-      check_prob ("dispatch " ^ Replacement.policy_to_string policy) expect
+      check_prob ("dispatch " ^ Policy.to_string policy) expect
         (Prepas.sa ~ways:8 ~k:8 ~policy))
     [
-      (Replacement.Lru, 1.);
-      (Replacement.Fifo, 1.);
-      (Replacement.Random, Coupon.prob_all_covered ~bins:8 ~trials:8);
-      (Replacement.Mru, 0.);
-      (Replacement.Lfu, 0.);
-      (Replacement.Mfu, 0.);
-      (Replacement.Plru, 1.);
+      (Policy.Lru, 1.);
+      (Policy.Fifo, 1.);
+      (Policy.Random, Coupon.prob_all_covered ~bins:8 ~trials:8);
+      (Policy.Mru, 0.);
+      (Policy.Lfu, 0.);
+      (Policy.Mfu, 0.);
+      (Policy.Plru, 1.);
     ]
 
 (* The closed forms are derivations, not fits — check every policy's
@@ -316,7 +316,7 @@ let test_prepas_policy_monte_carlo () =
           in
           if Float.abs (closed -. mc) > 0.07 then
             Alcotest.failf "%s k=%d: closed form %.4f vs Monte-Carlo %.4f"
-              (Replacement.policy_to_string policy)
+              (Policy.to_string policy)
               k closed mc)
         [ 7; 8; 32 ])
     Policy.all
@@ -324,18 +324,18 @@ let test_prepas_policy_monte_carlo () =
 let test_cleaning_limit () =
   check_prob "sa random" 1. (Prepas.cleaning_limit Spec.paper_sa);
   check_prob "sa lru" 1.
-    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_sa Replacement.Lru));
+    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_sa Policy.Lru));
   check_prob "sa mru" 0.
-    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_sa Replacement.Mru));
+    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_sa Policy.Mru));
   check_prob "sa lfu" 0.
-    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_sa Replacement.Lfu));
+    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_sa Policy.Lfu));
   check_prob "sp" 0. (Prepas.cleaning_limit Spec.paper_sp);
   check_prob "pl locked" 0. (Prepas.cleaning_limit Spec.paper_pl);
   check_prob "pl unlocked" 1.
     (Prepas.cleaning_limit ~prefetched:false Spec.paper_pl);
   (* The paper's RE cache is direct-mapped, so even MRU cleans it. *)
   check_prob "re mru (1-way)" 1.
-    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_re Replacement.Mru))
+    (Prepas.cleaning_limit (Spec.with_policy Spec.paper_re Policy.Mru))
 
 let prop_prepas_monotone_in_k =
   qtest "pre-PAS non-decreasing in k"
@@ -400,7 +400,7 @@ let test_policy_matrix () =
     let _, by_policy =
       List.find (fun (s, _) -> Spec.name s = "sa") m
     in
-    List.assoc Replacement.Mru by_policy
+    List.assoc Policy.Mru by_policy
   in
   List.iter
     (fun (c : Resilience.policy_cell) ->
@@ -416,7 +416,7 @@ let test_policy_matrix () =
   (* Under LRU/random/fifo/plru the SA cache keeps its Table 7 row. *)
   let sa_lru =
     let _, by_policy = List.find (fun (s, _) -> Spec.name s = "sa") m in
-    List.assoc Replacement.Lru by_policy
+    List.assoc Policy.Lru by_policy
   in
   List.iter
     (fun (c : Resilience.policy_cell) ->
@@ -467,7 +467,7 @@ let test_perf_model_vs_sim () =
   let model = Perf_model.random_hit_rate ~popularity:pop ~cache_lines:512 in
   let rng = Rng.create ~seed:99 in
   let sa =
-    Sa.create ~config:Config.fully_associative ~policy:Replacement.Random
+    Sa.create ~config:Config.fully_associative ~policy:Policy.Random
       ~rng:(Rng.split rng) ()
   in
   let sim =

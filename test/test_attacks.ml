@@ -2,11 +2,6 @@
    key-recovery scoring, the four attacks, the cleaning game, the
    allocation-free fast path and its bit-identity golden digests. *)
 
-(* [Attacker.conflict_lines] is deprecated in favour of
-   [nth_conflict_line] / [Probe_plan]; the compat wrapper is still
-   covered below, so silence the alert for this file. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_stats
 open Cachesec_cache
 open Cachesec_crypto
@@ -107,16 +102,16 @@ let test_random_plaintext () =
 
 let test_conflict_lines () =
   let cfg = Config.standard in
-  let lines = Attacker.conflict_lines cfg ~count:8 5 in
-  Alcotest.(check int) "count" 8 (List.length lines);
+  let lines = List.init 8 (Attacker.nth_conflict_line cfg ~set:5) in
   Alcotest.(check int) "distinct" 8 (List.length (List.sort_uniq compare lines));
   List.iter
     (fun l ->
       Alcotest.(check int) "maps to set" 5 (Address.set_index cfg l);
       Alcotest.(check bool) "above attacker base" true (l >= Attacker.default_base))
     lines;
-  Alcotest.check_raises "bad set" (Invalid_argument "Attacker.conflict_lines: bad set")
-    (fun () -> ignore (Attacker.conflict_lines cfg ~count:1 64))
+  Alcotest.check_raises "bad set"
+    (Invalid_argument "Attacker.nth_conflict_line: bad set") (fun () ->
+      ignore (Attacker.nth_conflict_line cfg ~set:64 0))
 
 let test_prime_probe_cycle () =
   let _, engine = make_victim () in
@@ -139,17 +134,14 @@ let test_prime_probe_cycle () =
 
 (* --- Fast path ----------------------------------------------------------- *)
 
+(* The base is aligned down to the set stride (64 sets here), then the
+   k-th line of a set sits k strides above it. *)
 let test_nth_conflict_line () =
   let cfg = Config.standard in
-  let lines = Attacker.conflict_lines cfg ~count:8 5 in
-  List.iteri
-    (fun k l ->
-      Alcotest.(check int) "matches deprecated list form" l
-        (Attacker.nth_conflict_line cfg ~set:5 k))
-    lines;
-  Alcotest.check_raises "bad set"
-    (Invalid_argument "Attacker.nth_conflict_line: bad set") (fun () ->
-      ignore (Attacker.nth_conflict_line cfg ~set:64 0))
+  Alcotest.(check int) "default base" (Attacker.default_base + 5 + (3 * 64))
+    (Attacker.nth_conflict_line cfg ~set:5 3);
+  Alcotest.(check int) "unaligned base" (960 + 5 + (2 * 64))
+    (Attacker.nth_conflict_line cfg ~base:1000 ~set:5 2)
 
 let twin_engines spec =
   let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 79) ] } in
@@ -531,7 +523,7 @@ let test_cleaner_sa_matches_closed_form () =
   Alcotest.(check (float 0.05)) "SA matches coupon collector" cf mc
 
 let test_cleaner_lru_step () =
-  let spec = Spec.Sa { ways = 8; policy = Replacement.Lru } in
+  let spec = Spec.Sa { ways = 8; policy = Policy.Lru } in
   Alcotest.(check (float 0.)) "k=7 fails" 0.
     (Cleaner.monte_carlo spec ~accesses:7 ~samples:50 ~rng:(rng ()));
   Alcotest.(check (float 0.)) "k=8 succeeds" 1.
@@ -546,8 +538,8 @@ let test_cleaner_newcache_rate () =
   Alcotest.(check (float 0.03)) "newcache line eviction rate" cf mc
 
 let test_cleaner_re_free_lunch () =
-  let sa = Spec.Sa { ways = 8; policy = Replacement.Lru } in
-  let re = Spec.Re { ways = 8; policy = Replacement.Lru; interval = 2 } in
+  let sa = Spec.Sa { ways = 8; policy = Policy.Lru } in
+  let re = Spec.Re { ways = 8; policy = Policy.Lru; interval = 2 } in
   (* With LRU and interval 2, k=6 gives 6+3 = 9 >= 8 effective evictions
      sometimes; in the simulator the free lunches land anywhere, so just
      check RE >= SA at the LRU boundary. *)

@@ -1,10 +1,6 @@
 (* Tests for the cache simulator substrate: geometry, policies and the
    architecture-specific security mechanisms of all nine caches. *)
 
-(* This file deliberately exercises the deprecated [Replacement.choose]
-   compatibility shims alongside the [Policy] registry they forward to. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_stats
 open Cachesec_cache
 
@@ -44,7 +40,7 @@ let prop_address_roundtrip =
       let c = Config.standard in
       (Address.tag c line * Config.sets c) + Address.set_index c line = line)
 
-(* --- Line / Replacement ---------------------------------------------- *)
+(* --- Line / Policy selectors over a Slab ------------------------------ *)
 
 let test_line () =
   let l = Line.make () in
@@ -62,45 +58,51 @@ let test_line () =
   Line.invalidate l;
   Alcotest.(check bool) "invalidated" false l.Line.valid
 
-let filled_lines n =
-  let lines = Line.make_array n in
-  Array.iteri (fun i l -> Line.fill l ~tag:i ~owner:0 ~seq:(i + 1)) lines;
-  lines
+(* Every line filled, line i at seq i+1. *)
+let filled_slab ~lines ~ways =
+  let s = Slab.create ~lines ~ways in
+  for i = 0 to lines - 1 do
+    Slab.fill s i ~tag:i ~owner:0 ~seq:(i + 1)
+  done;
+  s
 
+(* The list selector prefers invalid candidates in list order. *)
 let test_replacement_invalid_first () =
-  let lines = filled_lines 4 in
-  Line.invalidate lines.(2);
+  let s = filled_slab ~lines:4 ~ways:4 in
+  Slab.invalidate s 1;
+  Slab.invalidate s 2;
   let r = rng () in
   List.iter
     (fun policy ->
       Alcotest.(check int)
-        (Replacement.policy_to_string policy ^ " picks invalid")
+        (Policy.to_string policy ^ " picks invalid")
         2
-        (Replacement.choose policy r lines ~base:0 ~len:4))
-    [ Replacement.Lru; Replacement.Random; Replacement.Fifo ]
+        (Policy.victim_among_in policy r s ~candidates:[ 3; 2; 1 ]))
+    [ Policy.Lru; Policy.Random; Policy.Fifo ]
 
 let test_replacement_lru () =
-  let lines = filled_lines 4 in
-  Line.touch lines.(0) ~seq:100;
+  let s = filled_slab ~lines:4 ~ways:4 in
+  Slab.touch s 0 ~seq:100;
+  let r = rng () in
   Alcotest.(check int) "least recent" 1
-    (Replacement.lru_victim lines ~base:0 ~len:4);
+    (Policy.victim_in Policy.Lru r s ~base:0 ~len:4);
   Alcotest.(check int) "restricted range" 2
-    (Replacement.lru_victim lines ~base:2 ~len:2)
+    (Policy.victim_in Policy.Lru r s ~base:2 ~len:2)
 
 let test_replacement_fifo () =
-  let lines = filled_lines 4 in
-  Line.touch lines.(0) ~seq:100;
-  (* FIFO ignores touches: oldest fill wins. *)
+  let s = filled_slab ~lines:4 ~ways:4 in
+  Slab.touch s 1 ~seq:100;
+  (* FIFO ignores touches: oldest fill in the range wins. *)
   let r = rng () in
-  Alcotest.(check int) "oldest fill" 0
-    (Replacement.choose Replacement.Fifo r lines ~base:0 ~len:4)
+  Alcotest.(check int) "oldest fill" 1
+    (Policy.victim_in Policy.Fifo r s ~base:1 ~len:3)
 
 let test_replacement_random_uniform () =
-  let lines = filled_lines 8 in
+  let s = filled_slab ~lines:8 ~ways:8 in
   let r = rng () in
   let counts = Array.make 8 0 in
   for _ = 1 to 8000 do
-    let v = Replacement.choose Replacement.Random r lines ~base:0 ~len:8 in
+    let v = Policy.victim_in Policy.Random r s ~base:0 ~len:8 in
     counts.(v) <- counts.(v) + 1
   done;
   Array.iter
@@ -108,48 +110,43 @@ let test_replacement_random_uniform () =
       Alcotest.(check bool) "roughly uniform" true (c > 800 && c < 1200))
     counts
 
-(* choose / choose_among agree: on a contiguous range they are the same
-   selector (including the single RNG draw of the Random policy). *)
+(* victim_in / victim_among_in agree on a contiguous slice that is not a
+   whole set (lines 5..10 straddle two 8-way sets), including the single
+   RNG draw of Random, while the slice is refilled and touched between
+   picks. Plru is left out: on whole aligned sets its tree walk is meant
+   to differ from the list path's LRU order. *)
 let test_replacement_range_list_agree () =
-  let lines = filled_lines 8 in
-  Line.touch lines.(3) ~seq:50;
   List.iter
     (fun policy ->
+      let s = filled_slab ~lines:16 ~ways:8 in
       let r1 = Rng.create ~seed:77 and r2 = Rng.create ~seed:77 in
-      for _ = 1 to 200 do
+      let work = Rng.create ~seed:5 in
+      for seq = 100 to 299 do
+        let v = Policy.victim_in policy r1 s ~base:5 ~len:6 in
         Alcotest.(check int)
-          (Replacement.policy_to_string policy ^ " range = list")
-          (Replacement.choose_among policy r1 lines
-             ~candidates:[ 2; 3; 4; 5; 6 ])
-          (Replacement.choose policy r2 lines ~base:2 ~len:5)
+          (Policy.to_string policy ^ " range = list")
+          (Policy.victim_among_in policy r2 s
+             ~candidates:[ 5; 6; 7; 8; 9; 10 ])
+          v;
+        Slab.fill s v ~tag:seq ~owner:0 ~seq;
+        Policy.filled policy s v;
+        Policy.touch policy s (5 + Rng.int work 6) ~seq;
+        if seq mod 7 = 0 then Slab.invalidate s (5 + Rng.int work 6)
       done)
-    [ Replacement.Lru; Replacement.Random; Replacement.Fifo ]
+    Policy.[ Lru; Random; Fifo; Mru; Lfu; Mfu ]
 
 let test_replacement_errors () =
-  let lines = filled_lines 2 in
+  let s = filled_slab ~lines:2 ~ways:2 in
   let r = rng () in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Replacement.choose: no candidates") (fun () ->
-      ignore (Replacement.choose Replacement.Lru r lines ~base:0 ~len:0));
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Replacement.choose: candidate out of range") (fun () ->
-      ignore (Replacement.choose Replacement.Lru r lines ~base:1 ~len:2));
   Alcotest.check_raises "empty list"
-    (Invalid_argument "Replacement.choose: no candidates") (fun () ->
-      ignore (Replacement.choose_among Replacement.Lru r lines ~candidates:[]));
+    (Invalid_argument "Policy.victim_among_in: no candidates") (fun () ->
+      ignore (Policy.victim_among_in Policy.Lru r s ~candidates:[]));
   Alcotest.check_raises "list out of range"
-    (Invalid_argument "Replacement.choose: candidate out of range") (fun () ->
-      ignore
-        (Replacement.choose_among Replacement.Lru r lines ~candidates:[ 5 ]))
+    (Invalid_argument "Policy.victim_among_in: candidate out of range")
+    (fun () ->
+      ignore (Policy.victim_among_in Policy.Lru r s ~candidates:[ 0; 5 ]))
 
 (* --- Policy registry ----------------------------------------------------- *)
-
-let filled_slab ~lines ~ways =
-  let s = Slab.create ~lines ~ways in
-  for i = 0 to lines - 1 do
-    Slab.fill s i ~tag:i ~owner:0 ~seq:(i + 1)
-  done;
-  s
 
 let test_policy_registry () =
   Alcotest.(check int) "seven policies" 7 Policy.count;
@@ -167,10 +164,7 @@ let test_policy_registry () =
     Policy.all;
   Alcotest.(check bool) "unknown spelling" true (Policy.of_string "mlu" = None);
   Alcotest.(check string) "names joins the registry"
-    "lru|random|fifo|mru|lfu|mfu|plru" Policy.names;
-  (* The compat alias and the registry are the same type and spelling. *)
-  Alcotest.(check string) "replacement alias agrees" "plru"
-    (Replacement.policy_to_string Replacement.Plru)
+    "lru|random|fifo|mru|lfu|mfu|plru" Policy.names
 
 let test_policy_needs () =
   let n = Policy.needs in
@@ -251,10 +245,7 @@ let test_policy_errors () =
       ignore (Policy.victim_in Policy.Lru r s ~base:0 ~len:0));
   Alcotest.check_raises "out of range"
     (Invalid_argument "Policy.victim_in: candidate out of range") (fun () ->
-      ignore (Policy.victim_in Policy.Lru r s ~base:2 ~len:4));
-  Alcotest.check_raises "empty list"
-    (Invalid_argument "Policy.victim_among_in: no candidates") (fun () ->
-      ignore (Policy.victim_among_in Policy.Lru r s ~candidates:[]))
+      ignore (Policy.victim_in Policy.Lru r s ~base:2 ~len:4))
 
 (* --- Counters ---------------------------------------------------------- *)
 
@@ -329,7 +320,7 @@ let test_sa_flush () =
 
 let test_sa_lru_exact () =
   let config = Config.v ~line_bytes:64 ~lines:8 ~ways:2 in
-  let sa = Sa.create ~config ~policy:Replacement.Lru ~rng:(rng ()) () in
+  let sa = Sa.create ~config ~policy:Policy.Lru ~rng:(rng ()) () in
   (* Set 0 of 4 sets: lines 0, 4, 8 map there. *)
   ignore (Sa.access sa ~pid:0 0);
   ignore (Sa.access sa ~pid:0 4);

@@ -1,14 +1,13 @@
 (* Integration tests: the experiment drivers that regenerate the paper's
    tables and figures, run at reduced scale. *)
 
-(* These tests deliberately exercise the deprecated optional-tail
-   wrappers alongside the Run.ctx primaries: old-vs-new equivalence is
-   part of the API-migration contract. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_cache
 open Cachesec_analysis
 open Cachesec_experiments
+open Cachesec_runtime
+
+(* A serial quick-scale context. *)
+let quick seed = Run.quick (Run.make ~seed ())
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -94,34 +93,59 @@ let test_figure8 () =
   Alcotest.(check bool) "sa high at 64" true (sa64 > 0.95)
 
 let test_figure9_quick () =
-  let s = Figures.figure9 ~scale:Figures.Quick ~seed:3 () in
+  let s = Figures.render_figure9 (quick 3) in
   Alcotest.(check bool) "both caches shown" true
     (contains s "SA Cache" && contains s "Newcache");
   Alcotest.(check bool) "verdict lines" true (contains s "nibble recovered")
 
 let test_figure10_quick () =
-  let s = Figures.figure10 ~scale:Figures.Quick ~seed:3 () in
+  let s = Figures.render_figure10 (quick 3) in
   Alcotest.(check bool) "six caches" true
     (contains s "SA Cache" && contains s "RP Cache" && contains s "RE Cache")
 
 let test_trials_for () =
-  Alcotest.(check int) "full" 4000 (Figures.trials_for Figures.Full 4000);
-  Alcotest.(check int) "quick" 400 (Figures.trials_for Figures.Quick 4000);
-  Alcotest.(check int) "quick floor" 50 (Figures.trials_for Figures.Quick 100)
+  Alcotest.(check int) "full" 4000 (Figures.trials_for Run.default 4000);
+  Alcotest.(check int) "quick" 400 (Figures.trials_for (quick 42) 4000);
+  Alcotest.(check int) "quick floor" 50 (Figures.trials_for (quick 42) 100)
+
+(* --- Render digests ------------------------------------------------------ *)
+
+(* The historical default seeds of the experiment renders, pinned by the
+   MD5 of their quick-scale output: moving a default seed (or changing
+   what a render draws) changes a digest. *)
+let test_render_digests () =
+  let check name expected render =
+    Alcotest.(check string) name expected (Digest.to_hex (Digest.string render))
+  in
+  check "figure 9 @42" "464e5981571e62242992315e503ee89c"
+    (Figures.render_figure9 (quick 42));
+  check "figure 10 @42" "e9fd74ca0f669b7dc39fa0de7dcbedc5"
+    (Figures.render_figure10 (quick 42));
+  check "prepas crosscheck @7" "b4b5fdc8a7b501319c554d9f4f66a6e5"
+    (Figures.render_prepas_crosscheck (quick 7));
+  check "ablations @11-15" "be637b75ad672c5707e762562077e65d"
+    (Ablations.render (quick 42));
+  check "mitigation @67" "ff37f84b6972ef629c81070b2df42dea"
+    (Mitigation.report (quick 67));
+  check "mitigation @42" "95e7c927675bed404f0c1ff070b8a62b"
+    (Mitigation.report (quick 42));
+  check "llc @37" "e1be82f73af7a9f79cd678eb3ec9f1a7" (Llc.report (quick 37));
+  check "skewed @19" "f9ba5bc301e5d3d84b1db526eec2cca4"
+    (Extension.skewed_report (quick 19))
 
 (* --- Validation cells --------------------------------------------------------- *)
 
 let test_validation_cells_quick () =
   (* A clearly-leaky and a clearly-protected cell, at reduced scale. *)
   let leak =
-    Validation.run_cell ~scale:Figures.Quick Spec.paper_sa
+    Validation.cell (quick 42) Spec.paper_sa
       Attack_type.Flush_and_reload
   in
   Alcotest.(check bool) "sa FR leaks" true leak.Validation.recovered;
   Alcotest.(check bool) "predicted too" true leak.Validation.predicted_leak;
   Alcotest.(check bool) "agrees" true leak.Validation.agrees;
   let safe =
-    Validation.run_cell ~scale:Figures.Quick Spec.paper_newcache
+    Validation.cell (quick 42) Spec.paper_newcache
       Attack_type.Flush_and_reload
   in
   Alcotest.(check bool) "newcache FR protected" false safe.Validation.recovered;
@@ -130,7 +154,7 @@ let test_validation_cells_quick () =
 let test_validation_render () =
   let cells =
     [
-      Validation.run_cell ~scale:Figures.Quick Spec.paper_sp
+      Validation.cell (quick 42) Spec.paper_sp
         Attack_type.Evict_and_time;
     ]
   in
@@ -146,7 +170,7 @@ let test_ablation_rf_window_analytics () =
   List.iter
     (fun w ->
       let spec =
-        Spec.Rf { ways = 8; policy = Replacement.Random; back = w; fwd = w }
+        Spec.Rf { ways = 8; policy = Policy.Random; back = w; fwd = w }
       in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "w=%d" w)
@@ -269,6 +293,7 @@ let () =
           Alcotest.test_case "figure 9 quick" `Slow test_figure9_quick;
           Alcotest.test_case "figure 10 quick" `Slow test_figure10_quick;
           Alcotest.test_case "trials_for" `Quick test_trials_for;
+          Alcotest.test_case "render digests" `Quick test_render_digests;
         ] );
       ( "validation",
         [

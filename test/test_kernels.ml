@@ -30,7 +30,7 @@ let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] }
 
 let case_name spec =
   match Spec.policy_of spec with
-  | Some p -> Spec.name spec ^ ":" ^ Replacement.policy_to_string p
+  | Some p -> Spec.name spec ^ ":" ^ Policy.to_string p
   | None -> Spec.name spec ^ ":secrand"
 
 (* All 57 factory cells: 8 policied architectures x the full policy
@@ -143,14 +143,14 @@ let test_cell spec () =
 let expected_kernel spec =
   let policy_suffix () =
     match Spec.policy_of spec with
-    | Some p -> Replacement.policy_to_string p
+    | Some p -> Policy.to_string p
     | None -> assert false
   in
   (* pl/rp carry kernels only for the original three policies; the new
      registry entries fall back to the generic path there. *)
   let original_three () =
     match Spec.policy_of spec with
-    | Some (Replacement.Lru | Replacement.Random | Replacement.Fifo) -> true
+    | Some (Policy.Lru | Policy.Random | Policy.Fifo) -> true
     | _ -> false
   in
   let both k = Some (k, k) in

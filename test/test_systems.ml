@@ -279,17 +279,17 @@ let test_equiv_pl_unlocked_is_sa () =
     (build_with 6 Spec.paper_pl)
 
 let test_equiv_rf_window0_is_sa () =
-  let rf = Spec.Rf { ways = 8; policy = Replacement.Random; back = 0; fwd = 0 } in
+  let rf = Spec.Rf { ways = 8; policy = Policy.Random; back = 0; fwd = 0 } in
   check_equiv "rf window 0 = sa" (build_with 7 Spec.paper_sa) (build_with 7 rf)
 
 let test_equiv_nomo0_is_sa () =
-  let nomo = Spec.Nomo { ways = 8; policy = Replacement.Random; reserved = 0 } in
+  let nomo = Spec.Nomo { ways = 8; policy = Policy.Random; reserved = 0 } in
   check_equiv "nomo r=0 = sa" (build_with 8 Spec.paper_sa) (build_with 8 nomo)
 
 let test_equiv_re_huge_interval_is_sa () =
   (* An interval beyond the stream length never fires. *)
-  let re = Spec.Re { ways = 8; policy = Replacement.Random; interval = 1000000 } in
-  let sa = Spec.Sa { ways = 8; policy = Replacement.Random } in
+  let re = Spec.Re { ways = 8; policy = Policy.Random; interval = 1000000 } in
+  let sa = Spec.Sa { ways = 8; policy = Policy.Random } in
   check_equiv "re T=inf = sa" (build_with 9 sa) (build_with 9 re)
 
 let test_rp_single_process_like_sa () =
