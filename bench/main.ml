@@ -442,7 +442,7 @@ let main perf sim (ctx : Run.ctx) =
           let x = e.Throughput.per_sec /. b.Throughput.per_sec in
           Printf.sprintf "  gate bench_cache  sa/lru speedup %5.2fx %s\n" x
             (if x >= 2.5 then ">= 2.50x PASS" else "<  2.50x FAIL")
-        | _ -> "  gate bench_cache  no seed baseline row for sa/lru\n"
+        | _ -> "  gate bench_cache  no seed baseline row for sa/lru FAIL\n"
       in
       Throughput.render ~baseline:"bench/BENCH_cache.baseline.json" entries
       ^ gate_line
@@ -451,14 +451,13 @@ let main perf sim (ctx : Run.ctx) =
            else
              Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
   (* Companion perf gate for the attack fast path: whole attack trials
-     per second through each attack's run_span, each case measured on
-     both replay paths (auto-selected batched kernels vs Kernel.Scalar,
-     the pre-batching cost model). Two baseline files, mirroring the
-     engine bench above: the hard gate compares current batched rows
-     against bench/BENCH_attacks.seed.json — the FROZEN pre-batching
-     harness numbers (v1, scalar by construction), never re-recorded —
-     while the re-recordable bench/BENCH_attacks.baseline.json (v2,
-     both paths) feeds the vs-base trajectory column. Prime-probe and
+     per second through each attack's run_span on the batched replay
+     path. Two baseline files, mirroring the engine bench above: the
+     hard gate compares current batched rows against
+     bench/BENCH_attacks.seed.json — the FROZEN pre-batching harness
+     numbers (v1, scalar by construction), never re-recorded — while
+     the re-recordable bench/BENCH_attacks.baseline.json feeds the
+     vs-base trajectory column. Prime-probe and
      evict-time are hard PASS/FAIL gates (their trial cost is dominated
      by batched probe/evict runs); flush-reload and collision amortize
      batching against whole-region flushes and AES tracing, so they
@@ -479,8 +478,14 @@ let main perf sim (ctx : Run.ctx) =
         |> List.map (fun (attack, speedup, pass) ->
                match speedup with
                | None ->
-                 Printf.sprintf "  gate bench_attacks %-12s no baseline rows\n"
+                 (* A hard gate with nothing to compare against fails:
+                    a missing or unreadable seed file must not pass
+                    silently. *)
+                 Printf.sprintf "  gate bench_attacks %-12s no baseline rows %s\n"
                    attack
+                   (if List.mem attack Throughput.Attacks.hard_classes then
+                      "FAIL"
+                    else "(reported)")
                | Some x
                  when List.mem attack Throughput.Attacks.hard_classes ->
                  Printf.sprintf
@@ -561,7 +566,7 @@ let main perf sim (ctx : Run.ctx) =
         ~path:"results/BENCH_e2e.json" !e2e_entries;
       let gate_line =
         match Throughput.Adaptive.gate ~threshold:2.0 entries with
-        | None, _ -> "  gate adaptive     missing arm, no ratio\n"
+        | None, _ -> "  gate adaptive     missing arm, no ratio FAIL\n"
         | Some x, pass ->
           Printf.sprintf
             "  gate adaptive     trials saved at matched width %5.2fx %s\n" x
@@ -592,7 +597,7 @@ let main perf sim (ctx : Run.ctx) =
         ~path:"results/BENCH_serve.json" entries;
       let gate_line =
         match Cachesec_serve.Serve_bench.gate entries with
-        | None -> "  gate bench_serve  missing mix, no ratio\n"
+        | None -> "  gate bench_serve  missing mix, no ratio FAIL\n"
         | Some (x, pass) ->
           Printf.sprintf
             "  gate bench_serve  memo-hit/cold qps ratio %7.1fx %s\n" x

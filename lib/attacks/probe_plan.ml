@@ -39,7 +39,7 @@ let prime_all t =
     ~len:(t.sets * t.ways) Kernel.Fill
 
 (* Probe: one batched Count run per set, folding into the set's scratch
-   slot. [Kernel.count_miss]/[count_hit] reproduce the scalar branch
+   slot. The [Count] accumulation reproduces the scalar branch
    exactly: at sigma = 0 no randomness is consumed, classified = true
    misses and the time sum is the exact miss total; at sigma > 0 one
    gaussian per access in access order — the same stream the scalar

@@ -10,6 +10,11 @@ type t = {
   set_mask : int;
       (** [sets - 1] when [sets] is a power of two, else -1: lets
           {!set_of} replace the per-access division with a masked AND *)
+  mutable fetched : int;
+  mutable evicted_owner : int;
+  mutable evicted_line : int;
+  mutable also_owner : int;
+  mutable also_line : int;
 }
 
 let create cfg ~rng =
@@ -22,6 +27,11 @@ let create cfg ~rng =
     rng;
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
+    fetched = -1;
+    evicted_owner = -1;
+    evicted_line = -1;
+    also_owner = -1;
+    also_line = -1;
   }
 
 let tick t =
@@ -59,13 +69,6 @@ let ways_of_set t ~set =
   if set < 0 || set >= Config.sets t.cfg then
     invalid_arg "Backing.ways_of_set: set out of range";
   List.init w (fun i -> (set * w) + i)
-
-let valid_indices t =
-  let acc = ref [] in
-  for i = t.slab.Slab.n - 1 downto 0 do
-    if Slab.valid t.slab i then acc := i :: !acc
-  done;
-  !acc
 
 (* Valid lines with their global index, as fresh boxed snapshots (the
    slabs are the state of record; mutating a dumped [Line.t] no longer

@@ -4,7 +4,7 @@
 
     The per-access probes ({!find_tag}, {!find_tag_owned}) are
     allocation-free bounded scans over the slabs; list-producing helpers
-    ({!ways_of_set}, {!valid_indices}, {!dump}) are for cold paths. *)
+    ({!ways_of_set}, {!dump}) are for cold paths. *)
 
 type t = {
   cfg : Config.t;
@@ -16,6 +16,16 @@ type t = {
   set_mask : int;
       (** [sets - 1] when [sets] is a power of two, else -1 (see
           {!set_of}) *)
+  mutable fetched : int;
+  mutable evicted_owner : int;
+  mutable evicted_line : int;
+  mutable also_owner : int;
+  mutable also_line : int;
+      (** Step scratch, written by {!Kernel.fill} and {!Kernel.also_evict}:
+          the line the access's fill installed, the [(owner, line)] that
+          fill displaced and the second line the access displaced. Read
+          back only when {!Kernel.record} or {!Kernel.finish} builds an
+          outcome, for the step codes that say they are set. *)
 }
 
 val create : Config.t -> rng:Cachesec_stats.Rng.t -> t
@@ -43,8 +53,6 @@ val find_tag_owned : t -> set:int -> tag:int -> owner:int -> int
 val ways_of_set : t -> set:int -> int list
 (** Global line indices of a set, in way order (cold paths only, e.g.
     PL way-locking). *)
-
-val valid_indices : t -> int list
 
 val dump : t -> (int * Line.t) list
 (** Valid lines with their global index, materialized as fresh

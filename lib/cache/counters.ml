@@ -27,8 +27,13 @@ type cell = {
    access itself. Exotic pids spill into the overflow table. *)
 let small_pids = 16
 
+(* Only the per-pid cells are bumped per access; the global view is
+   their sum plus [extra], which holds the evictions no access owns
+   (flush_all, PL's locking fill). An access costs one cell write, and
+   the global snapshot — read only by reports and tests — pays the
+   sum. *)
 type t = {
-  global : cell;
+  extra : cell;
   small : cell array;  (** index = pid, for 0 <= pid < {!small_pids} *)
   overflow : (int, cell) Hashtbl.t;
 }
@@ -38,7 +43,7 @@ let fresh_cell () =
 
 let create () =
   {
-    global = fresh_cell ();
+    extra = fresh_cell ();
     small = Array.init small_pids (fun _ -> fresh_cell ());
     overflow = Hashtbl.create 8;
   }
@@ -46,7 +51,7 @@ let create () =
 (* [Hashtbl.find] + preallocated [Not_found] rather than [find_opt] on
    the overflow path: the option wrapper is a minor-heap allocation on
    every access and this runs on the hit fast path. *)
-let cell_for t pid =
+let cell t pid =
   if pid >= 0 && pid < small_pids then t.small.(pid)
   else
     match Hashtbl.find t.overflow pid with
@@ -56,9 +61,23 @@ let cell_for t pid =
       Hashtbl.replace t.overflow pid c;
       c
 
+let cell_hit (c : cell) =
+  c.accesses <- c.accesses + 1;
+  c.hits <- c.hits + 1
+
+let cell_add (c : cell) ~miss ~read_through ~evictions =
+  c.accesses <- c.accesses + 1;
+  if miss then begin
+    c.misses <- c.misses + 1;
+    if read_through then c.read_throughs <- c.read_throughs + 1
+  end
+  else c.hits <- c.hits + 1;
+  c.evictions <- c.evictions + evictions
+
 (* Single match per field group; no polymorphic [=] (which compiles to a
    [caml_equal] call even on constant constructors without flambda). *)
-let bump c (o : Outcome.t) =
+let record t ~pid (o : Outcome.t) =
+  let c = cell t pid in
   c.accesses <- c.accesses + 1;
   (match o.event with
   | Outcome.Hit -> c.hits <- c.hits + 1
@@ -68,56 +87,15 @@ let bump c (o : Outcome.t) =
   (match o.evicted with
   | Some _ -> c.evictions <- c.evictions + 1
   | None -> ());
-  (match o.also_evicted with
+  match o.also_evicted with
   | Some _ -> c.evictions <- c.evictions + 1
-  | None -> ())
-
-let record t ~pid o =
-  bump t.global o;
-  bump (cell_for t pid) o
-
-(* --- hoisted-cell API for the batched run kernels -------------------- *)
-
-(* A batched [run] replays a whole trace for ONE pid, so the kernels
-   resolve the global and per-pid cells once per run and bump them with
-   the field-wise helpers below — no [Outcome.t] needed on the
-   Fill/Count paths. Each helper must leave the cells in exactly the
-   state [record] would with the equivalent outcome (the differential
-   fuzz and golden digests pin this). *)
-
-let global_cell t = t.global
-let cell t pid = cell_for t pid
-
-let cell_hit (c : cell) =
-  c.accesses <- c.accesses + 1;
-  c.hits <- c.hits + 1
-
-(* Miss served by a fill: [evictions] counts the displaced valid lines
-   (0 or 1 for set-associative fills, up to 2 for Newcache's conflict
-   invalidation + random victim). *)
-let cell_miss_cached (c : cell) ~evictions =
-  c.accesses <- c.accesses + 1;
-  c.misses <- c.misses + 1;
-  c.evictions <- c.evictions + evictions
-
-(* Miss served read-through (PL locked victim): no fill, no eviction. *)
-let cell_miss_uncached (c : cell) =
-  c.accesses <- c.accesses + 1;
-  c.misses <- c.misses + 1;
-  c.read_throughs <- c.read_throughs + 1
-
-(* Valid lines displaced on top of the access's own outcome (RF's fill
-   of a neighbouring line, RE's periodic random eviction). *)
-let cell_evictions (c : cell) n = c.evictions <- c.evictions + n
-
-let cell_record (c : cell) o = bump c o
+  | None -> ()
 
 let record_flush t ~pid =
-  t.global.flushes <- t.global.flushes + 1;
-  let c = cell_for t pid in
+  let c = cell t pid in
   c.flushes <- c.flushes + 1
 
-let record_eviction t ~count = t.global.evictions <- t.global.evictions + count
+let record_eviction t ~count = t.extra.evictions <- t.extra.evictions + count
 
 let snap (c : cell) : snapshot =
   {
@@ -129,7 +107,19 @@ let snap (c : cell) : snapshot =
     flushes = c.flushes;
   }
 
-let global t = snap t.global
+let add (s : snapshot) (c : cell) : snapshot =
+  {
+    accesses = s.accesses + c.accesses;
+    hits = s.hits + c.hits;
+    misses = s.misses + c.misses;
+    evictions = s.evictions + c.evictions;
+    read_throughs = s.read_throughs + c.read_throughs;
+    flushes = s.flushes + c.flushes;
+  }
+
+let global t =
+  Hashtbl.fold (fun _ c s -> add s c) t.overflow
+    (Array.fold_left add (snap t.extra) t.small)
 
 let for_pid t pid =
   if pid >= 0 && pid < small_pids then snap t.small.(pid)
@@ -148,7 +138,7 @@ let reset t =
     c.read_throughs <- 0;
     c.flushes <- 0
   in
-  clear t.global;
+  clear t.extra;
   Array.iter clear t.small;
   Hashtbl.iter (fun _ c -> clear c) t.overflow
 

@@ -17,38 +17,29 @@ val record_flush : t -> pid:int -> unit
 val record_eviction : t -> count:int -> unit
 (** Extra evictions not tied to an access outcome (e.g. flush_all). *)
 
-(** {2 Hoisted cells (batched run kernels)}
+(** {2 Per-pid cells (batched runs)}
 
-    A batched trace replay serves one pid, so the run kernels resolve
-    the global and per-pid accumulator cells once per run and bump them
-    field-wise per access — equivalent to {!record} with the matching
-    outcome, without materializing an [Outcome.t] on the Fill/Count
-    paths. *)
+    A batched trace replay serves one pid, so the run loops resolve the
+    pid's accumulator cell once per run and bump it per access —
+    equivalent to {!record} with the matching outcome, without
+    materializing an [Outcome.t] on the Fill/Count paths. *)
 
 type cell
 
-val global_cell : t -> cell
 val cell : t -> int -> cell
 (** The pid's accumulator cell (created on first use). *)
 
 val cell_hit : cell -> unit
-val cell_miss_cached : cell -> evictions:int -> unit
-(** Miss served by a fill displacing [evictions] valid lines (0/1 for
-    set-associative fills, up to 2 for Newcache). *)
+(** A hit that displaced nothing. *)
 
-val cell_miss_uncached : cell -> unit
-(** Miss served read-through (PL locked victim, SP cross-partition
-    miss, RF window line already cached). *)
-
-val cell_evictions : cell -> int -> unit
-(** Add displaced valid lines beyond the ones {!cell_miss_cached}
-    counts: RF's read-through miss that still fills a neighbouring line,
-    RE's periodic random eviction. *)
-
-val cell_record : cell -> Outcome.t -> unit
-(** Bump one cell from a full outcome (the Trace-mode path). *)
+val cell_add : cell -> miss:bool -> read_through:bool -> evictions:int -> unit
+(** Any access: a hit or a miss ([read_through]: served without caching
+    the accessed line) that displaced [evictions] valid lines. *)
 
 val global : t -> snapshot
+(** The sum of every pid's counts plus the evictions no access owns
+    ({!record_eviction}). *)
+
 val for_pid : t -> int -> snapshot
 (** All-zero snapshot for a pid never seen. *)
 

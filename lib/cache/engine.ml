@@ -2,7 +2,6 @@ type t = {
   name : string;
   config : Config.t;
   sigma : float;
-  kernel : string;
   slab : Slab.t;
   access : pid:int -> int -> Outcome.t;
   access_run :

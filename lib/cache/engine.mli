@@ -12,11 +12,6 @@ type t = {
   sigma : float;
       (** standard deviation of Gaussian observation noise this cache adds
           to timing measurements (non-zero only for the noisy cache) *)
-  kernel : string;
-      (** which access path serves this engine: a monomorphized kernel
-          name (["sa-lru"], ["newcache"], ...) or ["generic"] for the
-          policy-dispatching fallback. Reported as the [cache.kernel]
-          telemetry gauge and in bench rows. *)
   slab : Slab.t;
       (** the engine's line state of record (a wrapper reports its inner
           engine's; Hierarchy its L2's), for footprint gauges
@@ -31,11 +26,11 @@ type t = {
           calls of [access] in state, RNG draws and counters; [Fill] and
           [Count] modes never build an [Outcome.t]. *)
   run_kernel : string;
-      (** which path serves [access_run]: a monomorphized kernel name,
-          ["generic"] (scalar [access] looped — wrappers and
-          non-monomorphized engines), or ["scalar"] (the [Kernel.Scalar]
-          selection: monomorphized scalar access under the generic loop —
-          the pre-batching cost model benched as the "scalar" rows). *)
+      (** which path serves [access] and [access_run]: the engine's step
+          (["sa-lru"], ["rp-random"], ["newcache"], ["sp"], ...) or
+          {!Kernel.generic} for a wrapper that loops its scalar access.
+          Reported as the [cache.kernel] telemetry gauge and in bench
+          rows. *)
   peek : pid:int -> int -> bool;
       (** non-mutating: would [access] hit right now? *)
   flush_line : pid:int -> int -> bool;

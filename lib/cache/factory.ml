@@ -5,32 +5,32 @@ let default_scenario = { victim_pid = 0; victim_lines = [] }
 let with_ways (cfg : Config.t) ways =
   Config.v ~line_bytes:cfg.line_bytes ~lines:cfg.lines ~ways
 
-let build ?(config = Config.standard) ?kernel spec scenario ~rng =
+let build ?(config = Config.standard) spec scenario ~rng =
   match spec with
   | Spec.Sa { ways; policy } ->
-    Sa.engine ?kernel (Sa.create ~config:(with_ways config ways) ~policy ~rng ())
+    Sa.engine (Sa.create ~config:(with_ways config ways) ~policy ~rng ())
   | Spec.Sp { ways; policy; partitions } ->
-    Sp.engine ?kernel
+    Sp.engine
       (Sp.create_two_domain ~config:(with_ways config ways) ~policy ~partitions
          ~victim_pid:scenario.victim_pid ~victim_lines:scenario.victim_lines ~rng
          ())
   | Spec.Pl { ways; policy } ->
-    Pl.engine ?kernel (Pl.create ~config:(with_ways config ways) ~policy ~rng ())
+    Pl.engine (Pl.create ~config:(with_ways config ways) ~policy ~rng ())
   | Spec.Nomo { ways; policy; reserved } ->
-    Nomo.engine ?kernel
+    Nomo.engine
       (Nomo.create ~config:(with_ways config ways) ~policy ~reserved
          ~protected_pids:[ scenario.victim_pid ] ~rng ())
   | Spec.Newcache { extra_bits } ->
     let config = with_ways config config.Config.lines in
-    Newcache.engine ?kernel (Newcache.create ~config ~extra_bits ~rng ())
+    Newcache.engine (Newcache.create ~config ~extra_bits ~rng ())
   | Spec.Rp { ways; policy } ->
-    Rp.engine ?kernel (Rp.create ~config:(with_ways config ways) ~policy ~rng ())
+    Rp.engine (Rp.create ~config:(with_ways config ways) ~policy ~rng ())
   | Spec.Rf { ways; policy; back; fwd } ->
     let rf = Rf.create ~config:(with_ways config ways) ~policy ~rng () in
     Rf.set_window rf ~pid:scenario.victim_pid ~back ~fwd;
-    Rf.engine ?kernel rf
+    Rf.engine rf
   | Spec.Re { ways; policy; interval } ->
-    Re.engine ?kernel (Re.create ~config:(with_ways config ways) ~policy ~interval ~rng ())
+    Re.engine (Re.create ~config:(with_ways config ways) ~policy ~interval ~rng ())
   | Spec.Noisy { ways; policy; sigma } ->
-    Noisy.engine ?kernel
+    Noisy.engine
       (Noisy.create ~config:(with_ways config ways) ~policy ~sigma ~rng ())

@@ -14,14 +14,9 @@ val default_scenario : scenario
 
 val build :
   ?config:Config.t ->
-  ?kernel:Kernel.selection ->
   Spec.t ->
   scenario ->
   rng:Cachesec_stats.Rng.t ->
   Engine.t
 (** Instantiate. [config]'s [ways] is overridden by the spec's [ways]
-    (its line count and line size are kept); Newcache ignores [ways].
-    [?kernel] (default [Auto]) selects monomorphized access kernels
-    where they exist (SA, PL, RP, Newcache, Noisy's inner SA) and the
-    batched run loops of SP, Nomo, RF and RE; [Generic] forces the
-    dispatching fallback everywhere (the differential-testing oracle). *)
+    (its line count and line size are kept); Newcache ignores [ways]. *)

@@ -82,8 +82,7 @@ let engine t =
     config = t.l2.Engine.config;
     sigma = t.l2.Engine.sigma;
     (* The L1s are private per-pid Sa engines created on demand; the
-       hierarchy reports the shared level's path and footprint. *)
-    kernel = t.l2.Engine.kernel;
+       hierarchy reports the shared level's footprint. *)
     slab = t.l2.Engine.slab;
     access = (fun ~pid addr -> access t ~pid addr);
     (* The batched run must route through the hierarchy's own access

@@ -1,25 +1,78 @@
 open Cachesec_stats
 
-type selection = Auto | Generic | Scalar
+(* The protocol between an architecture's one access step and the two
+   entry points derived from it. A step mutates the engine state for one
+   access and returns a small int code describing what happened; the
+   payloads an [Outcome.t] needs (the line fetched, the lines displaced)
+   go into the [Backing.t] scratch fields, written by [fill] and
+   [also_evict]. [Engine.access] turns the code into an outcome
+   ([record]); [Engine.access_run] folds it per mode ([finish]), building
+   an outcome only in Trace mode.
+
+   Code layout:
+   - bit 0: miss
+   - bit 1: the access filled a line ([Backing.fetched] and
+     [Backing.evicted_*] describe that fill)
+   - bit 2: the accessed line is not cached afterwards (read-through,
+     or RF's fill of a neighbouring line)
+   - bits 3+: valid lines displaced, 0 to 2; the one displaced by the
+     fill first, any other in [Backing.also_*]. *)
 
 let generic = "generic"
-let scalar = "scalar"
 
-(* Table-driven kernel registry, keyed by [Policy.id]: each engine
-   declares its monomorphized kernels once and [pick] replaces the old
-   per-engine [Kernel.Auto, Policy.Lru -> ...] match ladders. A
-   policy without an entry falls back to the generic path — adding a
-   policy never breaks an engine, it just runs generic until someone
-   monomorphizes it. *)
+let hit = 0
+let read_through = 0b101
+let filled = 0b011
+let not_cached code = code lor 0b100
+let one_eviction = 0b1000
+let[@inline] is_miss code = code land 1 <> 0
 
-let table ~prefix entries =
-  let t = Array.make Policy.count None in
-  List.iter
-    (fun (p, k) -> t.(Policy.id p) <- Some (prefix ^ "-" ^ Policy.to_string p, k))
-    entries;
-  t
+let fill (b : Backing.t) way ~tag ~owner ~seq =
+  let s = b.Backing.slab in
+  let old = s.Slab.tags.(way) in
+  b.Backing.fetched <- tag;
+  b.Backing.evicted_owner <- s.Slab.owners.(way);
+  b.Backing.evicted_line <- old;
+  Slab.fill s way ~tag ~owner ~seq;
+  if old >= 0 then filled lor one_eviction else filled
 
-let pick t (policy : Policy.t) = t.(Policy.id policy)
+let also_evict (b : Backing.t) i =
+  let s = b.Backing.slab in
+  if s.Slab.tags.(i) < 0 then 0
+  else begin
+    b.Backing.also_owner <- s.Slab.owners.(i);
+    b.Backing.also_line <- s.Slab.tags.(i);
+    Slab.invalidate s i;
+    one_eviction
+  end
+
+let outcome (b : Backing.t) code =
+  if code = hit then Outcome.hit
+  else if code = read_through then Outcome.miss_uncached
+  else begin
+    let did_fill = code land 0b10 <> 0 in
+    let evicted =
+      if did_fill && b.Backing.evicted_line >= 0 then
+        Some (b.Backing.evicted_owner, b.Backing.evicted_line)
+      else None
+    in
+    let from_fill = match evicted with Some _ -> 1 | None -> 0 in
+    {
+      Outcome.event = (if is_miss code then Outcome.Miss else Outcome.Hit);
+      cached = code land 0b100 = 0;
+      fetched = (if did_fill then Some b.Backing.fetched else None);
+      evicted;
+      also_evicted =
+        (if code lsr 3 > from_fill then
+           Some (b.Backing.also_owner, b.Backing.also_line)
+         else None);
+    }
+  end
+
+let record (b : Backing.t) ~pid code =
+  let o = outcome b code in
+  Counters.record b.Backing.counters ~pid o;
+  o
 
 (* --- batched trace replay --------------------------------------------- *)
 
@@ -59,10 +112,10 @@ let make_counter ~bins =
     noise = Rng.create ~seed:0;
   }
 
-(* Per-access Count accumulation, shared by every batched kernel AND the
-   scalar-looping fallback so the classification arithmetic has exactly
-   one definition. [Timing.observe] keeps the draw semantics (mu = the
-   event's base time) in one place. *)
+(* Per-access Count accumulation, shared by [finish] AND the
+   scalar-looping [run_of_scalar] so the classification arithmetic has
+   exactly one definition. [Timing.observe] keeps the draw semantics
+   (mu = the event's base time) in one place. *)
 let count_hit (c : counter) =
   if c.sigma <> 0. then begin
     let tm = Timing.observe c.noise ~sigma:c.sigma Outcome.Hit in
@@ -86,12 +139,28 @@ let count_miss (c : counter) =
     c.times.(c.bin) <- c.times.(c.bin) +. tm
   end
 
-(* Generic [access_run]: loop the scalar access closure. Serves three
-   roles — the fallback for engines without batched kernels (wrappers,
-   Skewed, PL/RP under the newer policies), the [Scalar] selection's
-   pre-batching cost model (monomorphized scalar access under the same
-   loop), and the differential oracle the batched kernels are fuzzed
-   against. *)
+(* The per-access epilogue of every engine's run loop: the pid cell
+   bump [record] would make, then the mode's accumulation. *)
+let finish (b : Backing.t) c mode k code =
+  if code = hit then begin
+    Counters.cell_hit c;
+    match mode with
+    | Fill -> ()
+    | Count n -> count_hit n
+    | Trace out -> Array.unsafe_set out k Outcome.hit
+  end
+  else begin
+    let miss = is_miss code in
+    Counters.cell_add c ~miss ~read_through:(code land 0b100 <> 0)
+      ~evictions:(code lsr 3);
+    match mode with
+    | Fill -> ()
+    | Count n -> if miss then count_miss n else count_hit n
+    | Trace out -> Array.unsafe_set out k (outcome b code)
+  end
+
+(* [access_run] for the wrappers that have no step of their own
+   (Hierarchy, Recorder, Skewed): loop the scalar access closure. *)
 let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     mode =
   match mode with
@@ -108,19 +177,3 @@ let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     for k = 0 to len - 1 do
       Array.unsafe_set out k (access ~pid (Array.unsafe_get trace (pos + k)))
     done
-
-(* Selection for the engines with one policy-dispatching run loop per
-   architecture (SP, Nomo, RF, RE): [Auto] sends Fill/Count runs to
-   [run] and keeps Trace runs on the scalar loop, whose outcomes [run]
-   never builds; [Generic] and [Scalar] loop [access] in every mode, so
-   the differential fuzz compares [run] against an independent path. *)
-let arch_run kernel ~name ~access run =
-  let scalar = run_of_scalar access in
-  match kernel with
-  | Auto ->
-    ( (fun ~pid ~trace ~pos ~len mode ->
-        match mode with
-        | Trace _ -> scalar ~pid ~trace ~pos ~len mode
-        | Fill | Count _ -> run ~pid ~trace ~pos ~len mode),
-      name )
-  | Generic | Scalar -> (scalar, generic)

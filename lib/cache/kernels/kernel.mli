@@ -1,48 +1,60 @@
-(** Access-kernel selection and batched trace replay.
+(** The step protocol and batched trace replay.
 
-    Engines with monomorphized access loops ({!Kernel_sa}, {!Kernel_pl},
-    {!Kernel_rp}, {!Kernel_newcache}) take a [selection] at
-    engine-build time: [Auto] binds the per-(architecture, policy)
-    scalar kernel AND its batched [run] twin once, [Generic] keeps the
-    policy-dispatching path — the differential-testing oracle — and
-    [Scalar] binds the monomorphized scalar kernel but leaves the
-    batched entry point on the scalar-looping fallback (the exact
-    pre-batching cost model, recorded as the bench "scalar" rows). All
-    paths must stay bit-identical in state, RNG draw order and
-    outcomes; the selection is observable only as throughput and as the
-    [Engine.t.kernel] / [Engine.t.run_kernel] labels. *)
+    Every architecture writes its access transition once, as a step that
+    mutates the engine state for one access and returns a {e step code}.
+    [Engine.access] is the step followed by {!record}; [Engine.access_run]
+    is the step in a loop followed by {!finish}. Both therefore run the
+    same state writes and RNG draws in the same order; they differ only
+    in what they build from the code. *)
 
 open Cachesec_stats
 
-type selection = Auto | Generic | Scalar
-
 val generic : string
-(** ["generic"] — the label of the policy-dispatching fallback path. *)
+(** ["generic"] — the [Engine.t.run_kernel] label of a wrapper whose run
+    loops its scalar access ({!run_of_scalar}). *)
 
-val scalar : string
-(** ["scalar"] — the [Engine.t.run_kernel] label of the [Scalar]
-    selection: monomorphized scalar access looped by the generic run
-    wrapper. *)
+(** {2 Step codes}
 
-(** {2 Kernel registry}
+    An int: bit 0 = miss; bit 1 = the access filled a line (the
+    [Backing.t] scratch holds the line and what it displaced); bit 2 =
+    the accessed line is not cached afterwards; bits 3 and up = valid
+    lines displaced (0 to 2). Steps build codes only from the values
+    and functions below. *)
 
-    One table per engine, keyed by {!Policy.id}. [table ~prefix entries]
-    labels each kernel [prefix ^ "-" ^ Policy.to_string p] (the
-    [Engine.t.kernel] string); {!pick} returns the kernel for a policy,
-    or [None] when the engine has no monomorphized loop for it — the
-    caller then uses the generic path. *)
+val hit : int
+(** A hit that displaced nothing. *)
 
-val table : prefix:string -> (Policy.t * 'k) list -> (string * 'k) option array
-val pick : (string * 'k) option array -> Policy.t -> (string * 'k) option
+val read_through : int
+(** A miss served from memory: nothing filled, nothing displaced (PL
+    locked victim, SP cross-partition miss, RF window line already
+    cached). *)
+
+val not_cached : int -> int
+(** Mark a fill as one of another line than the one accessed (RF). *)
+
+val fill : Backing.t -> int -> tag:int -> owner:int -> seq:int -> int
+(** [fill b way ~tag ~owner ~seq] installs [tag] at [way] ([Slab.fill]),
+    records the fill and the line it displaced in the scratch, and
+    returns the code of a miss served by that fill. *)
+
+val also_evict : Backing.t -> int -> int
+(** Invalidate line [i] as the access's second displacement (Newcache's
+    CAM conflict, RE's periodic eviction): when [i] is valid, records it
+    in the scratch, invalidates it and returns the code increment of one
+    eviction; otherwise returns 0. Add the result to the access's code. *)
+
+val record : Backing.t -> pid:int -> int -> Outcome.t
+(** The outcome a code (and the scratch it names) describes, recorded
+    with [Counters.record] — the epilogue of [access]. [hit] and
+    [read_through] return the preallocated {!Outcome.hit} and
+    {!Outcome.miss_uncached}. *)
 
 (** {2 Batched trace replay}
 
-    A batched [run] kernel replays [len] packed addresses
-    [trace.(pos) .. trace.(pos + len - 1)] for one pid in a straight-line
-    loop with the engine fields hoisted into locals, accumulating per
-    [mode]. State writes, RNG draw order and counters are bit-identical
-    to [len] scalar accesses (differential-fuzzed and pinned by the
-    golden digests). *)
+    An engine's [access_run] replays [len] packed addresses
+    [trace.(pos) .. trace.(pos + len - 1)] for one pid by looping its
+    step with the counter cells hoisted, accumulating per [mode].
+    State, RNG draw order and counters equal [len] calls of [access]. *)
 
 (** Caller-owned accumulation state for a [Count] run. The counter (and
     the [Count] value wrapping it) is preallocated once per plan/victim;
@@ -70,10 +82,10 @@ val make_counter : bins:int -> counter
 (** Fresh counter with [bins]-slot scratch arrays, [bin = 0],
     [sigma = 0.] and a placeholder noise stream. *)
 
-val count_hit : counter -> unit
-val count_miss : counter -> unit
-(** Per-access Count accumulation — one definition shared by the batched
-    kernels and {!run_of_scalar} so both paths classify identically. *)
+val finish : Backing.t -> Counters.cell -> mode -> int -> int -> unit
+(** [finish b cell mode k code]: the run loop's per-access epilogue —
+    bump the pid's cell as [Counters.record] would, then accumulate per
+    [mode] ([Trace] writes the outcome {!record} would build at [k]). *)
 
 val run_of_scalar :
   (pid:int -> int -> Outcome.t) ->
@@ -83,20 +95,6 @@ val run_of_scalar :
   len:int ->
   mode ->
   unit
-(** Loop the scalar access closure over the run: the generic
-    [Engine.t.access_run] fallback, the [Scalar] selection's
-    pre-batching cost model, and the differential oracle the batched
-    kernels are fuzzed against. *)
-
-val arch_run :
-  selection ->
-  name:string ->
-  access:(pid:int -> int -> Outcome.t) ->
-  (pid:int -> trace:int array -> pos:int -> len:int -> mode -> unit) ->
-  (pid:int -> trace:int array -> pos:int -> len:int -> mode -> unit) * string
-(** [arch_run kernel ~name ~access run] binds the [access_run] of an
-    engine whose batched loop dispatches its policy per access (SP,
-    Nomo, RF, RE) and returns it with its [run_kernel] label. Under
-    [Auto], Fill and Count runs go to [run] (labelled [name]) and Trace
-    runs loop [access]; [Generic] and [Scalar] loop [access] in every
-    mode (labelled {!generic}), the oracle [run] is fuzzed against. *)
+(** Loop a scalar access closure over the run: the [access_run] of the
+    wrappers that have no step of their own (Hierarchy, Recorder,
+    Skewed). *)

@@ -35,7 +35,6 @@ val flush_line : t -> pid:int -> int -> bool
 
 val flush_all : t -> unit
 
-val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the monomorphized access kernel
-    from {!Kernel_newcache}; [Generic] keeps the fallback. Bit-identical
-    either way. *)
+val engine : t -> Engine.t
+(** [access] and [access_run] are both derived from the one Newcache
+    step ([run_kernel] ["newcache"]). *)

@@ -8,6 +8,5 @@ let sigma t = t.sigma
 let access t ~pid addr = Sa.access t.sa ~pid addr
 let peek t ~pid addr = Sa.peek t.sa ~pid addr
 
-let engine ?kernel t =
-  let e = Sa.engine ?kernel t.sa in
-  { e with Engine.name = Printf.sprintf "noisy-sigma-%g" t.sigma; sigma = t.sigma }
+let engine t =
+  { (Sa.engine t.sa) with Engine.name = Printf.sprintf "noisy-sigma-%g" t.sigma; sigma = t.sigma }

@@ -22,5 +22,5 @@ val sigma : t -> float
 val access : t -> pid:int -> int -> Outcome.t
 val peek : t -> pid:int -> int -> bool
 
-val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] is forwarded to the underlying {!Sa.engine}. *)
+val engine : t -> Engine.t
+(** The underlying {!Sa.engine} with this cache's name and [sigma]. *)

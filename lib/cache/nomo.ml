@@ -42,47 +42,53 @@ let fills_reserved t ~protected ~base ~pid =
   protected
   && owned_in_range t ~base ~len:t.b.Backing.cfg.Config.ways ~pid < t.reserved
 
-let access t ~pid addr =
+(* --- the transition ---------------------------------------------------- *)
+
+(* One access. A miss fills the policy's victim within the accessor's
+   slice. A slice is a whole set only when [reserved = 0]; otherwise
+   under Plru the victim choice is the deterministic LRU fallback (tree
+   bits are maintained by the hooks but never consulted for
+   slice-shaped ranges — see {!Policy}). *)
+let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
   let seq = Backing.tick b in
-  let set = set_of t addr in
-  let i = Backing.find_tag b ~set ~tag:addr in
-  let outcome =
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Outcome.hit
-    end
+  let w = s.Slab.ways in
+  let base = set_of t addr * w in
+  let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
+  if i >= 0 then begin
+    Policy.touch t.policy s i ~seq;
+    Kernel.hit
+  end
+  else begin
+    let in_reserved =
+      fills_reserved t ~protected:(is_protected t pid) ~base ~pid
+    in
+    let cand_base = if in_reserved then base else base + t.reserved in
+    let cand_len = if in_reserved then t.reserved else w - t.reserved in
+    if cand_len <= 0 then
+      (* reserved = 0 for a protected pid never happens (owned < 0 is
+         impossible); an empty shared slice can only occur if
+         reserved = ways, excluded at create. Still: serve read-through
+         defensively. *)
+      Kernel.read_through
     else begin
-      let base = Backing.base_of_set b ~set and w = b.cfg.Config.ways in
-      let in_reserved =
-        fills_reserved t ~protected:(is_protected t pid) ~base ~pid
+      let way =
+        Policy.victim_in t.policy b.Backing.rng s ~base:cand_base ~len:cand_len
       in
-      let cand_base = if in_reserved then base else base + t.reserved in
-      let cand_len = if in_reserved then t.reserved else w - t.reserved in
-      if cand_len <= 0 then
-        (* reserved = 0 for a protected pid never happens (owned < 0 is
-           impossible); an empty shared slice can only occur if
-           reserved = ways, excluded at create. Still: serve
-           read-through defensively. *)
-        Outcome.miss_uncached
-      else begin
-        (* The reserved/shared slices are never a whole set, so under
-           Plru the victim choice is the deterministic LRU fallback
-           (tree bits are maintained by the hooks but never consulted
-           for slice-shaped ranges — see {!Policy}). *)
-        let way =
-          Policy.victim_in t.policy b.rng s ~base:cand_base ~len:cand_len
-        in
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
+      let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
+      Policy.filled t.policy s way;
+      code
     end
-  in
-  Counters.record b.counters ~pid outcome;
-  outcome
+  end
+
+let access t ~pid addr = Kernel.record t.b ~pid (step t ~pid addr)
+
+let run t ~pid ~trace ~pos ~len mode =
+  let c = Counters.cell t.b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
+  done
 
 let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
 
@@ -97,56 +103,17 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-(* Batched Fill/Count replay ({!Kernel.arch_run} keeps Trace on the
-   scalar loop): [access] with the counter cells, geometry and the pid's
-   protection hoisted, the policy still dispatched per access. *)
-let run t ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let b = t.b in
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let ways = s.Slab.ways in
-  let protected = is_protected t pid in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = Backing.tick b in
-    let base = set_of t addr * ways in
-    let i = Slab.scan_tag tags addr base (base + ways) in
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Kernel_sa.finish_hit g p mode k
-    end
-    else begin
-      let in_reserved = fills_reserved t ~protected ~base ~pid in
-      let cand_base = if in_reserved then base else base + t.reserved in
-      let cand_len = if in_reserved then t.reserved else ways - t.reserved in
-      if cand_len <= 0 then Kernel_sa.finish_miss_uncached g p mode k
-      else begin
-        let way =
-          Policy.victim_in t.policy b.rng s ~base:cand_base ~len:cand_len
-        in
-        Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k;
-        Policy.filled t.policy s way
-      end
-    end
-  done
-
-let engine ?(kernel = Kernel.Auto) t =
-  let access ~pid addr = access t ~pid addr in
-  let access_run, run_kernel =
-    Kernel.arch_run kernel ~name:"nomo" ~access (run t)
-  in
+let engine t =
   {
     Engine.name =
       Printf.sprintf "nomo-%d/%d-reserved" t.reserved (config t).Config.ways;
     config = config t;
     sigma = 0.;
-    kernel = Kernel.generic;
     slab = t.b.Backing.slab;
-    access;
-    access_run;
-    run_kernel;
+    access = (fun ~pid addr -> access t ~pid addr);
+    access_run =
+      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
+    run_kernel = "nomo";
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

@@ -8,39 +8,40 @@ let config t = t.b.Backing.cfg
    [Address.set_index]. *)
 let set_of t addr = Backing.set_of t.b addr
 
-(* Generic access path; [Kernel_pl] holds the per-policy monomorphized
-   equivalents (bit-identical, see the differential kernel tests). *)
-let access t ~pid addr =
+(* --- the transition ---------------------------------------------------- *)
+
+(* One access: the SA transition with one extra check on the miss path.
+   A locked victim (locked implies valid: [Slab.fill] and
+   [Slab.invalidate] both clear the bit) is served read-through — no
+   fill, so no [Policy.filled] either (paper Section 2.2.1). *)
+let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
   let seq = Backing.tick b in
-  let set = set_of t addr in
-  let i = Backing.find_tag b ~set ~tag:addr in
-  let outcome =
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Outcome.hit
-    end
+  let base = Backing.base_of_set b ~set:(set_of t addr) in
+  let w = s.Slab.ways in
+  let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
+  if i >= 0 then begin
+    Policy.touch t.policy s i ~seq;
+    Kernel.hit
+  end
+  else begin
+    let way = Policy.victim_in t.policy b.Backing.rng s ~base ~len:w in
+    if Array.unsafe_get s.Slab.locked way = 1 then Kernel.read_through
     else begin
-      let way =
-        Policy.victim_in t.policy b.rng s
-          ~base:(Backing.base_of_set b ~set) ~len:b.cfg.Config.ways
-      in
-      if Slab.valid s way && Slab.locked s way then
-        (* Protected victim: direct memory-to-processor transfer (no
-           fill, so no [Policy.filled] either — the tree/counters only
-           move when cache state does). *)
-        Outcome.miss_uncached
-      else begin
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
+      let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
+      Policy.filled t.policy s way;
+      code
     end
-  in
-  Counters.record b.counters ~pid outcome;
-  outcome
+  end
+
+let access t ~pid addr = Kernel.record t.b ~pid (step t ~pid addr)
+
+let run t ~pid ~trace ~pos ~len mode =
+  let c = Counters.cell t.b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
+  done
 
 (* Cold path: locking may need the victim choice restricted to the
    unlocked (non-contiguous) ways, so it keeps the list form. *)
@@ -102,36 +103,16 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-(* Only the three original policies are monomorphized here; the newer
-   ones run the generic path (Kernel.pick returns None). *)
-let kernels =
-  Kernel.table ~prefix:"pl"
-    [
-      (Policy.Lru, (Kernel_pl.access_lru, Kernel_pl.run_lru));
-      (Policy.Random, (Kernel_pl.access_random, Kernel_pl.run_random));
-      (Policy.Fifo, (Kernel_pl.access_fifo, Kernel_pl.run_fifo));
-    ]
-
-let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
-  let access, run, kernel_name, run_name =
-    match (kernel, Kernel.pick kernels t.policy) with
-    | Kernel.Auto, Some (name, (a, r)) -> (a t.b, r t.b, name, name)
-    | Kernel.Scalar, Some (name, (a, _)) ->
-      let a = a t.b in
-      (a, Kernel.run_of_scalar a, name, Kernel.scalar)
-    | (Kernel.Auto | Kernel.Scalar), None | Kernel.Generic, _ ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
-  in
+let engine t =
   {
     Engine.name = Printf.sprintf "pl-%d-way" (config t).Config.ways;
     config = config t;
     sigma = 0.;
-    kernel = kernel_name;
     slab = t.b.Backing.slab;
-    access;
-    access_run = run;
-    run_kernel = run_name;
+    access = (fun ~pid addr -> access t ~pid addr);
+    access_run =
+      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
+    run_kernel = "pl";
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

@@ -40,7 +40,6 @@ val flush_line : t -> pid:int -> int -> bool
 
 val flush_all : t -> unit
 
-val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the per-policy monomorphized access
-    kernel from {!Kernel_pl}; [Generic] keeps the dispatching fallback.
-    Bit-identical either way. *)
+val engine : t -> Engine.t
+(** [access] and [access_run] are both derived from the one PL step
+    ([run_kernel] ["pl"]). *)

@@ -1,10 +1,9 @@
 open Cachesec_stats
 
-(* The one place that knows every replacement policy. Engines, kernel
-   selection, the factory, the CLI and the serve protocol all consume
-   this registry, so adding a policy means editing this module (plus an
-   optional monomorphized kernel and a pre-PAS formula) instead of
-   auditing seven match sites. *)
+(* The one place that knows every replacement policy. Engines, the
+   factory, the CLI and the serve protocol all consume this registry;
+   the only other copies of the hooks are the inlined ones [Sa] and [Rp]
+   specialise their steps with (see policy.mli). *)
 
 type t = Lru | Random | Fifo | Mru | Lfu | Mfu | Plru
 
@@ -93,10 +92,6 @@ let rec plru_point_away tree node =
     let parent = node / 2 in
     let bit = node land 1 lxor 1 in
     plru_point_away ((tree land lnot (1 lsl parent)) lor (bit lsl parent)) parent
-
-let plru_victim (s : Slab.t) ~set =
-  let w = s.Slab.ways in
-  (set * w) + plru_walk s.Slab.tree.(set) w 1
 
 let plru_touch (s : Slab.t) i =
   let w = s.Slab.ways in

@@ -2,15 +2,16 @@
 
     The single authority on which replacement policies exist, how they
     are spelled, which {!Slab} field arrays they read and write, and how
-    they pick victims and react to touches. Engines, monomorphized
-    kernel selection ({!Kernel}), {!Factory}, {!Spec}, the CLI and the
-    serve protocol all dispatch through this module.
+    they pick victims and react to touches. Engines, {!Factory},
+    {!Spec}, the CLI and the serve protocol all dispatch through this
+    module.
 
-    Adding a policy is a one-module change: extend {!t}, {!all}, {!id},
-    the spellings, {!needs} and the three dispatch functions here (plus,
-    optionally, a monomorphized kernel in [Kernel_sa] and a pre-PAS
-    formula in [Prepas]). Everything downstream — factory cells, the
-    differential kernel fuzz, golden traces, `--policy` parsing, serve
+    Adding a policy: extend {!t}, {!all}, {!id}, the spellings, {!needs}
+    and the three dispatch functions here; the inlined copies of the
+    hooks in [Sa] and [Rp] (which specialise their steps per policy);
+    the reference model under test/reference/; and, optionally, a
+    pre-PAS formula in [Prepas]. Everything downstream — factory cells,
+    the reference fuzz, golden traces, `--policy` parsing, serve
     spellings, bench rows — picks it up from {!all}.
 
     Victim-selection semantics (invalid candidates always win first, a
@@ -38,7 +39,7 @@ val count : int
 (** [List.length all]; the size of an {!id}-indexed table. *)
 
 val id : t -> int
-(** Dense index in [0, count), the kernel-table key. *)
+(** Dense index in [0, count). *)
 
 val to_string : t -> string
 val of_string : string -> t option
@@ -82,9 +83,8 @@ val victim_among_in :
 
 (** {2 Per-access state hooks}
 
-    The generic engine paths and the monomorphized kernels thread these
-    at the same two points: every hit calls {!touch}, every fill is
-    followed by {!filled}. *)
+    Every engine step threads these at the same two points: every hit
+    calls {!touch}, every fill is followed by {!filled}. *)
 
 val touch : t -> Slab.t -> int -> seq:int -> unit
 (** Hit bookkeeping on line [i]: always updates [last_use] (the
@@ -100,7 +100,8 @@ val filled : t -> Slab.t -> int -> unit
 
 (** {2 Tree-PLRU internals}
 
-    Exposed for the monomorphized kernels and the unit tests. *)
+    Exposed for the inlined hooks of [Sa] and [Rp] and the unit
+    tests. *)
 
 val plru_tree_capable : int -> bool
 (** Whether a way count is covered by the tree (power of two, > 1). *)
@@ -108,9 +109,6 @@ val plru_tree_capable : int -> bool
 val plru_walk : int -> int -> int -> int
 (** [plru_walk tree ways node]: follow the bits from heap [node] (the
     root is 1) down to a leaf; returns the way index. *)
-
-val plru_victim : Slab.t -> set:int -> int
-(** Physical index the tree word of [set] currently points at. *)
 
 val plru_touch : Slab.t -> int -> unit
 (** Point every ancestor of line [i]'s leaf away from it. No-op when

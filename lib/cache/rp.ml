@@ -1,74 +1,204 @@
 open Cachesec_stats
 
-(* The per-pid permutation tables (and their single-entry memo) live in
-   [Kernel_rp.map] so the monomorphized kernels and this generic path
-   share one state record — a stale memo in either would silently fork
-   the mappings. *)
-type t = { b : Backing.t; policy : Policy.t; map : Kernel_rp.map }
-
-let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
-  { b = Backing.create config ~rng; policy; map = Kernel_rp.create_map () }
+type t = {
+  b : Backing.t;
+  policy : Policy.t;
+  tables : (int, int array) Hashtbl.t;  (** pid -> logical-to-physical sets *)
+  (* Last (pid, table) pair served by [table_of]: attack loops access in
+     long same-pid runs (a 512-line prime, a 160-lookup encryption), so
+     the memo turns the per-access table lookup into one int compare.
+     Invalidated by [set_identity]. *)
+  mutable memo_pid : int;
+  mutable memo_tbl : int array;
+}
 
 let config t = t.b.Backing.cfg
-let sets t = Config.sets t.b.Backing.cfg
-let table_of t pid = Kernel_rp.table_of t.map ~sets:(sets t) pid
+
+(* [Hashtbl.find] + preallocated [Not_found] rather than [find_opt]:
+   this runs once per access and the option wrapper would put a
+   minor-heap allocation on the hit path. *)
+let table_of t pid =
+  if pid = t.memo_pid then t.memo_tbl
+  else begin
+    let tbl =
+      match Hashtbl.find t.tables pid with
+      | tbl -> tbl
+      | exception Not_found ->
+        let tbl = Array.init t.b.Backing.sets Fun.id in
+        Hashtbl.replace t.tables pid tbl;
+        tbl
+    in
+    t.memo_pid <- pid;
+    t.memo_tbl <- tbl;
+    tbl
+  end
+
 let table t ~pid = Array.copy (table_of t pid)
-let set_identity t ~pid = Kernel_rp.set_identity t.map ~sets:(sets t) ~pid
+
+let set_identity t ~pid =
+  Hashtbl.replace t.tables pid (Array.init t.b.Backing.sets Fun.id);
+  t.memo_pid <- min_int
+
+(* Top-level downward scan (all state as arguments): the table is a
+   bijection, so first-from-the-end = last-from-the-start, without
+   allocating an iteri closure per external miss. *)
+let rec last_mapped (tbl : int array) target i =
+  if i < 0 then -1
+  else if tbl.(i) = target then i
+  else last_mapped tbl target (i - 1)
+
+(* Exchange the mappings of [logical] and of the logical index currently
+   mapped to [target], keeping the table a bijection. *)
+let swap_mapping (tbl : int array) ~logical ~target =
+  let other =
+    match last_mapped tbl target (Array.length tbl - 1) with
+    | -1 -> logical
+    | i -> i
+  in
+  let tmp = tbl.(logical) in
+  tbl.(logical) <- tbl.(other);
+  tbl.(other) <- tmp
+
+(* --- the transition ---------------------------------------------------- *)
+
+(* The policy hooks, written out here as in [Sa] (the dev build
+   compiles every module -opaque, so a hook in another module never
+   inlines and its policy match never folds): [Policy.victim_in] /
+   [touch] / [filled] on one whole set. *)
+let[@inline] victim p rng (s : Slab.t) ~set ~base ~stop =
+  let inv = Slab.scan_invalid s.Slab.tags base stop in
+  if inv >= 0 then inv
+  else
+    let w = s.Slab.ways and lu = s.Slab.last_use and fq = s.Slab.freq in
+    match (p : Policy.t) with
+    | Lru -> Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
+    | Fifo ->
+      let fs = s.Slab.fill_seq in
+      Slab.scan_min fs (base + 1) stop base (Array.unsafe_get fs base)
+    | Random -> base + Rng.int rng w
+    | Mru -> Slab.scan_max lu (base + 1) stop base (Array.unsafe_get lu base)
+    | Lfu -> Slab.scan_min fq (base + 1) stop base (Array.unsafe_get fq base)
+    | Mfu -> Slab.scan_max fq (base + 1) stop base (Array.unsafe_get fq base)
+    | Plru ->
+      if Policy.plru_tree_capable w then
+        base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) w 1
+      else Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
+
+let[@inline] touch p (s : Slab.t) i ~seq =
+  Array.unsafe_set s.Slab.last_use i seq;
+  match (p : Policy.t) with
+  | Lfu | Mfu ->
+    Array.unsafe_set s.Slab.freq i (Array.unsafe_get s.Slab.freq i + 1)
+  | Plru -> Policy.plru_touch s i
+  | Lru | Random | Fifo | Mru -> ()
+
+let[@inline] filled p (s : Slab.t) way =
+  match (p : Policy.t) with
+  | Plru -> Policy.plru_touch s way
+  | Lru | Random | Fifo | Mru | Lfu | Mfu -> ()
+
+(* One access by [pid], whose permutation table is [tbl]. The PID
+   feature: the tag array conceptually stores the owning context, so
+   the probe requires the owner to match too. A miss whose victim way is
+   invalid or the accessor's own replaces it in place (internal miss);
+   otherwise (external miss) it fills a random line of a random set and
+   swaps the accessor's mappings. RNG draws: the policy's victim draw,
+   then set and way on an external miss. *)
+let[@inline] step p (b : Backing.t) tbl ~pid addr =
+  let s = b.Backing.slab in
+  let seq = b.Backing.seq + 1 in
+  b.Backing.seq <- seq;
+  let logical =
+    if b.Backing.set_mask >= 0 then addr land b.Backing.set_mask
+    else addr mod b.Backing.sets
+  in
+  let w = s.Slab.ways in
+  let set = Array.unsafe_get tbl logical in
+  let base = set * w in
+  let stop = base + w in
+  let i = Slab.scan_tag_owned s.Slab.tags s.Slab.owners addr pid base stop in
+  if i >= 0 then begin
+    touch p s i ~seq;
+    Kernel.hit
+  end
+  else begin
+    let way = victim p b.Backing.rng s ~set ~base ~stop in
+    let internal =
+      Array.unsafe_get s.Slab.tags way < 0
+      || Array.unsafe_get s.Slab.owners way = pid
+    in
+    let target = if internal then -1 else Rng.int b.Backing.rng b.Backing.sets in
+    let way = if internal then way else (target * w) + Rng.int b.Backing.rng w in
+    let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
+    filled p s way;
+    if not internal then swap_mapping tbl ~logical ~target;
+    code
+  end
+
+(* The hit case is answered here, as in [Sa.access]. *)
+let[@inline] access p t ~pid addr =
+  let code = step p t.b (table_of t pid) ~pid addr in
+  if code = Kernel.hit then begin
+    Counters.record t.b.Backing.counters ~pid Outcome.hit;
+    Outcome.hit
+  end
+  else Kernel.record t.b ~pid code
+
+(* The table is hoisted once per run: [swap_mapping] mutates it in place
+   (never replaces it) and [set_identity] cannot run mid-replay. *)
+let[@inline] run p t ~pid ~trace ~pos ~len mode =
+  let b = t.b in
+  let tbl = table_of t pid in
+  let c = Counters.cell b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    Kernel.finish b c mode k (step p b tbl ~pid (Array.unsafe_get trace (pos + k)))
+  done
+
+(* One instantiation per policy, each with the policy a constant so the
+   inlined step carries no policy match. *)
+let bind t =
+  match t.policy with
+  | Lru ->
+    ( (fun ~pid a -> access Lru t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Lru t ~pid ~trace ~pos ~len m )
+  | Random ->
+    ( (fun ~pid a -> access Random t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Random t ~pid ~trace ~pos ~len m )
+  | Fifo ->
+    ( (fun ~pid a -> access Fifo t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Fifo t ~pid ~trace ~pos ~len m )
+  | Mru ->
+    ( (fun ~pid a -> access Mru t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Mru t ~pid ~trace ~pos ~len m )
+  | Lfu ->
+    ( (fun ~pid a -> access Lfu t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Lfu t ~pid ~trace ~pos ~len m )
+  | Mfu ->
+    ( (fun ~pid a -> access Mfu t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Mfu t ~pid ~trace ~pos ~len m )
+  | Plru ->
+    ( (fun ~pid a -> access Plru t ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Plru t ~pid ~trace ~pos ~len m )
+
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
+  {
+    b = Backing.create config ~rng;
+    policy;
+    tables = Hashtbl.create 8;
+    memo_pid = min_int;
+    memo_tbl = [||];
+  }
+
+let access t ~pid addr = access t.policy t ~pid addr
 let physical_set t ~pid addr = (table_of t pid).(Backing.set_of t.b addr)
 
-let access t ~pid addr =
-  let b = t.b in
-  let s = b.Backing.slab in
-  let seq = Backing.tick b in
-  let logical = Backing.set_of b addr in
-  let set = (table_of t pid).(logical) in
-  (* PID feature: the tag array conceptually stores the owning context,
-     so the probe requires the owner to match too. *)
-  let i = Backing.find_tag_owned b ~set ~tag:addr ~owner:pid in
-  let outcome =
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Outcome.hit
-    end
-    else begin
-      let w = b.cfg.Config.ways in
-      let way =
-        Policy.victim_in t.policy b.rng s
-          ~base:(Backing.base_of_set b ~set) ~len:w
-      in
-      if s.Slab.tags.(way) < 0 || s.Slab.owners.(way) = pid then begin
-        (* Internal miss: replace in place. *)
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
-      else begin
-        (* External miss: random set, random line there, swap mappings. *)
-        let s' = Rng.int b.rng b.Backing.sets in
-        let way' = Backing.base_of_set b ~set:s' + Rng.int b.rng w in
-        let evicted = Slab.victim s way' in
-        Slab.fill s way' ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way';
-        Kernel_rp.swap_mapping t.map ~sets:(sets t) pid ~logical
-          ~target_set:s';
-        Outcome.fill ~fetched:addr ~evicted
-      end
-    end
-  in
-  Counters.record b.counters ~pid outcome;
-  outcome
+let find t ~pid addr =
+  Backing.find_tag_owned t.b ~set:(physical_set t ~pid addr) ~tag:addr ~owner:pid
 
-let peek t ~pid addr =
-  Backing.find_tag_owned t.b ~set:(physical_set t ~pid addr) ~tag:addr
-    ~owner:pid
-  >= 0
+let peek t ~pid addr = find t ~pid addr >= 0
 
 let flush_line t ~pid addr =
-  let i =
-    Backing.find_tag_owned t.b ~set:(physical_set t ~pid addr) ~tag:addr
-      ~owner:pid
-  in
+  let i = find t ~pid addr in
   if i >= 0 then begin
     Slab.invalidate t.b.Backing.slab i;
     Counters.record_flush t.b.Backing.counters ~pid;
@@ -78,36 +208,16 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-(* Only the three original policies are monomorphized here; the newer
-   ones run the generic path (Kernel.pick returns None). *)
-let kernels =
-  Kernel.table ~prefix:"rp"
-    [
-      (Policy.Lru, (Kernel_rp.access_lru, Kernel_rp.run_lru));
-      (Policy.Random, (Kernel_rp.access_random, Kernel_rp.run_random));
-      (Policy.Fifo, (Kernel_rp.access_fifo, Kernel_rp.run_fifo));
-    ]
-
-let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
-  let access, run, kernel_name, run_name =
-    match (kernel, Kernel.pick kernels t.policy) with
-    | Kernel.Auto, Some (name, (a, r)) -> (a t.map t.b, r t.map t.b, name, name)
-    | Kernel.Scalar, Some (name, (a, _)) ->
-      let a = a t.map t.b in
-      (a, Kernel.run_of_scalar a, name, Kernel.scalar)
-    | (Kernel.Auto | Kernel.Scalar), None | Kernel.Generic, _ ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
-  in
+let engine t =
+  let access, access_run = bind t in
   {
     Engine.name = Printf.sprintf "rp-%d-way" (config t).Config.ways;
     config = config t;
     sigma = 0.;
-    kernel = kernel_name;
     slab = t.b.Backing.slab;
     access;
-    access_run = run;
-    run_kernel = run_name;
+    access_run;
+    run_kernel = "rp-" ^ Policy.to_string t.policy;
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

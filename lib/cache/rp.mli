@@ -40,7 +40,6 @@ val set_identity : t -> pid:int -> unit
 (** Reset the pid's table to the identity (models an attacker opting out
     of the permutation feature for his own process). *)
 
-val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the per-policy monomorphized access
-    kernel from {!Kernel_rp}; [Generic] keeps the dispatching fallback.
-    Bit-identical either way. *)
+val engine : t -> Engine.t
+(** [access] and [access_run] are both derived from the one RP step
+    ([run_kernel] ["rp-<policy>"]). *)

@@ -1,47 +1,127 @@
-type t = { b : Backing.t; policy : Policy.t }
+open Cachesec_stats
+
+type t = {
+  b : Backing.t;
+  policy : Policy.t;
+  access : pid:int -> int -> Outcome.t;
+  run : pid:int -> trace:int array -> pos:int -> len:int -> Kernel.mode -> unit;
+}
+
+(* --- the transition ---------------------------------------------------- *)
+
+(* The policy hooks of the step, written out here rather than called in
+   [Policy]: the default (dev) build compiles every module with
+   -opaque, so nothing inlines across modules, and the policy match
+   only folds away when it is inlined into an instantiation with a
+   constant policy. Semantics are [Policy.victim_in]/[touch]/[filled]
+   on a whole set. *)
+let[@inline] victim p rng (s : Slab.t) ~set ~base ~stop =
+  let inv = Slab.scan_invalid s.Slab.tags base stop in
+  if inv >= 0 then inv
+  else
+    let w = s.Slab.ways and lu = s.Slab.last_use and fq = s.Slab.freq in
+    match (p : Policy.t) with
+    | Lru -> Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
+    | Fifo ->
+      let fs = s.Slab.fill_seq in
+      Slab.scan_min fs (base + 1) stop base (Array.unsafe_get fs base)
+    | Random -> base + Rng.int rng w
+    | Mru -> Slab.scan_max lu (base + 1) stop base (Array.unsafe_get lu base)
+    | Lfu -> Slab.scan_min fq (base + 1) stop base (Array.unsafe_get fq base)
+    | Mfu -> Slab.scan_max fq (base + 1) stop base (Array.unsafe_get fq base)
+    | Plru ->
+      if Policy.plru_tree_capable w then
+        base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) w 1
+      else Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
+
+let[@inline] touch p (s : Slab.t) i ~seq =
+  Array.unsafe_set s.Slab.last_use i seq;
+  match (p : Policy.t) with
+  | Lfu | Mfu ->
+    Array.unsafe_set s.Slab.freq i (Array.unsafe_get s.Slab.freq i + 1)
+  | Plru -> Policy.plru_touch s i
+  | Lru | Random | Fifo | Mru -> ()
+
+let[@inline] filled p (s : Slab.t) way =
+  match (p : Policy.t) with
+  | Plru -> Policy.plru_touch s way
+  | Lru | Random | Fifo | Mru | Lfu | Mfu -> ()
+
+(* One access: probe the set, touch on a hit, otherwise fill the
+   policy's victim. Returns the {!Kernel} step code. *)
+let[@inline] step p (b : Backing.t) ~pid addr =
+  let s = b.Backing.slab in
+  let seq = b.Backing.seq + 1 in
+  b.Backing.seq <- seq;
+  let set =
+    if b.Backing.set_mask >= 0 then addr land b.Backing.set_mask
+    else addr mod b.Backing.sets
+  in
+  let base = set * s.Slab.ways in
+  let stop = base + s.Slab.ways in
+  let i = Slab.scan_tag s.Slab.tags addr base stop in
+  if i >= 0 then begin
+    touch p s i ~seq;
+    Kernel.hit
+  end
+  else begin
+    let way = victim p b.Backing.rng s ~set ~base ~stop in
+    let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
+    filled p s way;
+    code
+  end
+
+(* The hit case is answered here: it is most accesses, and building its
+   outcome needs no call into [Kernel]. *)
+let[@inline] access p (b : Backing.t) ~pid addr =
+  let code = step p b ~pid addr in
+  if code = Kernel.hit then begin
+    Counters.record b.Backing.counters ~pid Outcome.hit;
+    Outcome.hit
+  end
+  else Kernel.record b ~pid code
+
+let[@inline] run p (b : Backing.t) ~pid ~trace ~pos ~len mode =
+  let c = Counters.cell b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    Kernel.finish b c mode k (step p b ~pid (Array.unsafe_get trace (pos + k)))
+  done
+
+(* One instantiation per policy, each with the policy a constant so the
+   inlined step carries no policy match. *)
+let bind (b : Backing.t) (policy : Policy.t) =
+  match policy with
+  | Lru ->
+    ( (fun ~pid a -> access Lru b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Lru b ~pid ~trace ~pos ~len m )
+  | Random ->
+    ( (fun ~pid a -> access Random b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Random b ~pid ~trace ~pos ~len m )
+  | Fifo ->
+    ( (fun ~pid a -> access Fifo b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Fifo b ~pid ~trace ~pos ~len m )
+  | Mru ->
+    ( (fun ~pid a -> access Mru b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Mru b ~pid ~trace ~pos ~len m )
+  | Lfu ->
+    ( (fun ~pid a -> access Lfu b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Lfu b ~pid ~trace ~pos ~len m )
+  | Mfu ->
+    ( (fun ~pid a -> access Mfu b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Mfu b ~pid ~trace ~pos ~len m )
+  | Plru ->
+    ( (fun ~pid a -> access Plru b ~pid a),
+      fun ~pid ~trace ~pos ~len m -> run Plru b ~pid ~trace ~pos ~len m )
 
 let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
-  { b = Backing.create config ~rng; policy }
+  let b = Backing.create config ~rng in
+  let access, run = bind b policy in
+  { b; policy; access; run }
 
 let config t = t.b.Backing.cfg
 let policy t = t.policy
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
+let access t ~pid addr = t.access ~pid addr
 let set_of t addr = Backing.set_of t.b addr
-
-(* Generic access path: policy dispatched per access through the
-   {!Policy} registry (victim selection on miss, touch hook on hit,
-   filled hook after install). [Kernel_sa] holds the per-policy
-   monomorphized equivalents selected by {!engine}; the two must stay
-   bit-identical (state, RNG draws, outcomes — replayed against each
-   other by the differential kernel tests). The hit path allocates
-   nothing: tag probe and policy touch are int loops/stores over the
-   slab and the outcome is the preallocated [Outcome.hit]. *)
-let access t ~pid addr =
-  let b = t.b in
-  let s = b.Backing.slab in
-  let seq = Backing.tick b in
-  let set = set_of t addr in
-  let i = Backing.find_tag b ~set ~tag:addr in
-  let outcome =
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Outcome.hit
-    end
-    else begin
-      let way =
-        Policy.victim_in t.policy b.rng s
-          ~base:(Backing.base_of_set b ~set) ~len:b.cfg.Config.ways
-      in
-      let evicted = Slab.victim s way in
-      Slab.fill s way ~tag:addr ~owner:pid ~seq;
-      Policy.filled t.policy s way;
-      Outcome.fill ~fetched:addr ~evicted
-    end
-  in
-  Counters.record b.counters ~pid outcome;
-  outcome
-
 let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
 
 let flush_line t ~pid addr =
@@ -56,42 +136,16 @@ let flush_line t ~pid addr =
 let flush_all t = Backing.flush_all t.b
 let counters t = t.b.Backing.counters
 
-(* All seven policies are monomorphized for this engine (it is the
-   gated bench row and the hottest path), each as a (scalar access,
-   batched run) twin pair bound together at build time. *)
-let kernels =
-  Kernel.table ~prefix:"sa"
-    [
-      (Policy.Lru, (Kernel_sa.access_lru, Kernel_sa.run_lru));
-      (Policy.Random, (Kernel_sa.access_random, Kernel_sa.run_random));
-      (Policy.Fifo, (Kernel_sa.access_fifo, Kernel_sa.run_fifo));
-      (Policy.Mru, (Kernel_sa.access_mru, Kernel_sa.run_mru));
-      (Policy.Lfu, (Kernel_sa.access_lfu, Kernel_sa.run_lfu));
-      (Policy.Mfu, (Kernel_sa.access_mfu, Kernel_sa.run_mfu));
-      (Policy.Plru, (Kernel_sa.access_plru, Kernel_sa.run_plru));
-    ]
-
-let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
-  let access, run, kernel_name, run_name =
-    match (kernel, Kernel.pick kernels t.policy) with
-    | Kernel.Auto, Some (name, (a, r)) -> (a t.b, r t.b, name, name)
-    | Kernel.Scalar, Some (name, (a, _)) ->
-      let a = a t.b in
-      (a, Kernel.run_of_scalar a, name, Kernel.scalar)
-    | (Kernel.Auto | Kernel.Scalar), None | Kernel.Generic, _ ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
-  in
+let engine t =
   {
     Engine.name = Printf.sprintf "sa-%d-way-%s" (config t).Config.ways
         (Policy.to_string t.policy);
     config = config t;
     sigma = 0.;
-    kernel = kernel_name;
     slab = t.b.Backing.slab;
-    access;
-    access_run = run;
-    run_kernel = run_name;
+    access = t.access;
+    access_run = t.run;
+    run_kernel = "sa-" ^ Policy.to_string t.policy;
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

@@ -24,8 +24,11 @@ val flush_line : t -> pid:int -> int -> bool
 val flush_all : t -> unit
 val counters : t -> Counters.t
 
-val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) selects the access path: [Auto] binds the
-    per-policy monomorphized kernel from {!Kernel_sa}; [Generic] keeps
-    the policy-dispatching fallback (differential-testing oracle). Both
-    are bit-identical in state, RNG draws and outcomes. *)
+val step : Policy.t -> Backing.t -> pid:int -> int -> int
+(** The SA transition: one access by [pid] to a line of the backing
+    store, returning its {!Kernel} step code. RE's step is this plus its
+    periodic eviction. *)
+
+val engine : t -> Engine.t
+(** [access] and [access_run] are both derived from the one SA step,
+    instantiated for the cache's policy ([run_kernel] ["sa-<policy>"]). *)

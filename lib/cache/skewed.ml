@@ -89,7 +89,6 @@ let engine t =
     Engine.name = Printf.sprintf "skewed-%d-bank" (banks t);
     config = config t;
     sigma = 0.;
-    kernel = Kernel.generic;
     slab = t.b.Backing.slab;
     access = (fun ~pid addr -> access t ~pid addr);
     access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);

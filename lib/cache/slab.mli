@@ -122,7 +122,7 @@ val clear : t -> int
     dirty log overflowed, when it makes one pass per slab; the state
     and count are the same either way. Empties the log. *)
 
-(* Raw scan loops over bare arrays, for the monomorphized kernels (all
+(* Raw scan loops over bare arrays, for the engine steps (all
    state passed explicitly; [Array.unsafe_get] under the range
    invariant above). *)
 

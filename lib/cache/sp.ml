@@ -48,37 +48,41 @@ let set_of t addr =
   check_partition t p "home";
   (p * t.per) + (addr mod t.per)
 
-let access t ~pid addr =
+(* --- the transition ---------------------------------------------------- *)
+
+(* One access: a global physically-addressed probe; a miss fills the
+   policy's victim only when the line is homed in the accessor's own
+   partition, and is served read-through otherwise (nothing displaced). *)
+let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
   let seq = Backing.tick b in
-  let set = set_of t addr in
-  let i = Backing.find_tag b ~set ~tag:addr in
-  let outcome =
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Outcome.hit
-    end
+  let w = s.Slab.ways in
+  let base = set_of t addr * w in
+  let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
+  if i >= 0 then begin
+    Policy.touch t.policy s i ~seq;
+    Kernel.hit
+  end
+  else begin
+    let own = t.partition_of_pid pid in
+    check_partition t own "partition_of_pid";
+    if own <> t.home addr then Kernel.read_through
     else begin
-      let own = t.partition_of_pid pid in
-      check_partition t own "partition_of_pid";
-      if own <> t.home addr then
-        (* Cross-partition miss: served from memory, nothing displaced. *)
-        Outcome.miss_uncached
-      else begin
-        let way =
-          Policy.victim_in t.policy b.rng s
-            ~base:(Backing.base_of_set b ~set) ~len:b.cfg.Config.ways
-        in
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
+      let way = Policy.victim_in t.policy b.Backing.rng s ~base ~len:w in
+      let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
+      Policy.filled t.policy s way;
+      code
     end
-  in
-  Counters.record b.counters ~pid outcome;
-  outcome
+  end
+
+let access t ~pid addr = Kernel.record t.b ~pid (step t ~pid addr)
+
+let run t ~pid ~trace ~pos ~len mode =
+  let c = Counters.cell t.b.Backing.counters pid in
+  for k = 0 to len - 1 do
+    Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
+  done
 
 let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
 
@@ -93,49 +97,16 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-(* Batched Fill/Count replay ({!Kernel.arch_run} keeps Trace on the
-   scalar loop): [access] with the counter cells and geometry hoisted,
-   the policy still dispatched per access, no [Outcome.t] built. *)
-let run t ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let b = t.b in
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = Backing.tick b in
-    let base = set_of t addr * ways in
-    let i = Slab.scan_tag tags addr base (base + ways) in
-    if i >= 0 then begin
-      Policy.touch t.policy s i ~seq;
-      Kernel_sa.finish_hit g p mode k
-    end
-    else begin
-      let own = t.partition_of_pid pid in
-      check_partition t own "partition_of_pid";
-      if own <> t.home addr then Kernel_sa.finish_miss_uncached g p mode k
-      else begin
-        let way = Policy.victim_in t.policy b.rng s ~base ~len:ways in
-        Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k;
-        Policy.filled t.policy s way
-      end
-    end
-  done
-
-let engine ?(kernel = Kernel.Auto) t =
-  let access ~pid addr = access t ~pid addr in
-  let access_run, run_kernel = Kernel.arch_run kernel ~name:"sp" ~access (run t) in
+let engine t =
   {
     Engine.name = Printf.sprintf "sp-%d-part-%d-way" t.partitions (config t).Config.ways;
     config = config t;
     sigma = 0.;
-    kernel = Kernel.generic;
     slab = t.b.Backing.slab;
-    access;
-    access_run;
-    run_kernel;
+    access = (fun ~pid addr -> access t ~pid addr);
+    access_run =
+      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
+    run_kernel = "sp";
     peek = (fun ~pid addr -> peek t ~pid addr);
     flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     flush_all = (fun () -> flush_all t);

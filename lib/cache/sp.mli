@@ -49,7 +49,6 @@ val access : t -> pid:int -> int -> Outcome.t
 val peek : t -> pid:int -> int -> bool
 val flush_line : t -> pid:int -> int -> bool
 val flush_all : t -> unit
-val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the batched Fill/Count run loop;
-    [Generic] and [Scalar] loop the scalar access instead (see
-    {!Kernel.arch_run}). *)
+val engine : t -> Engine.t
+(** [access] and [access_run] are both derived from the one SP step
+    ([run_kernel] ["sp"]). *)

@@ -13,7 +13,7 @@ type t = {
 
 let default_key_hex = "2b7e151628aed2a6abf7158809cf4f3c"
 
-let make ?(seed = 42) ?(key_hex = default_key_hex) ?kernel spec =
+let make ?(seed = 42) ?(key_hex = default_key_hex) spec =
   let root = Rng.create ~seed in
   let cache_rng = Rng.split root in
   let experiment_rng = Rng.split root in
@@ -26,7 +26,7 @@ let make ?(seed = 42) ?(key_hex = default_key_hex) ?kernel spec =
       victim_lines = Aes_layout.line_ranges provisional_layout;
     }
   in
-  let engine = Factory.build ?kernel spec scenario ~rng:cache_rng in
+  let engine = Factory.build spec scenario ~rng:cache_rng in
   let layout = Aes_layout.create engine.Engine.config in
   let victim =
     Victim.create ~engine ~pid:0 ~key:(Aes.key_of_hex key_hex) ~layout

@@ -17,7 +17,5 @@ val default_key_hex : string
 (** The FIPS-197 Appendix B key, 2b7e1516...: a fixed, documented secret
     for reproducible runs. *)
 
-val make : ?seed:int -> ?key_hex:string -> ?kernel:Kernel.selection -> Spec.t -> t
-(** Fresh engine + victim + RNG for one experiment run. [kernel]
-    (default [Auto]) forwards to {!Factory.build} — [Scalar] selects the
-    pre-batching cost model for bench comparison rows. *)
+val make : ?seed:int -> ?key_hex:string -> Spec.t -> t
+(** Fresh engine + victim + RNG for one experiment run. *)

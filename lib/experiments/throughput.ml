@@ -23,7 +23,7 @@ type entry = {
   warmup : int;  (** warm-up accesses before the first stopwatch *)
   repeats : int;  (** timed repetitions behind [seconds]/[stddev] *)
   stddev : float;  (** of accesses/sec across the repetitions *)
-  kernel : string;  (** [Engine.t.kernel] of the engine measured *)
+  kernel : string;  (** [Engine.t.run_kernel] of the engine measured *)
   slab_bytes : int;  (** [Slab.bytes] of [Engine.t.slab] *)
 }
 
@@ -49,9 +49,9 @@ let stddev_of rates =
     in
     sqrt var
 
-let measure ?(accesses = 200_000) ?(seed = 0xBE7C) ?(repeats = 3) ?kernel spec =
+let measure ?(accesses = 200_000) ?(seed = 0xBE7C) ?(repeats = 3) spec =
   let rng = Rng.create ~seed in
-  let engine = Factory.build ?kernel spec scenario ~rng:(Rng.split rng) in
+  let engine = Factory.build spec scenario ~rng:(Rng.split rng) in
   let addrs = make_addresses ~accesses ~seed:(seed lxor 0x5A5A) in
   (* Warm-up pass so the measurement reflects steady state, not cold
      compulsory misses. *)
@@ -91,7 +91,7 @@ let measure ?(accesses = 200_000) ?(seed = 0xBE7C) ?(repeats = 3) ?kernel spec =
     warmup = warm;
     repeats;
     stddev = stddev_of !rates;
-    kernel = engine.Engine.kernel;
+    kernel = engine.Engine.run_kernel;
     slab_bytes = Slab.bytes engine.Engine.slab;
   }
 
@@ -146,9 +146,9 @@ let bench (ctx : Run.ctx) =
       let e = measure ~accesses ~repeats spec in
       Telemetry.gauge tm ~span:case_sp "accesses_per_sec" e.per_sec;
       Telemetry.gauge tm ~span:case_sp "accesses" (float_of_int e.accesses);
-      (* Which access path ran: 1.0 = a monomorphized kernel, 0.0 = the
-         generic dispatching fallback (gauges are floats; the kernel
-         name string itself goes into the bench JSON row). *)
+      (* Which access path ran: 1.0 = the engine's own step, 0.0 = a
+         wrapper looping its scalar access (gauges are floats; the
+         kernel name string itself goes into the bench JSON row). *)
       Telemetry.gauge tm ~span:case_sp "cache.kernel"
         (if e.kernel = Kernel.generic then 0. else 1.);
       Telemetry.gauge tm ~span:case_sp "cache.slab_bytes"
@@ -286,20 +286,11 @@ module Attacks = struct
   type entry = {
     attack : string;
     arch : string;
-    path : string;  (** "batched" | "scalar" — kernel selection measured *)
+    path : string;  (** "batched"; "scalar" only on pre-batching baseline rows *)
     trials : int;  (** timed trials (after a warm-up span) *)
     seconds : float;
     per_sec : float;
   }
-
-  (* Row label for a kernel selection. [Auto] is labelled "batched"
-     rather than "auto" because the auto-selection test guarantees every
-     benchmarked arch picks a batched kernel — the label names what ran,
-     not how it was asked for. *)
-  let path_of_kernel = function
-    | Kernel.Auto -> "batched"
-    | Kernel.Scalar -> "scalar"
-    | Kernel.Generic -> "generic"
 
   (* Conventional set-associative, the fully-associative randomized
      design, and per-set random permutation: the three harness regimes
@@ -337,10 +328,9 @@ module Attacks = struct
            { Collision.default_config with Collision.trials = count })
     | a -> invalid_arg ("Throughput.Attacks: unknown attack class " ^ a)
 
-  let measure ?(seed = 0xA77A) ?trials ?(repeats = 3) ?(kernel = Kernel.Auto)
-      attack spec =
+  let measure ?(seed = 0xA77A) ?trials ?(repeats = 3) attack spec =
     let trials = Option.value trials ~default:(full_trials attack) in
-    let s = Setup.make ~seed ~kernel spec in
+    let s = Setup.make ~seed spec in
     (* Warm-up span: cache warm, any per-campaign state (probe plans,
        scratch buffers) built and in steady state before the stopwatch
        starts. *)
@@ -363,25 +353,14 @@ module Attacks = struct
     {
       attack;
       arch = Spec.name spec;
-      path = path_of_kernel kernel;
+      path = "batched";
       trials;
       seconds = dt;
       per_sec = float_of_int trials /. dt;
     }
 
-  (* Every class x arch is measured twice: once with the auto-selected
-     batched kernels (the production path) and once with [Kernel.Scalar]
-     — the monomorphized per-access kernel looped by [run_of_scalar],
-     i.e. the exact pre-batching cost model. The pair in one file is the
-     controlled experiment: same host, same build, same seeds, the only
-     variable is the replay path. *)
   let cases () =
-    List.concat_map
-      (fun attack ->
-        List.concat_map
-          (fun spec ->
-            [ (attack, spec, Kernel.Auto); (attack, spec, Kernel.Scalar) ])
-          archs)
+    List.concat_map (fun attack -> List.map (fun spec -> (attack, spec)) archs)
       classes
 
   (* Mirrors [bench] above: each case spanned and gauged only after its
@@ -408,14 +387,13 @@ module Attacks = struct
     Telemetry.with_span tm ~parent:ctx.Run.parent "attack-throughput"
     @@ fun sp ->
     List.map
-      (fun (attack, spec, kernel) ->
+      (fun (attack, spec) ->
         Telemetry.with_span tm ~parent:sp
-          (Printf.sprintf "attacks:%s:%s:%s" attack (Spec.name spec)
-             (path_of_kernel kernel))
+          (Printf.sprintf "attacks:%s:%s:batched" attack (Spec.name spec))
         @@ fun case_sp ->
         let trials = full_trials attack in
         let repeats = if ctx.Run.quick then 2 else 3 in
-        let e = measure ~trials ~repeats ~kernel attack spec in
+        let e = measure ~trials ~repeats attack spec in
         Telemetry.gauge tm ~span:case_sp "trials_per_sec" e.per_sec;
         Telemetry.gauge tm ~span:case_sp "trials" (float_of_int e.trials);
         e)
@@ -518,7 +496,7 @@ module Attacks = struct
   (* The hard-gated classes. Prime-probe (probe-dominated: sets x ways
      counted accesses per trial) and evict-time (evict-dominated: ways
      Fill accesses per trial) spend their trials inside batched runs, so
-     the kernels must show up here or the fast path is broken.
+     the batched runs must show up here or the fast path is broken.
      Flush-reload and collision amortize their batched phases against
      work batching cannot touch (whole-region flush loops, AES
      tracing), so they report without failing the build. *)

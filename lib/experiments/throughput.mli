@@ -16,8 +16,9 @@ type entry = {
   repeats : int;  (** timed repetitions behind [seconds]/[stddev] *)
   stddev : float;  (** of accesses/sec across the repetitions — the
       error bar; 0 for single-repetition (or v1-file) rows *)
-  kernel : string;  (** [Engine.t.kernel]: the monomorphized kernel name
-      or ["generic"]; [""] for rows read from a v1 file *)
+  kernel : string;  (** [Engine.t.run_kernel]: the step that served
+      the row (["sa-lru"], ["newcache"], ...); [""] for rows read from a
+      v1 file *)
   slab_bytes : int;  (** [Slab.bytes] of [Engine.t.slab]; 0 for v1 rows *)
 }
 
@@ -35,7 +36,6 @@ val measure :
   ?accesses:int ->
   ?seed:int ->
   ?repeats:int ->
-  ?kernel:Cachesec_cache.Kernel.selection ->
   Cachesec_cache.Spec.t ->
   entry
 (** Time [accesses] engine accesses over a frozen mixed working set
@@ -43,8 +43,7 @@ val measure :
     [repeats] (default 3) timed repetitions over the same addresses;
     the fastest is reported (minimum time is the standard estimator of
     unloaded cost) with the stddev of the per-repetition rates as the
-    error bar. [?kernel] forwards to {!Cachesec_cache.Factory.build}
-    ([Generic] measures the dispatching fallback). *)
+    error bar. *)
 
 val cases : unit -> Cachesec_cache.Spec.t list
 (** The 29 benchmark rows: 8 policied architectures x {lru, random,
@@ -57,9 +56,9 @@ val bench : Run.ctx -> entry list
 (** Measure every case (40k accesses each when [ctx.quick], 400k
     otherwise; 2 repetitions instead of 3 under [ctx.quick]). Each case
     is bracketed in a [throughput:<arch>] span with [accesses_per_sec] /
-    [accesses] gauges plus [cache.kernel] (1.0 = monomorphized kernel,
-    0.0 = generic fallback — gauges are floats; the name string is in
-    the JSON row) and [cache.slab_bytes], reported only after the
+    [accesses] gauges plus [cache.kernel] (1.0 = the engine's own step,
+    0.0 = {!Cachesec_cache.Kernel.generic} — gauges are floats; the
+    name string is in the JSON row) and [cache.slab_bytes], reported only after the
     stopwatch has stopped — the timed loop is never instrumented. *)
 
 val to_json : ?span_id:int -> entry list -> string
@@ -86,21 +85,19 @@ val render : ?baseline:string -> entry list -> string
 (** End-to-end attack throughput: whole attack trials per second
     (prime → victim encryption → probe → scoring) through the real
     harness via each attack's [run_span] — the unit Driver shards fan
-    out — per attack class × representative architecture × replay path.
-    Every case is measured twice in one run: [batched] (auto-selected
-    [access_run] kernels, the production path) and [scalar]
-    ([Kernel.Scalar]: the monomorphized per-access kernel looped by
-    [run_of_scalar], the exact pre-batching cost model), so the
-    batched/scalar ratio is a same-host controlled experiment. Exported
+    out — per attack class × representative architecture, on the
+    production [access_run] path (rows labelled ["batched"]). Exported
     as [BENCH_attacks.json] (schema [bench_attacks/v2]; [v1] files,
     which predate batching, still parse with their rows labelled
-    [scalar]). The gate compares current batched rows against the
-    committed baseline's scalar rows. *)
+    ["scalar"]). The gate compares current batched rows against the
+    frozen pre-batching seed file's scalar rows. *)
 module Attacks : sig
   type entry = {
     attack : string;  (** "prime-probe" | "evict-time" | "flush-reload" | "collision" *)
     arch : string;
-    path : string;  (** "batched" | "scalar" — replay path measured *)
+    path : string;
+        (** ["batched"] for every measured row; ["scalar"] only on rows
+            read from a pre-batching baseline file *)
     trials : int;  (** timed trials (after a warm-up span) *)
     seconds : float;
     per_sec : float;
@@ -115,19 +112,16 @@ module Attacks : sig
 
   val measure :
     ?seed:int -> ?trials:int -> ?repeats:int ->
-    ?kernel:Cachesec_cache.Kernel.selection ->
     string -> Cachesec_cache.Spec.t -> entry
   (** Time [trials] attack trials (one warm-up span of [trials/10]
       first), repeated [repeats] (default 3) times, keeping the fastest
       repetition — these rates feed a hard gate, and the minimum over
       repetitions is the standard estimator of unloaded cost (external
-      load only ever adds time). [kernel] (default [Auto]) selects the
-      replay path and labels the row ([Auto] → ["batched"], [Scalar] →
-      ["scalar"]). Raises [Invalid_argument] on an unknown attack
+      load only ever adds time). Raises [Invalid_argument] on an unknown attack
       class. *)
 
   val bench : Run.ctx -> entry list
-  (** Measure every class × arch × \{batched, scalar\} case at the FULL
+  (** Measure every class × arch case at the FULL
       trial counts — the gate compares rates against a full-count
       baseline, and rates only transfer when per-span fixed costs
       amortize identically on both sides. [ctx.quick] economises on

@@ -8,10 +8,11 @@
    Any divergence means the "performance" change altered simulated
    behaviour and must be rejected.
 
-   The allocation guard additionally pins the SA/LRU hit path to
-   (essentially) zero minor-heap words per access: a warm cache is
-   hammered with hits and the [Gc.minor_words] delta is asserted to be
-   far below one word per access. *)
+   The allocation guards additionally pin the hit paths — SA's under
+   LRU and PLRU, and the warm [Engine.access] hit and warm Count run of
+   every architecture — to (essentially) zero minor-heap words per
+   access: a warm cache is hammered with hits and the [Gc.minor_words]
+   delta is asserted to be far below one word per access. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -133,14 +134,15 @@ let test_sa_mru_miss_path_allocation_lean () =
     Alcotest.failf "SA/MRU miss path allocates %.1f minor words/access"
       per_access
 
-(* Warm [Count] runs on the engines whose batched loop dispatches the
-   policy per access: the victim replays a 64-line trace inside its own
-   domain (SP partition, Nomo reserved ways, RF window) over and over,
-   so every run is mostly hits, plus RE's periodic evictions and RF's
+(* Warm [Count] runs on every architecture: the victim replays a
+   64-line trace inside its own domain (SP partition, Nomo reserved
+   ways, RF window, RP mapping, Newcache context) over and over, so
+   every run is mostly hits, plus RE's periodic evictions and RF's
    window misses — none of which may allocate. Built through [Factory]
    so SP's scenario-derived [home] closure is the one under test. *)
+let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] }
+
 let test_count_run_allocation_free spec () =
-  let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] } in
   let engine = Factory.build spec scenario ~rng:(Rng.create ~seed:47) in
   let trace = Array.init 64 (fun i -> 3 * i) in
   let counter = Kernel.make_counter ~bins:1 in
@@ -157,6 +159,41 @@ let test_count_run_allocation_free spec () =
   if delta > 64. then
     Alcotest.failf "%s warm Count runs allocated %.0f minor words over %d accesses"
       engine.Engine.name delta (iters * 64)
+
+(* The warm hit path of [Engine.access] — derived from the same step as
+   the runs — returns the preallocated [Outcome.hit] on every
+   architecture. Warming repeats until a whole pass hits (Newcache's
+   random fills can displace a warmed line; RF's window fills fetch a
+   neighbour instead of the line itself). RE is built with an interval
+   no run reaches: its periodic eviction is not a hit and reports an
+   allocated outcome. *)
+let test_access_hit_allocation_free spec () =
+  let spec =
+    match spec with
+    | Spec.Re r -> Spec.Re { r with interval = max_int }
+    | spec -> spec
+  in
+  let engine = Factory.build spec scenario ~rng:(Rng.create ~seed:48) in
+  let lines = Array.init 64 (fun i -> 3 * i) in
+  let pass () =
+    Array.fold_left
+      (fun all a -> Outcome.is_hit (engine.Engine.access ~pid:0 a) && all)
+      true lines
+  in
+  let passes = ref 1 in
+  while (not (pass ())) && !passes < 10_000 do
+    incr passes
+  done;
+  let iters = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to iters - 1 do
+    ignore (engine.Engine.access ~pid:0 (Array.unsafe_get lines (i land 63)))
+  done;
+  let after = Gc.minor_words () in
+  let delta = after -. before in
+  if delta > 64. then
+    Alcotest.failf "%s warm access hits allocated %.0f minor words over %d hits"
+      engine.Engine.name delta iters
 
 let () =
   Alcotest.run "hotpath"
@@ -176,11 +213,17 @@ let () =
           Alcotest.test_case "sa/mru miss path lean" `Quick
             test_sa_mru_miss_path_allocation_lean;
         ]
-        @ List.map
+        @ List.concat_map
             (fun spec ->
-              Alcotest.test_case
-                (Spec.name spec ^ " warm Count run zero-alloc")
-                `Quick
-                (test_count_run_allocation_free spec))
-            Spec.[ paper_sp; paper_nomo; paper_rf; paper_re ] );
+              [
+                Alcotest.test_case
+                  (Spec.name spec ^ " warm Count run zero-alloc")
+                  `Quick
+                  (test_count_run_allocation_free spec);
+                Alcotest.test_case
+                  (Spec.name spec ^ " warm access hit zero-alloc")
+                  `Quick
+                  (test_access_hit_allocation_free spec);
+              ])
+            Spec.all_paper );
     ]

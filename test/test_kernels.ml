@@ -1,27 +1,21 @@
-(* Differential fuzz: monomorphized kernels vs the generic fallback.
+(* Reference-model fuzz: every engine against a naive simulator.
 
-   The monomorphized per-(arch, policy) access kernels under
-   lib/cache/kernels/ must be bit-identical to the generic dispatching
-   path they replace — same per-op outcomes (including eviction
-   payloads), same RNG draw order, same counters, same final line dump.
-   The hotpath golden suite pins both against ONE frozen workload; this
-   suite hammers the equivalence with RANDOM workloads (mixed pids,
-   flushes, locks, window changes, full flushes) so a divergence that
-   the frozen trace happens to miss still gets caught.
+   Each factory cell's production engine (one access step per
+   architecture, from which both [access] and [access_run] derive) is
+   driven in lockstep with [Reference] — a deliberately naive model in
+   test/reference/ written from the transition table in
+   docs/ARCHITECTURE.md, sharing no code with the engines — from the
+   same spec and the same engine RNG state. Every observable must agree:
+   per-op outcomes (eviction payloads included), hence the RNG draw
+   order; counters; the final line dump.
 
-   Every factory cell is built twice from identical derived seeds —
-   [Factory.build ~kernel:Generic] vs [~kernel:Auto] — and replayed
-   through the same op stream. Cells without a monomorphized scalar
-   kernel (sp, nomo, rf, re) run both arms of this suite through the
-   same generic access by construction; they stay in the matrix so the
-   cell list never needs editing when a kernel is added for them. Their
-   batched run loops are covered by the second suite.
-
-   A second QCheck suite fuzzes the batched [access_run] twins against
-   the scalar-looping generic fallback in all three accumulation modes
-   (Fill / Count / Trace) with runs that straddle locks, RF window
-   rotations and full flushes — see "batched-replay differential fuzz"
-   below. *)
+   Two suites: "differential-fuzz" replays random mixed-op workloads
+   (accesses, peeks, flushes, locks, window changes, full flushes) one
+   scalar op at a time; "batched-fuzz" (QCheck) runs [access_run] in
+   Fill / Count / Trace mode, straddling the same scalar ops, against
+   the model looped one access at a time with the Count accumulation
+   written out below. A third suite checks [flush_all] against a full
+   pass written out here. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -55,9 +49,17 @@ let fmt_outcome (o : Outcome.t) =
     (Outcome.evictions o);
   Buffer.contents b
 
+let fmt_counts ~accesses ~hits ~misses ~evictions ~read_throughs ~flushes =
+  Printf.sprintf "acc=%d hit=%d miss=%d ev=%d rt=%d fl=%d" accesses hits misses
+    evictions read_throughs flushes
+
 let fmt_snapshot (s : Counters.snapshot) =
-  Printf.sprintf "acc=%d hit=%d miss=%d ev=%d rt=%d fl=%d" s.accesses s.hits
-    s.misses s.evictions s.read_throughs s.flushes
+  fmt_counts ~accesses:s.accesses ~hits:s.hits ~misses:s.misses
+    ~evictions:s.evictions ~read_throughs:s.read_throughs ~flushes:s.flushes
+
+let fmt_reference (c : Reference.counts) =
+  fmt_counts ~accesses:c.accesses ~hits:c.hits ~misses:c.misses
+    ~evictions:c.evictions ~read_throughs:c.read_throughs ~flushes:c.flushes
 
 let fmt_dump dump =
   List.sort (fun (a, _) (b, _) -> Int.compare a b) dump
@@ -66,65 +68,81 @@ let fmt_dump dump =
            l.locked l.last_use l.fill_seq l.aux)
   |> String.concat "|"
 
-(* Replay a [seed]-derived random mixed-op stream; returns one formatted
-   observable per op (so a mismatch pinpoints the op) plus the final
-   counters/dump summary. The op stream depends only on [seed], and the
-   engine's own RNG only on the identical [Rng.create ~seed |> split]
-   prefix — the two arms see byte-identical inputs. *)
-let replay ~seed ~steps kernel spec =
+(* The engine and the model of one cell, built from [seed]: the engine
+   takes the split engine stream, the model a copy of it. The returned
+   generator drives the op program both sides replay. *)
+let build ~seed spec =
   let rng = Rng.create ~seed in
-  let engine = Factory.build ~kernel spec scenario ~rng:(Rng.split rng) in
-  let ops =
-    List.init steps (fun _ ->
-        let pid = Rng.int rng 3 in
-        let addr = if Rng.bool rng then Rng.int rng 600 else Rng.int rng 4096 in
-        let r = Rng.int rng 100 in
-        if r < 78 then Printf.sprintf "a%d/%d:%s" pid addr
-            (fmt_outcome (engine.Engine.access ~pid addr))
-        else if r < 88 then
-          Printf.sprintf "p%d/%d:%b" pid addr (engine.Engine.peek ~pid addr)
-        else if r < 92 then
-          Printf.sprintf "f%d/%d:%b" pid addr (engine.Engine.flush_line ~pid addr)
-        else if r < 95 then
-          Printf.sprintf "l%d/%d:%b" pid addr (engine.Engine.lock_line ~pid addr)
-        else if r < 97 then
-          Printf.sprintf "u%d/%d:%b" pid addr (engine.Engine.unlock_line ~pid addr)
-        else if r < 99 then begin
-          let back = Rng.int rng 4 and fwd = Rng.int rng 4 in
-          engine.Engine.set_window ~pid ~back ~fwd;
-          Printf.sprintf "w%d/%d.%d" pid back fwd
-        end
-        else begin
-          engine.Engine.flush_all ();
-          "F"
-        end)
+  let engine_rng = Rng.split rng in
+  let model_rng = Rng.copy engine_rng in
+  let engine = Factory.build spec scenario ~rng:engine_rng in
+  let model =
+    Reference.create spec ~victim_pid:scenario.Factory.victim_pid
+      ~victim_lines:scenario.Factory.victim_lines ~rng:model_rng
   in
-  let summary =
+  (rng, engine, model)
+
+let summaries (engine : Engine.t) model =
+  let pids = [ 0; 1; 2 ] in
+  ( String.concat " | "
+      (fmt_snapshot (engine.Engine.counters ())
+       :: List.map (fun p -> fmt_snapshot (engine.Engine.counters_for p)) pids
+      @ [ fmt_dump (engine.Engine.dump ()) ]),
     String.concat " | "
-      [
-        fmt_snapshot (engine.Engine.counters ());
-        fmt_snapshot (engine.Engine.counters_for 0);
-        fmt_snapshot (engine.Engine.counters_for 1);
-        fmt_snapshot (engine.Engine.counters_for 2);
-        fmt_dump (engine.Engine.dump ());
-      ]
-  in
-  (engine.Engine.kernel, ops, summary)
+      (fmt_reference (Reference.counts model)
+       :: List.map (fun p -> fmt_reference (Reference.counts_for_pid model p)) pids
+      @ [ fmt_dump (Reference.dump model) ]) )
+
+let addr rng = if Rng.bool rng then Rng.int rng 600 else Rng.int rng 4096
+
+(* One scalar op drawn from [rng], applied to both sides; returns the
+   two formatted observables. [weights] bounds the access/peek/flush/
+   lock/unlock/window/flush-all mix (cumulative, out of 100). *)
+let scalar_op rng (engine : Engine.t) model ~pid ~weights:(wa, wp, wf, wl, wu, ww) =
+  let a = addr rng in
+  let r = Rng.int rng 100 in
+  if r < wa then
+    ( fmt_outcome (engine.Engine.access ~pid a),
+      fmt_outcome (Reference.access model ~pid a) )
+  else if r < wp then
+    (string_of_bool (engine.Engine.peek ~pid a), string_of_bool (Reference.peek model ~pid a))
+  else if r < wf then
+    ( string_of_bool (engine.Engine.flush_line ~pid a),
+      string_of_bool (Reference.flush_line model ~pid a) )
+  else if r < wl then
+    ( string_of_bool (engine.Engine.lock_line ~pid a),
+      string_of_bool (Reference.lock_line model ~pid a) )
+  else if r < wu then
+    ( string_of_bool (engine.Engine.unlock_line ~pid a),
+      string_of_bool (Reference.unlock_line model ~pid a) )
+  else if r < ww then begin
+    let back = Rng.int rng 4 and fwd = Rng.int rng 4 in
+    engine.Engine.set_window ~pid ~back ~fwd;
+    Reference.set_window model ~pid ~back ~fwd;
+    ("w", "w")
+  end
+  else begin
+    engine.Engine.flush_all ();
+    Reference.flush_all model;
+    ("F", "F")
+  end
+
+(* --- mixed-op replay ---------------------------------------------------- *)
 
 let check_cell ~seed ~steps spec =
   let name = case_name spec in
-  let _, generic_ops, generic_sum = replay ~seed ~steps Kernel.Generic spec in
-  let kernel, auto_ops, auto_sum = replay ~seed ~steps Kernel.Auto spec in
-  List.iteri
-    (fun i (g, a) ->
-      if g <> a then
-        Alcotest.failf "%s seed=%#x op %d diverged (%s kernel): generic %S vs auto %S"
-          name seed i kernel g a)
-    (List.combine generic_ops auto_ops);
+  let rng, engine, model = build ~seed spec in
+  for i = 0 to steps - 1 do
+    let pid = Rng.int rng 3 in
+    let e, m = scalar_op rng engine model ~pid ~weights:(78, 88, 92, 95, 97, 99) in
+    if e <> m then
+      Alcotest.failf "%s seed=%#x op %d diverged: engine %S vs reference %S" name
+        seed i e m
+  done;
+  let e, m = summaries engine model in
   Alcotest.(check string)
-    (Printf.sprintf "%s seed=%#x final counters+dump (%s kernel)" name seed
-       kernel)
-    generic_sum auto_sum
+    (Printf.sprintf "%s seed=%#x final counters+dump" name seed)
+    m e
 
 (* A couple of seeds per cell at a few thousand ops each: enough random
    coverage to hit every branch (invalid-way fills, lock conflicts,
@@ -136,177 +154,135 @@ let steps = 4_000
 let test_cell spec () =
   List.iter (fun seed -> check_cell ~seed ~steps spec) seeds
 
-(* The monomorphized cells must actually exercise a kernel — guard
-   against a silent fallback to generic making the diff test vacuous.
-   Returns the (scalar [kernel], batched [run_kernel]) labels of an auto
-   build. *)
+(* Every cell's [access_run] is its own step's loop, labelled after it —
+   never a wrapper's scalar loop. *)
 let expected_kernel spec =
-  let policy_suffix () =
+  let policy () =
     match Spec.policy_of spec with
     | Some p -> Policy.to_string p
     | None -> assert false
   in
-  (* pl/rp carry kernels only for the original three policies; the new
-     registry entries fall back to the generic path there. *)
-  let original_three () =
-    match Spec.policy_of spec with
-    | Some (Policy.Lru | Policy.Random | Policy.Fifo) -> true
-    | _ -> false
-  in
-  let both k = Some (k, k) in
   match Spec.name spec with
-  | "sa" -> both ("sa-" ^ policy_suffix ())
-  | "pl" when original_three () -> both ("pl-" ^ policy_suffix ())
-  | "rp" when original_three () -> both ("rp-" ^ policy_suffix ())
-  | "newcache" -> both "newcache"
-  | "noisy" -> both ("sa-" ^ policy_suffix ())
-  (* Generic scalar access, but one batched Fill/Count loop per
-     architecture under every policy. *)
-  | ("sp" | "nomo" | "rf" | "re") as arch -> Some (Kernel.generic, arch)
-  | _ -> None (* generic-only (arch, policy) cells *)
+  | "sa" | "noisy" -> "sa-" ^ policy ()
+  | "rp" -> "rp-" ^ policy ()
+  | arch -> arch
 
 let test_kernel_selection () =
   List.iter
     (fun spec ->
-      let build kernel =
-        let rng = Rng.create ~seed:7 in
-        Factory.build ~kernel spec scenario ~rng:(Rng.split rng)
-      in
-      let auto = build Kernel.Auto in
-      let forced = build Kernel.Generic in
-      let scalar = build Kernel.Scalar in
+      let engine = Factory.build spec scenario ~rng:(Rng.create ~seed:7) in
       Alcotest.(check string)
-        (case_name spec ^ " forced generic")
-        Kernel.generic forced.Engine.kernel;
-      Alcotest.(check string)
-        (case_name spec ^ " forced generic run")
-        Kernel.generic forced.Engine.run_kernel;
-      match expected_kernel spec with
-      | Some (k, r) ->
-        Alcotest.(check string) (case_name spec ^ " auto kernel") k
-          auto.Engine.kernel;
-        (* The batched path must be live — a silent fall-back to the
-           generic run loop would leave every digest green (bit-identical
-           by contract) while quietly un-batching the attack hot paths. *)
-        Alcotest.(check string) (case_name spec ^ " auto run kernel") r
-          auto.Engine.run_kernel;
-        Alcotest.(check bool)
-          (case_name spec ^ " auto run kernel is batched")
-          true
-          (auto.Engine.run_kernel <> Kernel.generic);
-        (* [Scalar] = monomorphized per-access kernel looped by the
-           generic run wrapper: the bench's pre-batching cost model. An
-           architecture without a scalar kernel loops its generic
-           access, so the batched fuzz below keeps an independent
-           oracle. *)
-        Alcotest.(check string) (case_name spec ^ " scalar kernel") k
-          scalar.Engine.kernel;
-        Alcotest.(check string)
-          (case_name spec ^ " scalar run label")
-          (if k = Kernel.generic then Kernel.generic else Kernel.scalar)
-          scalar.Engine.run_kernel
-      | None ->
-        Alcotest.(check string)
-          (case_name spec ^ " auto falls back to generic")
-          Kernel.generic auto.Engine.kernel;
-        Alcotest.(check string)
-          (case_name spec ^ " auto run falls back to generic")
-          Kernel.generic auto.Engine.run_kernel)
+        (case_name spec ^ " run kernel")
+        (expected_kernel spec) engine.Engine.run_kernel)
     (cells ())
 
-(* --- batched-replay differential fuzz ------------------------------- *)
+(* --- batched-replay fuzz ------------------------------------------------ *)
 
-(* [access_run] under [Auto] (the batched per-(arch, policy) run
-   kernels) vs under [Generic] ([run_of_scalar] looping the generic
-   scalar access — the differential oracle), hammered with seed-derived
-   random programs of batched runs in all three modes interleaved with
-   exactly the scalar ops a run must straddle: lock/unlock, RF window
-   rotation, line flushes, full flushes. Observables per program: every
-   Trace outcome, the Count scratch (true/classified/time sums), a
-   draw-count probe on the classification stream, scalar-access
-   outcomes, and the final counters + line dump. *)
+(* The model side of a Count run, written out: per access, true misses
+   and the observed time (the hit or miss time, plus one gaussian draw
+   from the noise stream when sigma > 0) classified against the 0.5
+   midpoint. *)
+type tally = {
+  true_misses : int array;
+  classified : int array;
+  times : float array;
+  noise : Rng.t;
+}
 
-let batched_program ~seed kernel spec =
-  let rng = Rng.create ~seed in
-  let engine = Factory.build ~kernel spec scenario ~rng:(Rng.split rng) in
-  let noise = Rng.create ~seed:(seed lxor 0x5EED1) in
+let tally_access t ~bin ~sigma (o : Outcome.t) =
+  let miss = Outcome.is_miss o in
+  let mu = if miss then 1. else 0. in
+  let tm = if sigma = 0. then mu else Rng.gaussian t.noise ~mu ~sigma in
+  if miss then t.true_misses.(bin) <- t.true_misses.(bin) + 1;
+  if tm > 0.5 then t.classified.(bin) <- t.classified.(bin) + 1;
+  t.times.(bin) <- t.times.(bin) +. tm
+
+(* A seed-derived random program of batched runs in all three modes
+   interleaved with the scalar ops a run must straddle: lock/unlock, RF
+   window rotation, line flushes, full flushes. [Error] names the first
+   diverging observable: a Trace outcome, a scalar op, the Count scratch
+   (true/classified/time sums), a probe draw on the classification
+   stream, the final counters or the line dump. *)
+let batched_program ~seed spec =
+  let rng, engine, model = build ~seed spec in
+  let noise_seed = seed lxor 0x5EED1 in
   let counter = Kernel.make_counter ~bins:4 in
-  counter.Kernel.noise <- noise;
-  let buf = Buffer.create 4096 in
-  let addr rng = if Rng.bool rng then Rng.int rng 600 else Rng.int rng 4096 in
-  for _ = 1 to 40 do
-    let pid = Rng.int rng 3 in
-    let r = Rng.int rng 100 in
-    if r < 55 then begin
-      (* One batched run: random length (0 = must be a no-op), placed at
-         a random offset inside a larger scratch so [pos] <> 0 and
-         trailing slack are both exercised. *)
-      let len = Rng.int rng 49 in
-      let pos = Rng.int rng 4 in
-      let trace = Array.init (pos + len + 2) (fun _ -> addr rng) in
-      match Rng.int rng 3 with
-      | 0 ->
-        engine.Engine.access_run ~pid ~trace ~pos ~len Kernel.Fill;
-        Buffer.add_string buf (Printf.sprintf "F%d/%d;" pid len)
-      | 1 ->
-        counter.Kernel.bin <- Rng.int rng 4;
-        counter.Kernel.sigma <- (if Rng.bool rng then 0. else 0.25);
-        engine.Engine.access_run ~pid ~trace ~pos ~len (Kernel.Count counter);
-        Buffer.add_string buf (Printf.sprintf "C%d/%d;" pid len)
-      | _ ->
-        let out = Array.make (max len 1) Outcome.hit in
-        engine.Engine.access_run ~pid ~trace ~pos ~len (Kernel.Trace out);
-        Buffer.add_string buf (Printf.sprintf "T%d/" pid);
-        for k = 0 to len - 1 do
-          Buffer.add_string buf (fmt_outcome out.(k));
-          Buffer.add_char buf ','
-        done;
-        Buffer.add_char buf ';'
-    end
-    else if r < 70 then
-      Buffer.add_string buf
-        (Printf.sprintf "a%s;" (fmt_outcome (engine.Engine.access ~pid (addr rng))))
-    else if r < 77 then
-      Buffer.add_string buf
-        (Printf.sprintf "l%b;" (engine.Engine.lock_line ~pid (addr rng)))
-    else if r < 83 then
-      Buffer.add_string buf
-        (Printf.sprintf "u%b;" (engine.Engine.unlock_line ~pid (addr rng)))
-    else if r < 90 then
-      Buffer.add_string buf
-        (Printf.sprintf "f%b;" (engine.Engine.flush_line ~pid (addr rng)))
-    else if r < 96 then begin
-      let back = Rng.int rng 4 and fwd = Rng.int rng 4 in
-      engine.Engine.set_window ~pid ~back ~fwd;
-      Buffer.add_string buf "w;"
-    end
+  counter.Kernel.noise <- Rng.create ~seed:noise_seed;
+  let tally =
+    {
+      true_misses = Array.make 4 0;
+      classified = Array.make 4 0;
+      times = Array.make 4 0.;
+      noise = Rng.create ~seed:noise_seed;
+    }
+  in
+  let ( let* ) = Result.bind in
+  let same what e m =
+    if e = m then Ok () else Error (Printf.sprintf "%s: engine %S vs reference %S" what e m)
+  in
+  let rec go step =
+    if step = 40 then Ok ()
     else begin
-      engine.Engine.flush_all ();
-      Buffer.add_string buf "X;"
+      let pid = Rng.int rng 3 in
+      let* () =
+        if Rng.int rng 100 < 55 then begin
+          (* One batched run: random length (0 = must be a no-op), placed
+             at a random offset inside a larger scratch so [pos] <> 0 and
+             trailing slack are both exercised. *)
+          let len = Rng.int rng 49 in
+          let pos = Rng.int rng 4 in
+          let trace = Array.init (pos + len + 2) (fun _ -> addr rng) in
+          let model_run f =
+            List.init len (fun k -> f (Reference.access model ~pid trace.(pos + k)))
+          in
+          match Rng.int rng 3 with
+          | 0 ->
+            engine.Engine.access_run ~pid ~trace ~pos ~len Kernel.Fill;
+            ignore (model_run ignore);
+            Ok ()
+          | 1 ->
+            let bin = Rng.int rng 4 in
+            let sigma = if Rng.bool rng then 0. else 0.25 in
+            counter.Kernel.bin <- bin;
+            counter.Kernel.sigma <- sigma;
+            engine.Engine.access_run ~pid ~trace ~pos ~len (Kernel.Count counter);
+            ignore (model_run (tally_access tally ~bin ~sigma));
+            Ok ()
+          | _ ->
+            let out = Array.make (max len 1) Outcome.hit in
+            engine.Engine.access_run ~pid ~trace ~pos ~len (Kernel.Trace out);
+            let want = model_run fmt_outcome in
+            same
+              (Printf.sprintf "step %d Trace run" step)
+              (String.concat "," (List.init len (fun k -> fmt_outcome out.(k))))
+              (String.concat "," want)
+        end
+        else
+          let e, m = scalar_op rng engine model ~pid ~weights:(33, 33, 49, 65, 78, 91) in
+          same (Printf.sprintf "step %d scalar op" step) e m
+      in
+      go (step + 1)
     end
-  done;
-  (* Count scratch ([%h] so float sums compare bit-for-bit), then one
-     probe draw — if either arm consumed a different number of
-     classification draws, this value diverges even when the sums
-     happen to agree. *)
-  for b = 0 to 3 do
-    Buffer.add_string buf
-      (Printf.sprintf "c%d=%d/%d/%h;" b
-         counter.Kernel.true_misses.(b)
-         counter.Kernel.classified.(b)
-         counter.Kernel.times.(b))
-  done;
-  Buffer.add_string buf (Printf.sprintf "n=%d;" (Rng.int noise 1_000_000));
-  Buffer.add_string buf
-    (String.concat " | "
-       [
-         fmt_snapshot (engine.Engine.counters ());
-         fmt_snapshot (engine.Engine.counters_for 0);
-         fmt_snapshot (engine.Engine.counters_for 1);
-         fmt_snapshot (engine.Engine.counters_for 2);
-         fmt_dump (engine.Engine.dump ());
-       ]);
-  Buffer.contents buf
+  in
+  let* () = go 0 in
+  let scratch (tm : int array) (cl : int array) (ti : float array) =
+    String.concat ";"
+      (List.init 4 (fun b -> Printf.sprintf "%d/%d/%h" tm.(b) cl.(b) ti.(b)))
+  in
+  let* () =
+    same "Count scratch"
+      (scratch counter.Kernel.true_misses counter.Kernel.classified counter.Kernel.times)
+      (scratch tally.true_misses tally.classified tally.times)
+  in
+  (* If either side consumed a different number of classification draws,
+     the next draw diverges even when the sums happen to agree. *)
+  let* () =
+    same "classification stream"
+      (string_of_int (Rng.int counter.Kernel.noise 1_000_000))
+      (string_of_int (Rng.int tally.noise 1_000_000))
+  in
+  let e, m = summaries engine model in
+  same "final counters+dump" e m
 
 let test_batched_cell spec =
   QCheck_alcotest.to_alcotest
@@ -314,8 +290,9 @@ let test_batched_cell spec =
        ~name:(case_name spec ^ " batched = scalar")
        QCheck.(int_range 0 0xFFFFFF)
        (fun seed ->
-         batched_program ~seed Kernel.Auto spec
-         = batched_program ~seed Kernel.Generic spec))
+         match batched_program ~seed spec with
+         | Ok () -> true
+         | Error e -> QCheck.Test.fail_reportf "seed %#x: %s" seed e))
 
 (* --- flush_all equivalence -------------------------------------------- *)
 
