@@ -23,7 +23,19 @@ val create :
   ?config:Config.t -> ?extra_bits:int -> rng:Cachesec_stats.Rng.t -> unit -> t
 (** [config] wants [ways = lines] conceptually, but only [lines] is used:
     the physical array is fully associative by construction. [extra_bits]
-    defaults to 4 (logical cache 16x the physical size). *)
+    defaults to 4 (logical cache 16x the physical size).
+
+    The CAM is a chained hash index over the physical lines: its size is
+    O([lines]), whatever the logical size and however many contexts
+    access it, and its lookups and updates, {!flush_all} included,
+    allocate nothing.
+
+    @raise Invalid_argument if [extra_bits] is negative or above
+    [max_extra_bits ~lines]. *)
+
+val max_extra_bits : lines:int -> int
+(** The largest [extra_bits] for which the logical line count
+    [lines lsl extra_bits] fits in an [int] ([lines > 0]). *)
 
 val config : t -> Config.t
 val logical_lines : t -> int

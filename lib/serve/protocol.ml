@@ -265,11 +265,21 @@ let parse_spec args =
       | None -> Error (Printf.sprintf "%s: not an integer: %s" key v)
       | Some n -> apply spec n)
   in
+  (* The logical cache, [lines lsl nbits] lines, must fit in an int for
+     the geometry the query names (engines run on [Config.standard]); a
+     non-positive [lines] is left to [parse_config] to reject. *)
+  let* lines = int_arg args "lines" ~default:Config.standard.Config.lines in
   let* spec =
     int_override "nbits"
       (fun s n ->
         match s with
-        | Spec.Newcache _ -> Ok (Spec.Newcache { extra_bits = n })
+        | Spec.Newcache _ ->
+          let max =
+            if lines > 0 then Newcache.max_extra_bits ~lines else max_int
+          in
+          if n < 0 || n > max then
+            Error (Printf.sprintf "nbits must be in 0..%d" max)
+          else Ok (Spec.Newcache { extra_bits = n })
         | _ -> Error "nbits applies to newcache only")
       spec
   in

@@ -523,7 +523,8 @@ let test_newcache_flush_own_only () =
 
 let test_newcache_cam_consistency () =
   (* After a busy random workload, peek must agree with a full scan of
-     the dumped lines (the CAM index never desynchronises). *)
+     the dumped lines (the chained index over the physical lines never
+     loses, keeps or misfiles a line). *)
   let nc = Newcache.create ~rng:(rng ()) () in
   let e = Newcache.engine nc in
   let r = rng () in
@@ -546,6 +547,26 @@ let test_newcache_cam_consistency () =
         Alcotest.failf "cam desync pid=%d addr=%d (scan=%b)" pid addr scan
     done
   done
+
+(* [lines lsl extra_bits] must not overflow: past the bound the logical
+   line count wraps to zero (every access would divide by it), to a
+   negative number, or, for shifts of 63 and up, back to a small cache
+   that was never asked for. *)
+let test_newcache_extra_bits_overflow () =
+  let max = Newcache.max_extra_bits ~lines:512 in
+  Alcotest.(check int) "512-line bound" 52 max;
+  let nc = Newcache.create ~extra_bits:max ~rng:(rng ()) () in
+  Alcotest.(check int) "largest logical cache" (512 lsl max)
+    (Newcache.logical_lines nc);
+  ignore (Newcache.access nc ~pid:0 7);
+  Alcotest.(check bool) "it still caches" true (Newcache.peek nc ~pid:0 7);
+  List.iter
+    (fun extra_bits ->
+      match Newcache.create ~extra_bits ~rng:(rng ()) () with
+      | _ -> Alcotest.failf "extra_bits %d accepted" extra_bits
+      | exception Invalid_argument _ -> ())
+    [ -1; max + 1; 54; 62; 63; 64; 70 ];
+  Alcotest.(check int) "one line" 61 (Newcache.max_extra_bits ~lines:1)
 
 let test_newcache_random_eviction_spread () =
   let nc = Newcache.create ~rng:(rng ()) () in
@@ -868,6 +889,8 @@ let () =
           Alcotest.test_case "index conflict" `Quick test_newcache_index_conflict;
           Alcotest.test_case "flush own only" `Quick test_newcache_flush_own_only;
           Alcotest.test_case "cam consistency" `Quick test_newcache_cam_consistency;
+          Alcotest.test_case "extra_bits overflow" `Quick
+            test_newcache_extra_bits_overflow;
           Alcotest.test_case "eviction spread" `Quick
             test_newcache_random_eviction_spread;
         ] );

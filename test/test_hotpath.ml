@@ -10,9 +10,10 @@
 
    The allocation guards additionally pin the hit paths — SA's under
    LRU and PLRU, and the warm [Engine.access] hit and warm Count run of
-   every architecture — to (essentially) zero minor-heap words per
-   access: a warm cache is hammered with hits and the [Gc.minor_words]
-   delta is asserted to be far below one word per access. *)
+   every architecture — and every architecture's cold Count run after a
+   [flush_all] to (essentially) zero minor-heap words per access: the
+   path is hammered and the [Gc.minor_words] delta is asserted to be
+   far below one word per access. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -160,6 +161,37 @@ let test_count_run_allocation_free spec () =
     Alcotest.failf "%s warm Count runs allocated %.0f minor words over %d accesses"
       engine.Engine.name delta (iters * 64)
 
+(* Cold [Count] runs after [flush_all] on every architecture: a
+   collision trial's engine work, which empties the cache and replays a
+   160-access encryption that mostly misses. Flushing, the misses'
+   fills and the evictions they cause (Newcache's CAM updates among
+   them) must all stay off the minor heap. *)
+let test_cold_count_run_allocation_free spec () =
+  let engine = Factory.build spec scenario ~rng:(Rng.create ~seed:49) in
+  let trace = Array.init 160 (fun i -> (7 * i) mod 200) in
+  let counter = Kernel.make_counter ~bins:1 in
+  let count = Kernel.Count counter in
+  let trial () =
+    engine.Engine.flush_all ();
+    engine.Engine.access_run ~pid:0 ~trace ~pos:0 ~len:160 count
+  in
+  trial ();
+  let trials = 1_000 in
+  let misses = counter.Kernel.true_misses.(0) in
+  let before = Gc.minor_words () in
+  for _ = 1 to trials do
+    trial ()
+  done;
+  let after = Gc.minor_words () in
+  let delta = after -. before in
+  if counter.Kernel.true_misses.(0) - misses < trials * 80 then
+    Alcotest.failf "%s cold runs were mostly hits" engine.Engine.name;
+  if delta > 64. then
+    Alcotest.failf
+      "%s cold Count runs after flush_all allocated %.0f minor words over %d \
+       trials"
+      engine.Engine.name delta trials
+
 (* The warm hit path of [Engine.access] — derived from the same step as
    the runs — returns the preallocated [Outcome.hit] on every
    architecture. Warming repeats until a whole pass hits (Newcache's
@@ -224,6 +256,10 @@ let () =
                   (Spec.name spec ^ " warm access hit zero-alloc")
                   `Quick
                   (test_access_hit_allocation_free spec);
+                Alcotest.test_case
+                  (Spec.name spec ^ " cold Count run after flush_all zero-alloc")
+                  `Quick
+                  (test_cold_count_run_allocation_free spec);
               ])
             Spec.all_paper );
     ]

@@ -9,13 +9,15 @@
    per-op outcomes (eviction payloads included), hence the RNG draw
    order; counters; the final line dump.
 
-   Two suites: "differential-fuzz" replays random mixed-op workloads
+   The suites: "differential-fuzz" replays random mixed-op workloads
    (accesses, peeks, flushes, locks, window changes, full flushes) one
    scalar op at a time; "batched-fuzz" (QCheck) runs [access_run] in
    Fill / Count / Trace mode, straddling the same scalar ops, against
    the model looped one access at a time with the Count accumulation
-   written out below. A third suite checks [flush_all] against a full
-   pass written out here. *)
+   written out below. "index-conflicts" replays a Newcache workload
+   built to hit its (pid, logical index) conflict path, which the
+   shared address draw never reaches. A last suite checks [flush_all]
+   against a full pass written out here. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -82,8 +84,7 @@ let build ~seed spec =
   in
   (rng, engine, model)
 
-let summaries (engine : Engine.t) model =
-  let pids = [ 0; 1; 2 ] in
+let summaries ?(pids = [ 0; 1; 2 ]) (engine : Engine.t) model =
   ( String.concat " | "
       (fmt_snapshot (engine.Engine.counters ())
        :: List.map (fun p -> fmt_snapshot (engine.Engine.counters_for p)) pids
@@ -146,13 +147,83 @@ let check_cell ~seed ~steps spec =
 
 (* A couple of seeds per cell at a few thousand ops each: enough random
    coverage to hit every branch (invalid-way fills, lock conflicts,
-   external RP misses, CAM conflicts, full flushes) while staying well
-   inside the quick-test budget. *)
+   external RP misses, full flushes) while staying well inside the
+   quick-test budget. Newcache's index conflicts need addresses a
+   logical space apart: "index-conflicts" below. *)
 let seeds = [ 0xD1FF; 0xF0221; 0xABCDE ]
 let steps = 4_000
 
 let test_cell spec () =
   List.iter (fun seed -> check_cell ~seed ~steps spec) seeds
+
+(* --- Newcache index conflicts --------------------------------------- *)
+
+(* [addr] stays below 4096, inside one logical space of 8192 lines, so
+   one pid's two addresses never share a logical index with different
+   tags there. Here half the addresses are one of a few logical indices
+   plus a multiple of [logical_lines], so an access often finds its
+   (pid, logical index) held under another tag: the conflict path, which
+   invalidates the holder and, when the random fill also displaces a
+   valid line, reports two evictions. The other half keep the cache
+   populated. The pids straddle the counters' small-pid table. *)
+let conflict_pids = [| 0; 1; 2; 17; 4096 |]
+let conflict_indices = [| 5; 6; 700; 8191 |]
+
+(* Returns how many outcomes carried two evictions. *)
+let check_newcache_conflicts ~seed ~steps =
+  let extra_bits = 4 in
+  let rng, engine, model = build ~seed (Spec.Newcache { extra_bits }) in
+  let logical = engine.Engine.config.Config.lines lsl extra_bits in
+  let doubles = ref 0 in
+  for i = 0 to steps - 1 do
+    let pid = conflict_pids.(Rng.int rng (Array.length conflict_pids)) in
+    let a =
+      if Rng.bool rng then addr rng
+      else
+        conflict_indices.(Rng.int rng (Array.length conflict_indices))
+        + (logical * Rng.int rng 6)
+    in
+    let r = Rng.int rng 1000 in
+    let e, m =
+      if r < 880 then begin
+        let o = engine.Engine.access ~pid a in
+        if List.length (Outcome.evictions o) = 2 then incr doubles;
+        (fmt_outcome o, fmt_outcome (Reference.access model ~pid a))
+      end
+      else if r < 930 then
+        ( string_of_bool (engine.Engine.peek ~pid a),
+          string_of_bool (Reference.peek model ~pid a) )
+      else if r < 998 then
+        ( string_of_bool (engine.Engine.flush_line ~pid a),
+          string_of_bool (Reference.flush_line model ~pid a) )
+      else begin
+        engine.Engine.flush_all ();
+        Reference.flush_all model;
+        ("F", "F")
+      end
+    in
+    if e <> m then
+      Alcotest.failf
+        "newcache:secrand seed=%#x op %d (pid %d, addr %d) diverged: engine %S \
+         vs reference %S"
+        seed i pid a e m
+  done;
+  let e, m = summaries ~pids:(Array.to_list conflict_pids) engine model in
+  Alcotest.(check string)
+    (Printf.sprintf "newcache:secrand seed=%#x final counters+dump" seed)
+    m e;
+  !doubles
+
+let test_newcache_conflicts () =
+  let doubles =
+    List.fold_left
+      (fun n seed -> n + check_newcache_conflicts ~seed ~steps:20_000)
+      0
+      (List.init 20 (fun k -> 0xC0F1 + k))
+  in
+  if doubles < 10_000 then
+    Alcotest.failf
+      "only %d double-eviction outcomes: the conflict path went untested" doubles
 
 (* Every cell's [access_run] is its own step's loop, labelled after it —
    never a wrapper's scalar loop. *)
@@ -421,6 +492,8 @@ let () =
           (fun spec ->
             Alcotest.test_case (case_name spec) `Quick (test_cell spec))
           (cells ()) );
+      ( "index-conflicts",
+        [ Alcotest.test_case "newcache:secrand" `Quick test_newcache_conflicts ] );
       ("batched-fuzz", List.map test_batched_cell (cells ()));
       ("flush-equivalence", List.map test_flush_cell (cells ()));
     ]

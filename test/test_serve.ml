@@ -435,6 +435,45 @@ let test_router_sim_memoization () =
   | Router.Now enc' -> Alcotest.(check string) "canonical hit" enc enc'
   | _ -> Alcotest.fail "equivalent spelling should hit"
 
+(* [nbits] sets Newcache's logical cache to [lines lsl nbits] lines. A
+   value for which that shift overflows names no cache the engine could
+   simulate: the router must answer it with an error reply, never run or
+   memoize a campaign for it. *)
+let test_nbits_range () =
+  let max = Newcache.max_extra_bits ~lines:512 in
+  Alcotest.(check int) "bound for the standard 512 lines" 52 max;
+  let validate n =
+    Printf.sprintf "validate cache=newcache attack=cache-collision nbits=%d" n
+  in
+  List.iter
+    (fun n ->
+      match Protocol.decode_query (validate n) with
+      | Ok (Validate { spec = Spec.Newcache { extra_bits }; _ }) ->
+        Alcotest.(check int) "nbits carried" n extra_bits
+      | _ -> Alcotest.failf "nbits=%d should decode" n)
+    [ 0; 4; max ];
+  let r = Router.create () in
+  List.iter
+    (fun n ->
+      match Router.route r (validate n) with
+      | Router.Now enc -> (
+        match Protocol.decode_reply enc with
+        | Ok (Error_ _) -> ()
+        | _ -> Alcotest.failf "nbits=%d: expected an error reply" n)
+      | _ -> Alcotest.failf "nbits=%d must not reach a simulation" n)
+    [ -1; max + 1; 54; 62; 63; 64; 70 ];
+  Alcotest.(check int) "nothing memoized" 0 (Router.memo_size r);
+  (* The bound follows the geometry a pas query names. *)
+  let pas ~lines n =
+    Protocol.decode_query
+      (Printf.sprintf "pas cache=newcache attack=prime-and-probe lines=%d nbits=%d"
+         lines n)
+  in
+  Alcotest.(check bool) "1024 lines, nbits 51" true
+    (Result.is_ok (pas ~lines:1024 51));
+  Alcotest.(check bool) "1024 lines, nbits 52" true
+    (Result.is_error (pas ~lines:1024 52))
+
 (* --- end-to-end (forked server) -------------------------------------- *)
 
 let fork_server ?(execution = Server.Inline) ~socket () =
@@ -705,6 +744,7 @@ let () =
         [
           Alcotest.test_case "closed form + memo" `Quick test_router_closed_form;
           Alcotest.test_case "sim memoization" `Quick test_router_sim_memoization;
+          Alcotest.test_case "nbits range" `Quick test_nbits_range;
         ] );
       ( "end-to-end",
         [
