@@ -1,19 +1,25 @@
 open Cachesec_cache
 open Cachesec_crypto
 
-type t = { base_line : int; cfg : Config.t; epl : int; lpt : int }
-(* [epl] (entries per line) and [lpt] (lines per table) are precomputed
-   at [create] so the per-lookup hot path [line_of_packed] is pure
-   arithmetic on immediates. *)
+type t = { base_line : int; cfg : Config.t; epl : int; epl_shift : int; lpt : int }
+(* [epl] (entries per line), its log2 [epl_shift] and [lpt] (lines per
+   table) are precomputed at [create] so the per-lookup hot path
+   [line_of_packed] is shifts, masks and one multiply on immediates. *)
 
 let create ?(base_line = 0) cfg =
   if base_line < 0 then invalid_arg "Aes_layout.create: negative base line";
   if cfg.Config.line_bytes > Ttables.table_bytes then
     invalid_arg "Aes_layout.create: line larger than a table";
+  if cfg.Config.line_bytes < Ttables.entry_bytes then
+    invalid_arg "Aes_layout.create: line narrower than a table entry";
+  (* Both are powers of two ([Config.v]; 4-byte entries), so [epl] is. *)
+  let epl = cfg.Config.line_bytes / Ttables.entry_bytes in
+  let rec log2 k = if 1 lsl k = epl then k else log2 (k + 1) in
   {
     base_line;
     cfg;
-    epl = cfg.Config.line_bytes / Ttables.entry_bytes;
+    epl;
+    epl_shift = log2 0;
     lpt = Ttables.table_bytes / cfg.Config.line_bytes;
   }
 
@@ -27,7 +33,7 @@ let line_count t = Ttables.table_count * t.lpt
 let line_of_packed t a =
   (* Unchecked by design: [a] comes from [Aes.encrypt_traced_into],
      whose packed accesses are well-formed by construction. *)
-  t.base_line + ((a lsr 8) * t.lpt) + ((a land 0xff) / t.epl)
+  t.base_line + ((a lsr 8) * t.lpt) + ((a land 0xff) lsr t.epl_shift)
 
 let line_of_entry t ~table ~index =
   if table < 0 || table >= Ttables.table_count then

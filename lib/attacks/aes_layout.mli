@@ -12,7 +12,9 @@ open Cachesec_crypto
 type t
 
 val create : ?base_line:int -> Config.t -> t
-(** [base_line] defaults to 0 (line-aligned by construction). *)
+(** [base_line] defaults to 0 (line-aligned by construction). Raises
+    [Invalid_argument] if [base_line] is negative or a line is larger
+    than a table or narrower than one table entry. *)
 
 val base_line : t -> int
 val config : t -> Config.t
@@ -28,9 +30,10 @@ val line_of_entry : t -> table:int -> index:int -> int
 
 val line_of_packed : t -> int -> int
 (** The line touched by one packed lookup ([(table lsl 8) lor index],
-    as produced by [Aes.encrypt_traced_into]). Pure arithmetic on
-    precomputed geometry — no bounds checks, no allocation; only feed
-    it packed accesses from the cipher. *)
+    as produced by [Aes.encrypt_traced_into]). Shifts, masks and one
+    multiply on precomputed geometry — entries per line is a power of
+    two, so no division, no bounds checks, no allocation; only feed it
+    packed accesses from the cipher. *)
 
 val table_lines : t -> table:int -> int list
 (** All lines of one table, ascending. *)

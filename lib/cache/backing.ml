@@ -7,9 +7,7 @@ type t = {
   counters : Counters.t;
   rng : Rng.t;
   sets : int;  (** [Config.sets cfg], precomputed off the access path *)
-  set_mask : int;
-      (** [sets - 1] when [sets] is a power of two, else -1: lets
-          {!set_of} replace the per-access division with a masked AND *)
+  set_mask : int;  (** [sets - 1]: {!set_of} is a masked AND *)
   mutable fetched : int;
   mutable evicted_owner : int;
   mutable evicted_line : int;
@@ -26,7 +24,7 @@ let create cfg ~rng =
     counters = Counters.create ();
     rng;
     sets;
-    set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
+    set_mask = sets - 1;
     fetched = -1;
     evicted_owner = -1;
     evicted_line = -1;
@@ -40,16 +38,11 @@ let tick t =
 
 (* --- hot path: bounded int scans over the flat slabs ---------------- *)
 
-let base_of_set t ~set = set * t.cfg.Config.ways
-
 (* Conventional set index of a line. Same value as [Address.set_index
-   t.cfg line] but with the two per-access integer divisions (sets =
-   lines/ways, then mod) replaced by one predictable branch and an AND
-   whenever the set count is a power of two — which it is for every
-   paper geometry. Line numbers are non-negative, so [land] and [mod]
-   agree. *)
-let set_of t line =
-  if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
+   t.cfg line] with no division: [Config.v] makes [lines] a power of two
+   and [ways] divide it, so [sets] is a power of two too, and line
+   numbers are non-negative, so [land] and [mod] agree. *)
+let set_of t line = line land t.set_mask
 
 (* Global index of the valid line in [set] holding [tag], or -1. *)
 let find_tag t ~set ~tag =

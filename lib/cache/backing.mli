@@ -14,7 +14,7 @@ type t = {
   rng : Cachesec_stats.Rng.t;
   sets : int;  (** [Config.sets cfg], precomputed off the access path *)
   set_mask : int;
-      (** [sets - 1] when [sets] is a power of two, else -1 (see
+      (** [sets - 1]; [sets] is a power of two for every {!Config.t} (see
           {!set_of}) *)
   mutable fetched : int;
   mutable evicted_owner : int;
@@ -33,14 +33,11 @@ val create : Config.t -> rng:Cachesec_stats.Rng.t -> t
 val tick : t -> int
 (** Advance and return the access sequence number. *)
 
-val base_of_set : t -> set:int -> int
-(** Global index of [set]'s first way; the set occupies the contiguous
-    range [base, base + ways). *)
-
 val set_of : t -> int -> int
 (** Conventional set index of a (non-negative) line number: equal to
-    [Address.set_index cfg line], but division-free when the set count
-    is a power of two. Per-access hot path. *)
+    [Address.set_index cfg line], computed as [line land set_mask]. No
+    division: {!Config.v} requires a power-of-two line count divided by
+    [ways], so the set count is a power of two. Per-access hot path. *)
 
 val find_tag : t -> set:int -> tag:int -> int
 (** Global index of the valid line in [set] holding [tag], or -1.

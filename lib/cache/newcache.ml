@@ -25,7 +25,7 @@ type t = {
   head : int array;  (** bucket -> first chained physical line, or -1 *)
   next : int array;  (** physical line -> next line of its chain, or -1 *)
   shift : int;  (** [Sys.int_size - log2 (Array.length head)] *)
-  logical_lines : int;
+  logical_lines : int;  (** [lines lsl extra_bits], a power of two *)
 }
 
 let max_extra_bits ~lines =
@@ -99,7 +99,7 @@ let[@inline] step t ~pid addr =
   let s = b.Backing.slab in
   let seq = b.Backing.seq + 1 in
   b.Backing.seq <- seq;
-  let li = addr mod t.logical_lines in
+  let li = addr land (t.logical_lines - 1) in
   let h = bucket t ~pid li in
   let m = cam_find t ~pid li h in
   if m >= 0 && Array.unsafe_get s.Slab.tags m = addr then begin
@@ -132,7 +132,7 @@ let run t ~pid ~trace ~pos ~len mode =
   done
 
 let full_match t ~pid addr =
-  let li = addr mod t.logical_lines in
+  let li = addr land (t.logical_lines - 1) in
   let i = cam_find t ~pid li (bucket t ~pid li) in
   if i >= 0 && t.b.Backing.slab.Slab.tags.(i) = addr then i else -1
 

@@ -15,9 +15,12 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ?reserved
 let config t = t.b.Backing.cfg
 let reserved_ways t = t.reserved
 let shared_ways t = t.b.Backing.cfg.Config.ways - t.reserved
-let is_protected t pid = List.mem pid t.protected_pids
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
+(* [List.mem] without its polymorphic compare: runs on every miss. *)
+let rec mem_pid (pid : int) = function
+  | [] -> false
+  | p :: rest -> p = pid || mem_pid pid rest
+
+let is_protected t pid = mem_pid pid t.protected_pids
 let set_of t addr = Backing.set_of t.b addr
 
 (* Top-level loop (all state as arguments): a local [let rec] capturing
@@ -52,9 +55,10 @@ let fills_reserved t ~protected ~base ~pid =
 let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
-  let seq = Backing.tick b in
+  let seq = b.Backing.seq + 1 in
+  b.Backing.seq <- seq;
   let w = s.Slab.ways in
-  let base = set_of t addr * w in
+  let base = (addr land b.Backing.set_mask) * w in
   let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
   if i >= 0 then begin
     Policy.touch t.policy s i ~seq;

@@ -4,8 +4,6 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
 let config t = t.b.Backing.cfg
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
 let set_of t addr = Backing.set_of t.b addr
 
 (* --- the transition ---------------------------------------------------- *)
@@ -17,9 +15,10 @@ let set_of t addr = Backing.set_of t.b addr
 let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
-  let seq = Backing.tick b in
-  let base = Backing.base_of_set b ~set:(set_of t addr) in
+  let seq = b.Backing.seq + 1 in
+  b.Backing.seq <- seq;
   let w = s.Slab.ways in
+  let base = (addr land b.Backing.set_mask) * w in
   let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
   if i >= 0 then begin
     Policy.touch t.policy s i ~seq;

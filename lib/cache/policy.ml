@@ -96,8 +96,8 @@ let rec plru_point_away tree node =
 let plru_touch (s : Slab.t) i =
   let w = s.Slab.ways in
   if plru_tree_capable w then begin
-    let set = i / w in
-    let leaf = w + (i - (set * w)) in
+    let set = i lsr s.Slab.set_shift in
+    let leaf = w + (i land (w - 1)) in
     s.Slab.tree.(set) <- plru_point_away s.Slab.tree.(set) leaf
   end
 
@@ -125,7 +125,7 @@ let victim_in p rng (s : Slab.t) ~base ~len =
         len = s.Slab.ways
         && plru_tree_capable len
         && base land (len - 1) = 0
-      then base + plru_walk s.Slab.tree.(base / len) len 1
+      then base + plru_walk s.Slab.tree.(base lsr s.Slab.set_shift) len 1
       else Slab.min_last_use s ~base ~len
 
 (* --- per-access state hooks ------------------------------------------ *)

@@ -22,8 +22,6 @@ let create ?(config = Config.direct_mapped) ?(policy = Policy.Random)
 let config t = t.b.Backing.cfg
 let interval t = t.interval
 let random_evictions t = t.random_evictions
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
 let set_of t addr = Backing.set_of t.b addr
 
 (* Fires after every [interval]-th access: returns a uniformly random

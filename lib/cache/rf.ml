@@ -47,8 +47,6 @@ let set_window t ~pid ~back ~fwd =
   Hashtbl.replace t.windows pid (back, fwd);
   t.memo_pid <- min_int
 
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
 let set_of t addr = Backing.set_of t.b addr
 
 (* --- the transition ---------------------------------------------------- *)
@@ -62,9 +60,10 @@ let set_of t addr = Backing.set_of t.b addr
 let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
-  let seq = Backing.tick b in
+  let seq = b.Backing.seq + 1 in
+  b.Backing.seq <- seq;
   let w = s.Slab.ways in
-  let base = set_of t addr * w in
+  let base = (addr land b.Backing.set_mask) * w in
   let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
   if i >= 0 then begin
     Policy.touch t.policy s i ~seq;
@@ -74,7 +73,7 @@ let[@inline] step t ~pid addr =
     let back, fwd = window t ~pid in
     let lo = Stdlib.max 0 (addr - back) and hi = addr + fwd in
     let line = if lo = hi then lo else lo + Rng.int b.Backing.rng (hi - lo + 1) in
-    let lbase = set_of t line * w in
+    let lbase = (line land b.Backing.set_mask) * w in
     if Slab.scan_tag s.Slab.tags line lbase (lbase + w) >= 0 then
       Kernel.read_through
     else begin

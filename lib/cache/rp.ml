@@ -108,10 +108,7 @@ let[@inline] step p (b : Backing.t) tbl ~pid addr =
   let s = b.Backing.slab in
   let seq = b.Backing.seq + 1 in
   b.Backing.seq <- seq;
-  let logical =
-    if b.Backing.set_mask >= 0 then addr land b.Backing.set_mask
-    else addr mod b.Backing.sets
-  in
+  let logical = addr land b.Backing.set_mask in
   let w = s.Slab.ways in
   let set = Array.unsafe_get tbl logical in
   let base = set * w in

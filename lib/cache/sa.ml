@@ -53,10 +53,7 @@ let[@inline] step p (b : Backing.t) ~pid addr =
   let s = b.Backing.slab in
   let seq = b.Backing.seq + 1 in
   b.Backing.seq <- seq;
-  let set =
-    if b.Backing.set_mask >= 0 then addr land b.Backing.set_mask
-    else addr mod b.Backing.sets
-  in
+  let set = addr land b.Backing.set_mask in
   let base = set * s.Slab.ways in
   let stop = base + s.Slab.ways in
   let i = Slab.scan_tag s.Slab.tags addr base stop in

@@ -39,6 +39,7 @@
 type t = {
   n : int;  (** physical line count; every slab has length [n] *)
   ways : int;  (** per-set stride: set [s] starts at [s * ways] *)
+  set_shift : int;  (** [log2 ways]: line [i] is in set [i lsr set_shift] *)
   tags : int array;  (** memory-line number, or [invalid_tag] *)
   owners : int array;  (** filling pid; [-1] when invalid *)
   last_use : int array;  (** access sequence of the last touch (LRU) *)
@@ -58,9 +59,13 @@ let create ~lines ~ways =
   if lines <= 0 then invalid_arg "Slab.create: lines must be positive";
   if ways <= 0 || lines mod ways <> 0 then
     invalid_arg "Slab.create: ways must be positive and divide lines";
+  if ways land (ways - 1) <> 0 then
+    invalid_arg "Slab.create: ways must be a power of two";
+  let rec log2 k = if 1 lsl k = ways then k else log2 (k + 1) in
   {
     n = lines;
     ways;
+    set_shift = log2 0;
     tags = Array.make lines invalid_tag;
     owners = Array.make lines (-1);
     last_use = Array.make lines 0;
@@ -220,7 +225,7 @@ let clear t =
       let i = t.dirty.(k) in
       if t.tags.(i) >= 0 then incr displaced;
       invalidate t i;
-      t.tree.(i / t.ways) <- 0
+      t.tree.(i lsr t.set_shift) <- 0
     done;
     t.dirty_len <- 0;
     !displaced

@@ -25,6 +25,8 @@
 type t = {
   n : int;  (** physical line count; every slab has length [n] *)
   ways : int;  (** per-set stride: set [s] starts at [s * ways] *)
+  set_shift : int;
+      (** [log2 ways]: line [i] is in set [i lsr set_shift], no division *)
   tags : int array;  (** memory-line number, or [-1] when invalid *)
   owners : int array;  (** filling pid; [-1] when invalid *)
   last_use : int array;  (** access sequence of the last touch (LRU) *)
@@ -53,7 +55,8 @@ val invalid_tag : int
 (** [-1]. *)
 
 val create : lines:int -> ways:int -> t
-(** All-invalid slabs. [ways] must divide [lines]. *)
+(** All-invalid slabs. Raises [Invalid_argument] unless [ways] is a
+    power of two that divides [lines] (every {!Config.t} geometry is). *)
 
 val bytes : t -> int
 (** Resident footprint of the field slabs and the dirty log in bytes

@@ -2,51 +2,52 @@ type t = {
   b : Backing.t;
   policy : Policy.t;
   partitions : int;
-  per : int;  (** sets per partition, precomputed off the access path *)
-  home : int -> int;
-  partition_of_pid : int -> int;
+  per : int;  (** sets per partition, a power of two *)
+  per_mask : int;  (** [per - 1] *)
+  victim_pid : int;
+  victim_ranges : int array;
+      (** the victim's inclusive line ranges, flat: [lo0; hi0; lo1; hi1; ...] *)
 }
 
-let create ?(config = Config.standard) ?(policy = Policy.Random)
-    ?(partitions = 2) ~home ~partition_of_pid ~rng () =
+let create_two_domain ?(config = Config.standard) ?(policy = Policy.Random)
+    ?(partitions = 2) ~victim_pid ~victim_lines ~rng () =
   if partitions <= 0 then invalid_arg "Sp.create: partitions must be positive";
   if Config.sets config mod partitions <> 0 then
     invalid_arg "Sp.create: partitions must divide the set count";
+  if partitions < 2 then
+    invalid_arg "Sp.create: two domains need at least 2 partitions";
+  let per = Config.sets config / partitions in
   {
     b = Backing.create config ~rng;
     policy;
     partitions;
-    per = Config.sets config / partitions;
-    home;
-    partition_of_pid;
+    per;
+    per_mask = per - 1;
+    victim_pid;
+    victim_ranges =
+      Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) victim_lines);
   }
 
-(* Top-level scan with every free variable as an argument: a
-   [List.exists] lambda capturing [line] would allocate its closure on
-   every [home] call, i.e. on every access. *)
-let rec in_ranges line = function
-  | [] -> false
-  | (lo, hi) :: rest -> (line >= lo && line <= hi) || in_ranges line rest
-
-let create_two_domain ?config ?policy ?(partitions = 2) ~victim_pid
-    ~victim_lines ~rng () =
-  let home line = if in_ranges line victim_lines then 0 else 1 in
-  let partition_of_pid pid = if pid = victim_pid then 0 else 1 in
-  create ?config ?policy ~partitions ~home ~partition_of_pid ~rng ()
-
 let config t = t.b.Backing.cfg
-let sets_per_partition t = Config.sets t.b.Backing.cfg / t.partitions
+let sets_per_partition t = t.per
 
-let check_partition t p who =
-  if p < 0 || p >= t.partitions then
-    invalid_arg (Printf.sprintf "Sp: %s returned partition %d of %d" who p t.partitions)
+(* Top-level scan with every free variable as an argument (a local
+   [let rec] would allocate its closure per access). [r] has even
+   length, so [i + 1] is in bounds whenever [i] is. *)
+let rec in_ranges (r : int array) line i =
+  i < Array.length r
+  && ((line >= Array.unsafe_get r i && line <= Array.unsafe_get r (i + 1))
+     || in_ranges r line (i + 2))
 
-(* The set of a line is determined by its home partition, so both processes
-   agree on where a shared line lives. *)
+(* The set of a line is determined by its home partition — 0 for the
+   victim's lines, 1 for everything else — so both processes agree on
+   where a shared line lives. *)
+let[@inline] set_in t ~victim_line addr =
+  let s = addr land t.per_mask in
+  if victim_line then s else t.per + s
+
 let set_of t addr =
-  let p = t.home addr in
-  check_partition t p "home";
-  (p * t.per) + (addr mod t.per)
+  set_in t ~victim_line:(in_ranges t.victim_ranges addr 0) addr
 
 (* --- the transition ---------------------------------------------------- *)
 
@@ -56,24 +57,23 @@ let set_of t addr =
 let[@inline] step t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
-  let seq = Backing.tick b in
+  let seq = b.Backing.seq + 1 in
+  b.Backing.seq <- seq;
+  let victim_line = in_ranges t.victim_ranges addr 0 in
   let w = s.Slab.ways in
-  let base = set_of t addr * w in
+  let base = set_in t ~victim_line addr * w in
   let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
   if i >= 0 then begin
     Policy.touch t.policy s i ~seq;
     Kernel.hit
   end
+  else if (pid = t.victim_pid) <> victim_line (* homed elsewhere *) then
+    Kernel.read_through
   else begin
-    let own = t.partition_of_pid pid in
-    check_partition t own "partition_of_pid";
-    if own <> t.home addr then Kernel.read_through
-    else begin
-      let way = Policy.victim_in t.policy b.Backing.rng s ~base ~len:w in
-      let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
-      Policy.filled t.policy s way;
-      code
-    end
+    let way = Policy.victim_in t.policy b.Backing.rng s ~base ~len:w in
+    let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
+    Policy.filled t.policy s way;
+    code
   end
 
 let access t ~pid addr = Kernel.record t.b ~pid (step t ~pid addr)

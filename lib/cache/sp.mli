@@ -14,20 +14,6 @@
 
 type t
 
-val create :
-  ?config:Config.t ->
-  ?policy:Policy.t ->
-  ?partitions:int ->
-  home:(int -> int) ->
-  partition_of_pid:(int -> int) ->
-  rng:Cachesec_stats.Rng.t ->
-  unit ->
-  t
-(** [home line] gives the line's home partition, [partition_of_pid pid] the
-    partition a process may fill into. Both must return values in
-    [0, partitions-1] (checked on use). [partitions] defaults to 2 and must
-    divide the set count. *)
-
 val create_two_domain :
   ?config:Config.t ->
   ?policy:Policy.t ->
@@ -37,11 +23,18 @@ val create_two_domain :
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
-(** Two-domain construction (what {!Factory.build} uses): partition 0
-    belongs to [victim_pid] and homes every line inside the inclusive
-    ranges [victim_lines]; everything else is partition 1. [partitions]
-    (default 2) only sets the set split: partitions past the first two
-    stay unused. *)
+(** The constructor (what {!Factory.build} uses). Partition 0 belongs to
+    [victim_pid] and homes every line inside the inclusive ranges
+    [victim_lines]; every other line and every other pid is partition 1.
+    [partitions] (default 2) only sets the set split: partitions past the
+    first two stay unused. The homing is fixed here as data — the victim
+    pid, the ranges as a flat array and the per-partition set mask — so
+    an access calls no closure: a line's set is
+    [home·per + line land (per - 1)].
+
+    Raises [Invalid_argument] unless [partitions] is at least 2 and
+    divides the set count. The set count is a power of two ({!Config.v}),
+    hence so is [per]. *)
 
 val config : t -> Config.t
 val sets_per_partition : t -> int

@@ -60,6 +60,46 @@ let test_layout_validation () =
     (Invalid_argument "Aes_layout.create: negative base line") (fun () ->
       ignore (Aes_layout.create ~base_line:(-1) Config.standard))
 
+(* [Config.v] accepts 1- and 2-byte lines, but a 4-byte table entry
+   cannot straddle lines: the layout must refuse them rather than map
+   lookups to wrong lines. *)
+let test_layout_narrow_lines () =
+  List.iter
+    (fun line_bytes ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d-byte lines" line_bytes)
+        (Invalid_argument "Aes_layout.create: line narrower than a table entry")
+        (fun () ->
+          ignore (Aes_layout.create (Config.v ~line_bytes ~lines:512 ~ways:8))))
+    [ 1; 2 ]
+
+(* [line_of_packed] shifts where the formula divides: every packed
+   access of every line size a layout accepts, at a zero and an odd
+   base, against the division written out. *)
+let test_layout_packed_exhaustive () =
+  List.iter
+    (fun line_bytes ->
+      List.iter
+        (fun base ->
+          let l =
+            Aes_layout.create ~base_line:base
+              (Config.v ~line_bytes ~lines:512 ~ways:8)
+          in
+          for table = 0 to 4 do
+            for index = 0 to 255 do
+              let want =
+                base + (table * (1024 / line_bytes)) + (index / (line_bytes / 4))
+              in
+              let got = Aes_layout.line_of_packed l ((table lsl 8) lor index) in
+              if got <> want then
+                Alcotest.failf
+                  "%d-byte lines, base %d, table %d, index %d: %d <> %d" line_bytes
+                  base table index got want
+            done
+          done)
+        [ 0; 37 ])
+    [ 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
+
 (* --- Victim -------------------------------------------------------------- *)
 
 let test_victim_ciphertext_correct () =
@@ -569,6 +609,10 @@ let () =
           Alcotest.test_case "mapping" `Quick test_layout_mapping;
           Alcotest.test_case "base offset" `Quick test_layout_base;
           Alcotest.test_case "validation" `Quick test_layout_validation;
+          Alcotest.test_case "narrow lines rejected" `Quick
+            test_layout_narrow_lines;
+          Alcotest.test_case "packed shift = division" `Quick
+            test_layout_packed_exhaustive;
         ] );
       ( "victim",
         [

@@ -393,7 +393,13 @@ let test_sp_validation () =
     (Invalid_argument "Sp.create: partitions must divide the set count")
     (fun () ->
       ignore
-        (Sp.create ~partitions:3 ~home:(fun _ -> 0) ~partition_of_pid:(fun _ -> 0)
+        (Sp.create_two_domain ~partitions:3 ~victim_pid:0 ~victim_lines:[]
+           ~rng:(rng ()) ()));
+  Alcotest.check_raises "two domains, two partitions"
+    (Invalid_argument "Sp.create: two domains need at least 2 partitions")
+    (fun () ->
+      ignore
+        (Sp.create_two_domain ~partitions:1 ~victim_pid:0 ~victim_lines:[]
            ~rng:(rng ()) ()))
 
 (* --- PL ----------------------------------------------------------------- *)

@@ -16,8 +16,9 @@
    the model looped one access at a time with the Count accumulation
    written out below. "index-conflicts" replays a Newcache workload
    built to hit its (pid, logical index) conflict path, which the
-   shared address draw never reaches. A last suite checks [flush_all]
-   against a full pass written out here. *)
+   shared address draw never reaches. "sp-homing" gives SP two or three
+   victim ranges, where the shared scenario has one. A last suite checks
+   [flush_all] against a full pass written out here. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -73,7 +74,7 @@ let fmt_dump dump =
 (* The engine and the model of one cell, built from [seed]: the engine
    takes the split engine stream, the model a copy of it. The returned
    generator drives the op program both sides replay. *)
-let build ~seed spec =
+let build ?(scenario = scenario) ~seed spec =
   let rng = Rng.create ~seed in
   let engine_rng = Rng.split rng in
   let model_rng = Rng.copy engine_rng in
@@ -224,6 +225,89 @@ let test_newcache_conflicts () =
   if doubles < 10_000 then
     Alcotest.failf
       "only %d double-eviction outcomes: the conflict path went untested" doubles
+
+(* --- SP homing over several victim ranges ------------------------------ *)
+
+(* SP homes a line by scanning the victim's ranges. The shared scenario
+   has one range, so here: two or three disjoint ranges, single-line
+   ones among them, with addresses drawn at and next to every bound
+   (where an off-by-one in the scan or a skipped range shows), under
+   2 and 4 partitions, either victim pid, pids 0-2, and line flushes,
+   full flushes and Trace runs between the accesses. *)
+let sp_scenarios =
+  [
+    { Factory.victim_pid = 0; victim_lines = [ (10, 20); (300, 300) ] };
+    { Factory.victim_pid = 2; victim_lines = [ (0, 0); (64, 127); (1000, 1003) ] };
+    { Factory.victim_pid = 0; victim_lines = [ (5, 5); (77, 77); (500, 700) ] };
+  ]
+
+let sp_bounds (s : Factory.scenario) =
+  List.concat_map
+    (fun (lo, hi) ->
+      List.filter (fun a -> a >= 0) [ lo - 1; lo; lo + 1; hi - 1; hi; hi + 1 ])
+    s.Factory.victim_lines
+  |> Array.of_list
+
+let check_sp_homing ~seed ~scenario ~partitions policy =
+  let spec = Spec.Sp { ways = 8; policy; partitions } in
+  let name =
+    Printf.sprintf "%s partitions=%d victim=%d seed=%#x" (case_name spec) partitions
+      scenario.Factory.victim_pid seed
+  in
+  let rng, engine, model = build ~scenario ~seed spec in
+  let bounds = sp_bounds scenario in
+  let addr () =
+    if Rng.bool rng then bounds.(Rng.int rng (Array.length bounds))
+    else Rng.int rng 2048
+  in
+  for i = 0 to 2_999 do
+    let pid = Rng.int rng 3 in
+    let r = Rng.int rng 100 in
+    let e, m =
+      if r < 70 then
+        let a = addr () in
+        ( fmt_outcome (engine.Engine.access ~pid a),
+          fmt_outcome (Reference.access model ~pid a) )
+      else if r < 80 then
+        let a = addr () in
+        ( string_of_bool (engine.Engine.peek ~pid a),
+          string_of_bool (Reference.peek model ~pid a) )
+      else if r < 95 then
+        let a = addr () in
+        ( string_of_bool (engine.Engine.flush_line ~pid a),
+          string_of_bool (Reference.flush_line model ~pid a) )
+      else if r < 98 then begin
+        let trace = Array.init (Rng.int rng 24) (fun _ -> addr ()) in
+        let len = Array.length trace in
+        let out = Array.make (max len 1) Outcome.hit in
+        engine.Engine.access_run ~pid ~trace ~pos:0 ~len (Kernel.Trace out);
+        ( String.concat "," (List.init len (fun k -> fmt_outcome out.(k))),
+          String.concat ","
+            (List.init len (fun k ->
+                 fmt_outcome (Reference.access model ~pid trace.(k)))) )
+      end
+      else begin
+        engine.Engine.flush_all ();
+        Reference.flush_all model;
+        ("F", "F")
+      end
+    in
+    if e <> m then
+      Alcotest.failf "%s op %d diverged: engine %S vs reference %S" name i e m
+  done;
+  let e, m = summaries engine model in
+  Alcotest.(check string) (name ^ " final counters+dump") m e
+
+let test_sp_homing policy () =
+  List.iter
+    (fun scenario ->
+      List.iter
+        (fun partitions ->
+          List.iter
+            (fun seed -> check_sp_homing ~seed ~scenario ~partitions policy)
+            [ 0x5B01; 0x5B02 ])
+        [ 2; 4 ])
+    sp_scenarios
 
 (* Every cell's [access_run] is its own step's loop, labelled after it —
    never a wrapper's scalar loop. *)
@@ -494,6 +578,12 @@ let () =
           (cells ()) );
       ( "index-conflicts",
         [ Alcotest.test_case "newcache:secrand" `Quick test_newcache_conflicts ] );
+      ( "sp-homing",
+        List.map
+          (fun p ->
+            Alcotest.test_case ("sp:" ^ Policy.to_string p) `Quick
+              (test_sp_homing p))
+          Policy.all );
       ("batched-fuzz", List.map test_batched_cell (cells ()));
       ("flush-equivalence", List.map test_flush_cell (cells ()));
     ]
