@@ -22,22 +22,23 @@
    The e2e section records the sequential-vs-pipelined campaign
    wall-clocks (quick scale) of the host it runs on — including its
    core count, so a later reader can judge what the numbers could
-   demonstrate.
-
-   A bare positional PATH is kept as an alias for --cache-out PATH
-   (the pre-attack-bench CLI). *)
+   demonstrate — followed by the adaptive-stopping arms, whose rows
+   feed the adaptive table's vs-base column. *)
 
 open Cachesec_experiments
+module Bench_record = Cachesec_report.Bench_record
 
 let run_cache ctx ~out =
   let entries = Throughput.bench ctx in
-  Throughput.write ~path:out entries;
+  Bench_record.write ~schema:Throughput.schema ~path:out
+    (List.map Throughput.to_row entries);
   print_string (Throughput.render entries);
   Printf.printf "cache baseline written to %s\n%!" out
 
 let run_attacks ctx ~out =
   let entries = Throughput.Attacks.bench ctx in
-  Throughput.Attacks.write ~path:out entries;
+  Bench_record.write ~schema:Throughput.Attacks.schema ~path:out
+    (List.map Throughput.Attacks.to_row entries);
   print_string (Throughput.Attacks.render entries);
   Printf.printf "attack baseline written to %s\n%!" out
 
@@ -47,8 +48,12 @@ let run_e2e ctx ~out =
      [cores] field). *)
   let ctx = Cachesec_runtime.Run.with_jobs 0 ctx in
   let entries = Throughput.E2e.bench ctx in
-  Throughput.E2e.write ~path:out entries;
+  let adaptive = Throughput.Adaptive.bench ctx in
+  Bench_record.write ~schema:Throughput.E2e.schema ~path:out
+    (List.map Throughput.E2e.to_row entries
+    @ List.map Throughput.Adaptive.to_row adaptive);
   print_string (Throughput.E2e.render entries);
+  print_string (Throughput.Adaptive.render adaptive);
   Printf.printf "e2e baseline written to %s\n%!" out
 
 (* THE sections table: name, default output file, --NAME-out flag,
@@ -58,7 +63,8 @@ let run_e2e ctx ~out =
    this list, so adding a section here is the whole change. *)
 let run_serve ctx ~out =
   let entries = Cachesec_serve.Serve_bench.bench ctx in
-  Cachesec_serve.Serve_bench.write ~path:out entries;
+  Bench_record.write ~schema:Cachesec_serve.Serve_bench.schema ~path:out
+    (List.map Cachesec_serve.Serve_bench.to_row entries);
   print_string (Cachesec_serve.Serve_bench.render entries);
   Printf.printf "serve baseline written to %s\n%!" out
 
@@ -74,7 +80,7 @@ let section_names = List.map (fun (n, _, _, _) -> n) sections
 
 let usage () =
   Printf.eprintf
-    "usage: baseline.exe [--section %s|all] %s [--list-sections] [PATH]\n"
+    "usage: baseline.exe [--section %s|all] %s [--list-sections]\n"
     (String.concat "|" section_names)
     (String.concat " "
        (List.map (fun (_, _, flag, _) -> Printf.sprintf "[%s PATH]" flag)
@@ -107,8 +113,6 @@ let () =
     | flag :: path :: rest when List.mem_assoc flag outs ->
       snd (List.assoc flag outs) := path;
       parse rest
-    | [ path ] when String.length path > 0 && path.[0] <> '-' ->
-      snd (List.assoc "--cache-out" outs) := path
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));

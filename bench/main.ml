@@ -17,6 +17,7 @@
 open Cachesec_experiments
 open Cachesec_runtime
 open Cachesec_telemetry
+module Bench_record = Cachesec_report.Bench_record
 
 (* Each section body is a thunk so the harness can report the
    wall-clock spent inside it (the interesting number when comparing
@@ -424,8 +425,9 @@ let main perf sim (ctx : Run.ctx) =
           (fun () -> Throughput.bench ctx)
       in
       ensure_results_dirs ();
-      Throughput.write ~span_id:t.Scheduler.span_id
-        ~path:"results/BENCH_cache.json" entries;
+      Bench_record.write ~span_id:t.Scheduler.span_id
+        ~schema:Throughput.schema ~path:"results/BENCH_cache.json"
+        (List.map Throughput.to_row entries);
       (* Hard engine gate: sa/lru accesses/sec against the FROZEN seed
          numbers (bench/BENCH_cache.seed.json — the pre-slab, pre-kernel
          engine, never re-recorded), unlike the re-recordable
@@ -433,7 +435,10 @@ let main perf sim (ctx : Run.ctx) =
          the gated row because it is the paper's conventional-cache
          reference point and the hottest monomorphized kernel. *)
       let gate_line =
-        let seed = Throughput.read ~path:"bench/BENCH_cache.seed.json" in
+        let seed =
+          List.filter_map Throughput.of_row
+            (Bench_record.read ~path:"bench/BENCH_cache.seed.json")
+        in
         match
           ( Throughput.find entries ~arch:"sa" ~policy:"lru",
             Throughput.find seed ~arch:"sa" ~policy:"lru" )
@@ -470,8 +475,9 @@ let main perf sim (ctx : Run.ctx) =
           (fun () -> Throughput.Attacks.bench ctx)
       in
       ensure_results_dirs ();
-      Throughput.Attacks.write ~span_id:t.Scheduler.span_id
-        ~path:"results/BENCH_attacks.json" entries;
+      Bench_record.write ~span_id:t.Scheduler.span_id
+        ~schema:Throughput.Attacks.schema ~path:"results/BENCH_attacks.json"
+        (List.map Throughput.Attacks.to_row entries);
       let gate_lines =
         Throughput.Attacks.gate ~baseline:"bench/BENCH_attacks.seed.json"
           entries
@@ -526,8 +532,9 @@ let main perf sim (ctx : Run.ctx) =
       e2e_entries := entries;
       e2e_span := t.Scheduler.span_id;
       ensure_results_dirs ();
-      Throughput.E2e.write ~span_id:t.Scheduler.span_id
-        ~path:"results/BENCH_e2e.json" entries;
+      Bench_record.write ~span_id:t.Scheduler.span_id
+        ~schema:Throughput.E2e.schema ~path:"results/BENCH_e2e.json"
+        (List.map Throughput.E2e.to_row entries);
       let gate_line =
         match Throughput.E2e.gate ~threshold:1.3 entries with
         | None, _ -> "  gate e2e          missing arm, no ratio\n"
@@ -562,8 +569,10 @@ let main perf sim (ctx : Run.ctx) =
           (fun () -> Throughput.Adaptive.bench ctx)
       in
       ensure_results_dirs ();
-      Throughput.E2e.write ~span_id:!e2e_span ~adaptive:entries
-        ~path:"results/BENCH_e2e.json" !e2e_entries;
+      Bench_record.write ~span_id:!e2e_span ~schema:Throughput.E2e.schema
+        ~path:"results/BENCH_e2e.json"
+        (List.map Throughput.E2e.to_row !e2e_entries
+        @ List.map Throughput.Adaptive.to_row entries);
       let gate_line =
         match Throughput.Adaptive.gate ~threshold:2.0 entries with
         | None, _ -> "  gate adaptive     missing arm, no ratio FAIL\n"
@@ -593,8 +602,10 @@ let main perf sim (ctx : Run.ctx) =
           (fun () -> Cachesec_serve.Serve_bench.bench ctx)
       in
       ensure_results_dirs ();
-      Cachesec_serve.Serve_bench.write ~span_id:t.Scheduler.span_id
-        ~path:"results/BENCH_serve.json" entries;
+      Bench_record.write ~span_id:t.Scheduler.span_id
+        ~schema:Cachesec_serve.Serve_bench.schema
+        ~path:"results/BENCH_serve.json"
+        (List.map Cachesec_serve.Serve_bench.to_row entries);
       let gate_line =
         match Cachesec_serve.Serve_bench.gate entries with
         | None -> "  gate bench_serve  missing mix, no ratio FAIL\n"

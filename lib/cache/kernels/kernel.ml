@@ -160,7 +160,7 @@ let finish (b : Backing.t) c mode k code =
   end
 
 (* [access_run] for the wrappers that have no step of their own
-   (Hierarchy, Recorder, Skewed): loop the scalar access closure. *)
+   (Hierarchy, Skewed): loop the scalar access closure. *)
 let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     mode =
   match mode with

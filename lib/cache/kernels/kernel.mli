@@ -96,5 +96,4 @@ val run_of_scalar :
   mode ->
   unit
 (** Loop a scalar access closure over the run: the [access_run] of the
-    wrappers that have no step of their own (Hierarchy, Recorder,
-    Skewed). *)
+    wrappers that have no step of their own (Hierarchy, Skewed). *)

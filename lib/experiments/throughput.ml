@@ -13,6 +13,7 @@ open Cachesec_stats
 open Cachesec_cache
 open Cachesec_runtime
 open Cachesec_telemetry
+module Bench_record = Cachesec_report.Bench_record
 
 type entry = {
   arch : string;
@@ -156,114 +157,48 @@ let bench (ctx : Run.ctx) =
       e)
     (cases ())
 
-(* --- JSON (flat, line-oriented: one entry per line, fixed key order,
-   so the file doubles as its own parser format) ------------------- *)
+(* --- bench record --------------------------------------------------- *)
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"arch\": \"%s\", \"policy\": \"%s\", \"accesses\": %d, \"seconds\": \
-     %.6f, \"accesses_per_sec\": %.1f, \"warmup\": %d, \"repeats\": %d, \
-     \"stddev\": %.1f, \"kernel\": \"%s\", \"slab_bytes\": %d}"
-    e.arch e.policy e.accesses e.seconds e.per_sec e.warmup e.repeats e.stddev
-    e.kernel e.slab_bytes
+let schema = "bench_cache/v2"
 
-(* [?span_id] cross-references the telemetry JSON of the same run: it is
-   the id of the span that wrapped this benchmark section (see
-   [Scheduler.timed]), emitted as an extra header line that [read]'s
-   line scanner skips over, keeping the format backward compatible. *)
-let to_json ?span_id entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_cache/v2\",\n";
-  (match span_id with
-  | Some id when id <> 0 ->
-    Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-  | Some _ | None -> ());
-  Buffer.add_string buf "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (entry_to_json e);
-      if i < List.length entries - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let to_row e =
+  Bench_record.
+    [
+      ("arch", S e.arch);
+      ("policy", S e.policy);
+      ("accesses", I e.accesses);
+      ("seconds", F e.seconds);
+      ("accesses_per_sec", F e.per_sec);
+      ("warmup", I e.warmup);
+      ("repeats", I e.repeats);
+      ("stddev", F e.stddev);
+      ("kernel", S e.kernel);
+      ("slab_bytes", I e.slab_bytes);
+    ]
 
-let write ?span_id ~path entries =
-  let oc = open_out path in
-  output_string oc (to_json ?span_id entries);
-  close_out oc
-
-(* One entry line, v2 first, falling back to the v1 key set (committed
-   baselines predate the honesty fields). v1 rows read as a single
-   un-warmed repetition with no spread and an unknown access path. *)
-let entry_of_line line =
-  match
-    Scanf.sscanf line
-      "{\"arch\": %S, \"policy\": %S, \"accesses\": %d, \"seconds\": %f, \
-       \"accesses_per_sec\": %f, \"warmup\": %d, \"repeats\": %d, \"stddev\": \
-       %f, \"kernel\": %S, \"slab_bytes\": %d}"
-      (fun arch policy accesses seconds per_sec warmup repeats stddev kernel
-           slab_bytes ->
+(* The frozen v1 seed predates the last five keys: its rows read as a
+   single un-warmed repetition with no spread and an unknown access
+   path. *)
+let of_row =
+  Bench_record.(
+    parse (fun r ->
         {
-          arch;
-          policy;
-          accesses;
-          seconds;
-          per_sec;
-          warmup;
-          repeats;
-          stddev;
-          kernel;
-          slab_bytes;
-        })
-  with
-  | e -> Some e
-  | exception Scanf.Scan_failure _ | (exception End_of_file) -> (
-    match
-      Scanf.sscanf line
-        "{\"arch\": %S, \"policy\": %S, \"accesses\": %d, \"seconds\": %f, \
-         \"accesses_per_sec\": %f}"
-        (fun arch policy accesses seconds per_sec ->
-          {
-            arch;
-            policy;
-            accesses;
-            seconds;
-            per_sec;
-            warmup = 0;
-            repeats = 1;
-            stddev = 0.;
-            kernel = "";
-            slab_bytes = 0;
-          })
-    with
-    | e -> Some e
-    | exception Scanf.Scan_failure _ | (exception End_of_file) -> None)
+          arch = str r "arch";
+          policy = str r "policy";
+          accesses = int r "accesses";
+          seconds = float r "seconds";
+          per_sec = float r "accesses_per_sec";
+          warmup = default 0 int r "warmup";
+          repeats = default 1 int r "repeats";
+          stddev = default 0. float r "stddev";
+          kernel = default "" str r "kernel";
+          slab_bytes = default 0 int r "slab_bytes";
+        }))
 
-(* Reads files produced by [write] (either schema version): scans each
-   line for an entry object with a fixed key order. Returns [] when the
-   file is absent or holds no entries (never raises). *)
-let read ~path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match entry_of_line line with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !entries
+(* The rows of an optional baseline file that [of_row] accepts. *)
+let baseline_rows of_row = function
+  | None -> []
+  | Some path -> List.filter_map of_row (Bench_record.read ~path)
 
 let find entries ~arch ~policy =
   List.find_opt (fun e -> e.arch = arch && e.policy = policy) entries
@@ -399,76 +334,34 @@ module Attacks = struct
         e)
       (cases ())
 
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"attack\": \"%s\", \"arch\": \"%s\", \"path\": \"%s\", \"trials\": \
-       %d, \"seconds\": %.6f, \"trials_per_sec\": %.1f}"
-      e.attack e.arch e.path e.trials e.seconds e.per_sec
+  let schema = "bench_attacks/v2"
 
-  let to_json ?span_id entries =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n  \"schema\": \"bench_attacks/v2\",\n";
-    (match span_id with
-    | Some id when id <> 0 ->
-      Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-    | Some _ | None -> ());
-    Buffer.add_string buf "  \"entries\": [\n";
-    List.iteri
-      (fun i e ->
-        Buffer.add_string buf "    ";
-        Buffer.add_string buf (entry_to_json e);
-        if i < List.length entries - 1 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n')
-      entries;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+  let to_row e =
+    Bench_record.
+      [
+        ("attack", S e.attack);
+        ("arch", S e.arch);
+        ("path", S e.path);
+        ("trials", I e.trials);
+        ("seconds", F e.seconds);
+        ("trials_per_sec", F e.per_sec);
+      ]
 
-  let write ?span_id ~path entries =
-    let oc = open_out path in
-    output_string oc (to_json ?span_id entries);
-    close_out oc
-
-  let read ~path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ','
-             then String.sub line 0 (String.length line - 1)
-             else line
-           in
-           (* v2 rows first; v1 rows (no "path" field) were recorded
-              from the pre-batching harness, so they ARE scalar-path
-              measurements — labelled as such, a v1 baseline file keeps
-              gating the batched rows without re-recording. *)
-           match
-             Scanf.sscanf line
-               "{\"attack\": %S, \"arch\": %S, \"path\": %S, \"trials\": %d, \
-                \"seconds\": %f, \"trials_per_sec\": %f}"
-               (fun attack arch path trials seconds per_sec ->
-                 { attack; arch; path; trials; seconds; per_sec })
-           with
-           | e -> entries := e :: !entries
-           | exception Scanf.Scan_failure _ -> (
-             match
-               Scanf.sscanf line
-                 "{\"attack\": %S, \"arch\": %S, \"trials\": %d, \"seconds\": \
-                  %f, \"trials_per_sec\": %f}"
-                 (fun attack arch trials seconds per_sec ->
-                   { attack; arch; path = "scalar"; trials; seconds; per_sec })
-             with
-             | e -> entries := e :: !entries
-             | exception Scanf.Scan_failure _ -> ()
-             | exception End_of_file -> ())
-           | exception End_of_file -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !entries
+  (* Rows of the frozen v1 seed carry no "path": they were recorded
+     from the pre-batching harness, so they ARE scalar-path
+     measurements — labelled as such, the seed keeps gating the batched
+     rows without re-recording. *)
+  let of_row =
+    Bench_record.(
+      parse (fun r ->
+          {
+            attack = str r "attack";
+            arch = str r "arch";
+            path = default "scalar" str r "path";
+            trials = int r "trials";
+            seconds = float r "seconds";
+            per_sec = float r "trials_per_sec";
+          }))
 
   let find entries ~attack ~arch ~path =
     List.find_opt
@@ -503,7 +396,7 @@ module Attacks = struct
   let hard_classes = [ "prime-probe"; "evict-time" ]
 
   let gate ?(threshold = 1.3) ~baseline entries =
-    let base = read ~path:baseline in
+    let base = List.filter_map of_row (Bench_record.read ~path:baseline) in
     List.map
       (fun attack ->
         let s = min_speedup entries ~baseline:base ~attack in
@@ -512,7 +405,7 @@ module Attacks = struct
 
   let render ?baseline entries =
     let buf = Buffer.create 1024 in
-    let base = match baseline with None -> [] | Some path -> read ~path in
+    let base = baseline_rows of_row baseline in
     Buffer.add_string buf
       (Printf.sprintf "  %-12s %-10s %-8s %10s %14s %10s\n" "attack" "arch"
          "path" "trials" "trials/sec" "vs base");
@@ -601,46 +494,32 @@ module Adaptive = struct
     let adaptive = one ~arm:"adaptive" ~ci_width:fixed.width in
     [ fixed; adaptive ]
 
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"arm\": \"%s\", \"jobs\": %d, \"cores\": %d, \"cells\": %d, \
-       \"trials\": %d, \"caps\": %d, \"width\": %.6f, \"seconds\": %.6f}"
-      e.arm e.jobs e.cores e.cells e.trials e.caps e.width e.seconds
+  let to_row e =
+    Bench_record.
+      [
+        ("arm", S e.arm);
+        ("jobs", I e.jobs);
+        ("cores", I e.cores);
+        ("cells", I e.cells);
+        ("trials", I e.trials);
+        ("caps", I e.caps);
+        ("width", F e.width);
+        ("seconds", F e.seconds);
+      ]
 
-  let entry_of_line line =
-    match
-      Scanf.sscanf line
-        "{\"arm\": %S, \"jobs\": %d, \"cores\": %d, \"cells\": %d, \
-         \"trials\": %d, \"caps\": %d, \"width\": %f, \"seconds\": %f}"
-        (fun arm jobs cores cells trials caps width seconds ->
-          { arm; jobs; cores; cells; trials; caps; width; seconds })
-    with
-    | e -> Some e
-    | exception Scanf.Scan_failure _ | (exception End_of_file) -> None
-
-  (* Scans a BENCH_e2e.json for adaptive-arm rows, skipping the
-     section-mode rows (and anything else) line by line — the same
-     schema-compatible coexistence the other readers practice. *)
-  let read ~path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ','
-             then String.sub line 0 (String.length line - 1)
-             else line
-           in
-           match entry_of_line line with
-           | Some e -> entries := e :: !entries
-           | None -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !entries
+  let of_row =
+    Bench_record.(
+      parse (fun r ->
+          {
+            arm = str r "arm";
+            jobs = int r "jobs";
+            cores = int r "cores";
+            cells = int r "cells";
+            trials = int r "trials";
+            caps = int r "caps";
+            width = float r "width";
+            seconds = float r "seconds";
+          }))
 
   let find entries ~arm = List.find_opt (fun e -> e.arm = arm) entries
 
@@ -668,7 +547,7 @@ module Adaptive = struct
 
   let render ?baseline entries =
     let buf = Buffer.create 1024 in
-    let base = match baseline with None -> [] | Some path -> read ~path in
+    let base = baseline_rows of_row baseline in
     Buffer.add_string buf
       (Printf.sprintf "  %-10s %5s %6s %6s %10s %10s %10s %10s %10s\n" "arm"
          "jobs" "cores" "cells" "trials" "caps" "ci width" "seconds" "vs base");
@@ -773,69 +652,32 @@ module E2e = struct
     List.map (one ~mode:"sequential" ~pipeline:false) sections
     @ List.map (one ~mode:"pipelined" ~pipeline:true) sections
 
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"section\": \"%s\", \"mode\": \"%s\", \"jobs\": %d, \"cores\": %d, \
-       \"units\": %d, \"seconds\": %.6f}"
-      e.section e.mode e.jobs e.cores e.units e.seconds
+  (* The same file also holds {!Adaptive}'s rows (a distinct key set,
+     which each suite's [of_row] rejects). *)
+  let schema = "bench_e2e/v2"
 
-  (* v2 = v1 plus optional adaptive-arm rows in the same entries array
-     (distinct key set; every reader here scans line-wise and skips
-     rows it does not parse, so v1 and v2 files are mutually readable). *)
-  let to_json ?span_id ?(adaptive = []) entries =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"schema\": \"bench_e2e/v2\",\n";
-    (match span_id with
-    | Some id when id <> 0 ->
-      Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-    | Some _ | None -> ());
-    Buffer.add_string buf "  \"entries\": [\n";
-    let rows =
-      List.map entry_to_json entries
-      @ List.map Adaptive.entry_to_json adaptive
-    in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf "    ";
-        Buffer.add_string buf r;
-        if i < List.length rows - 1 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n')
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+  let to_row e =
+    Bench_record.
+      [
+        ("section", S e.section);
+        ("mode", S e.mode);
+        ("jobs", I e.jobs);
+        ("cores", I e.cores);
+        ("units", I e.units);
+        ("seconds", F e.seconds);
+      ]
 
-  let write ?span_id ?adaptive ~path entries =
-    let oc = open_out path in
-    output_string oc (to_json ?span_id ?adaptive entries);
-    close_out oc
-
-  let read ~path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ','
-             then String.sub line 0 (String.length line - 1)
-             else line
-           in
-           match
-             Scanf.sscanf line
-               "{\"section\": %S, \"mode\": %S, \"jobs\": %d, \"cores\": %d, \
-                \"units\": %d, \"seconds\": %f}"
-               (fun section mode jobs cores units seconds ->
-                 { section; mode; jobs; cores; units; seconds })
-           with
-           | e -> entries := e :: !entries
-           | exception Scanf.Scan_failure _ -> ()
-           | exception End_of_file -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !entries
+  let of_row =
+    Bench_record.(
+      parse (fun r ->
+          {
+            section = str r "section";
+            mode = str r "mode";
+            jobs = int r "jobs";
+            cores = int r "cores";
+            units = int r "units";
+            seconds = float r "seconds";
+          }))
 
   (* Baselines may hold rows for several jobs settings; prefer the row
      matching [?jobs], falling back to any row of the (section, mode). *)
@@ -877,7 +719,7 @@ module E2e = struct
 
   let render ?baseline entries =
     let buf = Buffer.create 1024 in
-    let base = match baseline with None -> [] | Some path -> read ~path in
+    let base = baseline_rows of_row baseline in
     Buffer.add_string buf
       (Printf.sprintf "  %-18s %-11s %5s %6s %6s %10s %10s\n" "section" "mode"
          "jobs" "cores" "units" "seconds" "vs base");
@@ -908,7 +750,7 @@ end
    docs/USAGE.md on reading it. *)
 let render ?baseline entries =
   let buf = Buffer.create 1024 in
-  let base = match baseline with None -> [] | Some path -> read ~path in
+  let base = baseline_rows of_row baseline in
   Buffer.add_string buf
     (Printf.sprintf "  %-10s %-8s %14s %12s %-11s %10s\n" "arch" "policy"
        "accesses/sec" "+/-" "kernel" "vs base");

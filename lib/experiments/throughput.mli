@@ -1,9 +1,12 @@
 (** Simulator-throughput benchmark: accesses/second through
-    [Engine.access] per architecture x replacement policy, with a
-    machine-readable JSON export ([BENCH_cache.json]) whose format is
-    frozen so runs from different PRs are directly comparable. *)
+    [Engine.access] per architecture x replacement policy, exported as
+    [BENCH_cache.json] (schema {!schema}). Every suite here writes and
+    reads its file through {!Cachesec_report.Bench_record}: its entry
+    maps to one flat row ([to_row]) and back ([of_row]), so runs from
+    different checkouts are directly comparable row by row. *)
 
 open Cachesec_runtime
+module Bench_record = Cachesec_report.Bench_record
 
 type entry = {
   arch : string;
@@ -15,11 +18,10 @@ type entry = {
   warmup : int;  (** warm-up accesses before the first stopwatch *)
   repeats : int;  (** timed repetitions behind [seconds]/[stddev] *)
   stddev : float;  (** of accesses/sec across the repetitions — the
-      error bar; 0 for single-repetition (or v1-file) rows *)
+      error bar; 0 for single-repetition (or v1-seed) rows *)
   kernel : string;  (** [Engine.t.run_kernel]: the step that served
-      the row (["sa-lru"], ["newcache"], ...); [""] for rows read from a
-      v1 file *)
-  slab_bytes : int;  (** [Slab.bytes] of [Engine.t.slab]; 0 for v1 rows *)
+      the row (["sa-lru"], ["newcache"], ...); [""] for v1-seed rows *)
+  slab_bytes : int;  (** [Slab.bytes] of [Engine.t.slab]; 0 for v1-seed rows *)
 }
 
 val stddev_of : float list -> float
@@ -61,36 +63,31 @@ val bench : Run.ctx -> entry list
     name string is in the JSON row) and [cache.slab_bytes], reported only after the
     stopwatch has stopped — the timed loop is never instrumented. *)
 
-val to_json : ?span_id:int -> entry list -> string
-(** Schema [bench_cache/v2]: v1's keys plus [warmup], [repeats],
-    [stddev], [kernel], [slab_bytes]. {!read} accepts both versions. *)
+val schema : string
+(** ["bench_cache/v2"]: v1's keys plus [warmup], [repeats], [stddev],
+    [kernel], [slab_bytes]. *)
 
-val write : ?span_id:int -> path:string -> entry list -> unit
-(** [?span_id] (when non-zero) records the telemetry span id of the
-    benchmark section as a ["telemetry_span"] header line, so the file
-    cross-references the [TELEMETRY_*.json] of the same run. {!read}
-    skips the line, keeping old and new files mutually parseable. *)
+val to_row : entry -> Bench_record.row
 
-val read : path:string -> entry list
-(** Parse a file produced by {!write} — either schema version; v1 rows
-    get [warmup = 0], [repeats = 1], [stddev = 0.], [kernel = ""],
-    [slab_bytes = 0]. [[]] if absent or unparseable. *)
+val of_row : Bench_record.row -> entry option
+(** [None] for a row of another suite. A row missing the v2 keys (the
+    frozen v1 seed) gets [warmup = 0], [repeats = 1], [stddev = 0.],
+    [kernel = ""], [slab_bytes = 0]. *)
 
 val find : entry list -> arch:string -> policy:string -> entry option
 
 val render : ?baseline:string -> entry list -> string
-(** Human-readable table; when [baseline] names a readable
-    {!write}-format file, adds a per-row speedup column against it. *)
+(** Human-readable table; when [baseline] names a readable bench file,
+    adds a per-row speedup column against its rows. *)
 
 (** End-to-end attack throughput: whole attack trials per second
     (prime → victim encryption → probe → scoring) through the real
     harness via each attack's [run_span] — the unit Driver shards fan
     out — per attack class × representative architecture, on the
     production [access_run] path (rows labelled ["batched"]). Exported
-    as [BENCH_attacks.json] (schema [bench_attacks/v2]; [v1] files,
-    which predate batching, still parse with their rows labelled
-    ["scalar"]). The gate compares current batched rows against the
-    frozen pre-batching seed file's scalar rows. *)
+    as [BENCH_attacks.json] (schema {!Attacks.schema}). The gate compares
+    current batched rows against the frozen pre-batching seed file's
+    scalar rows. *)
 module Attacks : sig
   type entry = {
     attack : string;  (** "prime-probe" | "evict-time" | "flush-reload" | "collision" *)
@@ -130,13 +127,14 @@ module Attacks : sig
       with [trials_per_sec] / [trials] gauges reported after its
       stopwatch has stopped. *)
 
-  val to_json : ?span_id:int -> entry list -> string
-  val write : ?span_id:int -> path:string -> entry list -> unit
+  val schema : string
+  (** ["bench_attacks/v2"]. *)
 
-  val read : path:string -> entry list
-  (** Parses both [bench_attacks/v2] rows and pre-batching [v1] rows —
-      the latter carry no [path] field and are labelled ["scalar"],
-      which is what they measured. *)
+  val to_row : entry -> Bench_record.row
+
+  val of_row : Bench_record.row -> entry option
+  (** A row without a [path] key (the pre-batching v1 seed) is labelled
+      ["scalar"], which is what it measured. *)
 
   val find :
     entry list -> attack:string -> arch:string -> path:string -> entry option
@@ -170,7 +168,7 @@ end
     Wall-clock rides along (reported, compared against the committed
     baseline's adaptive rows, never gated). Rows are exported into
     [BENCH_e2e.json] alongside the pipelining rows (schema
-    [bench_e2e/v2]). *)
+    {!E2e.schema}). *)
 module Adaptive : sig
   type entry = {
     arm : string;  (** "fixed" | "adaptive" *)
@@ -191,10 +189,10 @@ module Adaptive : sig
       [seconds] / [trials] / [ci_width] gauges. Returns
       [[fixed; adaptive]]. *)
 
-  val entry_to_json : entry -> string
-  val read : path:string -> entry list
-  (** Scan a [BENCH_e2e.json] for adaptive rows, skipping the
-      section-mode rows; [[]] when absent. *)
+  val to_row : entry -> Bench_record.row
+
+  val of_row : Bench_record.row -> entry option
+  (** [None] for the section-mode rows sharing the file. *)
 
   val find : entry list -> arm:string -> entry option
 
@@ -219,7 +217,7 @@ end
     identical seeds, so the sequential/pipelined ratio isolates what the
     pool buys: later campaigns' shards filling worker idle time at
     earlier campaigns' join barriers. Exported as [BENCH_e2e.json]
-    (schema [bench_e2e/v1], frozen line format); the committed
+    (schema {!E2e.schema}, shared with {!Adaptive}'s rows); the committed
     [bench/BENCH_e2e.baseline.json] was recorded pre-refactor and feeds
     the [vs base] trajectory column. *)
 module E2e : sig
@@ -242,18 +240,15 @@ module E2e : sig
       are bit-identical between the arms — only the wall-clock differs
       (enforced by test_runtime's pipelined-equivalence cases). *)
 
-  val to_json :
-    ?span_id:int -> ?adaptive:Adaptive.entry list -> entry list -> string
-  (** Schema [bench_e2e/v2]: the pipelining rows plus (optionally) the
-      adaptive-arm rows in the same entries array. Every reader scans
-      line-wise and skips rows it does not parse, so v1 and v2 files
-      are mutually readable. *)
+  val schema : string
+  (** ["bench_e2e/v2"]: the pipelining rows, then {!Adaptive}'s rows,
+      in one entries array. *)
 
-  val write :
-    ?span_id:int -> ?adaptive:Adaptive.entry list -> path:string ->
-    entry list -> unit
+  val to_row : entry -> Bench_record.row
 
-  val read : path:string -> entry list
+  val of_row : Bench_record.row -> entry option
+  (** [None] for the adaptive rows sharing the file. *)
+
   val find :
     ?jobs:int -> entry list -> section:string -> mode:string -> entry option
   (** Prefer the row matching [?jobs] (baselines may hold several jobs

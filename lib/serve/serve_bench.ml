@@ -2,6 +2,7 @@ open Cachesec_runtime
 open Cachesec_telemetry
 open Cachesec_cache
 open Cachesec_analysis
+module Bench_record = Cachesec_report.Bench_record
 
 type entry = {
   mix : string;
@@ -214,78 +215,45 @@ let gate ?(threshold = default_gate_threshold) entries =
 
 let find entries ~mix = List.find_opt (fun e -> e.mix = mix) entries
 
-(* --- JSON (flat, line-oriented, fixed key order — same discipline as
-   the other BENCH files, so the file doubles as its own parser
-   format) -------------------------------------------------------- *)
+(* --- bench record ----------------------------------------------------- *)
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"mix\": \"%s\", \"queries\": %d, \"batch\": %d, \"seconds\": %.6f, \
-     \"qps\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, \"warmup\": %d, \
-     \"repeats\": %d, \"stddev\": %.1f}"
-    e.mix e.queries e.batch e.seconds e.qps e.p50_us e.p99_us e.warmup
-    e.repeats e.stddev
+let schema = "bench_serve/v1"
 
-let to_json ?span_id entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_serve/v1\",\n";
-  (match span_id with
-  | Some id when id <> 0 ->
-    Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-  | Some _ | None -> ());
-  Buffer.add_string buf "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (entry_to_json e);
-      if i < List.length entries - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let to_row e =
+  Bench_record.
+    [
+      ("mix", S e.mix);
+      ("queries", I e.queries);
+      ("batch", I e.batch);
+      ("seconds", F e.seconds);
+      ("qps", F e.qps);
+      ("p50_us", F e.p50_us);
+      ("p99_us", F e.p99_us);
+      ("warmup", I e.warmup);
+      ("repeats", I e.repeats);
+      ("stddev", F e.stddev);
+    ]
 
-let write ?span_id ~path entries =
-  let oc = open_out path in
-  output_string oc (to_json ?span_id entries);
-  close_out oc
-
-let entry_of_line line =
-  match
-    Scanf.sscanf line
-      "{\"mix\": %S, \"queries\": %d, \"batch\": %d, \"seconds\": %f, \
-       \"qps\": %f, \"p50_us\": %f, \"p99_us\": %f, \"warmup\": %d, \
-       \"repeats\": %d, \"stddev\": %f}"
-      (fun mix queries batch seconds qps p50_us p99_us warmup repeats stddev ->
-        { mix; queries; batch; seconds; qps; p50_us; p99_us; warmup; repeats;
-          stddev })
-  with
-  | e -> Some e
-  | exception Scanf.Scan_failure _ | (exception End_of_file) -> None
-
-let read ~path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match entry_of_line line with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done
-     with End_of_file -> close_in ic);
-    List.rev !entries
+let of_row =
+  Bench_record.(
+    parse (fun r ->
+        {
+          mix = str r "mix";
+          queries = int r "queries";
+          batch = int r "batch";
+          seconds = float r "seconds";
+          qps = float r "qps";
+          p50_us = float r "p50_us";
+          p99_us = float r "p99_us";
+          warmup = int r "warmup";
+          repeats = int r "repeats";
+          stddev = float r "stddev";
+        }))
 
 let render ?baseline entries =
   let base =
     match baseline with
-    | Some path -> read ~path
+    | Some path -> List.filter_map of_row (Bench_record.read ~path)
     | None -> []
   in
   let buf = Buffer.create 1024 in

@@ -1,6 +1,7 @@
 (** Client/server throughput benchmark for the PAS query server,
-    exported as [BENCH_serve.json] (schema [bench_serve/v1], frozen
-    line format like the other bench files).
+    exported as [BENCH_serve.json] (schema {!schema}), one
+    {!Cachesec_report.Bench_record} row per mix like the other bench
+    files.
 
     The server is a child process: the benchmark re-execs its own
     executable with a sentinel argv that {!child_entry} intercepts
@@ -32,6 +33,7 @@
     margin. *)
 
 open Cachesec_runtime
+module Bench_record = Cachesec_report.Bench_record
 
 type entry = {
   mix : string;  (** "memo-hit" | "cold" | "sim" *)
@@ -72,10 +74,13 @@ val gate : ?threshold:float -> entry list -> (float * bool) option
 (** [(memo-hit QPS / cold QPS, ratio >= threshold)]; [None] when either
     mix is missing. *)
 
-val to_json : ?span_id:int -> entry list -> string
-val write : ?span_id:int -> path:string -> entry list -> unit
-val read : path:string -> entry list
-(** [[]] if absent or unparseable (never raises). *)
+val schema : string
+(** ["bench_serve/v1"]. *)
+
+val to_row : entry -> Bench_record.row
+
+val of_row : Bench_record.row -> entry option
+(** [None] for a row of another suite. *)
 
 val find : entry list -> mix:string -> entry option
 val render : ?baseline:string -> entry list -> string

@@ -272,6 +272,170 @@ let test_edge_cross_context () =
       Alcotest.(check (float 0.)) (Spec.name spec) 0. m.Edge_measure.measured)
     [ Spec.paper_newcache; Spec.paper_rp ]
 
+(* --- Bench record -------------------------------------------------------- *)
+
+module Br = Cachesec_report.Bench_record
+module Sb = Cachesec_serve.Serve_bench
+
+(* The committed bench files: copied next to the test under dune
+   runtest, read from the repository root when run standalone. *)
+let bench_file name =
+  let p = "bench/" ^ name in
+  if Sys.file_exists p then p else "../bench/" ^ name
+
+let cache_base = bench_file "BENCH_cache.baseline.json"
+let cache_seed = bench_file "BENCH_cache.seed.json"
+let attacks_base = bench_file "BENCH_attacks.baseline.json"
+let attacks_seed = bench_file "BENCH_attacks.seed.json"
+let e2e_base = bench_file "BENCH_e2e.baseline.json"
+let serve_base = bench_file "BENCH_serve.baseline.json"
+let load of_row path = List.filter_map of_row (Br.read ~path)
+
+(* Floats that %.6f / %.1f would have rounded: the writer must bring
+   every one of them back bit-identically (and the cache row's kernel
+   string its quotes, comma and backslash). *)
+let awkward = [| 1. /. 3.; 18123259.483712345; 1e-9; 0.1; 0.; 1e300 |]
+
+let cache_entry =
+  { Throughput.arch = "sa"; policy = "lru"; accesses = 400_000;
+    seconds = awkward.(0); per_sec = awkward.(1); warmup = 20_000;
+    repeats = 3; stddev = awkward.(2); kernel = "a \"quoted\", \\ kernel";
+    slab_bytes = 24624 }
+
+let attacks_entry =
+  { Throughput.Attacks.attack = "prime-probe"; arch = "sa"; path = "batched";
+    trials = 1500; seconds = awkward.(3); per_sec = awkward.(1) }
+
+let e2e_entry =
+  { Throughput.E2e.section = "figures"; mode = "pipelined"; jobs = 2;
+    cores = 2; units = 2; seconds = awkward.(5) }
+
+let adaptive_entry =
+  { Throughput.Adaptive.arm = "adaptive"; jobs = 2; cores = 2; cells = 36;
+    trials = 44924; caps = 275400; width = awkward.(0); seconds = awkward.(4) }
+
+let serve_entry =
+  { Sb.mix = "memo-hit"; queries = 12800; batch = 64; seconds = awkward.(2);
+    qps = awkward.(1); p50_us = awkward.(3); p99_us = 3.1; warmup = 320;
+    repeats = 3; stddev = awkward.(0) }
+
+let with_temp f =
+  let path = Filename.temp_file "bench_record" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_text path = In_channel.with_open_text path In_channel.input_all
+
+let test_bench_record_round_trip () =
+  List.iter
+    (fun span_id ->
+      let round_trip ~schema rows check =
+        with_temp (fun path ->
+            Br.write ?span_id ~schema ~path rows;
+            let text = read_text path in
+            Alcotest.(check bool) "schema line" true
+              (contains text (Printf.sprintf "\"schema\": \"%s\",\n" schema));
+            Alcotest.(check bool) "telemetry_span line" (span_id = Some 7)
+              (contains text "  \"telemetry_span\": 7,\n");
+            check path)
+      in
+      round_trip ~schema:Throughput.schema [ Throughput.to_row cache_entry ]
+        (fun path ->
+          Alcotest.(check bool) "cache" true
+            (load Throughput.of_row path = [ cache_entry ]);
+          Alcotest.(check bool) "CI's policy-row grep" true
+            (contains (read_text path) "{\"arch\": \"sa\", \"policy\": \"lru\", "));
+      round_trip ~schema:Throughput.Attacks.schema
+        [ Throughput.Attacks.to_row attacks_entry ]
+        (fun path ->
+          Alcotest.(check bool) "attacks" true
+            (load Throughput.Attacks.of_row path = [ attacks_entry ]);
+          Alcotest.(check bool) "CI's path grep" true
+            (contains (read_text path) "\"path\": \"batched\""));
+      (* Both e2e row kinds share one file; each suite reads only its own. *)
+      round_trip ~schema:Throughput.E2e.schema
+        [ Throughput.E2e.to_row e2e_entry;
+          Throughput.Adaptive.to_row adaptive_entry ]
+        (fun path ->
+          Alcotest.(check bool) "e2e" true
+            (load Throughput.E2e.of_row path = [ e2e_entry ]);
+          Alcotest.(check bool) "adaptive" true
+            (load Throughput.Adaptive.of_row path = [ adaptive_entry ]));
+      round_trip ~schema:Sb.schema [ Sb.to_row serve_entry ] (fun path ->
+          Alcotest.(check bool) "serve" true
+            (load Sb.of_row path = [ serve_entry ])))
+    [ None; Some 7 ]
+
+let test_bench_record_absent () =
+  Alcotest.(check int) "absent file" 0
+    (List.length (Br.read ~path:"no/such/BENCH_file.json"))
+
+let test_bench_record_committed () =
+  let count name n rows = Alcotest.(check int) name n (List.length rows) in
+  count "cache baseline" 25 (load Throughput.of_row cache_base);
+  let seed = load Throughput.of_row cache_seed in
+  count "cache seed" 25 seed;
+  Alcotest.(check bool) "v1 cache rows take the missing-key defaults" true
+    (List.for_all
+       (fun e ->
+         Throughput.(
+           e.warmup = 0 && e.repeats = 1 && e.stddev = 0. && e.kernel = ""
+           && e.slab_bytes = 0))
+       seed);
+  count "attacks baseline" 24 (load Throughput.Attacks.of_row attacks_base);
+  let seed = load Throughput.Attacks.of_row attacks_seed in
+  count "attacks seed" 12 seed;
+  Alcotest.(check bool) "v1 attack rows are scalar" true
+    (List.for_all (fun e -> e.Throughput.Attacks.path = "scalar") seed);
+  count "e2e" 4 (load Throughput.E2e.of_row e2e_base);
+  count "e2e adaptive" 2 (load Throughput.Adaptive.of_row e2e_base);
+  count "serve" 3 (load Sb.of_row serve_base)
+
+(* MD5s of each suite's table over the committed files, recorded with
+   the per-suite readers this module replaced. *)
+let test_bench_record_render_digests () =
+  let check name expected render =
+    Alcotest.(check string) name expected (Digest.to_hex (Digest.string render))
+  in
+  check "cache baseline" "8e5ade75b098af82c754855f17f709ad"
+    (Throughput.render ~baseline:cache_base (load Throughput.of_row cache_base));
+  check "cache seed" "93eaab16bf3c2359ce43559c4844d55f"
+    (Throughput.render ~baseline:cache_base (load Throughput.of_row cache_seed));
+  check "attacks baseline" "1fac8b40fc5d05eb4c0094791aae3a6e"
+    (Throughput.Attacks.render ~baseline:attacks_base
+       (load Throughput.Attacks.of_row attacks_base));
+  check "attacks seed" "efb2d2431f416fb4b8ce29d780f70d1d"
+    (Throughput.Attacks.render ~baseline:attacks_base
+       (load Throughput.Attacks.of_row attacks_seed));
+  check "e2e" "0a49fa61159f7dbad31b9e0bd89f0ea6"
+    (Throughput.E2e.render ~baseline:e2e_base
+       (load Throughput.E2e.of_row e2e_base));
+  check "adaptive" "efdca2c64487c2df1f3a8f66312a91ae"
+    (Throughput.Adaptive.render ~baseline:e2e_base
+       (load Throughput.Adaptive.of_row e2e_base));
+  check "serve" "fe9ab62db8d470bbacccfb2050085427"
+    (Sb.render ~baseline:serve_base (load Sb.of_row serve_base))
+
+let test_bench_record_gates () =
+  let ratios =
+    Throughput.Attacks.gate ~baseline:attacks_seed
+      (load Throughput.Attacks.of_row attacks_base)
+    |> List.map (fun (attack, x, pass) ->
+           Printf.sprintf "%s %s %b" attack
+             (match x with Some x -> Printf.sprintf "%h" x | None -> "-")
+             pass)
+  in
+  Alcotest.(check (list string)) "per-class ratios"
+    [ "prime-probe 0x1.25b8df303038fp+1 true";
+      "evict-time 0x1.b43924c35c9eep+0 true";
+      "flush-reload 0x1.8efe43c1a3a97p+0 true";
+      "collision 0x1.9ff02d8d3ee7bp+0 true" ]
+    ratios;
+  match Throughput.find (load Throughput.of_row cache_seed) ~arch:"sa" ~policy:"lru" with
+  | Some e ->
+    Alcotest.(check string) "sa/lru seed rate" "0x1.11374d3333333p+22"
+      (Printf.sprintf "%h" e.Throughput.per_sec)
+  | None -> Alcotest.fail "no sa/lru row in the cache seed"
+
 let () =
   Alcotest.run "experiments"
     [
@@ -312,6 +476,16 @@ let () =
           Alcotest.test_case "rf window" `Quick test_sweep_rf_window;
           Alcotest.test_case "nomo reservation" `Quick test_sweep_nomo;
           Alcotest.test_case "csv shapes" `Quick test_sweep_csv_shapes;
+        ] );
+      ( "bench_record",
+        [
+          Alcotest.test_case "round trip" `Quick test_bench_record_round_trip;
+          Alcotest.test_case "absent file" `Quick test_bench_record_absent;
+          Alcotest.test_case "committed files" `Quick
+            test_bench_record_committed;
+          Alcotest.test_case "render digests" `Quick
+            test_bench_record_render_digests;
+          Alcotest.test_case "gates" `Quick test_bench_record_gates;
         ] );
       ( "edge measurement",
         [

@@ -250,46 +250,6 @@ let test_metrics_render () =
   Alcotest.(check bool) "renders" true
     (contains (Metrics.render rows) "MI (bits)")
 
-(* --- Recorder --------------------------------------------------------------------- *)
-
-let test_recorder_basic () =
-  let base = Factory.build Spec.paper_sa Factory.default_scenario ~rng:(rng ()) in
-  let rec_, wrapped = Recorder.wrap base in
-  ignore (wrapped.Engine.access ~pid:0 5);
-  ignore (wrapped.Engine.access ~pid:0 5);
-  ignore (wrapped.Engine.access ~pid:1 9);
-  ignore (wrapped.Engine.flush_line ~pid:1 5);
-  Alcotest.(check int) "four events" 4 (Recorder.count rec_);
-  let evs = Recorder.events rec_ in
-  (match evs with
-  | [ e1; e2; e3; e4 ] ->
-    Alcotest.(check bool) "first is a miss" false e1.Recorder.hit;
-    Alcotest.(check bool) "second is a hit" true e2.Recorder.hit;
-    Alcotest.(check int) "third pid" 1 e3.Recorder.pid;
-    Alcotest.(check bool) "flush recorded" true (e4.Recorder.kind = `Flush)
-  | _ -> Alcotest.fail "expected four events");
-  Alcotest.(check (list int)) "lines touched by pid 0" [ 5 ]
-    (Recorder.lines_touched rec_ ~pid:0);
-  Alcotest.(check int) "csv width" 5
-    (List.length (List.hd (Recorder.csv_rows rec_)));
-  Recorder.clear rec_;
-  Alcotest.(check int) "cleared" 0 (Recorder.count rec_)
-
-let test_recorder_transparent () =
-  (* Wrapping must not change cache behaviour. *)
-  let trace engine =
-    let r = Rng.create ~seed:12 in
-    List.init 2000 (fun _ ->
-        Cachesec_cache.Outcome.is_hit
-          (engine.Engine.access ~pid:(Rng.int r 2) (Rng.int r 300)))
-  in
-  let plain = Factory.build Spec.paper_sa Factory.default_scenario ~rng:(Rng.create ~seed:4) in
-  let _, wrapped =
-    Recorder.wrap
-      (Factory.build Spec.paper_sa Factory.default_scenario ~rng:(Rng.create ~seed:4))
-  in
-  Alcotest.(check bool) "identical traces" true (trace plain = trace wrapped)
-
 (* --- SVF --------------------------------------------------------------------------- *)
 
 let test_svf_leaky_vs_protected () =
@@ -452,11 +412,6 @@ let () =
         [
           Alcotest.test_case "leaky vs protected" `Slow test_metrics_leaky_vs_protected;
           Alcotest.test_case "render" `Quick test_metrics_render;
-        ] );
-      ( "recorder",
-        [
-          Alcotest.test_case "basics" `Quick test_recorder_basic;
-          Alcotest.test_case "transparent" `Quick test_recorder_transparent;
         ] );
       ( "svf",
         [
