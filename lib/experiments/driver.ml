@@ -15,7 +15,7 @@ let fold_partials ~what merge parts =
   Scheduler.fold_results ~what:(what ^ " partials") ~merge parts
 
 (* Adapt an in-place [merge_into] to the scheduler's pure-merge shape:
-   both the index-order fold above and [Adaptive.await]'s round fold
+   both the index-order fold above and [Adaptive]'s round continuation
    consume each batch partial exactly once into a running left
    accumulator, so folding the right side into the left and returning it
    is equivalent to the pure merge — without allocating a fresh
@@ -54,13 +54,27 @@ let await p =
 let pending_value v = { state = Value v }
 let pending_of_thunk f = { state = Thunk f }
 let map_pending f p = { state = Thunk (fun () -> f (await p)) }
-let await_all ps = List.map await ps
+(* Join every pending before re-raising: a failure must not leave the
+   later campaigns' spans open, or their adaptive rounds still running
+   on the pool after the caller has moved on. The first failure in list
+   order wins. *)
+let await_all ps =
+  List.map
+    (fun p ->
+      match await p with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    ps
+  |> List.map (function
+       | Ok v -> v
+       | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 (* Per-attack shard sizes. They are properties of the *experiment
    definition*, never of the worker count: changing [jobs] must not
    change the batch plan, or determinism across job counts is lost.
    Sizes are chosen so a typical full-scale run yields enough batches to
-   keep every core busy while a quick-scale run stays in one batch. *)
+   keep every core busy while a quick-scale run stays in one batch — one
+   pool task at [jobs > 1], never run on the submitting domain. *)
 let evict_time_batch = 4096 (* also the attacker's base-rotation period *)
 let prime_probe_batch = 256
 let collision_batch = 8192
@@ -115,7 +129,8 @@ let submit_campaign ~(ctx : Run.ctx) ~name ~default_batch ~total ~shard ~merge
     (plan, Scheduler.submit_map ?jobs:ctx.Run.jobs ~tm ~span:sp shard plan)
   with
   | exception e ->
-    (* Serial submits run shards eagerly: close the span on the way out. *)
+    (* A bad plan or [jobs] raises here (a shard failure waits for
+       [await]): close the span on the way out. *)
     Telemetry.close_span tm sp;
     raise e
   | plan, shards ->
@@ -314,7 +329,7 @@ let adaptive_batch ~default_batch ~cap =
 
 (* The adaptive analogue of [submit_campaign]: same span/telemetry
    shape, but the batch plan is partitioned into geometric rounds and
-   the pending's join drives [Adaptive.await], recording how many
+   the pending's join awaits [Adaptive]'s future, recording how many
    trials actually ran. [observe] maps cumulative merged partials to
    the estimator the stopping rule tests; it sees the cumulative trial
    count because some partials (cleaning-game win counts) do not carry

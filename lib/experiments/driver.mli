@@ -51,7 +51,10 @@ val await : 'a pending -> 'a
     backtrace. Must be called from outside the pool. *)
 
 val await_all : 'a pending list -> 'a list
-(** [List.map await] — join in list (i.e. submission) order. *)
+(** Join every pending in list (i.e. submission) order, then re-raise
+    the first failure in that order, if any. A failing campaign does not
+    leave the later ones unjoined: each has finished its rounds and
+    closed its span before [await_all] raises. *)
 
 val pending_value : 'a -> 'a pending
 (** An already-available result, for mixing computed-inline values into

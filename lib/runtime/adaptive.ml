@@ -23,12 +23,16 @@
    suffix of batches it never runs.
 
    Round 0's shards are dispatched at [submit] time (pipelining with
-   other campaigns' shards works exactly as for fixed campaigns); each
-   later round is dispatched from [await] after the previous round's
-   merge said Continue. The inter-round join is the price of adaptivity
-   — with several adaptive campaigns submitted before the first await,
-   the other campaigns' round-0 shards fill the pool while this one
-   decides. *)
+   other campaigns' shards works exactly as for fixed campaigns). The
+   rounds then drive themselves: [Scheduler.dispatch]'s continuation
+   runs on the worker whose claimer finished the round last, merges,
+   consults [keep_going], and either dispatches the next round from
+   that worker or fulfils the campaign's [Pool] future. No round waits
+   for the main domain to reach [await], so several adaptive campaigns
+   submitted together all advance at once; [await] only blocks on the
+   future. With [jobs <= 1] every continuation runs inline, so a serial
+   submit computes the whole campaign eagerly, like a serial fixed
+   submit. *)
 
 open Cachesec_telemetry
 
@@ -82,80 +86,81 @@ type 'p progress = {
   stopped_early : bool;
 }
 
-type 'p running = {
-  p : plan;
-  what : string;
-  shard : Scheduler.batch -> 'p;
-  merge : 'p -> 'p -> 'p;
-  keep_going : trials:int -> 'p -> bool;
-  jobs : int option;
-  tm : Telemetry.t;
-  span : Telemetry.span;
-  first_round : 'p Scheduler.pending;
-}
+type 'p running = 'p progress Pool.future
 
-let submit_round r ~jobs ~tm ~span ~shard (p : plan) =
-  let lo = if r = 0 then 0 else p.boundaries.(r - 1) in
-  let hi = p.boundaries.(r) in
-  Scheduler.submit_map ?jobs ~tm ~span shard
-    (Array.sub p.batches lo (hi - lo))
+(* What a round boundary decides: the campaign's progress, or the merge
+   so far and its trial count to carry into the next round. *)
+type 'p step = Stop of 'p progress | Next of 'p * int
 
 let submit ?jobs ?(tm = Telemetry.null) ?(span = Telemetry.null_span)
     ~what ~shard ~merge ~keep_going p =
-  if rounds p = 0 then
-    invalid_arg ("Adaptive.submit: empty plan for " ^ what);
-  let first_round = submit_round 0 ~jobs ~tm ~span ~shard p in
-  { p; what; shard; merge; keep_going; jobs; tm; span; first_round }
-
-let await (r : 'p running) =
-  let { p; what; shard; merge; keep_going; jobs; tm; span; first_round } =
-    r
-  in
   let total_rounds = rounds p in
+  if total_rounds = 0 then
+    invalid_arg ("Adaptive.submit: empty plan for " ^ what);
+  let jobs = Scheduler.resolve_jobs jobs in
+  if jobs > 1 then Pool.ensure ~workers:jobs;
   let cap =
     Array.fold_left (fun acc b -> acc + b.Scheduler.count) 0 p.batches
   in
-  let fold_new acc parts =
-    (* Batch-order merge: [acc] already holds batches [0, lo); [parts]
-       are batches [lo, hi) in index order, so the running left fold is
-       exactly [Scheduler.fold_results] over the executed prefix. *)
-    Array.fold_left
-      (fun a part -> match a with None -> Some part | Some a -> Some (merge a part))
-      acc parts
-  in
-  let rec loop round acc trials pending_round =
-    let parts = Scheduler.await pending_round in
-    let acc = fold_new acc parts in
-    let lo = if round = 0 then 0 else p.boundaries.(round - 1) in
-    let trials =
-      Array.fold_left
-        (fun t (b : Scheduler.batch) -> t + b.Scheduler.count)
-        trials
-        (Array.sub p.batches lo (p.boundaries.(round) - lo))
-    in
+  (* Round [r] covers batches [lo, hi). [acc] holds the batch-order
+     merge of batches [0, lo) and [trials] their count, so folding this
+     round's partials onto it in index order is exactly
+     [Scheduler.fold_results] over the executed prefix. *)
+  let settle r lo hi acc trials parts =
     let merged =
-      match acc with
+      match
+        Array.fold_left
+          (fun a part ->
+            match a with None -> Some part | Some a -> Some (merge a part))
+          acc parts
+      with
       | Some v -> v
-      | None ->
-        invalid_arg ("Adaptive.await: empty round for " ^ what)
+      | None -> invalid_arg ("Adaptive: empty round for " ^ what)
     in
-    let finish ~stopped_early =
-      {
-        merged;
-        trials;
-        cap;
-        batches_run = p.boundaries.(round);
-        rounds_run = round + 1;
-        stopped_early;
-      }
+    let trials = ref trials in
+    for i = lo to hi - 1 do
+      trials := !trials + p.batches.(i).Scheduler.count
+    done;
+    let trials = !trials in
+    let stop ~stopped_early =
+      Stop
+        {
+          merged;
+          trials;
+          cap;
+          batches_run = hi;
+          rounds_run = r + 1;
+          stopped_early;
+        }
     in
-    if round + 1 >= total_rounds then finish ~stopped_early:false
-    else if not (keep_going ~trials merged) then finish ~stopped_early:true
-    else
-      loop (round + 1) acc trials
-        (submit_round (round + 1) ~jobs ~tm ~span ~shard p)
+    if r + 1 >= total_rounds then stop ~stopped_early:false
+    else if not (keep_going ~trials merged) then stop ~stopped_early:true
+    else Next (merged, trials)
   in
-  loop 0 None 0 first_round
+  let fut = Pool.promise () in
+  (* Each round's continuation runs where its family finished — on the
+     worker of its last claimer, or inline at [jobs <= 1] — and either
+     dispatches the next round or fulfils the campaign's future. A
+     failing shard, [merge] or [keep_going] fulfils it with that
+     failure, and no later round is dispatched. *)
+  let rec round r acc trials =
+    let lo = if r = 0 then 0 else p.boundaries.(r - 1) in
+    let hi = p.boundaries.(r) in
+    Scheduler.dispatch ~tm ~span ~jobs (hi - lo)
+      (fun i -> shard p.batches.(lo + i))
+      (function
+        | Error failure -> Pool.fulfil fut (Error failure)
+        | Ok parts -> (
+          match settle r lo hi acc trials parts with
+          | exception e ->
+            Pool.fulfil fut (Error (e, Printexc.get_raw_backtrace ()))
+          | Stop progress -> Pool.fulfil fut (Ok progress)
+          | Next (merged, trials) -> round (r + 1) (Some merged) trials))
+  in
+  round 0 None 0;
+  fut
+
+let await = Pool.await
 
 let run ?jobs ?tm ?span ~what ~shard ~merge ~keep_going p =
   await (submit ?jobs ?tm ?span ~what ~shard ~merge ~keep_going p)

@@ -54,7 +54,8 @@ type 'p progress = {
 }
 
 type 'p running
-(** An adaptive campaign whose round 0 has been dispatched. *)
+(** An adaptive campaign whose rounds are running on the pool: a
+    {!Pool} future its last round fulfils. *)
 
 val submit :
   ?jobs:int ->
@@ -66,19 +67,25 @@ val submit :
   keep_going:(trials:int -> 'p -> bool) ->
   plan ->
   'p running
-(** Dispatch round 0's shards onto the pool (or run them eagerly on the
-    serial path) and return without blocking — so several adaptive
-    campaigns submitted before the first {!await} pipeline their round-0
-    shards exactly like fixed campaigns. [keep_going] is consulted at
-    each round boundary with the cumulative trial count and the merged
-    partials; it must be pure (typically [Sequential.decide] against a
-    target). [what] names the campaign in error messages. Raises
-    [Invalid_argument] on an empty plan. *)
+(** Dispatch round 0's shards onto the pool and return without
+    blocking. Each round's continuation runs on the worker that finished
+    the round: it merges the partials in batch order, consults
+    [keep_going], and either dispatches the next round or completes the
+    campaign — so campaigns submitted before the first {!await} advance
+    round by round together, without the main domain. With [jobs <= 1]
+    the continuations run inline and the whole campaign is computed
+    before [submit] returns. [keep_going] is consulted at each round
+    boundary with the cumulative trial count and the merged partials;
+    it must be pure (typically [Sequential.decide] against a target)
+    and, like [shard] and [merge], may run on any worker. [what] names
+    the campaign in error messages. Raises [Invalid_argument] on an
+    empty plan. *)
 
 val await : 'p running -> 'p progress
-(** Drive rounds to completion: await the current round, merge its
-    partials in batch order, consult [keep_going], and either dispatch
-    the next round or return. Must be called from outside the pool. *)
+(** Block until the campaign's last round completed and return its
+    progress, or re-raise the first failure of a shard, [merge] or
+    [keep_going] with its backtrace. Must be called from outside the
+    pool. *)
 
 val run :
   ?jobs:int ->

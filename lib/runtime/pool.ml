@@ -17,9 +17,9 @@
    task, and in what order tasks from different campaigns interleave, is
    scheduling — never semantics. Every task in this codebase derives its
    RNG purely from its own (seed, index), writes into its own slot, and
-   all merging happens at await time in index order, so results are
-   bit-identical whether the queue is drained by 1 worker or 16
-   (enforced by test_runtime's pipelined-vs-sequential cases).
+   all merging happens in index order once a family has finished, so
+   results are bit-identical whether the queue is drained by 1 worker
+   or 16 (enforced by test_runtime's pipelined-vs-sequential cases).
 
    Concurrency structure: one mutex guards the queue, the worker list
    and all futures' states; [work] wakes parked workers when a task is
@@ -27,6 +27,12 @@
    recheck their own future — completion events are per-batch, so the
    broadcast herd is cheap). Workers park in [Condition.wait] between
    campaigns; a parked Domain costs no CPU.
+
+   Promises: a future need not have a task behind it. [promise] makes a
+   pending one and [fulfil] completes it from any domain, through the
+   same locked write and [finished] broadcast a task's completion uses.
+   This is how a scheduler family or a whole adaptive campaign, whose
+   last claimer completes it on a worker, is awaited like one task.
 
    Exceptions: a task that raises has its exception and backtrace
    captured into its future; [await] re-raises them in the awaiting
@@ -185,17 +191,23 @@ let run_task f =
   | v -> Done v
   | exception e -> Failed (e, Printexc.get_raw_backtrace ())
 
+(* Complete a future under the pool lock and wake every awaiter: the
+   one completion path for submitted tasks and fulfilled promises, so
+   [await] and [poll] cannot tell them apart. *)
+let complete p fut r =
+  Mutex.lock p.lock;
+  let was_pending = match fut.state with Pending -> true | _ -> false in
+  if was_pending then begin
+    fut.state <- r;
+    Condition.broadcast p.finished
+  end;
+  Mutex.unlock p.lock;
+  was_pending
+
 (* Enqueue under the (held) lock and return the future. *)
 let enqueue_locked p f =
   let fut = { state = Pending } in
-  Queue.push
-    (fun () ->
-      let r = run_task f in
-      Mutex.lock p.lock;
-      fut.state <- r;
-      Condition.broadcast p.finished;
-      Mutex.unlock p.lock)
-    p.queue;
+  Queue.push (fun () -> ignore (complete p fut (run_task f))) p.queue;
   Condition.signal p.work;
   Mutex.unlock p.lock;
   fut
@@ -212,6 +224,15 @@ let submit f =
     { state = run_task f }
   end
   else enqueue_locked p f
+
+let promise () = { state = Pending }
+
+let fulfil fut r =
+  let r =
+    match r with Ok v -> Done v | Error (e, bt) -> Failed (e, bt)
+  in
+  if not (complete the fut r) then
+    invalid_arg "Pool.fulfil: future already completed"
 
 let queued_tasks () =
   let p = the in

@@ -15,8 +15,8 @@
     Determinism: the pool schedules opaque thunks; ordering between
     tasks is never semantics. Callers must make each task a pure
     function of its own inputs (in this codebase: RNG derived from
-    [(seed, index)], results into per-index slots, merges at await time
-    in index order) — then results are bit-identical for any worker
+    [(seed, index)], results into per-index slots, merges in index
+    order once a family has finished) — then results are bit-identical for any worker
     count, including zero ([{!submit}] degrades to eager inline
     execution when the pool was never started, keeping serial paths
     byte-identical to a pool-less world). *)
@@ -37,6 +37,17 @@ val submit : (unit -> 'a) -> 'a future
 (** Enqueue a task. With zero workers the task runs eagerly inline in
     the caller. Exceptions raised by the task are captured (with
     backtrace) into the future and re-raised by {!await}. *)
+
+val promise : unit -> 'a future
+(** A pending future with no task behind it, completed by {!fulfil}.
+    {!await} and {!poll} treat it exactly like a submitted task's. *)
+
+val fulfil : 'a future -> ('a, exn * Printexc.raw_backtrace) result -> unit
+(** Complete a {!promise} with a value or a failure and its backtrace.
+    Callable from any domain, pool workers included: it takes the pool
+    lock and broadcasts the condition {!await} waits on, so a promise
+    fulfilled on a worker wakes an awaiter in the main domain. Raises
+    [Invalid_argument] if the future is already complete. *)
 
 val try_submit : max_pending:int -> (unit -> 'a) -> 'a future option
 (** Bounded {!submit}: enqueue only while fewer than [max_pending]

@@ -11,15 +11,20 @@
    await, in index order, which makes [jobs:1] and [jobs:n]
    bit-identical.
 
-   Since the pool refactor the execution entry points come in pairs:
-   [submit_*] enqueues the claimer tasks and returns a ['a pending]
-   without blocking, [await] joins them. The blocking forms ([run],
-   [map_array], ...) are submit-then-await. Campaign pipelining is
-   exactly "call several [submit_*] before the first [await]": shards
-   from many campaigns share the one pool queue, so a short campaign no
-   longer leaves workers idle at its join barrier while the next
-   campaign waits its turn. Determinism is unaffected — ordering moved
-   from execution time to await time.
+   One primitive, [dispatch], enqueues the claimer tasks and takes a
+   continuation: the claimer that finishes the family last calls it on
+   its own worker with the results in index order (or the first
+   failure). The execution entry points come in pairs built on it:
+   [submit_*] dispatches into a settable [Pool] future and returns a
+   ['a pending] without blocking, [await] is [Pool.await] on it. The
+   blocking forms ([run], [map_array], ...) are submit-then-await. The
+   adaptive runtime passes its own continuation, which dispatches the
+   next round from the worker that finished the last one. Campaign
+   pipelining is exactly "call several [submit_*] before the first
+   [await]": shards from many campaigns share the one pool queue, so a
+   short campaign no longer leaves workers idle at its join barrier
+   while the next campaign waits its turn. Determinism is unaffected —
+   ordering moved from execution time to await time.
 
    The serial path ([jobs <= 1], the library default) never touches the
    pool: [submit_*] degrades to an eager inline [Array.init], keeping it
@@ -65,38 +70,35 @@ let fold_results_opt ~merge = function
   | [||] -> None
   | results -> Some (fold_results ~merge results)
 
-(* --- non-blocking execution ------------------------------------------- *)
+(* --- dispatch ------------------------------------------------------------ *)
 
-type 'a pending =
-  | Ready of 'a array  (* serial path: computed eagerly at submit *)
-  | Shards of {
-      slots : 'a option array;
-      failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-      claimers : unit Pool.future array;
-    }
+type 'a outcome = ('a array, exn * Printexc.raw_backtrace) result
+
+(* Keep the first failure; losers of the race are dropped. *)
+let record_failure failure e =
+  ignore
+    (Atomic.compare_and_set failure None
+       (Some (e, Printexc.get_raw_backtrace ())))
 
 (* Uninstrumented claimer body: exactly the pre-pool worker loop. *)
-let plain_claimer ~slots ~next ~failure n f () =
+let plain_claimer ~slots ~next ~failure ~finish n f () =
   let rec loop () =
     let i = Atomic.fetch_and_add next 1 in
     if i < n && Atomic.get failure = None then begin
       (match f i with
       | v -> slots.(i) <- Some v
-      | exception e ->
-        (* Keep the first failure; losers of the race are dropped. *)
-        ignore
-          (Atomic.compare_and_set failure None
-             (Some (e, Printexc.get_raw_backtrace ()))));
+      | exception e -> record_failure failure e);
       loop ()
     end
   in
-  loop ()
+  loop ();
+  finish ()
 
 (* Instrumented claimer: same claiming logic, plus per-index batch
    events and a per-claimer busy-time summary. Claimer [k]'s identity is
    its slot index, not the runtime domain id, so event streams are
    comparable across runs and pool sizes. *)
-let instrumented_claimer ~tm ~span ~slots ~next ~failure n f k () =
+let instrumented_claimer ~tm ~span ~slots ~next ~failure ~finish n f k () =
   let run_unit i =
     let t0 = Telemetry.now_s tm in
     Telemetry.batch_start tm ~span ~index:i ~total:n ~domain:k ~t_s:t0;
@@ -114,15 +116,13 @@ let instrumented_claimer ~tm ~span ~slots ~next ~failure n f k () =
         slots.(i) <- Some v;
         busy := !busy +. dt;
         incr units
-      | exception e ->
-        ignore
-          (Atomic.compare_and_set failure None
-             (Some (e, Printexc.get_raw_backtrace ()))));
+      | exception e -> record_failure failure e);
       loop ()
     end
   in
   loop ();
-  Telemetry.domain_busy tm ~span ~domain:k ~busy_s:!busy ~units:!units
+  Telemetry.domain_busy tm ~span ~domain:k ~busy_s:!busy ~units:!units;
+  finish ()
 
 (* Serial instrumented path, eager (pre-pool behaviour, unchanged). *)
 let serial_instrumented ~tm ~span n f =
@@ -139,43 +139,63 @@ let serial_instrumented ~tm ~span n f =
   Telemetry.domain_busy tm ~span ~domain:0 ~busy_s:!busy ~units:n;
   r
 
-let submit_init ?(tm = Telemetry.null) ?(span = Telemetry.null_span) ~jobs n f
+let dispatch ?(tm = Telemetry.null) ?(span = Telemetry.null_span) ~jobs n f k
     =
   if n < 0 then invalid_arg "Scheduler: negative instance count";
-  if n = 0 then Ready [||]
-  else if jobs <= 1 || n = 1 then
-    Ready
-      (if Telemetry.is_null tm then Array.init n f
-       else serial_instrumented ~tm ~span n f)
+  if jobs <= 1 || n = 0 then
+    k
+      (match
+         if Telemetry.is_null tm then Array.init n f
+         else serial_instrumented ~tm ~span n f
+       with
+      | r -> Ok r
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
   else begin
-    Pool.ensure ~workers:jobs;
     let slots = Array.make n None in
     let next = Atomic.make 0 in
     let failure = Atomic.make None in
     let m = min jobs n in
-    let claimers =
-      if Telemetry.is_null tm then
-        Array.init m (fun _ ->
-            Pool.submit (plain_claimer ~slots ~next ~failure n f))
-      else
-        Array.init m (fun k ->
-            Pool.submit (instrumented_claimer ~tm ~span ~slots ~next ~failure n f k))
+    let remaining = Atomic.make m in
+    (* Each claimer writes its slots before its decrement of [remaining],
+       and the claimer whose decrement reaches zero reads them after its
+       own. That fetch-and-add is the happens-before edge for every
+       slot: the continuation sees all results (and the failure cell)
+       without taking a lock. *)
+    let finish () =
+      if Atomic.fetch_and_add remaining (-1) = 1 then
+        k
+          (match Atomic.get failure with
+          | Some (e, bt) -> Error (e, bt)
+          | None ->
+            Ok
+              (Array.map
+                 (function
+                   | Some v -> v
+                   | None -> assert false (* every index was claimed and ran *))
+                 slots))
     in
-    Shards { slots; failure; claimers }
+    for c = 0 to m - 1 do
+      ignore
+        (Pool.submit
+           (if Telemetry.is_null tm then
+              plain_claimer ~slots ~next ~failure ~finish n f
+            else
+              instrumented_claimer ~tm ~span ~slots ~next ~failure ~finish n f
+                c))
+    done
   end
 
-let await = function
-  | Ready r -> r
-  | Shards { slots; failure; claimers } ->
-    Array.iter Pool.await claimers;
-    (match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.map
-      (function
-        | Some v -> v
-        | None -> assert false (* every index was claimed and ran *))
-      slots
+(* --- non-blocking execution ------------------------------------------- *)
+
+type 'a pending = 'a array Pool.future
+
+let submit_init ?tm ?span ~jobs n f =
+  if jobs > 1 && n > 0 then Pool.ensure ~workers:jobs;
+  let fut = Pool.promise () in
+  dispatch ?tm ?span ~jobs n f (Pool.fulfil fut);
+  fut
+
+let await = Pool.await
 
 let parallel_init ?tm ?span ~jobs n f = await (submit_init ?tm ?span ~jobs n f)
 

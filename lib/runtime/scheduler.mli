@@ -18,6 +18,12 @@
     another campaign has runnable shards. Determinism is unaffected —
     ordering moved from execution time to await time.
 
+    Every entry point goes through one primitive, {!dispatch}: the
+    claimer that finishes a family last calls a continuation on its own
+    worker. [submit_*] feeds a settable {!Pool} future from it; the
+    adaptive runtime chains its next round from it, so no round waits
+    for the main domain.
+
     The serial path ([jobs <= 1], the default) never touches the pool:
     [submit_*] degrades to an eager inline [Array.init], byte-identical
     to the pre-pool world.
@@ -54,24 +60,45 @@ val fold_results_opt : merge:('a -> 'a -> 'a) -> 'a array -> 'a option
 (** Total variant of {!fold_results}: [None] on an empty array instead
     of raising. *)
 
+type 'a outcome = ('a array, exn * Printexc.raw_backtrace) result
+(** A finished family: its results in index order, or its first failure
+    with the backtrace. *)
+
+val dispatch :
+  ?tm:Telemetry.t -> ?span:Telemetry.span -> jobs:int -> int ->
+  (int -> 'a) -> ('a outcome -> unit) -> unit
+(** The one dispatch primitive: run the index space [0, n) and hand the
+    {!outcome} to the continuation. With [jobs > 1] it enqueues
+    [min jobs n] index-claiming tasks and returns at once; the claimer
+    that finishes last calls the continuation on its own worker. After
+    a failure no claimer starts another index. With [jobs <= 1] (or
+    [n = 0]) it computes inline and calls the continuation before
+    returning. It never calls [Pool.ensure]: the submitting domain must
+    have grown the pool to [jobs] workers, so a continuation on a worker
+    may dispatch the next family but only ever enqueues. The
+    continuation must not raise: on a worker there is no one to
+    re-raise to. *)
+
 type 'a pending
-(** A family of submitted shard tasks not yet joined. Obtained from
-    {!submit_init} / {!submit_map}; consumed exactly once by {!await}.
-    On the serial path the value is already computed at submit time. *)
+(** A family of submitted shard tasks not yet joined: a {!Pool} future
+    the family's last claimer fulfils. Obtained from {!submit_init} /
+    {!submit_map}; joined by {!await}. On the serial path it is already
+    fulfilled at submit time. *)
 
 val submit_init :
   ?tm:Telemetry.t -> ?span:Telemetry.span -> jobs:int -> int ->
   (int -> 'a) -> 'a pending
-(** Non-blocking core: dispatch the index space [0, n) as [min jobs n]
-    index-claiming tasks onto the pool and return immediately. [jobs] is
-    a resolved worker count (see {!resolve_jobs}); [jobs <= 1] or
-    [n <= 1] computes eagerly inline without touching the pool. *)
+(** Non-blocking core: grow the pool to [jobs] workers, {!dispatch} the
+    index space [0, n) and return immediately. [jobs] is a resolved
+    worker count (see {!resolve_jobs}); only [jobs <= 1] computes
+    eagerly inline without touching the pool — a one-index family at
+    [jobs > 1] runs on a worker like any other. *)
 
 val await : 'a pending -> 'a array
 (** Join a pending family: block until every index has run, re-raise the
     first failure (with its backtrace) if any shard raised, otherwise
     return the results array in index order. Must be called from outside
-    the pool (shard tasks are leaves). *)
+    the pool ([Pool.await]'s rule). *)
 
 val submit_map :
   ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span -> ('a -> 'b) ->

@@ -277,7 +277,7 @@ let plan_partition_prop =
 
 (* --- Adaptive: execution --------------------------------------------- *)
 
-let test_early_stop_at_round_boundary () =
+let early_stop_at_round_boundary ~jobs () =
   (* Count shard invocations: with start=100/factor=2 over batches of
      50 and a predicate that stops once 200 trials are merged, exactly
      rounds 0 and 1 (4 batches, 200 trials) may run — never a partial
@@ -289,7 +289,7 @@ let test_early_stop_at_round_boundary () =
   in
   let p = Adaptive.plan ~start:100 ~factor:2 ~total:1000 ~batch_size:50 () in
   let progress =
-    Adaptive.run ~jobs:1 ~what:"early-stop" ~shard ~merge:( + )
+    Adaptive.run ~jobs ~what:"early-stop" ~shard ~merge:( + )
       ~keep_going:(fun ~trials _ -> trials < 200)
       p
   in
@@ -301,6 +301,8 @@ let test_early_stop_at_round_boundary () =
   Alcotest.(check int) "rounds_run" 2 progress.Adaptive.rounds_run;
   Alcotest.(check bool) "flagged as early" true progress.Adaptive.stopped_early;
   Alcotest.(check int) "cap preserved" 1000 progress.Adaptive.cap
+
+let test_early_stop_at_round_boundary = early_stop_at_round_boundary ~jobs:1
 
 let test_no_stop_runs_to_cap () =
   let p = Adaptive.plan ~start:100 ~factor:2 ~total:1000 ~batch_size:50 () in
@@ -352,6 +354,186 @@ let test_adaptive_jobs_invariant () =
   Alcotest.(check string) "pipelined campaigns agree" ra.Adaptive.merged
     rb.Adaptive.merged
 
+(* --- Adaptive: rounds continue on the pool ----------------------------- *)
+
+(* 400 trials in batches of 50, start 50, factor 2: rounds of 1, 1, 2
+   and 4 batches — the quick-scale shape of a collision or evict-and-time
+   campaign. *)
+let small_plan () =
+  Adaptive.plan ~start:50 ~factor:2 ~total:400 ~batch_size:50 ()
+
+let self_id () = (Domain.self () :> int)
+
+let test_no_shard_on_submitter () =
+  let main = self_id () in
+  let p = small_plan () in
+  Alcotest.(check (list int)) "rounds of 1/1/2/4 batches" [ 1; 2; 4; 8 ]
+    (Array.to_list p.Adaptive.boundaries);
+  let ran_on = Array.make (Array.length p.Adaptive.batches) main in
+  let progress =
+    Adaptive.run ~jobs:2 ~what:"on-pool"
+      ~shard:(fun (b : Scheduler.batch) ->
+        ran_on.(b.Scheduler.index) <- self_id ();
+        b.Scheduler.count)
+      ~merge:( + )
+      ~keep_going:(fun ~trials:_ _ -> true)
+      p
+  in
+  Alcotest.(check int) "every batch ran" 400 progress.Adaptive.merged;
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d ran on a worker" i)
+        true (d <> main))
+    ran_on;
+  let one =
+    Scheduler.await (Scheduler.submit_map ~jobs:2 (fun () -> self_id ()) [| () |])
+  in
+  Alcotest.(check bool) "one-batch family runs on a worker" true
+    (one.(0) <> main)
+
+(* Campaign [c]: per-batch RNG streams, an order-sensitive merge and a
+   stopping point that differs by campaign (some stop after round 0,
+   some run to the cap). *)
+let campaign c =
+  let shard (b : Scheduler.batch) =
+    let rng =
+      Rng.create ~seed:(Rng.derive_seed (1000 + c) b.Scheduler.index)
+    in
+    String.init b.Scheduler.count (fun _ -> Char.chr (97 + Rng.int rng 26))
+  in
+  let keep_going ~trials _ = trials < 50 * (1 + (c mod 9)) in
+  (shard, keep_going)
+
+let submit_campaign ~jobs c =
+  let shard, keep_going = campaign c in
+  Adaptive.submit ~jobs ~what:(Printf.sprintf "campaign-%d" c) ~shard
+    ~merge:( ^ ) ~keep_going (small_plan ())
+
+let test_many_campaigns_match_serial () =
+  let summary (pr : string Adaptive.progress) =
+    (pr.Adaptive.merged, pr.Adaptive.trials, pr.Adaptive.stopped_early)
+  in
+  let serial =
+    List.init 16 (fun c -> summary (Adaptive.await (submit_campaign ~jobs:1 c)))
+  in
+  Alcotest.(check bool) "campaigns stop at different rounds" true
+    (List.length
+       (List.sort_uniq compare (List.map (fun (_, t, _) -> t) serial))
+    > 1);
+  List.iter
+    (fun jobs ->
+      let running = List.init 16 (submit_campaign ~jobs) in
+      let results =
+        List.rev_map (fun r -> summary (Adaptive.await r)) (List.rev running)
+      in
+      Alcotest.(check (list (triple string int bool)))
+        (Printf.sprintf "jobs:%d, awaited in reverse = jobs:1" jobs)
+        serial results)
+    [ 2; 4 ]
+
+(* A failure ends the campaign where it happens: the exact exception
+   reaches [await], and no batch of a later round starts. *)
+let test_failures_surface_at_await () =
+  List.iter
+    (fun jobs ->
+      let p = small_plan () in
+      let ran = Array.make (Array.length p.Adaptive.batches) false in
+      let shard ~fail_at (b : Scheduler.batch) =
+        ran.(b.Scheduler.index) <- true;
+        if b.Scheduler.index = fail_at then failwith "round-2 shard";
+        b.Scheduler.count
+      in
+      let check_none_from first label =
+        Array.iteri
+          (fun i r ->
+            if i >= first then
+              Alcotest.(check bool)
+                (Printf.sprintf "jobs:%d %s: batch %d never ran" jobs label i)
+                false r)
+          ran
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "jobs:%d shard failure" jobs)
+        (Failure "round-2 shard") (fun () ->
+          ignore
+            (Adaptive.await
+               (Adaptive.submit ~jobs ~what:"shard-fails"
+                  ~shard:(shard ~fail_at:2) ~merge:( + )
+                  ~keep_going:(fun ~trials:_ _ -> true)
+                  p)));
+      check_none_from 4 "shard failure";
+      Array.fill ran 0 (Array.length ran) false;
+      Alcotest.check_raises
+        (Printf.sprintf "jobs:%d keep_going failure" jobs)
+        (Failure "keep_going") (fun () ->
+          ignore
+            (Adaptive.await
+               (Adaptive.submit ~jobs ~what:"decision-fails"
+                  ~shard:(shard ~fail_at:(-1)) ~merge:( + )
+                  ~keep_going:(fun ~trials _ ->
+                    if trials >= 100 then failwith "keep_going" else true)
+                  p)));
+      check_none_from 2 "keep_going failure")
+    [ 1; 2 ]
+
+(* [Driver.await_all] joins every campaign even when an earlier one
+   fails: every span is closed, and the later campaign ran exactly the
+   batches it runs on its own — none left running on the pool. *)
+let test_await_all_joins_after_failure () =
+  let open Cachesec_telemetry in
+  let open Cachesec_experiments in
+  let spec = Cachesec_cache.Spec.paper_sa in
+  let target = Sequential.target ~half_width:0.05 ~max_trials:2000 () in
+  let submit ctx =
+    Driver.submit_cleaning_game_adaptive ctx spec ~accesses:16 ~target
+  in
+  let traced f =
+    let sink, events = Sink.memory () in
+    let tm = Telemetry.make ~sink () in
+    let r = f (Run.with_telemetry tm (Run.make ~jobs:2 ~seed:7 ())) in
+    Telemetry.close tm;
+    (r, events ())
+  in
+  let batches_under id evs =
+    List.length
+      (List.filter
+         (function Event.Batch_end { span; _ } -> span = id | _ -> false)
+         evs)
+  in
+  let span_ids evs =
+    List.filter_map
+      (function Event.Span_start { id; _ } -> Some id | _ -> None)
+      evs
+  in
+  let alone, alone_evs = traced (fun ctx -> Driver.await (submit ctx)) in
+  let (), evs =
+    traced (fun ctx ->
+        let first =
+          Driver.map_pending
+            (fun _ -> failwith "first campaign")
+            (submit ctx)
+        in
+        let second = submit ctx in
+        Alcotest.check_raises "first failure re-raised"
+          (Failure "first campaign") (fun () ->
+            ignore (Driver.await_all [ first; second ])))
+  in
+  let ended =
+    List.filter_map
+      (function Event.Span_end { id; _ } -> Some id | _ -> None)
+      evs
+  in
+  Alcotest.(check (list int)) "every span closed"
+    (List.sort compare (span_ids evs))
+    (List.sort compare ended);
+  let second_id = List.nth (span_ids evs) 1 in
+  Alcotest.(check int) "second campaign ran exactly its plan"
+    (batches_under (List.hd (span_ids alone_evs)) alone_evs)
+    (batches_under second_id evs);
+  Alcotest.(check bool) "the plan stops before the cap" true
+    (alone.Driver.trials < alone.Driver.cap)
+
 let () =
   Alcotest.run "adaptive"
     [
@@ -380,5 +562,18 @@ let () =
             test_no_stop_runs_to_cap;
           Alcotest.test_case "jobs-invariant" `Quick
             test_adaptive_jobs_invariant;
+        ] );
+      ( "pipelined",
+        [
+          Alcotest.test_case "no shard on the submitting domain" `Quick
+            test_no_shard_on_submitter;
+          Alcotest.test_case "16 campaigns match jobs:1" `Quick
+            test_many_campaigns_match_serial;
+          Alcotest.test_case "failures surface at await" `Quick
+            test_failures_surface_at_await;
+          Alcotest.test_case "early stop at round boundary, jobs:2" `Quick
+            (early_stop_at_round_boundary ~jobs:2);
+          Alcotest.test_case "await_all joins after a failure" `Quick
+            test_await_all_joins_after_failure;
         ] );
     ]

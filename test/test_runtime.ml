@@ -266,6 +266,24 @@ let test_pool_poll () =
         (fun () -> ignore (Pool.poll g)))
     [ 1; 2; 3 ]
 
+let test_pool_promise () =
+  Pool.ensure ~workers:2;
+  (* A promise fulfilled on a worker wakes an await in the main
+     domain, exactly like a submitted task's future. *)
+  let p = Pool.promise () in
+  Alcotest.(check (option int)) "unfulfilled polls None" None (Pool.poll p);
+  let _ : unit Pool.future = Pool.submit (fun () -> Pool.fulfil p (Ok 17)) in
+  Alcotest.(check int) "await sees the worker's value" 17 (Pool.await p);
+  Alcotest.(check (option int)) "then polls Some" (Some 17) (Pool.poll p);
+  Alcotest.check_raises "second fulfil rejected"
+    (Invalid_argument "Pool.fulfil: future already completed") (fun () ->
+      Pool.fulfil p (Ok 18));
+  let q = Pool.promise () in
+  let bt = Printexc.get_callstack 1 in
+  Pool.fulfil q (Error (Failure "promise-boom", bt));
+  Alcotest.check_raises "a failed promise re-raises" (Failure "promise-boom")
+    (fun () -> ignore (Pool.await q))
+
 let test_scheduler_fold_results () =
   Alcotest.(check string)
     "index-order fold" "abc"
@@ -526,6 +544,7 @@ let () =
           Alcotest.test_case "try_submit bound" `Quick
             test_pool_try_submit_bound;
           Alcotest.test_case "poll" `Quick test_pool_poll;
+          Alcotest.test_case "promise / fulfil" `Quick test_pool_promise;
         ] );
       ( "scheduler",
         [
