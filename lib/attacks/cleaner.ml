@@ -1,16 +1,14 @@
 open Cachesec_cache
-open Cachesec_stats
 
 let victim_pid = 0
 let attacker_pid = 1
 let target_set = 0
 
-let clean_once spec ~rng ~accesses =
-  if accesses < 0 then invalid_arg "Cleaner.clean_once: negative accesses";
-  let scenario =
-    { Factory.victim_pid; victim_lines = [ (0, Attacker.default_base - 1) ] }
-  in
-  let engine = Factory.build spec scenario ~rng in
+let scenario =
+  { Factory.victim_pid; victim_lines = [ (0, Attacker.default_base - 1) ] }
+
+(* One sample on [engine], freshly built or reset. *)
+let game spec (engine : Engine.t) ~accesses =
   let cfg = engine.Engine.config in
   let sets = Config.sets cfg and ways = cfg.Config.ways in
   (* The cleaning game starts from the victim's data being IN the cache;
@@ -53,15 +51,24 @@ let clean_once spec ~rng ~accesses =
   targets <> []
   && List.for_all (fun l -> not (engine.Engine.peek ~pid:victim_pid l)) targets
 
+let clean_once spec ~rng ~accesses =
+  if accesses < 0 then invalid_arg "Cleaner.clean_once: negative accesses";
+  game spec (Factory.build spec scenario ~rng) ~accesses
+
+(* One engine for all [samples]: each later sample resets it on the
+   next split stream, the state [clean_once] would build from it. *)
 let count_wins spec ~accesses ~samples ~rng =
-  if samples <= 0 then invalid_arg "Cleaner.monte_carlo: samples must be positive";
+  if samples <= 0 then invalid_arg "Cleaner.count_wins: samples must be positive";
+  if accesses < 0 then invalid_arg "Cleaner.count_wins: negative accesses";
+  let next = Factory.sampler spec scenario ~rng in
   let wins = ref 0 in
   for _ = 1 to samples do
-    if clean_once spec ~rng:(Rng.split rng) ~accesses then incr wins
+    if game spec (next ()) ~accesses then incr wins
   done;
   !wins
 
 let monte_carlo spec ~accesses ~samples ~rng =
+  if samples <= 0 then invalid_arg "Cleaner.monte_carlo: samples must be positive";
   float_of_int (count_wins spec ~accesses ~samples ~rng) /. float_of_int samples
 
 let sweep spec ~accesses_list ~samples ~rng =

@@ -23,14 +23,20 @@ open Cachesec_cache
 
 val clean_once :
   Spec.t -> rng:Cachesec_stats.Rng.t -> accesses:int -> bool
-(** One sample of the cleaning game on a fresh cache. *)
+(** One sample of the cleaning game on a cache built from [rng].
+    [accesses] must be non-negative. *)
 
 val count_wins :
   Spec.t -> accesses:int -> samples:int -> rng:Cachesec_stats.Rng.t -> int
 (** Number of successful samples out of [samples] — the mergeable
     (additive) partial behind {!monte_carlo}, used by the trial runtime
-    to shard the cleaning game across Domains. [samples] must be
-    positive. *)
+    to shard the cleaning game across Domains. Equal to {!clean_once}
+    summed over [samples] successive [Rng.split rng] streams, but one
+    engine serves them all: it is built for the first sample and reset
+    ({!Cachesec_cache.Engine.t.reset}) on the next stream before each
+    later one ({!Cachesec_cache.Factory.sampler}), so a sample costs the
+    lines the previous one touched, not a construction. [samples] must
+    be positive and [accesses] non-negative. *)
 
 val monte_carlo :
   Spec.t -> accesses:int -> samples:int -> rng:Cachesec_stats.Rng.t -> float

@@ -5,7 +5,7 @@ type t = {
   slab : Slab.t;
   mutable seq : int;
   counters : Counters.t;
-  rng : Rng.t;
+  mutable rng : Rng.t;
   sets : int;  (** [Config.sets cfg], precomputed off the access path *)
   set_mask : int;  (** [sets - 1]: {!set_of} is a masked AND *)
   mutable fetched : int;
@@ -75,3 +75,16 @@ let dump t =
 
 let flush_all t =
   Counters.record_eviction t.counters ~count:(Slab.clear t.slab)
+
+(* The state [create] returned, on [rng]: the slab clear touches only
+   the logged lines, and nothing here allocates. *)
+let reset t ~rng =
+  ignore (Slab.clear t.slab);
+  t.seq <- 0;
+  Counters.reset t.counters;
+  t.rng <- rng;
+  t.fetched <- -1;
+  t.evicted_owner <- -1;
+  t.evicted_line <- -1;
+  t.also_owner <- -1;
+  t.also_line <- -1

@@ -11,7 +11,8 @@ type t = {
   slab : Slab.t;  (** the line state of record (struct-of-arrays) *)
   mutable seq : int;
   counters : Counters.t;
-  rng : Cachesec_stats.Rng.t;
+  mutable rng : Cachesec_stats.Rng.t;
+      (** every draw reads it here, so {!reset} can swap the stream *)
   sets : int;  (** [Config.sets cfg], precomputed off the access path *)
   set_mask : int;
       (** [sets - 1]; [sets] is a power of two for every {!Config.t} (see
@@ -56,5 +57,14 @@ val dump : t -> (int * Line.t) list
     snapshots of the slab state. *)
 
 val flush_all : t -> unit
-(** Invalidate every line, counting the displaced valid ones, in one
-    pass per slab. *)
+(** Invalidate every line, counting the displaced valid ones
+    ({!Slab.clear}). *)
+
+val reset : t -> rng:Cachesec_stats.Rng.t -> unit
+(** Back to the state {!create} returned, drawing from [rng] from now
+    on: every line invalid and every tree word zero ({!Slab.clear}, so
+    the cost is the lines filled since the last clear), [seq] 0, the
+    counters zero and the scratch fields -1. Invalid lines keep their
+    timestamps, as after {!flush_all}: no victim choice reads them (an
+    invalid way is always taken first) and {!dump} lists valid lines
+    only. Allocates nothing. *)

@@ -129,6 +129,8 @@ let for_pid t pid =
 let hit_rate (s : snapshot) =
   if s.accesses = 0 then nan else float_of_int s.hits /. float_of_int s.accesses
 
+(* [Hashtbl.iter] allocates its bucket walker, so it runs only when an
+   exotic pid has a cell: an engine reset stays off the heap. *)
 let reset t =
   let clear c =
     c.accesses <- 0;
@@ -140,7 +142,8 @@ let reset t =
   in
   clear t.extra;
   Array.iter clear t.small;
-  Hashtbl.iter (fun _ c -> clear c) t.overflow
+  if Hashtbl.length t.overflow > 0 then
+    Hashtbl.iter (fun _ c -> clear c) t.overflow
 
 let pp_snapshot ppf (s : snapshot) =
   Format.fprintf ppf "acc=%d hit=%d miss=%d evict=%d rt=%d flush=%d" s.accesses

@@ -47,4 +47,7 @@ val hit_rate : snapshot -> float
 (** [nan] when no accesses. *)
 
 val reset : t -> unit
+(** Zero every count. Allocates nothing unless a pid outside the small
+    table has a cell. *)
+
 val pp_snapshot : Format.formatter -> snapshot -> unit

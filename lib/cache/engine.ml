@@ -16,6 +16,7 @@ type t = {
   counters : unit -> Counters.snapshot;
   counters_for : int -> Counters.snapshot;
   reset_counters : unit -> unit;
+  reset : rng:Cachesec_stats.Rng.t -> unit;
   dump : unit -> (int * Line.t) list;
 }
 

@@ -46,6 +46,25 @@ type t = {
   counters : unit -> Counters.snapshot;
   counters_for : int -> Counters.snapshot;
   reset_counters : unit -> unit;
+  reset : rng:Cachesec_stats.Rng.t -> unit;
+      (** Return to the state the engine was built in, drawing from [rng]
+          from now on: afterwards every operation behaves, outcome for
+          outcome and draw for draw, as on the engine {!Factory.build}
+          (or the architecture's [create]) returns from [rng]. That is
+          possible because construction draws nothing from its RNG.
+          Restored: the lines and PLRU tree words (through the slab's
+          dirty log), the access sequence behind [last_use]/[fill_seq],
+          the global and per-pid counters, the step scratch, and the
+          architecture's own state (RP's permutation tables, RF's
+          windows as built, RE's eviction countdown, Newcache's index).
+          Invalid lines keep stale timestamps, which nothing reads.
+          Cost is proportional to the lines filled since the last clear
+          (a full pass once the dirty log has overflowed), plus, for RP,
+          one rewrite of every pid table it has ever made (sets words per
+          pid, touched in the sample or not); the nine {!Factory} engines
+          allocate nothing. A wrapper engine (Hierarchy) resets to the
+          construction its own interface names, which is not
+          necessarily the one a given caller used. *)
   dump : unit -> (int * Line.t) list;
       (** valid lines with their physical way index, for tests/debugging *)
 }

@@ -26,11 +26,24 @@ let build ?(config = Config.standard) spec scenario ~rng =
   | Spec.Rp { ways; policy } ->
     Rp.engine (Rp.create ~config:(with_ways config ways) ~policy ~rng ())
   | Spec.Rf { ways; policy; back; fwd } ->
-    let rf = Rf.create ~config:(with_ways config ways) ~policy ~rng () in
-    Rf.set_window rf ~pid:scenario.victim_pid ~back ~fwd;
-    Rf.engine rf
+    Rf.engine
+      (Rf.create ~config:(with_ways config ways) ~policy
+         ~windows:[ (scenario.victim_pid, (back, fwd)) ] ~rng ())
   | Spec.Re { ways; policy; interval } ->
     Re.engine (Re.create ~config:(with_ways config ways) ~policy ~interval ~rng ())
   | Spec.Noisy { ways; policy; sigma } ->
     Noisy.engine
       (Noisy.create ~config:(with_ways config ways) ~policy ~sigma ~rng ())
+
+let sampler spec scenario ~rng =
+  let engine = ref None in
+  fun () ->
+    let rng = Cachesec_stats.Rng.split rng in
+    match !engine with
+    | Some e ->
+      e.Engine.reset ~rng;
+      e
+    | None ->
+      let e = build spec scenario ~rng in
+      engine := Some e;
+      e

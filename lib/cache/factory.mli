@@ -20,3 +20,17 @@ val build :
   Engine.t
 (** Instantiate. [config]'s [ways] is overridden by the spec's [ways]
     (its line count and line size are kept); Newcache ignores [ways]. *)
+
+val sampler :
+  Spec.t ->
+  scenario ->
+  rng:Cachesec_stats.Rng.t ->
+  unit ->
+  Engine.t
+(** A source of engines for Monte-Carlo samples that must each start on
+    a fresh cache. Every call splits [rng] and returns the engine
+    [build spec scenario ~rng:(Rng.split rng)] would return. Only
+    the first call builds: later calls reset that same engine
+    ({!Engine.t.reset}) on the split stream, so a sample pays for the
+    lines the previous one touched instead of a construction. An engine
+    returned is valid until the next call, which resets it. *)

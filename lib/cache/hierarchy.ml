@@ -5,7 +5,7 @@ type t = {
   l1_config : Config.t;
   l1_policy : Policy.t;
   l1s : (int, Engine.t) Hashtbl.t;
-  rng : Rng.t;
+  mutable rng : Rng.t;
   counters : Counters.t;
 }
 
@@ -76,6 +76,14 @@ let flush_line t ~pid addr =
   end
   else false
 
+(* The L2 takes a split of [rng], as the shared level passed to
+   {!create} is built on one; later L1s split from [rng] itself. *)
+let reset t ~rng =
+  t.l2.Engine.reset ~rng:(Rng.split rng);
+  Hashtbl.reset t.l1s;
+  t.rng <- rng;
+  Counters.reset t.counters
+
 let engine t =
   {
     Engine.name = Printf.sprintf "l1+%s" t.l2.Engine.name;
@@ -107,5 +115,6 @@ let engine t =
         Counters.reset t.counters;
         t.l2.Engine.reset_counters ();
         Hashtbl.iter (fun _ l1 -> l1.Engine.reset_counters ()) t.l1s);
+    reset = (fun ~rng -> reset t ~rng);
     dump = (fun () -> t.l2.Engine.dump ());
   }

@@ -48,4 +48,10 @@ val flush_line : t -> pid:int -> int -> bool
     private L1 and the shared L2 (true if removed anywhere). *)
 
 val engine : t -> Engine.t
-(** Uniform view. [sigma] is inherited from the L2 engine. *)
+(** Uniform view. [sigma] is inherited from the L2 engine. Its
+    [reset ~rng] resets the L2 on [Rng.split rng], forgets every L1 and
+    takes [rng] as the stream later L1s split from: the state of
+    [create ~l2 ~rng] with [l2] built on [Rng.split rng]. A hierarchy
+    built another way (say, [l2] and [rng] two sibling splits of one
+    parent, as [Llc.run] does) does not replay its own fresh build
+    after a reset. It allocates (the L1s are rebuilt on demand). *)

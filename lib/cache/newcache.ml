@@ -148,13 +148,14 @@ let flush_line t ~pid addr =
   end
   else false
 
-(* Every line goes invalid, so every chain empties. A non-empty bucket
-   holds a valid line, and every valid line is in the slab's dirty log
-   (the {!Slab} invariant), so clearing the buckets of the logged valid
-   lines empties the index; once the log has overflowed, one fill does.
-   Either way it runs before the slab clear erases the keys. [next] is
-   read only through a chain and needs no reset. *)
-let flush_all t =
+(* Before a slab clear: every line goes invalid, so every chain
+   empties. A non-empty bucket holds a valid line, and every valid line
+   is in the slab's dirty log (the {!Slab} invariant), so clearing the
+   buckets of the logged valid lines empties the index; once the log has
+   overflowed, one fill does. Either way it must run before the clear
+   erases the keys. [next] is read only through a chain and needs no
+   reset. *)
+let empty_index t =
   let s = t.b.Backing.slab in
   if s.Slab.dirty_len > Array.length s.Slab.dirty then
     Array.fill t.head 0 (Array.length t.head) (-1)
@@ -163,8 +164,15 @@ let flush_all t =
       let i = s.Slab.dirty.(k) in
       if s.Slab.tags.(i) >= 0 then
         t.head.(bucket t ~pid:s.Slab.owners.(i) s.Slab.aux.(i)) <- -1
-    done;
+    done
+
+let flush_all t =
+  empty_index t;
   Backing.flush_all t.b
+
+let reset t ~rng =
+  empty_index t;
+  Backing.reset t.b ~rng
 
 let engine t =
   {
@@ -185,5 +193,6 @@ let engine t =
     counters = (fun () -> Counters.global t.b.Backing.counters);
     counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
     reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
+    reset = (fun ~rng -> reset t ~rng);
     dump = (fun () -> Backing.dump t.b);
   }

@@ -121,5 +121,6 @@ let engine t =
     counters = (fun () -> Counters.global t.b.Backing.counters);
     counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
     reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
+    reset = (fun ~rng -> Backing.reset t.b ~rng);
     dump = (fun () -> Backing.dump t.b);
   }

@@ -66,6 +66,11 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
+let reset t ~rng =
+  Backing.reset t.b ~rng;
+  t.since_eviction <- 0;
+  t.random_evictions <- 0
+
 let engine t =
   {
     Engine.name =
@@ -86,5 +91,6 @@ let engine t =
     counters = (fun () -> Counters.global t.b.Backing.counters);
     counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
     reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
+    reset = (fun ~rng -> reset t ~rng);
     dump = (fun () -> Backing.dump t.b);
   }

@@ -4,36 +4,47 @@ type t = {
   b : Backing.t;
   policy : Policy.t;
   default_window : int * int;
-  windows : (int, int * int) Hashtbl.t;
+  built_windows : (int * (int * int)) list;  (** [windows] as created *)
+  mutable windows : (int * (int * int)) list;
+      (** pid -> (back, fwd), newest first; a list, not a hash table, so
+          a reset is one store *)
   (* Last (pid, window) pair served by [window]: misses come in long
-     same-pid runs, so the memo saves a hash lookup per miss.
-     Invalidated by [set_window]. *)
+     same-pid runs, so the memo saves a list walk per miss.
+     Invalidated by [set_window] and [reset]. *)
   mutable memo_pid : int;
   mutable memo_window : int * int;
 }
 
 let create ?(config = Config.standard) ?(policy = Policy.Random)
-    ?(default_window = (0, 0)) ~rng () =
-  let back, fwd = default_window in
-  if back < 0 || fwd < 0 then invalid_arg "Rf.create: negative window";
+    ?(default_window = (0, 0)) ?(windows = []) ~rng () =
+  if
+    List.exists
+      (fun (_, (back, fwd)) -> back < 0 || fwd < 0)
+      ((min_int, default_window) :: windows)
+  then invalid_arg "Rf.create: negative window";
   {
     b = Backing.create config ~rng;
     policy;
     default_window;
-    windows = Hashtbl.create 8;
+    built_windows = windows;
+    windows;
     memo_pid = min_int;
     memo_window = default_window;
   }
 
 let config t = t.b.Backing.cfg
 
-(* [Hashtbl.find] + [Not_found] rather than [find_opt]: runs on a
-   memo miss, and the option wrapper would allocate. *)
+(* [Not_found] is preallocated: a memo miss walks the list without
+   allocating. *)
+let rec find_window (pid : int) = function
+  | [] -> raise Not_found
+  | (p, w) :: rest -> if p = pid then w else find_window pid rest
+
 let window t ~pid =
   if pid = t.memo_pid then t.memo_window
   else begin
     let w =
-      match Hashtbl.find t.windows pid with
+      match find_window pid t.windows with
       | w -> w
       | exception Not_found -> t.default_window
     in
@@ -44,7 +55,8 @@ let window t ~pid =
 
 let set_window t ~pid ~back ~fwd =
   if back < 0 || fwd < 0 then invalid_arg "Rf.set_window: negative window";
-  Hashtbl.replace t.windows pid (back, fwd);
+  t.windows <-
+    (pid, (back, fwd)) :: List.filter (fun (p, _) -> p <> pid) t.windows;
   t.memo_pid <- min_int
 
 let set_of t addr = Backing.set_of t.b addr
@@ -105,6 +117,11 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
+let reset t ~rng =
+  Backing.reset t.b ~rng;
+  t.windows <- t.built_windows;
+  t.memo_pid <- min_int
+
 let engine t =
   {
     Engine.name = Printf.sprintf "rf-%d-way" (config t).Config.ways;
@@ -124,5 +141,6 @@ let engine t =
     counters = (fun () -> Counters.global t.b.Backing.counters);
     counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
     reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
+    reset = (fun ~rng -> reset t ~rng);
     dump = (fun () -> Backing.dump t.b);
   }

@@ -16,11 +16,15 @@ val create :
   ?config:Config.t ->
   ?policy:Policy.t ->
   ?default_window:int * int ->
+  ?windows:(int * (int * int)) list ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
 (** [default_window] is [(back, fwd)] applied to pids with no explicit
-    window; defaults to [(0, 0)] (plain demand fetch). *)
+    window; defaults to [(0, 0)] (plain demand fetch). [windows] gives
+    pids their own [(pid, (back, fwd))] windows from the start, as
+    {!set_window} would; the engine's [reset] returns to exactly these.
+    Raises [Invalid_argument] on negative sizes. *)
 
 val config : t -> Config.t
 val window : t -> pid:int -> int * int

@@ -3,29 +3,35 @@ open Cachesec_stats
 type t = {
   b : Backing.t;
   policy : Policy.t;
-  tables : (int, int array) Hashtbl.t;  (** pid -> logical-to-physical sets *)
+  mutable tables : (int * int array) list;
+      (** pid -> logical-to-physical sets, made on the pid's first
+          access and from then on mutated only in place *)
   (* Last (pid, table) pair served by [table_of]: attack loops access in
      long same-pid runs (a 512-line prime, a 160-lookup encryption), so
      the memo turns the per-access table lookup into one int compare.
-     Invalidated by [set_identity]. *)
+     Tables are never replaced, so it stays valid. *)
   mutable memo_pid : int;
   mutable memo_tbl : int array;
 }
 
 let config t = t.b.Backing.cfg
 
-(* [Hashtbl.find] + preallocated [Not_found] rather than [find_opt]:
-   this runs once per access and the option wrapper would put a
-   minor-heap allocation on the hit path. *)
+(* A list, not a hash table: an RP cache serves two or three pids, the
+   memo answers nearly every lookup, and a reset walks the tables
+   without allocating. [Not_found] is preallocated. *)
+let rec find_table (pid : int) = function
+  | [] -> raise Not_found
+  | (p, tbl) :: rest -> if p = pid then tbl else find_table pid rest
+
 let table_of t pid =
   if pid = t.memo_pid then t.memo_tbl
   else begin
     let tbl =
-      match Hashtbl.find t.tables pid with
+      match find_table pid t.tables with
       | tbl -> tbl
       | exception Not_found ->
         let tbl = Array.init t.b.Backing.sets Fun.id in
-        Hashtbl.replace t.tables pid tbl;
+        t.tables <- (pid, tbl) :: t.tables;
         tbl
     in
     t.memo_pid <- pid;
@@ -35,9 +41,18 @@ let table_of t pid =
 
 let table t ~pid = Array.copy (table_of t pid)
 
-let set_identity t ~pid =
-  Hashtbl.replace t.tables pid (Array.init t.b.Backing.sets Fun.id);
-  t.memo_pid <- min_int
+let identity (tbl : int array) =
+  for i = 0 to Array.length tbl - 1 do
+    tbl.(i) <- i
+  done
+
+let set_identity t ~pid = identity (table_of t pid)
+
+let rec identities = function
+  | [] -> ()
+  | (_, tbl) :: rest ->
+    identity tbl;
+    identities rest
 
 (* Top-level downward scan (all state as arguments): the table is a
    bijection, so first-from-the-end = last-from-the-start, without
@@ -141,8 +156,8 @@ let[@inline] access p t ~pid addr =
   end
   else Kernel.record t.b ~pid code
 
-(* The table is hoisted once per run: [swap_mapping] mutates it in place
-   (never replaces it) and [set_identity] cannot run mid-replay. *)
+(* The table is hoisted once per run: a pid's table is only ever
+   mutated in place, never replaced. *)
 let[@inline] run p t ~pid ~trace ~pos ~len mode =
   let b = t.b in
   let tbl = table_of t pid in
@@ -181,7 +196,7 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   {
     b = Backing.create config ~rng;
     policy;
-    tables = Hashtbl.create 8;
+    tables = [];
     memo_pid = min_int;
     memo_tbl = [||];
   }
@@ -205,6 +220,13 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
+(* A pid's table as made is the identity, and a made table answers
+   exactly as one made on demand would, so rewriting every table in
+   place restores the built state. *)
+let reset t ~rng =
+  Backing.reset t.b ~rng;
+  identities t.tables
+
 let engine t =
   let access, access_run = bind t in
   {
@@ -224,5 +246,6 @@ let engine t =
     counters = (fun () -> Counters.global t.b.Backing.counters);
     counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
     reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
+    reset = (fun ~rng -> reset t ~rng);
     dump = (fun () -> Backing.dump t.b);
   }

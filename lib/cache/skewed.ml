@@ -84,6 +84,13 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
+(* A fresh cache draws each (pid, bank) permutation from its RNG on
+   first use, so the reset one forgets them and draws them again from
+   [rng]. *)
+let reset t ~rng =
+  Backing.reset t.b ~rng;
+  Hashtbl.clear t.keys
+
 let engine t =
   {
     Engine.name = Printf.sprintf "skewed-%d-bank" (banks t);
@@ -102,5 +109,6 @@ let engine t =
     counters = (fun () -> Counters.global t.b.Backing.counters);
     counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
     reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
+    reset = (fun ~rng -> reset t ~rng);
     dump = (fun () -> Backing.dump t.b);
   }

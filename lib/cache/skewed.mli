@@ -34,3 +34,5 @@ val peek : t -> pid:int -> int -> bool
 val flush_line : t -> pid:int -> int -> bool
 val flush_all : t -> unit
 val engine : t -> Engine.t
+(** Its [reset ~rng] also forgets the bank permutations, which are then
+    drawn again from [rng] as on a fresh cache. *)

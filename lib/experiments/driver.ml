@@ -253,6 +253,9 @@ let run_flush_reload ctx spec c = await (submit_flush_reload ctx spec c)
 
 (* --- pre-PAS cleaning game ------------------------------------------- *)
 
+(* One engine per batch: [Cleaner.count_wins] builds it for the batch's
+   first game and resets it before each later one, so a batch of
+   [cleaning_batch] games pays for one construction. *)
 let cleaning_shard (ctx : Run.ctx) spec ~accesses (b : Scheduler.batch) =
   let rng = Rng.create ~seed:(Run.batch_seed ctx b.Scheduler.index) in
   Cleaner.count_wins spec ~accesses ~samples:b.Scheduler.count ~rng

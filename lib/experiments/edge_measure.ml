@@ -17,17 +17,17 @@ let attacker_pid = 1
 let scenario =
   { Factory.victim_pid; victim_lines = [ (0, Cachesec_attacks.Attacker.default_base - 1) ] }
 
-let fresh_engine spec rng =
-  let e = Factory.build spec scenario ~rng in
-  (* The cleaning/seeding phases must place deterministic victim lines
-     even under RF (see Cleaner for the same convention). *)
-  e.Engine.set_window ~pid:victim_pid ~back:0 ~fwd:0;
-  e
+(* Each stage draws its samples' engines from one [Factory.sampler]:
+   built for the first sample, reset on the next split stream before
+   each later one, so every sample starts on a fresh cache. *)
 
 (* One eviction-stage sample: returns whether the designated victim line
    was displaced by a single fresh attacker access. *)
-let eviction_sample spec rng =
-  let engine = fresh_engine spec rng in
+let eviction_sample spec (engine : Engine.t) =
+  (* The cleaning/seeding phases must place deterministic victim lines
+     even under RF (see Cleaner for the same convention); the reset puts
+     the built window back, so this runs per sample. *)
+  engine.Engine.set_window ~pid:victim_pid ~back:0 ~fwd:0;
   let cfg = engine.Engine.config in
   let sets = Config.sets cfg and ways = cfg.Config.ways in
   let target_set = 0 in
@@ -69,10 +69,10 @@ let eviction_closed_form spec =
   Edge_probs.find e "p1" *. Edge_probs.find e "p2" *. Edge_probs.find e "p3"
 
 let eviction_stage ?(samples = 20000) ?(seed = 91) spec =
-  let rng = Rng.create ~seed in
+  let next = Factory.sampler spec scenario ~rng:(Rng.create ~seed) in
   let hits = ref 0 and n = ref 0 in
   while !n < samples do
-    match eviction_sample spec (Rng.split rng) with
+    match eviction_sample spec (next ()) with
     | Some evicted ->
       incr n;
       if evicted then incr hits
@@ -94,8 +94,7 @@ let eviction_stage ?(samples = 20000) ?(seed = 91) spec =
 let reuse_line = 1000
 let filler_base = 50000
 
-let reuse_sample spec rng ~gap =
-  let engine = Factory.build spec scenario ~rng in
+let reuse_sample (engine : Engine.t) ~gap =
   ignore (engine.Engine.access ~pid:victim_pid reuse_line);
   for i = 1 to gap do
     ignore (engine.Engine.access ~pid:victim_pid (filler_base + i))
@@ -118,10 +117,10 @@ let reuse_closed_form spec ~gap =
   | _ -> p0 *. (p4 ** fgap)
 
 let reuse_stage ?(samples = 5000) ?(seed = 92) ?(gap = 100) spec =
-  let rng = Rng.create ~seed in
+  let next = Factory.sampler spec scenario ~rng:(Rng.create ~seed) in
   let hits = ref 0 in
   for _ = 1 to samples do
-    if reuse_sample spec (Rng.split rng) ~gap then incr hits
+    if reuse_sample (next ()) ~gap then incr hits
   done;
   {
     label = Printf.sprintf "reuse p0*p4^%d" gap;
@@ -133,8 +132,7 @@ let reuse_stage ?(samples = 5000) ?(seed = 92) ?(gap = 100) spec =
 
 (* Cross-context stage: victim fetches a shared line; attacker's
    immediate reload hits or not. *)
-let cross_sample spec rng =
-  let engine = Factory.build spec scenario ~rng in
+let cross_sample (engine : Engine.t) =
   ignore (engine.Engine.access ~pid:victim_pid reuse_line);
   Outcome.is_hit (engine.Engine.access ~pid:attacker_pid reuse_line)
 
@@ -143,10 +141,10 @@ let cross_closed_form spec =
   Edge_probs.find e "p0" *. Edge_probs.find e "p4"
 
 let cross_context_stage ?(samples = 5000) ?(seed = 93) spec =
-  let rng = Rng.create ~seed in
+  let next = Factory.sampler spec scenario ~rng:(Rng.create ~seed) in
   let hits = ref 0 in
   for _ = 1 to samples do
-    if cross_sample spec (Rng.split rng) then incr hits
+    if cross_sample (next ()) then incr hits
   done;
   {
     label = "cross-context p0*p4";

@@ -546,6 +546,21 @@ let test_cleaner_zero_accesses () =
   Alcotest.(check bool) "k=0 fails" false
     (Cleaner.clean_once Spec.paper_sa ~rng:(rng ()) ~accesses:0)
 
+(* Each entry point names itself; [count_wins] checks its arguments once,
+   before the first game. *)
+let test_cleaner_argument_errors () =
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "count_wins samples" "Cleaner.count_wins: samples must be positive"
+    (fun () -> Cleaner.count_wins Spec.paper_sa ~accesses:4 ~samples:0 ~rng:(rng ()));
+  raises "count_wins accesses" "Cleaner.count_wins: negative accesses" (fun () ->
+      Cleaner.count_wins Spec.paper_sa ~accesses:(-1) ~samples:4 ~rng:(rng ()));
+  raises "monte_carlo samples" "Cleaner.monte_carlo: samples must be positive"
+    (fun () -> Cleaner.monte_carlo Spec.paper_sa ~accesses:4 ~samples:0 ~rng:(rng ()));
+  raises "clean_once accesses" "Cleaner.clean_once: negative accesses" (fun () ->
+      Cleaner.clean_once Spec.paper_sa ~accesses:(-1) ~rng:(rng ()))
+
 let test_cleaner_sp_pl_immune () =
   List.iter
     (fun spec ->
@@ -697,6 +712,7 @@ let () =
       ( "cleaner",
         [
           Alcotest.test_case "zero accesses" `Quick test_cleaner_zero_accesses;
+          Alcotest.test_case "argument errors" `Quick test_cleaner_argument_errors;
           Alcotest.test_case "sp & pl immune" `Quick test_cleaner_sp_pl_immune;
           Alcotest.test_case "sa closed form" `Quick test_cleaner_sa_matches_closed_form;
           Alcotest.test_case "lru step" `Quick test_cleaner_lru_step;

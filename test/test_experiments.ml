@@ -272,6 +272,16 @@ let test_edge_cross_context () =
       Alcotest.(check (float 0.)) (Spec.name spec) 0. m.Edge_measure.measured)
     [ Spec.paper_newcache; Spec.paper_rp ]
 
+(* The whole table at 400 samples, pinned by digest: each stage builds
+   one engine and resets it per sample, and every sample must still see
+   exactly the cache a fresh build on its stream would (RF's reuse and
+   cross-context samples see the spec's victim window only because the
+   reset restores it). Recorded from the build-per-sample code. *)
+let test_edge_render_pinned () =
+  let rendered = Edge_measure.render (Edge_measure.table ~samples:400 ()) in
+  Alcotest.(check string) "render digest" "43b4851c1e82bceb64e9a8fa57d50499"
+    (Digest.to_hex (Digest.string rendered))
+
 (* --- Bench record -------------------------------------------------------- *)
 
 module Br = Cachesec_report.Bench_record
@@ -497,5 +507,7 @@ let () =
           Alcotest.test_case "rf reuse window" `Quick test_edge_rf_reuse;
           Alcotest.test_case "cross-context pid caches" `Quick
             test_edge_cross_context;
+          Alcotest.test_case "render digest pinned" `Quick
+            test_edge_render_pinned;
         ] );
     ]

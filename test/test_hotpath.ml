@@ -13,7 +13,9 @@
    every architecture — and every architecture's cold Count run after a
    [flush_all] to (essentially) zero minor-heap words per access: the
    path is hammered and the [Gc.minor_words] delta is asserted to be
-   far below one word per access. *)
+   far below one word per access. The "reset" guards hold every
+   architecture's [Engine.reset] to the same budget, over samples that
+   fit the dirty log and samples that overflow it. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -227,6 +229,45 @@ let test_access_hit_allocation_free spec () =
     Alcotest.failf "%s warm access hits allocated %.0f minor words over %d hits"
       engine.Engine.name delta iters
 
+(* [Engine.reset] on every architecture, as a cleaning batch uses it:
+   a sample's Fill runs, then a reset. A short sample leaves the dirty
+   log short and the reset clears only the logged lines; a long one (200
+   victim lines, then 1024 others) overflows it and the reset makes the
+   full pass. The runs are held allocation-free above, so here the whole
+   loop must be. *)
+let test_reset_allocation_free spec ~overflow () =
+  let engine = Factory.build spec scenario ~rng:(Rng.create ~seed:50) in
+  let rng = Rng.create ~seed:51 in
+  let slab = engine.Engine.slab in
+  let victim = Array.init 200 Fun.id in
+  let other = Array.init (if overflow then 1024 else 48) (fun i -> 201 + i) in
+  let sample () =
+    if overflow then
+      engine.Engine.access_run ~pid:0 ~trace:victim ~pos:0 ~len:200 Kernel.Fill;
+    engine.Engine.access_run ~pid:1 ~trace:other ~pos:0
+      ~len:(Array.length other) Kernel.Fill
+  in
+  sample ();
+  engine.Engine.reset ~rng;
+  let trials = 500 in
+  let wrong_path = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to trials do
+    sample ();
+    if slab.Slab.dirty_len > Array.length slab.Slab.dirty <> overflow then
+      incr wrong_path;
+    engine.Engine.reset ~rng
+  done;
+  let after = Gc.minor_words () in
+  let delta = after -. before in
+  if !wrong_path > 0 then
+    Alcotest.failf "%s: %d of %d samples %s the dirty log" engine.Engine.name
+      !wrong_path trials
+      (if overflow then "did not overflow" else "overflowed");
+  if delta > 64. then
+    Alcotest.failf "%s samples and resets allocated %.0f minor words over %d trials"
+      engine.Engine.name delta trials
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -262,4 +303,18 @@ let () =
                   (test_cold_count_run_allocation_free spec);
               ])
             Spec.all_paper );
+      ( "reset",
+        List.concat_map
+          (fun spec ->
+            [
+              Alcotest.test_case
+                (Spec.name spec ^ " reset, short log zero-alloc")
+                `Quick
+                (test_reset_allocation_free spec ~overflow:false);
+              Alcotest.test_case
+                (Spec.name spec ^ " reset, full pass zero-alloc")
+                `Quick
+                (test_reset_allocation_free spec ~overflow:true);
+            ])
+          Spec.all_paper );
     ]

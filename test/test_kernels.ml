@@ -17,8 +17,11 @@
    written out below. "index-conflicts" replays a Newcache workload
    built to hit its (pid, logical index) conflict path, which the
    shared address draw never reaches. "sp-homing" gives SP two or three
-   victim ranges, where the shared scenario has one. A last suite checks
-   [flush_all] against a full pass written out here. *)
+   victim ranges, where the shared scenario has one. "flush-equivalence"
+   checks [flush_all] against a full pass written out here. "reset"
+   checks [Engine.reset] against a fresh build: engine against engine,
+   the fuzz above with resets interleaved, and the cleaning game's
+   batched count against its one-sample games. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -85,11 +88,16 @@ let build ?(scenario = scenario) ~seed spec =
   in
   (rng, engine, model)
 
+(* An engine's end-of-run observables: global and per-pid counters and
+   the line dump. *)
+let observe ?(pids = [ 0; 1; 2 ]) (engine : Engine.t) =
+  String.concat " | "
+    (fmt_snapshot (engine.Engine.counters ())
+     :: List.map (fun p -> fmt_snapshot (engine.Engine.counters_for p)) pids
+    @ [ fmt_dump (engine.Engine.dump ()) ])
+
 let summaries ?(pids = [ 0; 1; 2 ]) (engine : Engine.t) model =
-  ( String.concat " | "
-      (fmt_snapshot (engine.Engine.counters ())
-       :: List.map (fun p -> fmt_snapshot (engine.Engine.counters_for p)) pids
-      @ [ fmt_dump (engine.Engine.dump ()) ]),
+  ( observe ~pids engine,
     String.concat " | "
       (fmt_reference (Reference.counts model)
        :: List.map (fun p -> fmt_reference (Reference.counts_for_pid model p)) pids
@@ -563,6 +571,166 @@ let test_flush_cell spec =
          | Ok () -> true
          | Error e -> QCheck.Test.fail_reportf "seed %#x: %s" seed e))
 
+(* --- reset = fresh build ------------------------------------------------ *)
+
+(* One op drawn from [rng] on a single engine, formatted: [scalar_op]'s
+   mix plus a Trace run, for comparing two engines with each other. *)
+let engine_op rng (engine : Engine.t) =
+  let pid = Rng.int rng 3 in
+  let a = addr rng in
+  match Rng.int rng 100 with
+  | r when r < 70 -> fmt_outcome (engine.Engine.access ~pid a)
+  | r when r < 78 -> string_of_bool (engine.Engine.peek ~pid a)
+  | r when r < 84 -> string_of_bool (engine.Engine.flush_line ~pid a)
+  | r when r < 88 -> string_of_bool (engine.Engine.lock_line ~pid a)
+  | r when r < 90 -> string_of_bool (engine.Engine.unlock_line ~pid a)
+  | r when r < 93 ->
+    engine.Engine.set_window ~pid ~back:(Rng.int rng 4) ~fwd:(Rng.int rng 4);
+    "w"
+  | r when r < 98 ->
+    let trace = Array.init (Rng.int rng 24) (fun _ -> addr rng) in
+    let len = Array.length trace in
+    let out = Array.make (max len 1) Outcome.hit in
+    engine.Engine.access_run ~pid ~trace ~pos:0 ~len (Kernel.Trace out);
+    String.concat "," (List.init len (fun k -> fmt_outcome out.(k)))
+  | _ ->
+    engine.Engine.flush_all ();
+    "F"
+
+let overflowed (s : Slab.t) = s.Slab.dirty_len > Array.length s.Slab.dirty
+
+(* [build] makes an engine from a stream. A random prefix on one engine
+   (with [burst], then Fill runs of 200 victim lines and 1024 other lines,
+   enough to overflow every engine's dirty log), then [reset] on a copy
+   of stream [r], against [build] on another copy; both then run the
+   same random suffix. Every op's result and the end observables must
+   agree. Returns whether the reset took the overflow path. *)
+let check_reset ~name ~build ~seed ~prefix ~burst =
+  let rng = Rng.create ~seed in
+  let engine = build (Rng.split rng) in
+  let ops = Rng.split rng in
+  for _ = 1 to prefix do
+    ignore (engine_op ops engine)
+  done;
+  if burst then begin
+    let fill pid trace =
+      engine.Engine.access_run ~pid ~trace ~pos:0 ~len:(Array.length trace)
+        Kernel.Fill
+    in
+    fill 0 (Array.init 200 Fun.id);
+    fill 1 (Array.init 1024 (fun i -> 201 + i))
+  end;
+  let took_overflow = overflowed engine.Engine.slab in
+  let r = Rng.split rng in
+  let fresh = build (Rng.copy r) in
+  engine.Engine.reset ~rng:(Rng.copy r);
+  let suffix = Rng.bits rng in
+  let run (e : Engine.t) =
+    let ops = Rng.create ~seed:suffix in
+    Array.init 400 (fun _ -> engine_op ops e)
+  in
+  let got = run engine in
+  let want = run fresh in
+  Array.iteri
+    (fun i w ->
+      if got.(i) <> w then
+        Alcotest.failf "%s seed=%#x prefix=%d op %d after reset: %S, fresh build %S"
+          name seed prefix i got.(i) w)
+    want;
+  Alcotest.(check string)
+    (Printf.sprintf "%s seed=%#x prefix=%d counters+dump" name seed prefix)
+    (observe fresh) (observe engine);
+  took_overflow
+
+(* Short prefixes leave the dirty log short; bursts overflow it: both
+   reset paths must be reached, and must agree with a fresh build. *)
+let reset_plans = [ (0, false); (60, false); (300, true); (1500, true) ]
+
+let test_reset_equivalence ~name ~build () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (prefix, burst) ->
+          let took = check_reset ~name ~build ~seed ~prefix ~burst in
+          if took <> burst then
+            Alcotest.failf "%s seed=%#x prefix=%d: dirty log %s" name seed prefix
+              (if burst then "did not overflow" else "overflowed"))
+        reset_plans)
+    [ 0x2E5E7; 0x7E5E2 ]
+
+(* The reference fuzz with resets interleaved: about one op in a hundred
+   resets the engine on a new split stream, and the model is recreated
+   from a copy of that stream. *)
+let check_cell_resets ~seed ~steps spec =
+  let name = case_name spec in
+  let rng, engine, model = build ~seed spec in
+  let model = ref model and resets = ref 0 in
+  for i = 0 to steps - 1 do
+    if Rng.int rng 100 = 0 then begin
+      let r = Rng.split rng in
+      model :=
+        Reference.create spec ~victim_pid:scenario.Factory.victim_pid
+          ~victim_lines:scenario.Factory.victim_lines ~rng:(Rng.copy r);
+      engine.Engine.reset ~rng:r;
+      incr resets
+    end
+    else begin
+      let pid = Rng.int rng 3 in
+      let e, m =
+        scalar_op rng engine !model ~pid ~weights:(78, 88, 92, 95, 97, 99)
+      in
+      if e <> m then
+        Alcotest.failf "%s seed=%#x op %d (after %d resets) diverged: engine %S \
+                        vs reference %S"
+          name seed i !resets e m
+    end
+  done;
+  if !resets = 0 then Alcotest.failf "%s seed=%#x: no reset drawn" name seed;
+  let e, m = summaries engine !model in
+  Alcotest.(check string)
+    (Printf.sprintf "%s seed=%#x final counters+dump" name seed)
+    m e
+
+let test_cell_resets spec () =
+  List.iter (fun seed -> check_cell_resets ~seed ~steps spec) seeds
+
+(* The cleaning game's batched count (one engine, reset per sample)
+   equals its one-sample games on the same split streams, at k around
+   the way count and at k = 300. *)
+let test_count_wins_matches_clean_once () =
+  let samples = 8 in
+  List.iter
+    (fun spec ->
+      let w =
+        (Factory.build spec scenario ~rng:(Rng.create ~seed:0)).Engine.config
+          .Config.ways
+      in
+      List.iter
+        (fun k ->
+          let seed = Hashtbl.hash (case_name spec, k) in
+          let rng = Rng.create ~seed in
+          let sum = ref 0 in
+          for _ = 1 to samples do
+            if Cachesec_attacks.Cleaner.clean_once spec ~rng:(Rng.split rng) ~accesses:k
+            then incr sum
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "%s k=%d" (case_name spec) k)
+            !sum
+            (Cachesec_attacks.Cleaner.count_wins spec ~accesses:k ~samples
+               ~rng:(Rng.create ~seed)))
+        [ w - 1; w; 4 * w; 300 ])
+    (cells ())
+
+let wrappers =
+  [
+    ("skewed", fun rng -> Skewed.engine (Skewed.create ~rng ()));
+    ( "hierarchy:l1+rp",
+      fun rng ->
+        let l2 = Factory.build Spec.paper_rp scenario ~rng:(Rng.split rng) in
+        Hierarchy.engine (Hierarchy.create ~l2 ~rng ()) );
+  ]
+
 let () =
   Alcotest.run "kernels"
     [
@@ -586,4 +754,26 @@ let () =
           Policy.all );
       ("batched-fuzz", List.map test_batched_cell (cells ()));
       ("flush-equivalence", List.map test_flush_cell (cells ()));
+      ( "reset",
+        List.map
+          (fun spec ->
+            let name = case_name spec in
+            Alcotest.test_case (name ^ " = fresh build") `Quick
+              (test_reset_equivalence ~name ~build:(fun rng ->
+                   Factory.build spec scenario ~rng)))
+          (cells ())
+        @ List.map
+            (fun (name, build) ->
+              Alcotest.test_case (name ^ " = fresh build") `Quick
+                (test_reset_equivalence ~name ~build))
+            wrappers
+        @ List.map
+            (fun spec ->
+              Alcotest.test_case (case_name spec ^ " fuzz with resets") `Quick
+                (test_cell_resets spec))
+            (cells ())
+        @ [
+            Alcotest.test_case "count_wins = sum of clean_once" `Quick
+              test_count_wins_matches_clean_once;
+          ] );
     ]
