@@ -36,7 +36,7 @@ let game spec (engine : Engine.t) ~accesses =
   let targets =
     match spec with
     | Spec.Nomo { reserved; _ } ->
-      engine.Engine.dump ()
+      Engine.dump engine
       |> List.filter_map (fun (idx, (l : Line.t)) ->
              if l.owner = victim_pid && idx mod ways >= reserved then Some l.tag
              else None)

@@ -51,14 +51,11 @@ type partial
 (** Per-plaintext-byte timing sums and counts for a span of trials,
     plus a Welford summary of every observed time for {!observe}. *)
 
-val empty_partial : unit -> partial
 val merge_into : partial -> partial -> unit
 (** Fold the right partial into the left in place, allocation-free —
     the campaign merge loops consume each partial exactly once, so
     mutating the running accumulator is safe. The right argument is
     unchanged. *)
-
-val merge_partial : partial -> partial -> partial
 
 val observe : partial -> Cachesec_stats.Sequential.observation
 (** The adaptive runtime's estimator hook: a [Mean_rel] over the span's

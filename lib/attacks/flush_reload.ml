@@ -40,18 +40,6 @@ let merge_into a b =
   done;
   a.span <- a.span + b.span
 
-(* Pure compatibility wrapper: copy, then fold. *)
-let merge_partial a b =
-  let acc =
-    {
-      hit_counts = Array.copy a.hit_counts;
-      cand_hits = Array.copy a.cand_hits;
-      span = a.span;
-    }
-  in
-  merge_into acc b;
-  acc
-
 (* Adaptive-runtime estimator: the best candidate's reload-hit rate, a
    proportion over the span — computed from the merged partial's
    existing accumulators, never inside the zero-allocation trial loop. *)

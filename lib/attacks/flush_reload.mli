@@ -36,9 +36,8 @@ val merge_into : partial -> partial -> unit
 (** Fold the right partial into the left in place, allocation-free —
     the campaign merge loops consume each partial exactly once, so
     mutating the running accumulator is safe. The right argument is
-    unchanged. *)
-
-val merge_partial : partial -> partial -> partial
+    unchanged. Raises [Invalid_argument] when the two partials cover
+    different line counts. *)
 
 val observe : partial -> Cachesec_stats.Sequential.observation
 (** The adaptive runtime's estimator hook: a [Proportion] — the best

@@ -55,23 +55,22 @@ let find_tag_owned t ~set ~tag ~owner =
   let w = t.cfg.Config.ways in
   Slab.find_tag_owned t.slab ~tag ~owner ~base:(set * w) ~len:w
 
+let find t line = find_tag t ~set:(set_of t line) ~tag:line
+
 (* --- cold paths ---------------------------------------------------- *)
+
+let flush t ~pid i =
+  if i >= 0 then begin
+    Slab.invalidate t.slab i;
+    Counters.record_flush t.counters ~pid
+  end;
+  i >= 0
 
 let ways_of_set t ~set =
   let w = t.cfg.Config.ways in
   if set < 0 || set >= Config.sets t.cfg then
     invalid_arg "Backing.ways_of_set: set out of range";
   List.init w (fun i -> (set * w) + i)
-
-(* Valid lines with their global index, as fresh boxed snapshots (the
-   slabs are the state of record; mutating a dumped [Line.t] no longer
-   reaches the engine). *)
-let dump t =
-  let acc = ref [] in
-  for i = t.slab.Slab.n - 1 downto 0 do
-    if Slab.valid t.slab i then acc := (i, Slab.line t.slab i) :: !acc
-  done;
-  !acc
 
 let flush_all t =
   Counters.record_eviction t.counters ~count:(Slab.clear t.slab)

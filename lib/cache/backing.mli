@@ -2,9 +2,9 @@
     flat {!Slab} field arrays viewed as [sets] groups of [ways], a
     global access sequence counter, per-cache counters and an RNG.
 
-    The per-access probes ({!find_tag}, {!find_tag_owned}) are
-    allocation-free bounded scans over the slabs; list-producing helpers
-    ({!ways_of_set}, {!dump}) are for cold paths. *)
+    The probes ({!find_tag}, {!find_tag_owned}, {!find}) are
+    allocation-free bounded scans over the slabs; {!ways_of_set} builds
+    a list, for cold paths. *)
 
 type t = {
   cfg : Config.t;
@@ -48,13 +48,18 @@ val find_tag_owned : t -> set:int -> tag:int -> owner:int -> int
 (** As {!find_tag}, additionally requiring [owner] to have filled the
     line (RP's PID feature). Allocation-free. *)
 
+val find : t -> int -> int
+(** [find_tag] of a line in its conventional set ({!set_of}): the
+    lookup of every engine that indexes conventionally. *)
+
+val flush : t -> pid:int -> int -> bool
+(** The clflush of a line a lookup returned: for an index [i >= 0],
+    invalidate line [i], count a flush for [pid] and return [true]; for
+    -1 (nothing found), [false]. *)
+
 val ways_of_set : t -> set:int -> int list
 (** Global line indices of a set, in way order (cold paths only, e.g.
     PL way-locking). *)
-
-val dump : t -> (int * Line.t) list
-(** Valid lines with their global index, materialized as fresh
-    snapshots of the slab state. *)
 
 val flush_all : t -> unit
 (** Invalidate every line, counting the displaced valid ones
@@ -66,5 +71,5 @@ val reset : t -> rng:Cachesec_stats.Rng.t -> unit
     the cost is the lines filled since the last clear), [seq] 0, the
     counters zero and the scratch fields -1. Invalid lines keep their
     timestamps, as after {!flush_all}: no victim choice reads them (an
-    invalid way is always taken first) and {!dump} lists valid lines
+    invalid way is always taken first) and {!Slab.dump} lists valid lines
     only. Allocates nothing. *)

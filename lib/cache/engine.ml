@@ -13,12 +13,27 @@ type t = {
   lock_line : pid:int -> int -> bool;
   unlock_line : pid:int -> int -> bool;
   set_window : pid:int -> back:int -> fwd:int -> unit;
-  counters : unit -> Counters.snapshot;
-  counters_for : int -> Counters.snapshot;
-  reset_counters : unit -> unit;
+  counters : Counters.t;
   reset : rng:Cachesec_stats.Rng.t -> unit;
-  dump : unit -> (int * Line.t) list;
 }
 
-let no_lock ~pid:_ _ = false
-let no_window ~pid:_ ~back:_ ~fwd:_ = ()
+let dump t = Slab.dump t.slab
+
+let of_backing (b : Backing.t) ~name ~run_kernel ~access ~access_run ~find =
+  {
+    name;
+    config = b.Backing.cfg;
+    sigma = 0.;
+    slab = b.Backing.slab;
+    access;
+    access_run;
+    run_kernel;
+    peek = (fun ~pid addr -> find ~pid addr >= 0);
+    flush_line = (fun ~pid addr -> Backing.flush b ~pid (find ~pid addr));
+    flush_all = (fun () -> Backing.flush_all b);
+    lock_line = (fun ~pid:_ _ -> false);
+    unlock_line = (fun ~pid:_ _ -> false);
+    set_window = (fun ~pid:_ ~back:_ ~fwd:_ -> ());
+    counters = b.Backing.counters;
+    reset = (fun ~rng -> Backing.reset b ~rng);
+  }

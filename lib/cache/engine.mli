@@ -1,10 +1,13 @@
 (** Uniform, architecture-agnostic cache interface.
 
-    Each architecture module exposes its own typed API plus an [engine]
-    projection to this record of operations, which is what the attack
-    harness, benches and examples drive. Operations that an architecture
-    does not implement (locking outside PL, windows outside RF) are no-ops
-    that return [()] or [false]. *)
+    This record is the one API for a cache's operations: each
+    architecture module builds its cache with [create] and hands it out
+    through [engine], and the attack harness, workloads, benches,
+    examples and tests all drive it through these fields. Beyond that an
+    architecture module exports only its own queries ([Rp.table],
+    [Rf.window], [Pl.locked_lines], [Hierarchy.access_timed], ...).
+    Operations that an architecture does not implement (locking outside
+    PL, windows outside RF) are no-ops that return [()] or [false]. *)
 
 type t = {
   name : string;
@@ -43,9 +46,11 @@ type t = {
   unlock_line : pid:int -> int -> bool;
   set_window : pid:int -> back:int -> fwd:int -> unit;
       (** RF cache: set the pid's random-fill window; no-op elsewhere *)
-  counters : unit -> Counters.snapshot;
-  counters_for : int -> Counters.snapshot;
-  reset_counters : unit -> unit;
+  counters : Counters.t;
+      (** the engine's global and per-pid counts, read with
+          {!Counters.global} and {!Counters.for_pid} and zeroed with
+          {!Counters.reset} (a Hierarchy's are its own, not its
+          levels') *)
   reset : rng:Cachesec_stats.Rng.t -> unit;
       (** Return to the state the engine was built in, drawing from [rng]
           from now on: afterwards every operation behaves, outcome for
@@ -65,12 +70,24 @@ type t = {
           allocate nothing. A wrapper engine (Hierarchy) resets to the
           construction its own interface names, which is not
           necessarily the one a given caller used. *)
-  dump : unit -> (int * Line.t) list;
-      (** valid lines with their physical way index, for tests/debugging *)
 }
 
-val no_lock : pid:int -> int -> bool
-(** Constant [false]; default for caches without locking. *)
+val dump : t -> (int * Line.t) list
+(** [Slab.dump t.slab]: the valid lines with their physical way index,
+    for tests and debugging. *)
 
-val no_window : pid:int -> back:int -> fwd:int -> unit
-(** No-op; default for caches without random fill. *)
+val of_backing :
+  Backing.t ->
+  name:string ->
+  run_kernel:string ->
+  access:(pid:int -> int -> Outcome.t) ->
+  access_run:
+    (pid:int -> trace:int array -> pos:int -> len:int -> Kernel.mode -> unit) ->
+  find:(pid:int -> int -> int) ->
+  t
+(** The record of an engine over a {!Backing.t}, before its own
+    overrides ([{ (of_backing ...) with ... }]): the backing's config,
+    slab and counters, [sigma] 0, [peek] true where [find] finds a line
+    (its slab index, or -1), [flush_line] {!Backing.flush} of what
+    [find] finds, {!Backing.flush_all}, {!Backing.reset}, and the
+    lock and window no-ops. *)

@@ -108,13 +108,6 @@ let engine t =
     lock_line = (fun ~pid addr -> t.l2.Engine.lock_line ~pid addr);
     unlock_line = (fun ~pid addr -> t.l2.Engine.unlock_line ~pid addr);
     set_window = (fun ~pid ~back ~fwd -> t.l2.Engine.set_window ~pid ~back ~fwd);
-    counters = (fun () -> Counters.global t.counters);
-    counters_for = (fun pid -> Counters.for_pid t.counters pid);
-    reset_counters =
-      (fun () ->
-        Counters.reset t.counters;
-        t.l2.Engine.reset_counters ();
-        Hashtbl.iter (fun _ l1 -> l1.Engine.reset_counters ()) t.l1s);
-    reset = (fun ~rng -> reset t ~rng);
-    dump = (fun () -> t.l2.Engine.dump ());
+    counters = t.counters;
+    reset = reset t;
   }

@@ -39,19 +39,21 @@ val l2 : t -> Engine.t
 val l1_for : t -> pid:int -> Engine.t
 (** The pid's private L1 (created on first use). *)
 
-val access : t -> pid:int -> int -> Outcome.t
 val access_timed : t -> pid:int -> int -> Outcome.t * float
-(** Also returns the three-level latency (before observation noise). *)
-
-val flush_line : t -> pid:int -> int -> bool
-(** clflush semantics: coherence-wide — removes the line from {e every}
-    private L1 and the shared L2 (true if removed anywhere). *)
+(** The engine's [access], also returning the three-level latency
+    (before observation noise). *)
 
 val engine : t -> Engine.t
 (** Uniform view. [sigma] is inherited from the L2 engine. Its
-    [reset ~rng] resets the L2 on [Rng.split rng], forgets every L1 and
-    takes [rng] as the stream later L1s split from: the state of
-    [create ~l2 ~rng] with [l2] built on [Rng.split rng]. A hierarchy
+    [flush_line] has clflush semantics: coherence-wide, it removes the
+    line from {e every} private L1 and the shared L2 (true if removed
+    anywhere). Its [counters] are the hierarchy's own: one count per
+    access or flush at the hierarchy, kept apart from the L1 and L2
+    engines' counters, so zeroing them ({!Counters.reset}) leaves the
+    levels' counts as they were. Its [reset ~rng] resets the L2 on
+    [Rng.split rng], forgets every L1 and takes [rng] as the stream
+    later L1s split from: the state of [create ~l2 ~rng] with [l2]
+    built on [Rng.split rng]. A hierarchy
     built another way (say, [l2] and [rng] two sibling splits of one
     parent, as [Llc.run] does) does not replay its own fresh build
     after a reset. It allocates (the L1s are rebuilt on demand). *)

@@ -1,34 +1,9 @@
 type t = {
-  mutable valid : bool;
-  mutable tag : int;
-  mutable owner : int;
-  mutable locked : bool;
-  mutable last_use : int;
-  mutable fill_seq : int;
-  mutable aux : int;
+  valid : bool;
+  tag : int;
+  owner : int;
+  locked : bool;
+  last_use : int;
+  fill_seq : int;
+  aux : int;
 }
-
-let make () =
-  { valid = false; tag = 0; owner = -1; locked = false; last_use = 0; fill_seq = 0; aux = 0 }
-
-let make_array n = Array.init n (fun _ -> make ())
-
-let invalidate t =
-  t.valid <- false;
-  t.tag <- 0;
-  t.owner <- -1;
-  t.locked <- false;
-  t.aux <- 0
-
-let fill t ~tag ~owner ~seq =
-  t.valid <- true;
-  t.tag <- tag;
-  t.owner <- owner;
-  t.locked <- false;
-  t.last_use <- seq;
-  t.fill_seq <- seq;
-  t.aux <- 0
-
-let touch t ~seq = t.last_use <- seq
-
-let victim t = if t.valid then Some (t.owner, t.tag) else None

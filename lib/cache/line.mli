@@ -1,30 +1,13 @@
-(** Mutable cache-line metadata shared by all architecture models. *)
+(** Snapshot of one cache line's metadata: what {!Slab.dump} and
+    {!Engine.dump} report. The engines keep their line state in a
+    {!Slab}; a snapshot is a copy, not a handle on it. *)
 
 type t = {
-  mutable valid : bool;
-  mutable tag : int;  (** full memory-line number of the cached line *)
-  mutable owner : int;  (** pid that filled the line *)
-  mutable locked : bool;  (** PL cache protection bit *)
-  mutable last_use : int;  (** global access sequence of the last touch (LRU) *)
-  mutable fill_seq : int;  (** global access sequence of the fill (FIFO) *)
-  mutable aux : int;  (** architecture-specific field (Newcache logical index) *)
+  valid : bool;
+  tag : int;  (** full memory-line number of the cached line *)
+  owner : int;  (** pid that filled the line *)
+  locked : bool;  (** PL cache protection bit *)
+  last_use : int;  (** global access sequence of the last touch (LRU) *)
+  fill_seq : int;  (** global access sequence of the fill (FIFO) *)
+  aux : int;  (** architecture-specific field (Newcache logical index) *)
 }
-
-val make : unit -> t
-(** A fresh invalid line. *)
-
-val make_array : int -> t array
-(** [make_array n] is [n] fresh independent invalid lines. *)
-
-val invalidate : t -> unit
-(** Clear the line (also clears the lock bit). *)
-
-val fill : t -> tag:int -> owner:int -> seq:int -> unit
-(** Install a new memory line; clears the lock bit, sets both timestamps. *)
-
-val touch : t -> seq:int -> unit
-(** Record a hit for LRU bookkeeping. *)
-
-val victim : t -> (int * int) option
-(** [(owner, tag)] if the line is valid — the eviction payload produced
-    when this line is displaced. Allocates only when valid. *)

@@ -51,7 +51,6 @@ let create ?(config = Config.fully_associative) ?(extra_bits = 4) ~rng () =
     logical_lines = lines lsl extra_bits;
   }
 
-let config t = t.b.Backing.cfg
 let logical_lines t = t.logical_lines
 
 (* Multiplicative hashing: the top bits of the key times an odd
@@ -136,17 +135,10 @@ let full_match t ~pid addr =
   let i = cam_find t ~pid li (bucket t ~pid li) in
   if i >= 0 && t.b.Backing.slab.Slab.tags.(i) = addr then i else -1
 
-let peek t ~pid addr = full_match t ~pid addr >= 0
-
 let flush_line t ~pid addr =
   let i = full_match t ~pid addr in
-  if i >= 0 then begin
-    unlink t i;
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
+  if i >= 0 then unlink t i;
+  Backing.flush t.b ~pid i
 
 (* Before a slab clear: every line goes invalid, so every chain
    empties. A non-empty bucket holds a valid line, and every valid line
@@ -176,23 +168,15 @@ let reset t ~rng =
 
 let engine t =
   {
-    Engine.name = Printf.sprintf "newcache-%d-logical" t.logical_lines;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run =
-      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
-    run_kernel = "newcache";
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
+    (Engine.of_backing t.b
+       ~name:(Printf.sprintf "newcache-%d-logical" t.logical_lines)
+       ~run_kernel:"newcache"
+       ~access:(fun ~pid addr -> access t ~pid addr)
+       ~access_run:(fun ~pid ~trace ~pos ~len mode ->
+         run t ~pid ~trace ~pos ~len mode)
+       ~find:(full_match t))
+    with
+    Engine.flush_line = flush_line t;
     flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> reset t ~rng);
-    dump = (fun () -> Backing.dump t.b);
+    reset = reset t;
   }

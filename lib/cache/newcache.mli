@@ -27,8 +27,8 @@ val create :
 
     The CAM is a chained hash index over the physical lines: its size is
     O([lines]), whatever the logical size and however many contexts
-    access it, and its lookups and updates, {!flush_all} included,
-    allocate nothing.
+    access it, and its lookups and updates, the engine's [flush_all]
+    included, allocate nothing.
 
     @raise Invalid_argument if [extra_bits] is negative or above
     [max_extra_bits ~lines]. *)
@@ -37,16 +37,10 @@ val max_extra_bits : lines:int -> int
 (** The largest [extra_bits] for which the logical line count
     [lines lsl extra_bits] fits in an [int] ([lines > 0]). *)
 
-val config : t -> Config.t
 val logical_lines : t -> int
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-(** Removes only the accessor's own context's copy (the PID feature means
-    a pid cannot name another context's line). *)
-
-val flush_all : t -> unit
 
 val engine : t -> Engine.t
 (** [access] and [access_run] are both derived from the one Newcache
-    step ([run_kernel] ["newcache"]). *)
+    step ([run_kernel] ["newcache"]). [flush_line] removes only the
+    accessor's own context's copy (the PID feature means a pid cannot
+    name another context's line). *)

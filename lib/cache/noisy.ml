@@ -5,8 +5,6 @@ let create ?config ?policy ?(sigma = 1.0) ~rng () =
   { sa = Sa.create ?config ?policy ~rng (); sigma }
 
 let sigma t = t.sigma
-let access t ~pid addr = Sa.access t.sa ~pid addr
-let peek t ~pid addr = Sa.peek t.sa ~pid addr
 
 let engine t =
   { (Sa.engine t.sa) with Engine.name = Printf.sprintf "noisy-sigma-%g" t.sigma; sigma = t.sigma }

@@ -19,8 +19,6 @@ val create :
     non-negative. *)
 
 val sigma : t -> float
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
 
 val engine : t -> Engine.t
 (** The underlying {!Sa.engine} with this cache's name and [sigma]. *)

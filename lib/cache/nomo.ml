@@ -12,7 +12,6 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ?reserved
     invalid_arg "Nomo.create: reserved must lie in [0, ways)";
   { b = Backing.create config ~rng; policy; reserved; protected_pids }
 
-let config t = t.b.Backing.cfg
 let reserved_ways t = t.reserved
 let shared_ways t = t.b.Backing.cfg.Config.ways - t.reserved
 (* [List.mem] without its polymorphic compare: runs on every miss. *)
@@ -21,7 +20,6 @@ let rec mem_pid (pid : int) = function
   | p :: rest -> p = pid || mem_pid pid rest
 
 let is_protected t pid = mem_pid pid t.protected_pids
-let set_of t addr = Backing.set_of t.b addr
 
 (* Top-level loop (all state as arguments): a local [let rec] capturing
    the slabs/[stop]/[pid] would allocate its closure on every miss under
@@ -94,39 +92,13 @@ let run t ~pid ~trace ~pos ~len mode =
     Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
   done
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
-  {
-    Engine.name =
-      Printf.sprintf "nomo-%d/%d-reserved" t.reserved (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run =
-      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
-    run_kernel = "nomo";
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> Backing.reset t.b ~rng);
-    dump = (fun () -> Backing.dump t.b);
-  }
+  Engine.of_backing t.b
+    ~name:
+      (Printf.sprintf "nomo-%d/%d-reserved" t.reserved
+         t.b.Backing.cfg.Config.ways)
+    ~run_kernel:"nomo"
+    ~access:(fun ~pid addr -> access t ~pid addr)
+    ~access_run:(fun ~pid ~trace ~pos ~len mode ->
+      run t ~pid ~trace ~pos ~len mode)
+    ~find:(fun ~pid:_ addr -> Backing.find t.b addr)

@@ -22,14 +22,9 @@ val create :
 (** [reserved] defaults to [ways / 4] (the paper's configuration).
     Raises [Invalid_argument] unless [0 <= reserved < ways]. *)
 
-val config : t -> Config.t
 val reserved_ways : t -> int
 val shared_ways : t -> int
 val is_protected : t -> int -> bool
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
 val engine : t -> Engine.t
 (** [access] and [access_run] are both derived from the one Nomo step
     ([run_kernel] ["nomo"]). *)

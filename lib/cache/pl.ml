@@ -3,8 +3,6 @@ type t = { b : Backing.t; policy : Policy.t }
 let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
-let config t = t.b.Backing.cfg
-let set_of t addr = Backing.set_of t.b addr
 
 (* --- the transition ---------------------------------------------------- *)
 
@@ -47,8 +45,7 @@ let run t ~pid ~trace ~pos ~len mode =
 let lock_line t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
-  let set = set_of t addr in
-  let i = Backing.find_tag b ~set ~tag:addr in
+  let i = Backing.find b addr in
   if i >= 0 then begin
     Slab.set_locked s i true;
     s.Slab.owners.(i) <- pid;
@@ -57,7 +54,9 @@ let lock_line t ~pid addr =
   else begin
     let seq = Backing.tick b in
     let unlocked =
-      List.filter (fun i -> not (Slab.locked s i)) (Backing.ways_of_set b ~set)
+      List.filter
+        (fun i -> not (Slab.locked s i))
+        (Backing.ways_of_set b ~set:(Backing.set_of b addr))
     in
     match unlocked with
     | [] -> false
@@ -73,7 +72,7 @@ let lock_line t ~pid addr =
 
 let unlock_line t ~pid addr =
   let s = t.b.Backing.slab in
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
+  let i = Backing.find t.b addr in
   if i >= 0 && Slab.locked s i && s.Slab.owners.(i) = pid then begin
     Slab.set_locked s i false;
     true
@@ -81,46 +80,29 @@ let unlock_line t ~pid addr =
   else false
 
 let locked_lines t =
-  Backing.dump t.b
+  Slab.dump t.b.Backing.slab
   |> List.filter_map (fun (_, (l : Line.t)) -> if l.locked then Some l.tag else None)
   |> List.sort Int.compare
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
+(* A line locked by another pid cannot be flushed, as it cannot be
+   evicted. *)
 let flush_line t ~pid addr =
   let s = t.b.Backing.slab in
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    if Slab.locked s i && s.Slab.owners.(i) <> pid then false
-    else begin
-      Slab.invalidate s i;
-      Counters.record_flush t.b.Backing.counters ~pid;
-      true
-    end
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
+  let i = Backing.find t.b addr in
+  if i >= 0 && Slab.locked s i && s.Slab.owners.(i) <> pid then false
+  else Backing.flush t.b ~pid i
 
 let engine t =
   {
-    Engine.name = Printf.sprintf "pl-%d-way" (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run =
-      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
-    run_kernel = "pl";
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = (fun ~pid addr -> lock_line t ~pid addr);
-    unlock_line = (fun ~pid addr -> unlock_line t ~pid addr);
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> Backing.reset t.b ~rng);
-    dump = (fun () -> Backing.dump t.b);
+    (Engine.of_backing t.b
+       ~name:(Printf.sprintf "pl-%d-way" t.b.Backing.cfg.Config.ways)
+       ~run_kernel:"pl"
+       ~access:(fun ~pid addr -> access t ~pid addr)
+       ~access_run:(fun ~pid ~trace ~pos ~len mode ->
+         run t ~pid ~trace ~pos ~len mode)
+       ~find:(fun ~pid:_ addr -> Backing.find t.b addr))
+    with
+    Engine.flush_line = flush_line t;
+    lock_line = lock_line t;
+    unlock_line = unlock_line t;
   }

@@ -17,29 +17,18 @@ val create :
   unit ->
   t
 
-val config : t -> Config.t
-val access : t -> pid:int -> int -> Outcome.t
-
-val lock_line : t -> pid:int -> int -> bool
-(** Prefetch (if absent) and protect a line. The locking fill prefers
-    invalid ways, then unlocked ways by policy; returns [false] if every
-    way of the set is already locked by another line. Locking an already
-    cached line just sets its bit. *)
-
-val unlock_line : t -> pid:int -> int -> bool
-(** Clear the protection bit; only the locking owner may unlock. Returns
-    whether a bit was cleared. *)
-
 val locked_lines : t -> int list
 (** Memory lines currently locked, ascending. *)
 
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-(** Flush refuses to remove a line locked by a different pid (returns
-    [false]), mirroring that eviction of protected lines is impossible. *)
-
-val flush_all : t -> unit
-
 val engine : t -> Engine.t
 (** [access] and [access_run] are both derived from the one PL step
-    ([run_kernel] ["pl"]). *)
+    ([run_kernel] ["pl"]).
+
+    [lock_line] prefetches (if absent) and protects a line. The locking
+    fill prefers invalid ways, then unlocked ways by policy; it returns
+    [false] if every way of the set is already locked by another line.
+    Locking an already cached line just sets its bit. [unlock_line]
+    clears the bit; only the locking owner may, and it returns whether a
+    bit was cleared. [flush_line] refuses to remove a line locked by a
+    different pid (returns [false]), mirroring that eviction of
+    protected lines is impossible. *)

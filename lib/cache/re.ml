@@ -19,10 +19,8 @@ let create ?(config = Config.direct_mapped) ?(policy = Policy.Random)
     random_evictions = 0;
   }
 
-let config t = t.b.Backing.cfg
 let interval t = t.interval
 let random_evictions t = t.random_evictions
-let set_of t addr = Backing.set_of t.b addr
 
 (* Fires after every [interval]-th access: returns a uniformly random
    slot for the caller to evict, else -1. *)
@@ -53,19 +51,6 @@ let run t ~pid ~trace ~pos ~len mode =
     Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
   done
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let reset t ~rng =
   Backing.reset t.b ~rng;
   t.since_eviction <- 0;
@@ -73,24 +58,14 @@ let reset t ~rng =
 
 let engine t =
   {
-    Engine.name =
-      Printf.sprintf "re-%d-way-T%d" (config t).Config.ways t.interval;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run =
-      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
-    run_kernel = "re";
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> reset t ~rng);
-    dump = (fun () -> Backing.dump t.b);
+    (Engine.of_backing t.b
+       ~name:
+         (Printf.sprintf "re-%d-way-T%d" t.b.Backing.cfg.Config.ways t.interval)
+       ~run_kernel:"re"
+       ~access:(fun ~pid addr -> access t ~pid addr)
+       ~access_run:(fun ~pid ~trace ~pos ~len mode ->
+         run t ~pid ~trace ~pos ~len mode)
+       ~find:(fun ~pid:_ addr -> Backing.find t.b addr))
+    with
+    Engine.reset = reset t;
   }

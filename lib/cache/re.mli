@@ -18,16 +18,11 @@ val create :
 (** Defaults: {!Config.direct_mapped}, [interval = 10] (the paper's "10%
     random eviction"). [interval] must be positive. *)
 
-val config : t -> Config.t
 val interval : t -> int
 val random_evictions : t -> int
 (** How many periodic evictions have fired so far (whether or not the
     chosen slot held a valid line). *)
 
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
 val engine : t -> Engine.t
 (** [access] and [access_run] are both derived from the one RE step
     ([run_kernel] ["re"]). *)

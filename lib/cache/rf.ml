@@ -32,8 +32,6 @@ let create ?(config = Config.standard) ?(policy = Policy.Random)
     memo_window = default_window;
   }
 
-let config t = t.b.Backing.cfg
-
 (* [Not_found] is preallocated: a memo miss walks the list without
    allocating. *)
 let rec find_window (pid : int) = function
@@ -58,8 +56,6 @@ let set_window t ~pid ~back ~fwd =
   t.windows <-
     (pid, (back, fwd)) :: List.filter (fun (p, _) -> p <> pid) t.windows;
   t.memo_pid <- min_int
-
-let set_of t addr = Backing.set_of t.b addr
 
 (* --- the transition ---------------------------------------------------- *)
 
@@ -104,19 +100,6 @@ let run t ~pid ~trace ~pos ~len mode =
     Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
   done
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let reset t ~rng =
   Backing.reset t.b ~rng;
   t.windows <- t.built_windows;
@@ -124,23 +107,14 @@ let reset t ~rng =
 
 let engine t =
   {
-    Engine.name = Printf.sprintf "rf-%d-way" (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run =
-      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
-    run_kernel = "rf";
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = (fun ~pid ~back ~fwd -> set_window t ~pid ~back ~fwd);
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> reset t ~rng);
-    dump = (fun () -> Backing.dump t.b);
+    (Engine.of_backing t.b
+       ~name:(Printf.sprintf "rf-%d-way" t.b.Backing.cfg.Config.ways)
+       ~run_kernel:"rf"
+       ~access:(fun ~pid addr -> access t ~pid addr)
+       ~access_run:(fun ~pid ~trace ~pos ~len mode ->
+         run t ~pid ~trace ~pos ~len mode)
+       ~find:(fun ~pid:_ addr -> Backing.find t.b addr))
+    with
+    Engine.set_window = set_window t;
+    reset = reset t;
   }

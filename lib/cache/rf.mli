@@ -22,19 +22,13 @@ val create :
   t
 (** [default_window] is [(back, fwd)] applied to pids with no explicit
     window; defaults to [(0, 0)] (plain demand fetch). [windows] gives
-    pids their own [(pid, (back, fwd))] windows from the start, as
-    {!set_window} would; the engine's [reset] returns to exactly these.
+    pids their own [(pid, (back, fwd))] windows from the start, as the
+    engine's [set_window] would; the engine's [reset] returns to exactly these.
     Raises [Invalid_argument] on negative sizes. *)
 
-val config : t -> Config.t
 val window : t -> pid:int -> int * int
-val set_window : t -> pid:int -> back:int -> fwd:int -> unit
-(** Raises [Invalid_argument] on negative sizes. *)
 
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
 val engine : t -> Engine.t
 (** [access] and [access_run] are both derived from the one RF step
-    ([run_kernel] ["rf"]). *)
+    ([run_kernel] ["rf"]). Its [set_window] raises [Invalid_argument]
+    on negative sizes. *)

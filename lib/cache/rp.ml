@@ -14,8 +14,6 @@ type t = {
   mutable memo_tbl : int array;
 }
 
-let config t = t.b.Backing.cfg
-
 (* A list, not a hash table: an RP cache serves two or three pids, the
    memo answers nearly every lookup, and a reset walks the tables
    without allocating. [Not_found] is preallocated. *)
@@ -147,7 +145,7 @@ let[@inline] step p (b : Backing.t) tbl ~pid addr =
     code
   end
 
-(* The hit case is answered here, as in [Sa.access]. *)
+(* The hit case is answered here, as in SA's [access]. *)
 let[@inline] access p t ~pid addr =
   let code = step p t.b (table_of t pid) ~pid addr in
   if code = Kernel.hit then begin
@@ -201,24 +199,12 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
     memo_tbl = [||];
   }
 
-let access t ~pid addr = access t.policy t ~pid addr
-let physical_set t ~pid addr = (table_of t pid).(Backing.set_of t.b addr)
-
+(* The PID feature: a pid finds only the lines it filled, through its
+   own table. *)
 let find t ~pid addr =
-  Backing.find_tag_owned t.b ~set:(physical_set t ~pid addr) ~tag:addr ~owner:pid
-
-let peek t ~pid addr = find t ~pid addr >= 0
-
-let flush_line t ~pid addr =
-  let i = find t ~pid addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
+  Backing.find_tag_owned t.b
+    ~set:(table_of t pid).(Backing.set_of t.b addr)
+    ~tag:addr ~owner:pid
 
 (* A pid's table as made is the identity, and a made table answers
    exactly as one made on demand would, so rewriting every table in
@@ -230,22 +216,10 @@ let reset t ~rng =
 let engine t =
   let access, access_run = bind t in
   {
-    Engine.name = Printf.sprintf "rp-%d-way" (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access;
-    access_run;
-    run_kernel = "rp-" ^ Policy.to_string t.policy;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> reset t ~rng);
-    dump = (fun () -> Backing.dump t.b);
+    (Engine.of_backing t.b
+       ~name:(Printf.sprintf "rp-%d-way" t.b.Backing.cfg.Config.ways)
+       ~run_kernel:("rp-" ^ Policy.to_string t.policy)
+       ~access ~access_run ~find:(find t))
+    with
+    Engine.reset = reset t;
   }

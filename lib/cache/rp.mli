@@ -26,12 +26,6 @@ val create :
   unit ->
   t
 
-val config : t -> Config.t
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
-
 val table : t -> pid:int -> int array
 (** A copy of the pid's current permutation table (created on first use as
     the identity). *)

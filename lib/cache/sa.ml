@@ -115,43 +115,11 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   let access, run = bind b policy in
   { b; policy; access; run }
 
-let config t = t.b.Backing.cfg
-let policy t = t.policy
-let access t ~pid addr = t.access ~pid addr
-let set_of t addr = Backing.set_of t.b addr
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-let counters t = t.b.Backing.counters
-
 let engine t =
-  {
-    Engine.name = Printf.sprintf "sa-%d-way-%s" (config t).Config.ways
-        (Policy.to_string t.policy);
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = t.access;
-    access_run = t.run;
-    run_kernel = "sa-" ^ Policy.to_string t.policy;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> Backing.reset t.b ~rng);
-    dump = (fun () -> Backing.dump t.b);
-  }
+  Engine.of_backing t.b
+    ~name:
+      (Printf.sprintf "sa-%d-way-%s" t.b.Backing.cfg.Config.ways
+         (Policy.to_string t.policy))
+    ~run_kernel:("sa-" ^ Policy.to_string t.policy)
+    ~access:t.access ~access_run:t.run
+    ~find:(fun ~pid:_ addr -> Backing.find t.b addr)

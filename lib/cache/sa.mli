@@ -16,14 +16,6 @@ val create :
   t
 (** Defaults: {!Config.standard}, random replacement. *)
 
-val config : t -> Config.t
-val policy : t -> Policy.t
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
-val counters : t -> Counters.t
-
 val step : Policy.t -> Backing.t -> pid:int -> int -> int
 (** The SA transition: one access by [pid] to a line of the backing
     store, returning its {!Kernel} step code. RE's step is this plus its

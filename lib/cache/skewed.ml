@@ -11,7 +11,6 @@ type t = {
 let create ?(config = Config.standard) ~rng () =
   { b = Backing.create config ~rng; keys = Hashtbl.create 16 }
 
-let config t = t.b.Backing.cfg
 let banks t = t.b.Backing.cfg.Config.ways
 let slots_per_bank t = Config.sets t.b.Backing.cfg
 
@@ -71,19 +70,6 @@ let access t ~pid addr =
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid addr = find t ~pid addr >= 0
-
-let flush_line t ~pid addr =
-  let i = find t ~pid addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 (* A fresh cache draws each (pid, bank) permutation from its RNG on
    first use, so the reset one forgets them and draws them again from
    [rng]. *)
@@ -93,22 +79,12 @@ let reset t ~rng =
 
 let engine t =
   {
-    Engine.name = Printf.sprintf "skewed-%d-bank" (banks t);
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> reset t ~rng);
-    dump = (fun () -> Backing.dump t.b);
+    (Engine.of_backing t.b
+       ~name:(Printf.sprintf "skewed-%d-bank" (banks t))
+       ~run_kernel:Kernel.generic
+       ~access:(fun ~pid addr -> access t ~pid addr)
+       ~access_run:(Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr))
+       ~find:(find t))
+    with
+    Engine.reset = reset t;
   }

@@ -21,7 +21,6 @@ val create : ?config:Config.t -> rng:Cachesec_stats.Rng.t -> unit -> t
 (** Geometry: [ways] banks of [sets] slots ({!Config.standard}: 8 banks
     of 64). Per-domain bank permutations are drawn lazily from [rng]. *)
 
-val config : t -> Config.t
 val banks : t -> int
 val slots_per_bank : t -> int
 
@@ -29,10 +28,6 @@ val slot_of : t -> pid:int -> bank:int -> int -> int
 (** The slot the line hashes to in a bank under the pid's keys (exposed
     for tests; a real implementation would keep this secret). *)
 
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
 val engine : t -> Engine.t
 (** Its [reset ~rng] also forgets the bank permutations, which are then
     drawn again from [rng] as on a fresh cache. *)

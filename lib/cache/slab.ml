@@ -10,9 +10,7 @@
      addresses), so [invalid_tag = -1] can never collide with a real
      tag and the valid bit needs no slab of its own.
    - invalid lines keep [owners = -1], [locked = 0], [aux = 0] and
-     retain their timestamps, mirroring [Line.invalidate]/[Line.make]
-     exactly (so {!line} snapshots are bit-compatible with the seed
-     per-line records).
+     retain their timestamps.
    - dirty log: every line that is valid, and every set whose [tree]
      word is non-zero, was reached by a {!fill} of an invalid line since
      the last {!clear}, and that fill pushed the line onto
@@ -185,7 +183,7 @@ let set_locked t i v = t.locked.(i) <- (if v then 1 else 0)
 (* --- cold views ----------------------------------------------------- *)
 
 (* Materialize one line as the classic boxed record — the dump/debug
-   view. Invalid lines report [tag = 0], matching [Line.invalidate]. *)
+   view. Invalid lines report [tag = 0]. *)
 let line t i =
   let v = valid t i in
   {
@@ -197,6 +195,15 @@ let line t i =
     fill_seq = t.fill_seq.(i);
     aux = t.aux.(i);
   }
+
+(* Valid lines with their index, as fresh snapshots (the slabs are the
+   state of record). *)
+let dump t =
+  let acc = ref [] in
+  for i = t.n - 1 downto 0 do
+    if valid t i then acc := (i, line t i) :: !acc
+  done;
+  !acc
 
 (* Invalidate everything in one pass per field slab; returns how many
    valid lines were displaced. *)

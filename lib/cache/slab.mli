@@ -97,7 +97,7 @@ val max_freq : t -> base:int -> len:int -> int
 
 val fill : t -> int -> tag:int -> owner:int -> seq:int -> unit
 (** Install a memory line: clears the lock bit and [aux], sets both
-    timestamps (same contract as [Line.fill]) and resets the frequency
+    timestamps and resets the frequency
     counter to 1 (the fill itself is the first use). Logs the line in
     the dirty log when it was invalid. *)
 
@@ -106,7 +106,7 @@ val touch : t -> int -> seq:int -> unit
 
 val invalidate : t -> int -> unit
 (** Clear the line ([owner = -1], lock, [aux] and [freq] cleared;
-    timestamps retained — same contract as [Line.invalidate]). *)
+    timestamps retained). *)
 
 val victim : t -> int -> (int * int) option
 (** [(owner, tag)] if the line is valid — the eviction payload when the
@@ -115,9 +115,10 @@ val victim : t -> int -> (int * int) option
 val locked : t -> int -> bool
 val set_locked : t -> int -> bool -> unit
 
-val line : t -> int -> Line.t
-(** Materialize line [i] as a fresh boxed snapshot (dump/debug view;
-    bit-compatible with the seed per-line records). *)
+val dump : t -> (int * Line.t) list
+(** The valid lines with their index, in index order, each as a fresh
+    {!Line.t} snapshot (dump/debug view; bit-compatible with the seed
+    per-line records). *)
 
 val clear : t -> int
 (** Invalidate every line and zero every tree word; returns the number

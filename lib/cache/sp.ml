@@ -28,7 +28,6 @@ let create_two_domain ?(config = Config.standard) ?(policy = Policy.Random)
       Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) victim_lines);
   }
 
-let config t = t.b.Backing.cfg
 let sets_per_partition t = t.per
 
 (* Top-level scan with every free variable as an argument (a local
@@ -84,38 +83,14 @@ let run t ~pid ~trace ~pos ~len mode =
     Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
   done
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
-  {
-    Engine.name = Printf.sprintf "sp-%d-part-%d-way" t.partitions (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    slab = t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run =
-      (fun ~pid ~trace ~pos ~len mode -> run t ~pid ~trace ~pos ~len mode);
-    run_kernel = "sp";
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    reset = (fun ~rng -> Backing.reset t.b ~rng);
-    dump = (fun () -> Backing.dump t.b);
-  }
+  Engine.of_backing t.b
+    ~name:
+      (Printf.sprintf "sp-%d-part-%d-way" t.partitions
+         t.b.Backing.cfg.Config.ways)
+    ~run_kernel:"sp"
+    ~access:(fun ~pid addr -> access t ~pid addr)
+    ~access_run:(fun ~pid ~trace ~pos ~len mode ->
+      run t ~pid ~trace ~pos ~len mode)
+    ~find:(fun ~pid:_ addr ->
+      Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr)

@@ -36,12 +36,7 @@ val create_two_domain :
     divides the set count. The set count is a power of two ({!Config.v}),
     hence so is [per]. *)
 
-val config : t -> Config.t
 val sets_per_partition : t -> int
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
 val engine : t -> Engine.t
 (** [access] and [access_run] are both derived from the one SP step
     ([run_kernel] ["sp"]). *)

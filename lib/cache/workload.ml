@@ -63,6 +63,6 @@ let replay engine ~pid trace =
   Array.iter (fun line -> ignore (engine.Engine.access ~pid line)) trace
 
 let hit_rate engine ~pid pattern ~rng ~accesses =
-  engine.Engine.reset_counters ();
+  Counters.reset engine.Engine.counters;
   replay engine ~pid (generate pattern rng ~accesses);
-  Counters.hit_rate (engine.Engine.counters_for pid)
+  Counters.hit_rate (Counters.for_pid engine.Engine.counters pid)

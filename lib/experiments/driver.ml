@@ -7,9 +7,8 @@ open Cachesec_telemetry
 let setup_for ~(ctx : Run.ctx) spec (b : Scheduler.batch) =
   Setup.make ~seed:(Run.batch_seed ctx b.Scheduler.index) spec
 
-(* Partial-merge is the scheduler's index-order fold: one reduction
-   shared with [Scheduler.run_reduce], so "merge in batch order" has a
-   single definition in the codebase. [what] names the campaign so an
+(* Partial-merge is the scheduler's index-order fold, so "merge in
+   batch order" has a single definition in the codebase. [what] names the campaign so an
    empty-plan failure is attributed to its experiment. *)
 let fold_partials ~what merge parts =
   Scheduler.fold_results ~what:(what ^ " partials") ~merge parts
@@ -82,13 +81,13 @@ let flush_reload_batch = 256
 let cleaning_batch = 250
 
 (* Engine counters -> telemetry, sampled once per finished batch (the
-   engines' zero-alloc access path is never touched: [counters ()] takes
-   an ordinary snapshot after the batch's trial slice has run). Each
+   engines' zero-alloc access path is never touched: [Counters.global]
+   takes an ordinary snapshot after the batch's trial slice has run). Each
    batch owns a fresh engine, so its snapshot is exactly the batch's
    traffic, and the merged totals are jobs-invariant. *)
 let sample_engine_counters tm (s : Setup.t) =
   if not (Telemetry.is_null tm) then begin
-    let c = s.Setup.engine.Engine.counters () in
+    let c = Counters.global s.Setup.engine.Engine.counters in
     Telemetry.count tm "cache.accesses" c.Counters.accesses;
     Telemetry.count tm "cache.hits" c.Counters.hits;
     Telemetry.count tm "cache.misses" c.Counters.misses;
@@ -406,9 +405,6 @@ let submit_evict_time_adaptive (ctx : Run.ctx) spec ~target
     ~finalize:(fun ~trials:_ merged ->
       Evict_time.finalize ~victim:(victim_of ctx spec) c merged)
 
-let run_evict_time_adaptive ctx spec ~target c =
-  await (submit_evict_time_adaptive ctx spec ~target c)
-
 let submit_prime_probe_adaptive (ctx : Run.ctx) spec ~target
     (c : Prime_probe.config) =
   submit_adaptive_campaign ~ctx
@@ -418,9 +414,6 @@ let submit_prime_probe_adaptive (ctx : Run.ctx) spec ~target
     ~observe:(fun ~trials:_ p -> Prime_probe.observe p)
     ~finalize:(fun ~trials:_ merged ->
       Prime_probe.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_prime_probe_adaptive ctx spec ~target c =
-  await (submit_prime_probe_adaptive ctx spec ~target c)
 
 let submit_collision_adaptive (ctx : Run.ctx) spec ~target
     (c : Collision.config) =
@@ -432,9 +425,6 @@ let submit_collision_adaptive (ctx : Run.ctx) spec ~target
     ~finalize:(fun ~trials:_ merged ->
       Collision.finalize ~victim:(victim_of ctx spec) c merged)
 
-let run_collision_adaptive ctx spec ~target c =
-  await (submit_collision_adaptive ctx spec ~target c)
-
 let submit_flush_reload_adaptive (ctx : Run.ctx) spec ~target
     (c : Flush_reload.config) =
   submit_adaptive_campaign ~ctx
@@ -444,9 +434,6 @@ let submit_flush_reload_adaptive (ctx : Run.ctx) spec ~target
     ~observe:(fun ~trials:_ p -> Flush_reload.observe p)
     ~finalize:(fun ~trials:_ merged ->
       Flush_reload.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_flush_reload_adaptive ctx spec ~target c =
-  await (submit_flush_reload_adaptive ctx spec ~target c)
 
 let submit_cleaning_game_adaptive (ctx : Run.ctx) spec ~accesses ~target =
   submit_adaptive_campaign ~ctx
@@ -459,15 +446,3 @@ let submit_cleaning_game_adaptive (ctx : Run.ctx) spec ~accesses ~target =
 
 let run_cleaning_game_adaptive ctx spec ~accesses ~target =
   await (submit_cleaning_game_adaptive ctx spec ~accesses ~target)
-
-let submit_timing_stats_adaptive ?(lo = 0.) ?(hi = 40.) ?(bins = 80)
-    (ctx : Run.ctx) spec ~target () =
-  submit_adaptive_campaign ~ctx
-    ~name:("timing-stats:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:timing_batch ~target
-    ~shard:(timing_shard ~lo ~hi ~bins ctx spec) ~merge:timing_merge
-    ~observe:(fun ~trials:_ (_, sum) -> Sequential.Mean_rel sum)
-    ~finalize:(fun ~trials:_ r -> r)
-
-let run_timing_stats_adaptive ?lo ?hi ?bins ctx spec ~target () =
-  await (submit_timing_stats_adaptive ?lo ?hi ?bins ctx spec ~target ())

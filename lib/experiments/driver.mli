@@ -88,10 +88,6 @@ val submit_flush_reload :
 val submit_cleaning_game :
   Run.ctx -> Spec.t -> accesses:int -> samples:int -> float pending
 
-val submit_timing_stats :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t -> trials:int ->
-  unit -> (Histogram.t * Summary.t) pending
-
 val run_evict_time :
   Run.ctx -> Spec.t -> Evict_time.config -> Evict_time.result
 
@@ -179,32 +175,6 @@ val submit_cleaning_game_adaptive :
 (** Stops on the win rate's Wilson half-width; the cap replaces the
     fixed [samples] argument. *)
 
-val submit_timing_stats_adaptive :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t ->
-  target:Sequential.target -> unit ->
-  (Histogram.t * Summary.t) adaptive pending
-(** Stops on the merged summary's relative mean half-width. *)
-
-val run_evict_time_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Evict_time.config ->
-  Evict_time.result adaptive
-
-val run_prime_probe_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Prime_probe.config ->
-  Prime_probe.result adaptive
-
-val run_collision_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Collision.config ->
-  Collision.result adaptive
-
-val run_flush_reload_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Flush_reload.config ->
-  Flush_reload.result adaptive
-
 val run_cleaning_game_adaptive :
   Run.ctx -> Spec.t -> accesses:int -> target:Sequential.target ->
   float adaptive
-
-val run_timing_stats_adaptive :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t ->
-  target:Sequential.target -> unit -> (Histogram.t * Summary.t) adaptive

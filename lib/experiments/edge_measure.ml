@@ -48,7 +48,7 @@ let eviction_sample spec (engine : Engine.t) =
     | Spec.Nomo { reserved; _ } ->
       (* The paper's Nomo row scores evicting an unreserved (shared-way)
          victim line. *)
-      engine.Engine.dump ()
+      Engine.dump engine
       |> List.find_map (fun (idx, (l : Line.t)) ->
              if l.Line.owner = victim_pid && idx mod ways >= reserved then
                Some l.tag

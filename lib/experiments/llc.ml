@@ -33,7 +33,8 @@ let run ?(seed = 37) ?(trials = 2000) ~l2_spec () =
   let experiment_rng = Rng.split rng in
   for _ = 1 to trials do
     List.iter
-      (fun line -> ignore (Hierarchy.flush_line h ~pid:attacker_pid line))
+      (fun line ->
+        ignore (hierarchy_engine.Engine.flush_line ~pid:attacker_pid line))
       (Aes_layout.all_lines layout);
     let p = Victim.random_plaintext experiment_rng in
     ignore (Victim.encrypt_quiet victim p);

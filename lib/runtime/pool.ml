@@ -1,7 +1,7 @@
 (* Persistent, process-global Domain pool.
 
-   Why it exists: before this module, [Scheduler.parallel_init] spawned
-   and joined fresh Domains for every campaign, so a full harness run
+   Why it exists: before this module, the scheduler spawned and joined
+   fresh Domains for every campaign, so a full harness run
    (dozens of campaigns: 36 validation cells, figures, ablations) paid a
    spawn cost and a join-barrier idle tail per campaign — while the
    campaigns themselves ran strictly one after another, leaving cores
@@ -177,14 +177,12 @@ let workers () =
   Mutex.unlock p.lock;
   n
 
-let worker_busy_seconds () =
+let busy_seconds () =
   let p = the in
   Mutex.lock p.lock;
-  let a = Array.copy p.busy_s in
+  let s = Array.fold_left ( +. ) 0. p.busy_s in
   Mutex.unlock p.lock;
-  a
-
-let busy_seconds () = Array.fold_left ( +. ) 0. (worker_busy_seconds ())
+  s
 
 let run_task f =
   match f () with

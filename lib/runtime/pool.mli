@@ -90,9 +90,6 @@ val busy_seconds : unit -> float
     [Scheduler.timed] to derive the [pool.utilization] telemetry gauge:
     [delta busy / (workers * wall)]. *)
 
-val worker_busy_seconds : unit -> float array
-(** Per-worker cumulative busy seconds (index = worker slot). *)
-
 val quiesce : unit -> unit
 (** Drain the queue, join every worker, and return the pool to its
     zero-worker state — a later {!ensure} respawns. Use before a

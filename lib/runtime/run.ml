@@ -25,7 +25,6 @@ let make ?jobs ?batch ?(telemetry = Telemetry.null) ?(quick = false) ~seed () =
 
 let with_seed seed ctx = { ctx with seed }
 let with_jobs jobs ctx = { ctx with jobs = Some jobs }
-let with_batch batch ctx = { ctx with batch = Some batch }
 let with_telemetry telemetry ctx = { ctx with telemetry }
 let with_parent parent ctx = { ctx with parent }
 let quick ctx = { ctx with quick = true }

@@ -36,7 +36,6 @@ val make :
 
 val with_seed : int -> ctx -> ctx
 val with_jobs : int -> ctx -> ctx
-val with_batch : int -> ctx -> ctx
 val with_telemetry : Telemetry.t -> ctx -> ctx
 val with_parent : Telemetry.span -> ctx -> ctx
 

@@ -1,25 +1,25 @@
-(* Deterministic execution of independent trial instances on the
+(* Deterministic execution of independent index families on the
    persistent Domain pool.
 
-   Parallelism model: the instance index space [0, n) is the unit of
-   scheduling. Claimer tasks dispatched onto {!Pool} pull the next index
-   from an atomic counter and write the result into its slot of a
-   pre-sized results array. Because instance [i]'s RNG is derived purely
-   from [(seed_base, i)] (see {!Trial}), the contents of the results
-   array do not depend on which worker ran which index or in what order
-   — only the wall-clock does. All merging therefore happens after the
-   await, in index order, which makes [jobs:1] and [jobs:n]
-   bit-identical.
+   Parallelism model: the index space [0, n) is the unit of scheduling.
+   Claimer tasks dispatched onto {!Pool} pull the next index from an
+   atomic counter and write the result into its slot of a pre-sized
+   results array. Every caller's body for index [i] seeds its own RNG
+   from [i] (a batch plan's [Run.seed_for_batch], a validation cell's
+   own seed), so the contents of the results array do not depend on
+   which worker ran which index or in what order — only the wall-clock
+   does. All merging therefore happens after the await, in index order,
+   which makes [jobs:1] and [jobs:n] bit-identical.
 
    One primitive, [dispatch], enqueues the claimer tasks and takes a
    continuation: the claimer that finishes the family last calls it on
    its own worker with the results in index order (or the first
    failure). The execution entry points come in pairs built on it:
    [submit_*] dispatches into a settable [Pool] future and returns a
-   ['a pending] without blocking, [await] is [Pool.await] on it. The
-   blocking forms ([run], [map_array], ...) are submit-then-await. The
-   adaptive runtime passes its own continuation, which dispatches the
-   next round from the worker that finished the last one. Campaign
+   ['a pending] without blocking, [await] is [Pool.await] on it, and
+   the blocking [map_array] is submit-then-await. The adaptive runtime
+   passes its own continuation, which dispatches the next round from
+   the worker that finished the last one. Campaign
    pipelining is exactly "call several [submit_*] before the first
    [await]": shards from many campaigns share the one pool queue, so a
    short campaign no longer leaves workers idle at its join barrier
@@ -48,10 +48,10 @@ let resolve_jobs jobs =
   | None -> 1
   | Some 0 -> default_jobs ()
   | Some j when j < 0 ->
-    invalid_arg "Scheduler.run: jobs must be non-negative (0 = auto)"
+    invalid_arg "Scheduler.resolve_jobs: jobs must be non-negative (0 = auto)"
   | Some j -> j
 
-(* --- index-order fold (shared by run_reduce and Driver) --------------- *)
+(* --- index-order fold (the driver's partial merge) ----------------------- *)
 
 (* [?what] names the campaign whose results are being folded, so an
    empty-input failure points at the experiment that produced no
@@ -65,10 +65,6 @@ let fold_results ?(what = "results") ~merge = function
       acc := merge !acc results.(i)
     done;
     !acc
-
-let fold_results_opt ~merge = function
-  | [||] -> None
-  | results -> Some (fold_results ~merge results)
 
 (* --- dispatch ------------------------------------------------------------ *)
 
@@ -197,27 +193,11 @@ let submit_init ?tm ?span ~jobs n f =
 
 let await = Pool.await
 
-let parallel_init ?tm ?span ~jobs n f = await (submit_init ?tm ?span ~jobs n f)
-
-(* --- blocking conveniences -------------------------------------------- *)
-
-let run ?jobs ?tm ?span trial ~instances =
-  let jobs = resolve_jobs jobs in
-  parallel_init ?tm ?span ~jobs instances (fun i -> Trial.run_instance trial i)
-
-let run_reduce ?jobs ?tm ?span ~merge trial ~instances =
-  match run ?jobs ?tm ?span trial ~instances with
-  | [||] -> invalid_arg "Scheduler.run_reduce: zero instances"
-  | results -> fold_results ~merge results
-
 let submit_map ?jobs ?tm ?span f xs =
   let jobs = resolve_jobs jobs in
   submit_init ?tm ?span ~jobs (Array.length xs) (fun i -> f xs.(i))
 
 let map_array ?jobs ?tm ?span f xs = await (submit_map ?jobs ?tm ?span f xs)
-
-let map_list ?jobs ?tm ?span f xs =
-  Array.to_list (map_array ?jobs ?tm ?span f (Array.of_list xs))
 
 (* --- batch planning -------------------------------------------------- *)
 

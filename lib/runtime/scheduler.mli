@@ -1,18 +1,18 @@
-(** Deterministic serial / Domain-parallel execution of trial families.
+(** Deterministic serial / Domain-parallel execution of index families.
 
-    The scheduler's contract: for any trial family [t] and instance count
-    [n], [run ~jobs:j t ~instances:n] returns the same array for every
-    [j] — parallelism changes wall-clock only. This holds because each
-    instance draws from its own derived generator ({!Trial.rng_for}) and
-    results are written into per-instance slots, with any reduction
-    performed after the join in index order.
+    The scheduler's contract: for a body [f] whose result for index [i]
+    depends on [i] alone, [submit_init ~jobs:j n f] yields the same
+    array for every [j] — parallelism changes wall-clock only. The
+    callers keep [f] that way by seeding each index's RNG from the index
+    (a batch plan's {!Run.seed_for_batch}, a validation cell's own
+    seed); results are written into per-index slots, and any reduction
+    ({!fold_results}) runs after the join in index order.
 
     Execution is dispatched onto the persistent process-global {!Pool}:
     parallel entry points submit index-claiming shard tasks into the one
-    shared queue instead of spawning Domains per call. Each entry point
-    comes in a blocking form ([run], [map_array], ...) and a
-    non-blocking pair ([submit_*] returning an ['a pending], joined by
-    {!await}). Campaign pipelining is calling several [submit_*] before
+    shared queue instead of spawning Domains per call. The non-blocking
+    entry points ([submit_*]) return an ['a pending], joined by
+    {!await}; {!map_array} is the blocking form. Campaign pipelining is calling several [submit_*] before
     the first [await]: shards from many campaigns interleave in the pool
     queue, so workers never idle at one campaign's join barrier while
     another campaign has runnable shards. Determinism is unaffected —
@@ -48,17 +48,11 @@ val resolve_jobs : int option -> int
 
 val fold_results : ?what:string -> merge:('a -> 'a -> 'a) -> 'a array -> 'a
 (** Left fold of [merge] over a results array in index order (so [merge]
-    need only be associative, not commutative). The single reduction
-    used by both {!run_reduce} and the experiment driver's partial-merge
-    step. Raises [Invalid_argument] on an empty array; [?what] (default
-    ["results"]) names the campaign in that message — e.g.
-    ["Scheduler.fold_results: empty evict-time:sa partials"] — so an
-    empty campaign is attributed, not anonymous. Callers that have a
-    meaningful empty case should prefer {!fold_results_opt}. *)
-
-val fold_results_opt : merge:('a -> 'a -> 'a) -> 'a array -> 'a option
-(** Total variant of {!fold_results}: [None] on an empty array instead
-    of raising. *)
+    need only be associative, not commutative): the experiment driver's
+    partial-merge step. Raises [Invalid_argument] on an empty array;
+    [?what] (default ["results"]) names the campaign in that message —
+    e.g. ["Scheduler.fold_results: empty evict-time:sa partials"] — so
+    an empty campaign is attributed, not anonymous. *)
 
 type 'a outcome = ('a array, exn * Printexc.raw_backtrace) result
 (** A finished family: its results in index order, or its first failure
@@ -106,20 +100,6 @@ val submit_map :
 (** Non-blocking {!map_array}: [await (submit_map f xs)] ≡
     [map_array f xs]. [?jobs] follows {!resolve_jobs}. *)
 
-val run :
-  ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span -> 'a Trial.t ->
-  instances:int -> 'a array
-(** Execute instances [0 .. instances-1]; result [i] is instance [i]'s.
-    [?jobs] follows {!resolve_jobs}. Exceptions raised by a trial body
-    are re-raised in the caller after all workers join. *)
-
-val run_reduce :
-  ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span ->
-  merge:('a -> 'a -> 'a) -> 'a Trial.t -> instances:int -> 'a
-(** [run] followed by a left fold of [merge] in index order (so [merge]
-    need only be associative, not commutative). Raises [Invalid_argument]
-    when [instances = 0]. *)
-
 val map_array :
   ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span -> ('a -> 'b) ->
   'a array -> 'b array
@@ -127,10 +107,6 @@ val map_array :
     36 validation-matrix cells). The caller is responsible for making
     [f] independent of execution order — in this library every such [f]
     seeds its own RNG from the element. *)
-
-val map_list :
-  ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span -> ('a -> 'b) ->
-  'a list -> 'b list
 
 type batch = { index : int; first : int; count : int }
 

@@ -38,9 +38,5 @@ val merge_into : t -> t -> unit
 (** [merge_into a b] folds [b]'s stream into [a] in place (same update
     as {!merge}, no allocation). [b] is unchanged. *)
 
-val copy : t -> t
-(** Independent snapshot: later [add]/[merge_into] on either side does
-    not affect the other. *)
-
 val of_array : float array -> t
 val pp : Format.formatter -> t -> unit

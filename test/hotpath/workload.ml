@@ -71,10 +71,10 @@ let digest build =
       engine.Engine.set_window ~pid ~back:(Rng.int rng 4) ~fwd:(Rng.int rng 4)
     else engine.Engine.flush_all ()
   done;
-  fmt_snapshot buf (engine.Engine.counters ());
-  fmt_snapshot buf (engine.Engine.counters_for 0);
-  fmt_snapshot buf (engine.Engine.counters_for 1);
-  fmt_dump buf (engine.Engine.dump ());
+  fmt_snapshot buf (Counters.global engine.Engine.counters);
+  fmt_snapshot buf (Counters.for_pid engine.Engine.counters 0);
+  fmt_snapshot buf (Counters.for_pid engine.Engine.counters 1);
+  fmt_dump buf (Engine.dump engine);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* --- the engine zoo: 9 paper architectures x the full policy registry

@@ -40,23 +40,7 @@ let prop_address_roundtrip =
       let c = Config.standard in
       (Address.tag c line * Config.sets c) + Address.set_index c line = line)
 
-(* --- Line / Policy selectors over a Slab ------------------------------ *)
-
-let test_line () =
-  let l = Line.make () in
-  Alcotest.(check bool) "fresh invalid" false l.Line.valid;
-  Line.fill l ~tag:42 ~owner:7 ~seq:3;
-  Alcotest.(check bool) "filled" true l.Line.valid;
-  Alcotest.(check int) "tag" 42 l.Line.tag;
-  Alcotest.(check int) "owner" 7 l.Line.owner;
-  l.Line.locked <- true;
-  Line.touch l ~seq:9;
-  Alcotest.(check int) "touched" 9 l.Line.last_use;
-  Alcotest.(check int) "fill seq kept" 3 l.Line.fill_seq;
-  Line.fill l ~tag:1 ~owner:1 ~seq:10;
-  Alcotest.(check bool) "fill clears lock" false l.Line.locked;
-  Line.invalidate l;
-  Alcotest.(check bool) "invalidated" false l.Line.valid
+(* --- Policy selectors over a Slab ------------------------------------ *)
 
 (* Every line filled, line i at seq i+1. *)
 let filled_slab ~lines ~ways =
@@ -272,70 +256,70 @@ let test_counters () =
 (* --- SA ----------------------------------------------------------------- *)
 
 let test_sa_miss_then_hit () =
-  let sa = Sa.create ~rng:(rng ()) () in
-  let o1 = Sa.access sa ~pid:0 100 in
+  let sa = Sa.engine (Sa.create ~rng:(rng ()) ()) in
+  let o1 = sa.Engine.access ~pid:0 100 in
   Alcotest.(check bool) "first miss" true (Outcome.is_miss o1);
   Alcotest.(check bool) "cached" true o1.Outcome.cached;
-  let o2 = Sa.access sa ~pid:0 100 in
+  let o2 = sa.Engine.access ~pid:0 100 in
   Alcotest.(check bool) "then hit" true (Outcome.is_hit o2)
 
 let test_sa_cross_pid_hit () =
-  let sa = Sa.create ~rng:(rng ()) () in
-  ignore (Sa.access sa ~pid:0 100);
+  let sa = Sa.engine (Sa.create ~rng:(rng ()) ()) in
+  ignore (sa.Engine.access ~pid:0 100);
   Alcotest.(check bool) "other pid hits same line" true
-    (Outcome.is_hit (Sa.access sa ~pid:1 100))
+    (Outcome.is_hit (sa.Engine.access ~pid:1 100))
 
 let test_sa_eviction_reported () =
-  let sa = Sa.create ~rng:(rng ()) () in
-  let sets = Config.sets (Sa.config sa) in
+  let sa = Sa.engine (Sa.create ~rng:(rng ()) ()) in
+  let sets = Config.sets sa.Engine.config in
   (* Fill one set completely, then overflow it. *)
   for k = 0 to 7 do
-    ignore (Sa.access sa ~pid:0 (5 + (k * sets)))
+    ignore (sa.Engine.access ~pid:0 (5 + (k * sets)))
   done;
-  let o = Sa.access sa ~pid:1 (5 + (8 * sets)) in
+  let o = sa.Engine.access ~pid:1 (5 + (8 * sets)) in
   Alcotest.(check int) "one eviction" 1 (Outcome.eviction_count o);
   let owner, line = List.hd (Outcome.evictions o) in
   Alcotest.(check int) "victim owner" 0 owner;
   Alcotest.(check int) "victim in same set" 5 (line mod sets)
 
 let test_sa_peek_nonmutating () =
-  let sa = Sa.create ~rng:(rng ()) () in
-  ignore (Sa.access sa ~pid:0 7);
-  Alcotest.(check bool) "peek true" true (Sa.peek sa ~pid:0 7);
-  Alcotest.(check bool) "peek false" false (Sa.peek sa ~pid:0 8);
-  let before = (Counters.global (Sa.counters sa)).Counters.accesses in
-  ignore (Sa.peek sa ~pid:0 7);
+  let sa = Sa.engine (Sa.create ~rng:(rng ()) ()) in
+  ignore (sa.Engine.access ~pid:0 7);
+  Alcotest.(check bool) "peek true" true (sa.Engine.peek ~pid:0 7);
+  Alcotest.(check bool) "peek false" false (sa.Engine.peek ~pid:0 8);
+  let before = (Counters.global sa.Engine.counters).Counters.accesses in
+  ignore (sa.Engine.peek ~pid:0 7);
   Alcotest.(check int) "no access recorded" before
-    (Counters.global (Sa.counters sa)).Counters.accesses
+    (Counters.global sa.Engine.counters).Counters.accesses
 
 let test_sa_flush () =
-  let sa = Sa.create ~rng:(rng ()) () in
-  ignore (Sa.access sa ~pid:0 7);
-  Alcotest.(check bool) "flush removes" true (Sa.flush_line sa ~pid:1 7);
-  Alcotest.(check bool) "absent now" false (Sa.peek sa ~pid:0 7);
-  Alcotest.(check bool) "second flush false" false (Sa.flush_line sa ~pid:1 7);
-  ignore (Sa.access sa ~pid:0 7);
-  Sa.flush_all sa;
-  Alcotest.(check bool) "flush all" false (Sa.peek sa ~pid:0 7)
+  let sa = Sa.engine (Sa.create ~rng:(rng ()) ()) in
+  ignore (sa.Engine.access ~pid:0 7);
+  Alcotest.(check bool) "flush removes" true (sa.Engine.flush_line ~pid:1 7);
+  Alcotest.(check bool) "absent now" false (sa.Engine.peek ~pid:0 7);
+  Alcotest.(check bool) "second flush false" false (sa.Engine.flush_line ~pid:1 7);
+  ignore (sa.Engine.access ~pid:0 7);
+  sa.Engine.flush_all ();
+  Alcotest.(check bool) "flush all" false (sa.Engine.peek ~pid:0 7)
 
 let test_sa_lru_exact () =
   let config = Config.v ~line_bytes:64 ~lines:8 ~ways:2 in
-  let sa = Sa.create ~config ~policy:Policy.Lru ~rng:(rng ()) () in
+  let sa = Sa.engine (Sa.create ~config ~policy:Policy.Lru ~rng:(rng ()) ()) in
   (* Set 0 of 4 sets: lines 0, 4, 8 map there. *)
-  ignore (Sa.access sa ~pid:0 0);
-  ignore (Sa.access sa ~pid:0 4);
-  ignore (Sa.access sa ~pid:0 0);  (* 0 is now most recent *)
-  let o = Sa.access sa ~pid:0 8 in
+  ignore (sa.Engine.access ~pid:0 0);
+  ignore (sa.Engine.access ~pid:0 4);
+  ignore (sa.Engine.access ~pid:0 0);  (* 0 is now most recent *)
+  let o = sa.Engine.access ~pid:0 8 in
   Alcotest.(check (list (pair int int))) "LRU evicts 4" [ (0, 4) ]
     (Outcome.evictions o)
 
 let test_sa_fully_associative () =
-  let sa = Sa.create ~config:Config.fully_associative ~rng:(rng ()) () in
+  let sa = Sa.engine (Sa.create ~config:Config.fully_associative ~rng:(rng ()) ()) in
   (* 512 distinct lines fit regardless of addresses. *)
   for i = 0 to 511 do
-    ignore (Sa.access sa ~pid:0 (i * 64))
+    ignore (sa.Engine.access ~pid:0 (i * 64))
   done;
-  let snap = Counters.global (Sa.counters sa) in
+  let snap = Counters.global sa.Engine.counters in
   Alcotest.(check int) "no evictions while filling" 0 snap.Counters.evictions
 
 let test_sa_engine () =
@@ -344,7 +328,7 @@ let test_sa_engine () =
   Alcotest.(check (float 0.)) "no noise" 0. e.Engine.sigma;
   Alcotest.(check bool) "lock unsupported" false (e.Engine.lock_line ~pid:0 3);
   ignore (e.Engine.access ~pid:0 3);
-  Alcotest.(check int) "dump size" 1 (List.length (e.Engine.dump ()))
+  Alcotest.(check int) "dump size" 1 (List.length (Engine.dump e))
 
 (* --- SP ----------------------------------------------------------------- *)
 
@@ -352,39 +336,40 @@ let make_sp () =
   Sp.create_two_domain ~victim_pid:0 ~victim_lines:[ (0, 99) ] ~rng:(rng ()) ()
 
 let test_sp_basic () =
-  let sp = make_sp () in
-  Alcotest.(check int) "sets per partition" 32 (Sp.sets_per_partition sp);
-  let o = Sp.access sp ~pid:0 5 in
+  let t = make_sp () in
+  Alcotest.(check int) "sets per partition" 32 (Sp.sets_per_partition t);
+  let sp = Sp.engine t in
+  let o = sp.Engine.access ~pid:0 5 in
   Alcotest.(check bool) "victim fill ok" true o.Outcome.cached;
-  Alcotest.(check bool) "victim hit" true (Outcome.is_hit (Sp.access sp ~pid:0 5))
+  Alcotest.(check bool) "victim hit" true (Outcome.is_hit (sp.Engine.access ~pid:0 5))
 
 let test_sp_cross_partition_read_through () =
-  let sp = make_sp () in
+  let sp = Sp.engine (make_sp ()) in
   (* Attacker (pid 1) misses on a victim-homed line: read-through. *)
-  let o = Sp.access sp ~pid:1 5 in
+  let o = sp.Engine.access ~pid:1 5 in
   Alcotest.(check bool) "miss" true (Outcome.is_miss o);
   Alcotest.(check bool) "not cached" false o.Outcome.cached;
   Alcotest.(check (list (pair int int))) "nothing evicted" [] (Outcome.evictions o)
 
 let test_sp_shared_line_hit () =
-  let sp = make_sp () in
-  ignore (Sp.access sp ~pid:0 5);
+  let sp = Sp.engine (make_sp ()) in
+  ignore (sp.Engine.access ~pid:0 5);
   (* The victim fetched a shared (victim-homed) line: the attacker's
      subsequent read hits - the paper's flush-and-reload channel. *)
   Alcotest.(check bool) "attacker hits victim-fetched line" true
-    (Outcome.is_hit (Sp.access sp ~pid:1 5))
+    (Outcome.is_hit (sp.Engine.access ~pid:1 5))
 
 let test_sp_attacker_cannot_evict_victim () =
-  let sp = make_sp () in
+  let sp = Sp.engine (make_sp ()) in
   for i = 0 to 99 do
-    ignore (Sp.access sp ~pid:0 i)
+    ignore (sp.Engine.access ~pid:0 i)
   done;
   (* Attacker hammers his own space; no victim line may disappear. *)
   for i = 0 to 5000 do
-    ignore (Sp.access sp ~pid:1 (1000 + i))
+    ignore (sp.Engine.access ~pid:1 (1000 + i))
   done;
   let victim_lines_alive =
-    List.for_all (fun i -> Sp.peek sp ~pid:0 i) (List.init 100 Fun.id)
+    List.for_all (fun i -> sp.Engine.peek ~pid:0 i) (List.init 100 Fun.id)
   in
   Alcotest.(check bool) "all victim lines alive" true victim_lines_alive
 
@@ -405,48 +390,50 @@ let test_sp_validation () =
 (* --- PL ----------------------------------------------------------------- *)
 
 let test_pl_lock_protects () =
-  let pl = Pl.create ~rng:(rng ()) () in
-  Alcotest.(check bool) "lock ok" true (Pl.lock_line pl ~pid:0 5);
-  Alcotest.(check bool) "present" true (Pl.peek pl ~pid:0 5);
+  let t = Pl.create ~rng:(rng ()) () in
+  let pl = Pl.engine t in
+  Alcotest.(check bool) "lock ok" true (pl.Engine.lock_line ~pid:0 5);
+  Alcotest.(check bool) "present" true (pl.Engine.peek ~pid:0 5);
   (* Exhaustive attacker pressure on the same set cannot dislodge it. *)
-  let sets = Config.sets (Pl.config pl) in
+  let sets = Config.sets pl.Engine.config in
   for k = 1 to 2000 do
-    ignore (Pl.access pl ~pid:1 (5 + (k * sets)))
+    ignore (pl.Engine.access ~pid:1 (5 + (k * sets)))
   done;
-  Alcotest.(check bool) "still locked in" true (Pl.peek pl ~pid:0 5);
-  Alcotest.(check (list int)) "locked lines" [ 5 ] (Pl.locked_lines pl)
+  Alcotest.(check bool) "still locked in" true (pl.Engine.peek ~pid:0 5);
+  Alcotest.(check (list int)) "locked lines" [ 5 ] (Pl.locked_lines t)
 
 let test_pl_read_through_on_locked_victim () =
-  let pl = Pl.create ~rng:(rng ()) () in
-  let sets = Config.sets (Pl.config pl) in
+  let pl = Pl.engine (Pl.create ~rng:(rng ()) ()) in
+  let sets = Config.sets pl.Engine.config in
   (* Lock the whole set: every later miss on that set is read-through. *)
   for k = 0 to 7 do
-    Alcotest.(check bool) "lock fill" true (Pl.lock_line pl ~pid:0 (5 + (k * sets)))
+    Alcotest.(check bool) "lock fill" true (pl.Engine.lock_line ~pid:0 (5 + (k * sets)))
   done;
-  let o = Pl.access pl ~pid:1 (5 + (8 * sets)) in
+  let o = pl.Engine.access ~pid:1 (5 + (8 * sets)) in
   Alcotest.(check bool) "miss" true (Outcome.is_miss o);
   Alcotest.(check bool) "read through" false o.Outcome.cached;
   (* And the 9th lock attempt fails: no unlocked way left. *)
   Alcotest.(check bool) "no way to lock" false
-    (Pl.lock_line pl ~pid:0 (5 + (9 * sets)))
+    (pl.Engine.lock_line ~pid:0 (5 + (9 * sets)))
 
 let test_pl_unlock_owner_only () =
-  let pl = Pl.create ~rng:(rng ()) () in
-  ignore (Pl.lock_line pl ~pid:0 5);
-  Alcotest.(check bool) "other pid cannot unlock" false (Pl.unlock_line pl ~pid:1 5);
-  Alcotest.(check bool) "owner unlocks" true (Pl.unlock_line pl ~pid:0 5);
-  Alcotest.(check (list int)) "no locks left" [] (Pl.locked_lines pl)
+  let t = Pl.create ~rng:(rng ()) () in
+  let pl = Pl.engine t in
+  ignore (pl.Engine.lock_line ~pid:0 5);
+  Alcotest.(check bool) "other pid cannot unlock" false (pl.Engine.unlock_line ~pid:1 5);
+  Alcotest.(check bool) "owner unlocks" true (pl.Engine.unlock_line ~pid:0 5);
+  Alcotest.(check (list int)) "no locks left" [] (Pl.locked_lines t)
 
 let test_pl_flush_respects_lock () =
-  let pl = Pl.create ~rng:(rng ()) () in
-  ignore (Pl.lock_line pl ~pid:0 5);
-  Alcotest.(check bool) "attacker flush denied" false (Pl.flush_line pl ~pid:1 5);
-  Alcotest.(check bool) "owner flush ok" true (Pl.flush_line pl ~pid:0 5)
+  let pl = Pl.engine (Pl.create ~rng:(rng ()) ()) in
+  ignore (pl.Engine.lock_line ~pid:0 5);
+  Alcotest.(check bool) "attacker flush denied" false (pl.Engine.flush_line ~pid:1 5);
+  Alcotest.(check bool) "owner flush ok" true (pl.Engine.flush_line ~pid:0 5)
 
 let test_pl_unlocked_behaves_normally () =
-  let pl = Pl.create ~rng:(rng ()) () in
-  ignore (Pl.access pl ~pid:0 5);
-  Alcotest.(check bool) "hit" true (Outcome.is_hit (Pl.access pl ~pid:0 5))
+  let pl = Pl.engine (Pl.create ~rng:(rng ()) ()) in
+  ignore (pl.Engine.access ~pid:0 5);
+  Alcotest.(check bool) "hit" true (Outcome.is_hit (pl.Engine.access ~pid:0 5))
 
 (* --- Nomo ---------------------------------------------------------------- *)
 
@@ -461,30 +448,30 @@ let test_nomo_geometry () =
   Alcotest.(check bool) "unprotected" false (Nomo.is_protected nm 1)
 
 let test_nomo_attacker_cannot_monopolize () =
-  let nm = make_nomo () in
-  let sets = Config.sets (Nomo.config nm) in
+  let nm = Nomo.engine (make_nomo ()) in
+  let sets = Config.sets nm.Engine.config in
   (* Victim parks two lines (fits the reservation). *)
-  ignore (Nomo.access nm ~pid:0 5);
-  ignore (Nomo.access nm ~pid:0 (5 + sets));
+  ignore (nm.Engine.access ~pid:0 5);
+  ignore (nm.Engine.access ~pid:0 (5 + sets));
   (* Attacker hammers the same set with thousands of lines. *)
   for k = 2 to 3000 do
-    ignore (Nomo.access nm ~pid:1 (5 + (k * sets)))
+    ignore (nm.Engine.access ~pid:1 (5 + (k * sets)))
   done;
-  Alcotest.(check bool) "victim line 1 alive" true (Nomo.peek nm ~pid:0 5);
+  Alcotest.(check bool) "victim line 1 alive" true (nm.Engine.peek ~pid:0 5);
   Alcotest.(check bool) "victim line 2 alive" true
-    (Nomo.peek nm ~pid:0 (5 + sets))
+    (nm.Engine.peek ~pid:0 (5 + sets))
 
 let test_nomo_victim_spills_when_exceeding () =
-  let nm = Nomo.create ~reserved:1 ~protected_pids:[ 0 ] ~rng:(rng ()) () in
-  let sets = Config.sets (Nomo.config nm) in
+  let nm = Nomo.engine (Nomo.create ~reserved:1 ~protected_pids:[ 0 ] ~rng:(rng ()) ()) in
+  let sets = Config.sets nm.Engine.config in
   (* Attacker owns the shared ways first. *)
   for k = 0 to 6 do
-    ignore (Nomo.access nm ~pid:1 (1000 * sets |> fun b -> b + 5 + (k * sets)))
+    ignore (nm.Engine.access ~pid:1 (1000 * sets |> fun b -> b + 5 + (k * sets)))
   done;
   (* Victim inserts two lines: the second must displace someone in the
      shared ways (interference). *)
-  ignore (Nomo.access nm ~pid:0 5);
-  let o = Nomo.access nm ~pid:0 (5 + sets) in
+  ignore (nm.Engine.access ~pid:0 5);
+  let o = nm.Engine.access ~pid:0 (5 + sets) in
   Alcotest.(check bool) "spill evicts attacker" true
     (List.exists (fun (owner, _) -> owner = 1) (Outcome.evictions o))
 
@@ -496,43 +483,43 @@ let test_nomo_validation () =
 (* --- Newcache -------------------------------------------------------------- *)
 
 let test_newcache_hit_after_fill () =
-  let nc = Newcache.create ~rng:(rng ()) () in
-  Alcotest.(check int) "logical lines" (512 * 16) (Newcache.logical_lines nc);
-  ignore (Newcache.access nc ~pid:0 7);
-  Alcotest.(check bool) "hit" true (Outcome.is_hit (Newcache.access nc ~pid:0 7))
+  let t = Newcache.create ~rng:(rng ()) () in
+  let nc = Newcache.engine t in
+  Alcotest.(check int) "logical lines" (512 * 16) (Newcache.logical_lines t);
+  ignore (nc.Engine.access ~pid:0 7);
+  Alcotest.(check bool) "hit" true (Outcome.is_hit (nc.Engine.access ~pid:0 7))
 
 let test_newcache_pid_isolation () =
-  let nc = Newcache.create ~rng:(rng ()) () in
-  ignore (Newcache.access nc ~pid:0 7);
+  let nc = Newcache.engine (Newcache.create ~rng:(rng ()) ()) in
+  ignore (nc.Engine.access ~pid:0 7);
   Alcotest.(check bool) "other context misses same address" true
-    (Outcome.is_miss (Newcache.access nc ~pid:1 7));
+    (Outcome.is_miss (nc.Engine.access ~pid:1 7));
   (* Both copies can coexist. *)
-  Alcotest.(check bool) "victim copy alive" true (Newcache.peek nc ~pid:0 7)
+  Alcotest.(check bool) "victim copy alive" true (nc.Engine.peek ~pid:0 7)
 
 let test_newcache_index_conflict () =
-  let nc = Newcache.create ~extra_bits:0 ~rng:(rng ()) () in
+  let nc = Newcache.engine (Newcache.create ~extra_bits:0 ~rng:(rng ()) ()) in
   (* extra_bits 0: logical lines = 512, so addresses 7 and 519 share a
      logical index; caching the second must invalidate the first. *)
-  ignore (Newcache.access nc ~pid:0 7);
-  let o = Newcache.access nc ~pid:0 (7 + 512) in
+  ignore (nc.Engine.access ~pid:0 7);
+  let o = nc.Engine.access ~pid:0 (7 + 512) in
   Alcotest.(check bool) "conflict evicted old" true
     (List.mem (0, 7) (Outcome.evictions o));
-  Alcotest.(check bool) "old gone" false (Newcache.peek nc ~pid:0 7);
-  Alcotest.(check bool) "new present" true (Newcache.peek nc ~pid:0 (7 + 512))
+  Alcotest.(check bool) "old gone" false (nc.Engine.peek ~pid:0 7);
+  Alcotest.(check bool) "new present" true (nc.Engine.peek ~pid:0 (7 + 512))
 
 let test_newcache_flush_own_only () =
-  let nc = Newcache.create ~rng:(rng ()) () in
-  ignore (Newcache.access nc ~pid:0 7);
+  let nc = Newcache.engine (Newcache.create ~rng:(rng ()) ()) in
+  ignore (nc.Engine.access ~pid:0 7);
   Alcotest.(check bool) "attacker flush misses victim copy" false
-    (Newcache.flush_line nc ~pid:1 7);
-  Alcotest.(check bool) "victim flush works" true (Newcache.flush_line nc ~pid:0 7)
+    (nc.Engine.flush_line ~pid:1 7);
+  Alcotest.(check bool) "victim flush works" true (nc.Engine.flush_line ~pid:0 7)
 
 let test_newcache_cam_consistency () =
   (* After a busy random workload, peek must agree with a full scan of
      the dumped lines (the chained index over the physical lines never
      loses, keeps or misfiles a line). *)
-  let nc = Newcache.create ~rng:(rng ()) () in
-  let e = Newcache.engine nc in
+  let e = Newcache.engine (Newcache.create ~rng:(rng ()) ()) in
   let r = rng () in
   for _ = 1 to 5000 do
     let pid = Rng.int r 2 and addr = Rng.int r 2000 in
@@ -541,7 +528,7 @@ let test_newcache_cam_consistency () =
     | 1 when Rng.int r 50 = 0 -> e.Engine.flush_all ()
     | _ -> ignore (e.Engine.access ~pid addr)
   done;
-  let dumped = e.Engine.dump () in
+  let dumped = Engine.dump e in
   for pid = 0 to 1 do
     for addr = 0 to 1999 do
       let scan =
@@ -561,11 +548,12 @@ let test_newcache_cam_consistency () =
 let test_newcache_extra_bits_overflow () =
   let max = Newcache.max_extra_bits ~lines:512 in
   Alcotest.(check int) "512-line bound" 52 max;
-  let nc = Newcache.create ~extra_bits:max ~rng:(rng ()) () in
+  let t = Newcache.create ~extra_bits:max ~rng:(rng ()) () in
+  let nc = Newcache.engine t in
   Alcotest.(check int) "largest logical cache" (512 lsl max)
-    (Newcache.logical_lines nc);
-  ignore (Newcache.access nc ~pid:0 7);
-  Alcotest.(check bool) "it still caches" true (Newcache.peek nc ~pid:0 7);
+    (Newcache.logical_lines t);
+  ignore (nc.Engine.access ~pid:0 7);
+  Alcotest.(check bool) "it still caches" true (nc.Engine.peek ~pid:0 7);
   List.iter
     (fun extra_bits ->
       match Newcache.create ~extra_bits ~rng:(rng ()) () with
@@ -575,15 +563,15 @@ let test_newcache_extra_bits_overflow () =
   Alcotest.(check int) "one line" 61 (Newcache.max_extra_bits ~lines:1)
 
 let test_newcache_random_eviction_spread () =
-  let nc = Newcache.create ~rng:(rng ()) () in
+  let nc = Newcache.engine (Newcache.create ~rng:(rng ()) ()) in
   (* Fill all 512 physical lines, then insert more and check the
      evictions hit many distinct victims. *)
   for i = 0 to 511 do
-    ignore (Newcache.access nc ~pid:0 i)
+    ignore (nc.Engine.access ~pid:0 i)
   done;
   let evicted = Hashtbl.create 64 in
   for i = 512 to 767 do
-    let o = Newcache.access nc ~pid:0 (i + 100000) in
+    let o = nc.Engine.access ~pid:0 (i + 100000) in
     List.iter (fun (_, line) -> Hashtbl.replace evicted line ()) (Outcome.evictions o);
     ignore i
   done;
@@ -593,25 +581,26 @@ let test_newcache_random_eviction_spread () =
 (* --- RP ---------------------------------------------------------------- *)
 
 let test_rp_same_pid_hit () =
-  let rp = Rp.create ~rng:(rng ()) () in
-  ignore (Rp.access rp ~pid:0 5);
-  Alcotest.(check bool) "hit" true (Outcome.is_hit (Rp.access rp ~pid:0 5))
+  let rp = Rp.engine (Rp.create ~rng:(rng ()) ()) in
+  ignore (rp.Engine.access ~pid:0 5);
+  Alcotest.(check bool) "hit" true (Outcome.is_hit (rp.Engine.access ~pid:0 5))
 
 let test_rp_pid_isolation () =
-  let rp = Rp.create ~rng:(rng ()) () in
-  ignore (Rp.access rp ~pid:0 5);
+  let rp = Rp.engine (Rp.create ~rng:(rng ()) ()) in
+  ignore (rp.Engine.access ~pid:0 5);
   Alcotest.(check bool) "cross-context miss" true
-    (Outcome.is_miss (Rp.access rp ~pid:1 5))
+    (Outcome.is_miss (rp.Engine.access ~pid:1 5))
 
 let test_rp_table_bijection_under_load () =
-  let rp = Rp.create ~rng:(rng ()) () in
+  let t = Rp.create ~rng:(rng ()) () in
+  let rp = Rp.engine t in
   let r = rng () in
   for _ = 1 to 5000 do
-    ignore (Rp.access rp ~pid:(Rng.int r 2) (Rng.int r 4096))
+    ignore (rp.Engine.access ~pid:(Rng.int r 2) (Rng.int r 4096))
   done;
   List.iter
     (fun pid ->
-      let tbl = Rp.table rp ~pid in
+      let tbl = Rp.table t ~pid in
       let seen = Array.make (Array.length tbl) false in
       Array.iter (fun s -> seen.(s) <- true) tbl;
       Alcotest.(check bool)
@@ -621,34 +610,35 @@ let test_rp_table_bijection_under_load () =
     [ 0; 1 ]
 
 let test_rp_set_identity () =
-  let rp = Rp.create ~rng:(rng ()) () in
+  let t = Rp.create ~rng:(rng ()) () in
+  let rp = Rp.engine t in
   let r = rng () in
   for _ = 1 to 1000 do
-    ignore (Rp.access rp ~pid:0 (Rng.int r 4096))
+    ignore (rp.Engine.access ~pid:0 (Rng.int r 4096))
   done;
-  Rp.set_identity rp ~pid:0;
-  let tbl = Rp.table rp ~pid:0 in
+  Rp.set_identity t ~pid:0;
+  let tbl = Rp.table t ~pid:0 in
   Alcotest.(check bool) "identity restored" true
     (Array.for_all Fun.id (Array.mapi (fun i s -> i = s) tbl))
 
 let test_rp_external_miss_randomizes () =
-  let rp = Rp.create ~rng:(rng ()) () in
-  let sets = Config.sets (Rp.config rp) in
+  let rp = Rp.engine (Rp.create ~rng:(rng ()) ()) in
+  let sets = Config.sets rp.Engine.config in
   (* Victim owns all of (his) set 5. *)
   for k = 0 to 7 do
-    ignore (Rp.access rp ~pid:0 (5 + (k * sets)))
+    ignore (rp.Engine.access ~pid:0 (5 + (k * sets)))
   done;
   (* Attacker storms logical set 5 with 50 distinct lines. On SA this
      would clean the set almost surely; RP's randomized interference
      handling (random set + table swap) must leave most victim lines
      alive. *)
   for k = 0 to 49 do
-    ignore (Rp.access rp ~pid:1 (100032 + 5 + (k * sets)))
+    ignore (rp.Engine.access ~pid:1 (100032 + 5 + (k * sets)))
   done;
   let survivors =
     List.length
       (List.filter
-         (fun k -> Rp.peek rp ~pid:0 (5 + (k * sets)))
+         (fun k -> rp.Engine.peek ~pid:0 (5 + (k * sets)))
          (List.init 8 Fun.id))
   in
   Alcotest.(check bool) "most victim lines survive" true (survivors >= 4)
@@ -656,19 +646,20 @@ let test_rp_external_miss_randomizes () =
 (* --- RF ---------------------------------------------------------------- *)
 
 let test_rf_demand_fetch_default () =
-  let rf = Rf.create ~rng:(rng ()) () in
-  Alcotest.(check (pair int int)) "default window" (0, 0) (Rf.window rf ~pid:0);
-  let o = Rf.access rf ~pid:0 100 in
+  let t = Rf.create ~rng:(rng ()) () in
+  let rf = Rf.engine t in
+  Alcotest.(check (pair int int)) "default window" (0, 0) (Rf.window t ~pid:0);
+  let o = rf.Engine.access ~pid:0 100 in
   Alcotest.(check bool) "window 0 caches the line" true o.Outcome.cached;
-  Alcotest.(check bool) "hit after" true (Outcome.is_hit (Rf.access rf ~pid:0 100))
+  Alcotest.(check bool) "hit after" true (Outcome.is_hit (rf.Engine.access ~pid:0 100))
 
 let test_rf_window_fetch () =
-  let rf = Rf.create ~rng:(rng ()) () in
-  Rf.set_window rf ~pid:0 ~back:64 ~fwd:64;
+  let rf = Rf.engine (Rf.create ~rng:(rng ()) ()) in
+  rf.Engine.set_window ~pid:0 ~back:64 ~fwd:64;
   let in_window = ref 0 and accessed_cached = ref 0 in
   for i = 0 to 199 do
     let addr = 100 + (i * 200) in
-    let o = Rf.access rf ~pid:0 addr in
+    let o = rf.Engine.access ~pid:0 addr in
     (match o.Outcome.fetched with
     | Some l when l >= addr - 64 && l <= addr + 64 -> incr in_window
     | Some _ -> Alcotest.fail "fetch outside window"
@@ -680,49 +671,53 @@ let test_rf_window_fetch () =
   Alcotest.(check bool) "accessed line rarely cached" true (!accessed_cached < 15)
 
 let test_rf_window_validation () =
-  let rf = Rf.create ~rng:(rng ()) () in
+  let rf = Rf.engine (Rf.create ~rng:(rng ()) ()) in
   Alcotest.check_raises "negative window"
     (Invalid_argument "Rf.set_window: negative window") (fun () ->
-      Rf.set_window rf ~pid:0 ~back:(-1) ~fwd:0)
+      rf.Engine.set_window ~pid:0 ~back:(-1) ~fwd:0)
 
 let test_rf_per_pid_windows () =
-  let rf = Rf.create ~rng:(rng ()) () in
-  Rf.set_window rf ~pid:0 ~back:8 ~fwd:8;
-  Alcotest.(check (pair int int)) "victim window" (8, 8) (Rf.window rf ~pid:0);
+  let t = Rf.create ~rng:(rng ()) () in
+  let rf = Rf.engine t in
+  rf.Engine.set_window ~pid:0 ~back:8 ~fwd:8;
+  Alcotest.(check (pair int int)) "victim window" (8, 8) (Rf.window t ~pid:0);
   Alcotest.(check (pair int int)) "attacker stays demand" (0, 0)
-    (Rf.window rf ~pid:1);
+    (Rf.window t ~pid:1);
   (* The attacker's own accesses behave conventionally. *)
-  let o = Rf.access rf ~pid:1 5000 in
+  let o = rf.Engine.access ~pid:1 5000 in
   Alcotest.(check bool) "attacker demand fetch" true o.Outcome.cached
 
 (* --- RE ---------------------------------------------------------------- *)
 
 let test_re_periodic_eviction () =
-  let re = Re.create ~interval:10 ~rng:(rng ()) () in
+  let t = Re.create ~interval:10 ~rng:(rng ()) () in
+  let re = Re.engine t in
   for i = 0 to 99 do
-    ignore (Re.access re ~pid:0 i)
+    ignore (re.Engine.access ~pid:0 i)
   done;
-  Alcotest.(check int) "10 periodic evictions" 10 (Re.random_evictions re)
+  Alcotest.(check int) "10 periodic evictions" 10 (Re.random_evictions t)
 
 let test_re_interval_one () =
-  let re = Re.create ~interval:1 ~rng:(rng ()) () in
+  let t = Re.create ~interval:1 ~rng:(rng ()) () in
+  let re = Re.engine t in
   for i = 0 to 9 do
-    ignore (Re.access re ~pid:0 i)
+    ignore (re.Engine.access ~pid:0 i)
   done;
-  Alcotest.(check int) "every access" 10 (Re.random_evictions re)
+  Alcotest.(check int) "every access" 10 (Re.random_evictions t)
 
 let test_re_eviction_in_outcome () =
   let re =
-    Re.create ~config:(Config.v ~line_bytes:64 ~lines:2 ~ways:1) ~interval:1
-      ~rng:(rng ()) ()
+    Re.engine
+      (Re.create ~config:(Config.v ~line_bytes:64 ~lines:2 ~ways:1) ~interval:1
+         ~rng:(rng ()) ())
   in
-  ignore (Re.access re ~pid:0 0);
-  ignore (Re.access re ~pid:0 1);
+  ignore (re.Engine.access ~pid:0 0);
+  ignore (re.Engine.access ~pid:0 1);
   (* With only two slots and an eviction per access, outcomes soon carry
      periodic evictions. *)
   let saw_extra = ref false in
   for i = 2 to 40 do
-    let o = Re.access re ~pid:0 (i mod 2) in
+    let o = re.Engine.access ~pid:0 (i mod 2) in
     if Outcome.is_hit o && Outcome.eviction_count o > 0 then saw_extra := true
   done;
   Alcotest.(check bool) "periodic eviction reported on hits" true !saw_extra
@@ -739,8 +734,8 @@ let test_noisy () =
   Alcotest.(check (float 0.)) "sigma stored" 1.5 (Noisy.sigma n);
   let e = Noisy.engine n in
   Alcotest.(check (float 0.)) "engine sigma" 1.5 e.Engine.sigma;
-  ignore (Noisy.access n ~pid:0 3);
-  Alcotest.(check bool) "behaves like SA" true (Noisy.peek n ~pid:0 3);
+  ignore (e.Engine.access ~pid:0 3);
+  Alcotest.(check bool) "behaves like SA" true (e.Engine.peek ~pid:0 3);
   Alcotest.check_raises "negative sigma"
     (Invalid_argument "Noisy.create: negative sigma") (fun () ->
       ignore (Noisy.create ~sigma:(-1.) ~rng:(rng ()) ()))
@@ -831,7 +826,6 @@ let () =
         ] );
       ( "replacement",
         [
-          Alcotest.test_case "line state" `Quick test_line;
           Alcotest.test_case "invalid first" `Quick test_replacement_invalid_first;
           Alcotest.test_case "lru" `Quick test_replacement_lru;
           Alcotest.test_case "fifo" `Quick test_replacement_fifo;

@@ -54,12 +54,12 @@ let test_sa_replacement_uniform () =
   let counts = Array.make 8 0 in
   let r = rng () in
   for _ = 1 to 8000 do
-    let sa = Sa.create ~rng:(Rng.split r) () in
-    let sets = Config.sets (Sa.config sa) in
+    let sa = Sa.engine (Sa.create ~rng:(Rng.split r) ()) in
+    let sets = Config.sets sa.Engine.config in
     for k = 0 to 7 do
-      ignore (Sa.access sa ~pid:0 (3 + (k * sets)))
+      ignore (sa.Engine.access ~pid:0 (3 + (k * sets)))
     done;
-    let o = Sa.access sa ~pid:1 (3 + (8 * sets)) in
+    let o = sa.Engine.access ~pid:1 (3 + (8 * sets)) in
     match Outcome.evictions o with
     | [ (_, line) ] -> counts.(line / sets) <- counts.(line / sets) + 1
     | _ -> Alcotest.fail "expected exactly one eviction"
@@ -70,12 +70,12 @@ let test_newcache_eviction_uniform () =
   (* Group the 512 physical slots into 16 buckets. *)
   let counts = Array.make 16 0 in
   let r = rng () in
-  let nc = Newcache.create ~rng:(Rng.split r) () in
+  let nc = Newcache.engine (Newcache.create ~rng:(Rng.split r) ()) in
   for i = 0 to 511 do
-    ignore (Newcache.access nc ~pid:0 i)
+    ignore (nc.Engine.access ~pid:0 i)
   done;
   for i = 0 to 15999 do
-    let o = Newcache.access nc ~pid:0 (1000 + i) in
+    let o = nc.Engine.access ~pid:0 (1000 + i) in
     List.iter
       (fun (_, line) ->
         (* Bucket victims by their line number modulo 16: a uniform slot
@@ -89,12 +89,12 @@ let test_newcache_eviction_uniform () =
 let test_rf_window_uniform () =
   (* The filled line must be uniform over the window. *)
   let r = rng () in
-  let rf = Rf.create ~rng:(Rng.split r) () in
-  Rf.set_window rf ~pid:0 ~back:8 ~fwd:8;
+  let rf = Rf.engine (Rf.create ~rng:(Rng.split r) ()) in
+  rf.Engine.set_window ~pid:0 ~back:8 ~fwd:8;
   let counts = Array.make 17 0 in
   for i = 0 to 16999 do
     let addr = 1000 + (i * 100) in
-    let o = Rf.access rf ~pid:0 addr in
+    let o = rf.Engine.access ~pid:0 addr in
     match o.Outcome.fetched with
     | Some l -> counts.(l - addr + 8) <- counts.(l - addr + 8) + 1
     | None -> ()  (* window line already cached: rare, skip *)
@@ -106,14 +106,14 @@ let test_rp_interference_set_uniform () =
   let r = rng () in
   let counts = Array.make 64 0 in
   for _ = 1 to 6400 do
-    let rp = Rp.create ~rng:(Rng.split r) () in
-    let sets = Config.sets (Rp.config rp) in
+    let rp = Rp.engine (Rp.create ~rng:(Rng.split r) ()) in
+    let sets = Config.sets rp.Engine.config in
     (* Victim fills his set 9 completely. *)
     for k = 0 to 7 do
-      ignore (Rp.access rp ~pid:0 (9 + (k * sets)))
+      ignore (rp.Engine.access ~pid:0 (9 + (k * sets)))
     done;
     (* First attacker access to logical set 9 interferes. *)
-    let o = Rp.access rp ~pid:1 (100032 + 9) in
+    let o = rp.Engine.access ~pid:1 (100032 + 9) in
     match Outcome.evictions o with
     | [ (_, line) ] -> counts.(line mod sets) <- counts.(line mod sets) + 1
     | [] -> ()  (* random set had an invalid way: no victim line *)
@@ -131,15 +131,15 @@ let test_rp_interference_set_uniform () =
 
 let test_re_slot_uniform () =
   let r = rng () in
-  let re = Re.create ~interval:1 ~rng:(Rng.split r) () in
+  let re = Re.engine (Re.create ~interval:1 ~rng:(Rng.split r) ()) in
   (* Fill the whole direct-mapped cache so every periodic eviction
      displaces a line whose slot we can bucket. *)
   for i = 0 to 511 do
-    ignore (Re.access re ~pid:0 i)
+    ignore (re.Engine.access ~pid:0 i)
   done;
   let counts = Array.make 16 0 in
   for i = 0 to 15999 do
-    let o = Re.access re ~pid:0 (i mod 512) in
+    let o = re.Engine.access ~pid:0 (i mod 512) in
     List.iter
       (fun (_, line) -> counts.(line mod 16) <- counts.(line mod 16) + 1)
       (Outcome.evictions o)
@@ -151,13 +151,13 @@ let test_skewed_bank_uniform () =
      bank choice is random and the slot hashes scatter the partition. *)
   let r = rng () in
   let counts = Array.make 8 0 in
-  let c = Skewed.create ~rng:(Rng.split r) () in
+  let c = Skewed.engine (Skewed.create ~rng:(Rng.split r) ()) in
   (* Fill everything so each miss displaces a resident line. *)
   for i = 0 to 4095 do
-    ignore (Skewed.access c ~pid:0 i)
+    ignore (c.Engine.access ~pid:0 i)
   done;
   for i = 0 to 7999 do
-    let o = Skewed.access c ~pid:0 (200000 + i) in
+    let o = c.Engine.access ~pid:0 (200000 + i) in
     List.iter
       (fun (_, line) -> counts.(line land 7) <- counts.(line land 7) + 1)
       (Outcome.evictions o)

@@ -20,38 +20,39 @@ let contains s sub =
 (* --- Skewed cache -------------------------------------------------------- *)
 
 let test_skewed_hit_after_fill () =
-  let c = Skewed.create ~rng:(rng ()) () in
-  Alcotest.(check int) "banks" 8 (Skewed.banks c);
-  Alcotest.(check int) "slots" 64 (Skewed.slots_per_bank c);
-  ignore (Skewed.access c ~pid:0 7);
-  Alcotest.(check bool) "hit" true (Outcome.is_hit (Skewed.access c ~pid:0 7))
+  let t = Skewed.create ~rng:(rng ()) () in
+  let c = Skewed.engine t in
+  Alcotest.(check int) "banks" 8 (Skewed.banks t);
+  Alcotest.(check int) "slots" 64 (Skewed.slots_per_bank t);
+  ignore (c.Engine.access ~pid:0 7);
+  Alcotest.(check bool) "hit" true (Outcome.is_hit (c.Engine.access ~pid:0 7))
 
 let test_skewed_domain_isolation () =
-  let c = Skewed.create ~rng:(rng ()) () in
-  ignore (Skewed.access c ~pid:0 7);
+  let c = Skewed.engine (Skewed.create ~rng:(rng ()) ()) in
+  ignore (c.Engine.access ~pid:0 7);
   Alcotest.(check bool) "cross-domain miss" true
-    (Outcome.is_miss (Skewed.access c ~pid:1 7));
-  Alcotest.(check bool) "victim copy alive" true (Skewed.peek c ~pid:0 7)
+    (Outcome.is_miss (c.Engine.access ~pid:1 7));
+  Alcotest.(check bool) "victim copy alive" true (c.Engine.peek ~pid:0 7)
 
 let test_skewed_mappings_differ () =
-  let c = Skewed.create ~rng:(rng ()) () in
+  let t = Skewed.create ~rng:(rng ()) () in
   (* Two domains agree on a line's slot in a given bank only by chance;
      over 8 banks and many lines, the mappings must differ somewhere. *)
   let differs = ref false in
   for addr = 0 to 63 do
     for bank = 0 to 7 do
-      if Skewed.slot_of c ~pid:0 ~bank addr <> Skewed.slot_of c ~pid:1 ~bank addr
+      if Skewed.slot_of t ~pid:0 ~bank addr <> Skewed.slot_of t ~pid:1 ~bank addr
       then differs := true
     done
   done;
   Alcotest.(check bool) "per-domain keys" true !differs
 
 let test_skewed_banks_skew () =
-  let c = Skewed.create ~rng:(rng ()) () in
+  let t = Skewed.create ~rng:(rng ()) () in
   (* A single line maps to (mostly) different slots across banks. *)
   let slots =
     List.sort_uniq compare
-      (List.init 8 (fun bank -> Skewed.slot_of c ~pid:0 ~bank 100))
+      (List.init 8 (fun bank -> Skewed.slot_of t ~pid:0 ~bank 100))
   in
   Alcotest.(check bool) "skewed across banks" true (List.length slots >= 4)
 
@@ -61,26 +62,26 @@ let test_skewed_no_deterministic_conflict () =
      the attacker cannot aim - expect survival more often than not. *)
   let survived = ref 0 in
   for trial = 0 to 9 do
-    let c = Skewed.create ~rng:(Rng.create ~seed:trial) () in
-    ignore (Skewed.access c ~pid:0 7);
+    let c = Skewed.engine (Skewed.create ~rng:(Rng.create ~seed:trial) ()) in
+    ignore (c.Engine.access ~pid:0 7);
     for k = 1 to 200 do
-      ignore (Skewed.access c ~pid:1 (10000 + k))
+      ignore (c.Engine.access ~pid:1 (10000 + k))
     done;
-    if Skewed.peek c ~pid:0 7 then incr survived
+    if c.Engine.peek ~pid:0 7 then incr survived
   done;
   (* Each attacker miss evicts the victim line w.p. 1/512: 200 accesses
      leave it alive w.p. ~0.68. *)
   Alcotest.(check bool) "usually survives" true (!survived >= 4)
 
 let test_skewed_flush () =
-  let c = Skewed.create ~rng:(rng ()) () in
-  ignore (Skewed.access c ~pid:0 7);
+  let c = Skewed.engine (Skewed.create ~rng:(rng ()) ()) in
+  ignore (c.Engine.access ~pid:0 7);
   Alcotest.(check bool) "attacker cannot flush victim copy" false
-    (Skewed.flush_line c ~pid:1 7);
-  Alcotest.(check bool) "owner flush" true (Skewed.flush_line c ~pid:0 7);
-  ignore (Skewed.access c ~pid:0 7);
-  Skewed.flush_all c;
-  Alcotest.(check bool) "flush all" false (Skewed.peek c ~pid:0 7)
+    (c.Engine.flush_line ~pid:1 7);
+  Alcotest.(check bool) "owner flush" true (c.Engine.flush_line ~pid:0 7);
+  ignore (c.Engine.access ~pid:0 7);
+  c.Engine.flush_all ();
+  Alcotest.(check bool) "flush all" false (c.Engine.peek ~pid:0 7)
 
 (* --- Workload ------------------------------------------------------------- *)
 

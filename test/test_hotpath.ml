@@ -46,18 +46,18 @@ let test_golden_traces () =
 
 let test_sa_lru_hit_path_allocation_free () =
   let rng = Rng.create ~seed:42 in
-  let sa = Sa.create ~config:Config.standard ~policy:Policy.Lru ~rng () in
-  let sets = Config.sets (Sa.config sa) in
+  let sa = Sa.engine (Sa.create ~config:Config.standard ~policy:Policy.Lru ~rng ()) in
+  let sets = Config.sets sa.Engine.config in
   (* Warm: make lines 0 .. sets-1 resident (one per set, way 0). *)
   for addr = 0 to sets - 1 do
-    ignore (Sa.access sa ~pid:0 addr)
+    ignore (sa.Engine.access ~pid:0 addr)
   done;
   (* Hammer hits; every access must return the preallocated
      [Outcome.hit] and allocate nothing on the minor heap. *)
   let iters = 100_000 in
   let before = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 (i mod sets))
+    ignore (sa.Engine.access ~pid:0 (i mod sets))
   done;
   let after = Gc.minor_words () in
   (* Each [Gc.minor_words] call itself boxes a float (2-3 words); allow
@@ -72,12 +72,12 @@ let test_sa_random_miss_path_allocation_lean () =
      small bounded amount, not O(ways) scan lists as before. Budget:
      well under 20 words per access. *)
   let rng = Rng.create ~seed:43 in
-  let sa = Sa.create ~config:Config.standard ~policy:Policy.Random ~rng () in
+  let sa = Sa.engine (Sa.create ~config:Config.standard ~policy:Policy.Random ~rng ()) in
   let iters = 50_000 in
   (* Distinct tags per set so every access misses and evicts. *)
   let before = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 i)
+    ignore (sa.Engine.access ~pid:0 i)
   done;
   let after = Gc.minor_words () in
   let per_access = (after -. before) /. float_of_int iters in
@@ -90,15 +90,15 @@ let test_sa_plru_hit_path_allocation_free () =
      walking the tree word — on top of the [last_use] store. Must stay
      off the minor heap like the LRU hit path. *)
   let rng = Rng.create ~seed:44 in
-  let sa = Sa.create ~config:Config.standard ~policy:Policy.Plru ~rng () in
-  let sets = Config.sets (Sa.config sa) in
+  let sa = Sa.engine (Sa.create ~config:Config.standard ~policy:Policy.Plru ~rng ()) in
+  let sets = Config.sets sa.Engine.config in
   for addr = 0 to sets - 1 do
-    ignore (Sa.access sa ~pid:0 addr)
+    ignore (sa.Engine.access ~pid:0 addr)
   done;
   let iters = 100_000 in
   let before = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 (i mod sets))
+    ignore (sa.Engine.access ~pid:0 (i mod sets))
   done;
   let after = Gc.minor_words () in
   let delta = after -. before in
@@ -110,11 +110,11 @@ let test_sa_lfu_miss_path_allocation_lean () =
   (* LFU misses run the contiguous min-frequency scan; like the random
      miss path, only the outcome record itself may allocate. *)
   let rng = Rng.create ~seed:45 in
-  let sa = Sa.create ~config:Config.standard ~policy:Policy.Lfu ~rng () in
+  let sa = Sa.engine (Sa.create ~config:Config.standard ~policy:Policy.Lfu ~rng ()) in
   let iters = 50_000 in
   let before = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 i)
+    ignore (sa.Engine.access ~pid:0 i)
   done;
   let after = Gc.minor_words () in
   let per_access = (after -. before) /. float_of_int iters in
@@ -125,11 +125,11 @@ let test_sa_lfu_miss_path_allocation_lean () =
 let test_sa_mru_miss_path_allocation_lean () =
   (* MRU misses run the max-last-use scan ([Slab.scan_max]). *)
   let rng = Rng.create ~seed:46 in
-  let sa = Sa.create ~config:Config.standard ~policy:Policy.Mru ~rng () in
+  let sa = Sa.engine (Sa.create ~config:Config.standard ~policy:Policy.Mru ~rng ()) in
   let iters = 50_000 in
   let before = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 i)
+    ignore (sa.Engine.access ~pid:0 i)
   done;
   let after = Gc.minor_words () in
   let per_access = (after -. before) /. float_of_int iters in

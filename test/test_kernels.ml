@@ -92,9 +92,9 @@ let build ?(scenario = scenario) ~seed spec =
    the line dump. *)
 let observe ?(pids = [ 0; 1; 2 ]) (engine : Engine.t) =
   String.concat " | "
-    (fmt_snapshot (engine.Engine.counters ())
-     :: List.map (fun p -> fmt_snapshot (engine.Engine.counters_for p)) pids
-    @ [ fmt_dump (engine.Engine.dump ()) ])
+    (fmt_snapshot (Counters.global engine.Engine.counters)
+     :: List.map (fun p -> fmt_snapshot (Counters.for_pid engine.Engine.counters p)) pids
+    @ [ fmt_dump (Engine.dump engine) ])
 
 let summaries ?(pids = [ 0; 1; 2 ]) (engine : Engine.t) model =
   ( observe ~pids engine,
@@ -498,9 +498,9 @@ let valid_lines (s : Slab.t) =
 let check_flush what (engine : Engine.t) =
   let s = engine.Engine.slab in
   let want = cleared_fields s and displaced = valid_lines s in
-  let before = (engine.Engine.counters ()).Counters.evictions in
+  let before = (Counters.global engine.Engine.counters).Counters.evictions in
   engine.Engine.flush_all ();
-  let got = (engine.Engine.counters ()).Counters.evictions - before in
+  let got = (Counters.global engine.Engine.counters).Counters.evictions - before in
   match
     List.find_opt (fun ((_, w), (_, g)) -> w <> g) (List.combine want (fields s))
   with

@@ -1,37 +1,13 @@
 (* The trial runtime's contract: jobs changes wall-clock, never results.
 
    Serial (jobs:1) and Domain-parallel (jobs:4, more workers than this
-   machine may have cores) executions of the same trial family, driver
+   machine may have cores) executions of the same index family, driver
    campaign, or validation cell must be bit-identical. *)
 
 open Cachesec_stats
 open Cachesec_runtime
 open Cachesec_cache
 open Cachesec_experiments
-
-(* --- Trial ----------------------------------------------------------- *)
-
-let test_trial_seed_derivation () =
-  let t = Trial.make ~seed_base:99 (fun ~rng -> Rng.int rng 1_000_000) in
-  Alcotest.(check int)
-    "seed_for matches Rng.derive_seed" (Rng.derive_seed 99 7)
-    (Trial.seed_for t 7);
-  (* Instance i is a pure function of (seed_base, i). *)
-  Alcotest.(check int)
-    "run_instance replays" (Trial.run_instance t 7) (Trial.run_instance t 7);
-  (* Distinct instances get distinct streams. *)
-  Alcotest.(check bool)
-    "instances differ" true
-    (Trial.run_instance t 0 <> Trial.run_instance t 1
-    || Trial.run_instance t 1 <> Trial.run_instance t 2)
-
-let test_trial_map () =
-  let t = Trial.make ~seed_base:5 (fun ~rng -> Rng.int rng 100) in
-  let doubled = Trial.map (fun x -> 2 * x) t in
-  Alcotest.(check int)
-    "map post-composes"
-    (2 * Trial.run_instance t 3)
-    (Trial.run_instance doubled 3)
 
 (* --- Scheduler ------------------------------------------------------- *)
 
@@ -42,56 +18,39 @@ let test_resolve_jobs () =
     "auto = recommended" (Scheduler.default_jobs ())
     (Scheduler.resolve_jobs (Some 0));
   Alcotest.check_raises "negative"
-    (Invalid_argument "Scheduler.run: jobs must be non-negative (0 = auto)")
+    (Invalid_argument
+       "Scheduler.resolve_jobs: jobs must be non-negative (0 = auto)")
     (fun () -> ignore (Scheduler.resolve_jobs (Some (-1))))
 
 let test_scheduler_serial_parallel_identical () =
-  let t =
-    Trial.make ~seed_base:1234 (fun ~rng ->
-        (* A body with real RNG consumption. *)
-        let acc = ref 0 in
-        for _ = 1 to 100 do
-          acc := !acc + Rng.int rng 1000
-        done;
-        !acc)
+  (* A body with real RNG consumption, seeded from its element alone. *)
+  let body i =
+    let rng = Rng.create ~seed:(Rng.derive_seed 1234 i) in
+    let acc = ref 0 in
+    for _ = 1 to 100 do
+      acc := !acc + Rng.int rng 1000
+    done;
+    !acc
   in
-  let serial = Scheduler.run ~jobs:1 t ~instances:37 in
-  let parallel = Scheduler.run ~jobs:4 t ~instances:37 in
-  let auto = Scheduler.run ~jobs:0 t ~instances:37 in
+  let xs = Array.init 37 Fun.id in
+  let serial = Scheduler.map_array ~jobs:1 body xs in
+  let parallel = Scheduler.map_array ~jobs:4 body xs in
+  let auto = Scheduler.map_array ~jobs:0 body xs in
   Alcotest.(check (array int)) "jobs:1 = jobs:4" serial parallel;
   Alcotest.(check (array int)) "jobs:1 = jobs:auto" serial auto
-
-let test_scheduler_run_reduce_order () =
-  (* String concatenation is associative but not commutative: the fold
-     must happen in index order regardless of worker count. *)
-  let t = Trial.make ~seed_base:0 (fun ~rng -> ignore rng; "") in
-  let t = { t with Trial.run = (fun ~rng -> string_of_int (Rng.int rng 10)) } in
-  let a = Scheduler.run_reduce ~jobs:1 ~merge:( ^ ) t ~instances:25 in
-  let b = Scheduler.run_reduce ~jobs:4 ~merge:( ^ ) t ~instances:25 in
-  Alcotest.(check string) "ordered fold" a b;
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Scheduler.run_reduce: zero instances")
-    (fun () ->
-      ignore (Scheduler.run_reduce ~merge:( ^ ) t ~instances:0))
 
 let test_scheduler_map_array () =
   let xs = Array.init 50 (fun i -> i) in
   let f i = i * i in
   Alcotest.(check (array int))
     "map_array order-preserving" (Array.map f xs)
-    (Scheduler.map_array ~jobs:4 f xs);
-  Alcotest.(check (list int))
-    "map_list" (List.map f (Array.to_list xs))
-    (Scheduler.map_list ~jobs:4 f (Array.to_list xs))
+    (Scheduler.map_array ~jobs:4 f xs)
 
 let test_scheduler_exception_propagates () =
-  let t =
-    Trial.make ~seed_base:0 (fun ~rng ->
-        ignore rng;
-        failwith "boom")
-  in
   Alcotest.check_raises "worker exception re-raised" (Failure "boom")
-    (fun () -> ignore (Scheduler.run ~jobs:4 t ~instances:8))
+    (fun () ->
+      ignore
+        (Scheduler.map_array ~jobs:4 (fun () -> failwith "boom") (Array.make 8 ())))
 
 let test_plan () =
   let plan = Scheduler.plan ~total:10 ~batch_size:4 in
@@ -297,14 +256,7 @@ let test_scheduler_fold_results () =
     (Invalid_argument "Scheduler.fold_results: empty evict-time partials")
     (fun () ->
       ignore
-        (Scheduler.fold_results ~what:"evict-time partials" ~merge:( ^ ) [||]));
-  (* The option variant makes emptiness a value, not an exception. *)
-  Alcotest.(check (option string))
-    "opt on empty" None
-    (Scheduler.fold_results_opt ~merge:( ^ ) [||]);
-  Alcotest.(check (option string))
-    "opt folds in index order" (Some "abc")
-    (Scheduler.fold_results_opt ~merge:( ^ ) [| "a"; "b"; "c" |])
+        (Scheduler.fold_results ~what:"evict-time partials" ~merge:( ^ ) [||]))
 
 let test_scheduler_pipelined_submits () =
   (* Several families submitted before any await: results must equal the
@@ -527,11 +479,6 @@ let test_telemetry_observer_only () =
 let () =
   Alcotest.run "runtime"
     [
-      ( "trial",
-        [
-          Alcotest.test_case "seed derivation" `Quick test_trial_seed_derivation;
-          Alcotest.test_case "map" `Quick test_trial_map;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "submit / await" `Quick test_pool_submit_await;
@@ -551,10 +498,7 @@ let () =
           Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
           Alcotest.test_case "serial = parallel" `Quick
             test_scheduler_serial_parallel_identical;
-          Alcotest.test_case "run_reduce order" `Quick
-            test_scheduler_run_reduce_order;
-          Alcotest.test_case "map_array / map_list" `Quick
-            test_scheduler_map_array;
+          Alcotest.test_case "map_array" `Quick test_scheduler_map_array;
           Alcotest.test_case "exception propagates" `Quick
             test_scheduler_exception_propagates;
           Alcotest.test_case "plan" `Quick test_plan;

@@ -40,7 +40,8 @@ let test_hierarchy_levels () =
 
 let test_hierarchy_private_l1s () =
   let h = make_hierarchy () in
-  ignore (Hierarchy.access h ~pid:0 7);
+  let e = Hierarchy.engine h in
+  ignore (e.Engine.access ~pid:0 7);
   let l1_0 = Hierarchy.l1_for h ~pid:0 in
   let l1_1 = Hierarchy.l1_for h ~pid:1 in
   Alcotest.(check bool) "own l1 holds it" true (l1_0.Engine.peek ~pid:0 7);
@@ -48,19 +49,21 @@ let test_hierarchy_private_l1s () =
 
 let test_hierarchy_coherent_flush () =
   let h = make_hierarchy () in
-  ignore (Hierarchy.access h ~pid:0 7);
+  let e = Hierarchy.engine h in
+  ignore (e.Engine.access ~pid:0 7);
   (* The attacker's clflush must also purge the victim's private L1. *)
   Alcotest.(check bool) "flush reaches all levels" true
-    (Hierarchy.flush_line h ~pid:1 7);
+    (e.Engine.flush_line ~pid:1 7);
   let _, t = Hierarchy.access_timed h ~pid:0 7 in
   Alcotest.(check (float 0.)) "victim refetches from memory" 1. t
 
 let test_hierarchy_l1_capacity () =
   let h = make_hierarchy () in
+  let e = Hierarchy.engine h in
   (* Stream far past the 64-line L1: early lines age out of L1 but stay
      in the big L2. *)
   for i = 0 to 299 do
-    ignore (Hierarchy.access h ~pid:0 i)
+    ignore (e.Engine.access ~pid:0 i)
   done;
   let _, t = Hierarchy.access_timed h ~pid:0 0 in
   Alcotest.(check (float 0.)) "l2 catch" Hierarchy.l2_hit_time t
@@ -70,7 +73,7 @@ let test_hierarchy_engine_counters () =
   let e = Hierarchy.engine h in
   ignore (e.Engine.access ~pid:0 1);
   ignore (e.Engine.access ~pid:0 1);
-  let s = e.Engine.counters_for 0 in
+  let s = Counters.for_pid e.Engine.counters 0 in
   Alcotest.(check int) "accesses" 2 s.Counters.accesses;
   Alcotest.(check int) "hits" 1 s.Counters.hits
 
@@ -188,10 +191,10 @@ let test_engines_counters_coherent () =
       for _ = 1 to 2000 do
         ignore (e.Engine.access ~pid:(Rng.int r 2) (Rng.int r 500))
       done;
-      let s = e.Engine.counters () in
+      let s = Counters.global e.Engine.counters in
       Alcotest.(check int) (name ^ " hits+misses=accesses") s.Counters.accesses
         (s.Counters.hits + s.Counters.misses);
-      let s0 = e.Engine.counters_for 0 and s1 = e.Engine.counters_for 1 in
+      let s0 = Counters.for_pid e.Engine.counters 0 and s1 = Counters.for_pid e.Engine.counters 1 in
       Alcotest.(check int)
         (name ^ " per-pid sums")
         s.Counters.accesses
@@ -250,7 +253,7 @@ let test_engines_dump_valid_lines_only () =
       List.iter
         (fun (_, (l : Line.t)) ->
           if not l.Line.valid then Alcotest.failf "%s dumped invalid line" name)
-        (e.Engine.dump ()))
+        (Engine.dump e))
     (engines_under_test ())
 
 (* --- Architecture equivalences ------------------------------------------------------ *)
