@@ -38,6 +38,17 @@ let attack_conv =
   let print ppf a = Format.pp_print_string ppf (Attack_type.name a) in
   Arg.conv (parse, print)
 
+(* Count flags (trials, samples, accesses, ...) take a positive integer:
+   a zero or negative count is a usage error naming the flag, not an
+   exception from deep inside the run. *)
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let cache_arg =
   Arg.(
     required
@@ -213,7 +224,7 @@ let prepas_cmd =
   in
   let samples_arg =
     Arg.(
-      value & opt int 2000
+      value & opt count_conv 2000
       & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo sample count.")
   in
   let run spec policy k mc samples confidence ci_width seed =
@@ -236,7 +247,10 @@ let prepas_cmd =
       | Some w ->
         let ctx = { Run.default with Run.seed } in
         let target = cleaning_target ~confidence ~ci_width:w ~samples in
-        let a = Driver.run_cleaning_game_adaptive ctx spec ~accesses:k ~target in
+        let a =
+          Driver.await
+            (Driver.submit_cleaning_game_adaptive ctx spec ~accesses:k ~target)
+        in
         Printf.printf
           "Monte-Carlo estimate (adaptive, %d of %d samples%s) = %s (ci \
            half-width %.4g @ %.0f%%)\n"
@@ -257,7 +271,7 @@ let simulate_cmd =
   let trials_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "trials" ] ~docv:"N" ~doc:"Override the attack's trial count.")
   in
   (* Trials fan out over the Driver's batch plan, so --jobs shards the
@@ -284,7 +298,7 @@ let simulate_cmd =
           lock_victim_tables = lock;
         }
       in
-      let r = Driver.run_evict_time ctx spec cfg in
+      let r = Driver.await (Driver.submit_evict_time ctx spec cfg) in
       report r.Evict_time.nibble_recovered r.Evict_time.best_candidate
         r.Evict_time.true_byte r.Evict_time.separation
     | Attack_type.Prime_and_probe ->
@@ -298,7 +312,7 @@ let simulate_cmd =
           lock_victim_tables = lock;
         }
       in
-      let r = Driver.run_prime_probe ctx spec cfg in
+      let r = Driver.await (Driver.submit_prime_probe ctx spec cfg) in
       report r.Prime_probe.nibble_recovered r.Prime_probe.best_candidate
         r.Prime_probe.true_byte r.Prime_probe.separation
     | Attack_type.Cache_collision ->
@@ -310,7 +324,7 @@ let simulate_cmd =
             Option.value trials ~default:Collision.default_config.Collision.trials;
         }
       in
-      let r = Driver.run_collision ctx spec cfg in
+      let r = Driver.await (Driver.submit_collision ctx spec cfg) in
       report r.Collision.nibble_recovered r.Collision.best_delta
         r.Collision.true_delta r.Collision.separation
     | Attack_type.Flush_and_reload ->
@@ -323,7 +337,7 @@ let simulate_cmd =
               ~default:Flush_reload.default_config.Flush_reload.trials;
         }
       in
-      let r = Driver.run_flush_reload ctx spec cfg in
+      let r = Driver.await (Driver.submit_flush_reload ctx spec cfg) in
       report r.Flush_reload.nibble_recovered r.Flush_reload.best_candidate
         r.Flush_reload.true_byte r.Flush_reload.separation
   in
@@ -387,7 +401,7 @@ let policy_matrix_cmd =
   in
   let samples_arg =
     Arg.(
-      value & opt int 2000
+      value & opt count_conv 2000
       & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo sample count for --check.")
   in
   let run cache policy threshold csv check samples confidence ci_width seed =
@@ -450,8 +464,9 @@ let policy_matrix_cmd =
               (fun k ->
                 let closed = Prepas.for_spec spec ~k in
                 let a =
-                  Driver.run_cleaning_game_adaptive ctx spec ~accesses:k
-                    ~target
+                  Driver.await
+                    (Driver.submit_cleaning_game_adaptive ctx spec ~accesses:k
+                       ~target)
                 in
                 total := !total + a.Driver.trials;
                 caps := !caps + a.Driver.cap;
@@ -480,7 +495,7 @@ let policy_matrix_cmd =
 let perf_cmd =
   let accesses =
     Arg.(
-      value & opt int 60000
+      value & opt count_conv 60000
       & info [ "accesses" ] ~docv:"N" ~doc:"Accesses per workload.")
   in
   let run accesses seed =
@@ -494,7 +509,7 @@ let perf_cmd =
 let metrics_cmd =
   let trials =
     Arg.(
-      value & opt int 1500
+      value & opt count_conv 1500
       & info [ "trials" ] ~docv:"N" ~doc:"Observations per architecture.")
   in
   let run trials seed =
@@ -508,7 +523,7 @@ let metrics_cmd =
 let covert_cmd =
   let bits =
     Arg.(
-      value & opt int 2000
+      value & opt count_conv 2000
       & info [ "bits" ] ~docv:"N" ~doc:"Symbols per architecture and protocol.")
   in
   let run bits seed =
@@ -524,7 +539,7 @@ let covert_cmd =
 let svf_cmd =
   let intervals =
     Arg.(
-      value & opt int 80
+      value & opt count_conv 80
       & info [ "intervals" ] ~docv:"N" ~doc:"Execution intervals per architecture.")
   in
   let run intervals seed =
@@ -538,7 +553,7 @@ let svf_cmd =
 let multi_cmd =
   let lines_arg =
     Arg.(
-      value & opt int 4
+      value & opt count_conv 4
       & info [ "lines" ] ~docv:"M" ~doc:"Victim lines the attack must evict.")
   in
   let run lines = print_string (Extension.multi_line_report ~lines ()) in
@@ -550,7 +565,7 @@ let multi_cmd =
 let fullkey_cmd =
   let trials =
     Arg.(
-      value & opt int 1000
+      value & opt count_conv 1000
       & info [ "trials" ] ~docv:"N" ~doc:"Flush-reload trials per key byte.")
   in
   let run spec trials seed =
@@ -572,7 +587,7 @@ let fullkey_cmd =
 let lastround_cmd =
   let trials =
     Arg.(
-      value & opt int 3000
+      value & opt count_conv 3000
       & info [ "trials" ] ~docv:"N" ~doc:"Shared trials for all 16 bytes.")
   in
   let run spec trials seed =

@@ -30,7 +30,7 @@ type partial = {
    classified miss; cand_hits.(k) accumulates the miss indicator of the
    set candidate k predicts; [span] is the trial count folded in. *)
 
-(* In-place fold for the campaign merge loops ([Driver.fold_partials]
+(* In-place fold for the campaign merge (each round's batch-order fold
    consumes each partial exactly once into a running accumulator, so
    mutating the left argument is safe and saves the per-merge array
    pair). *)

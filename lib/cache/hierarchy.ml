@@ -23,8 +23,6 @@ let create ?(l1_config = default_l1) ?(l1_policy = Policy.Random) ~l2 ~rng () =
     counters = Counters.create ();
   }
 
-let l2 t = t.l2
-
 let l1_for t ~pid =
   match Hashtbl.find_opt t.l1s pid with
   | Some e -> e

@@ -35,7 +35,6 @@ val create :
     level is any engine built by {!Factory.build} (so every secure L2
     design can be evaluated in the hierarchy). *)
 
-val l2 : t -> Engine.t
 val l1_for : t -> pid:int -> Engine.t
 (** The pid's private L1 (created on first use). *)
 

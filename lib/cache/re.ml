@@ -19,7 +19,6 @@ let create ?(config = Config.direct_mapped) ?(policy = Policy.Random)
     random_evictions = 0;
   }
 
-let interval t = t.interval
 let random_evictions t = t.random_evictions
 
 (* Fires after every [interval]-th access: returns a uniformly random

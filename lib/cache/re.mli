@@ -18,7 +18,6 @@ val create :
 (** Defaults: {!Config.direct_mapped}, [interval = 10] (the paper's "10%
     random eviction"). [interval] must be positive. *)
 
-val interval : t -> int
 val random_evictions : t -> int
 (** How many periodic evictions have fired so far (whether or not the
     chosen slot held a valid line). *)

@@ -56,12 +56,11 @@ let lock_for spec =
    the attack campaign's shards dispatched onto the pool now; building
    the cell record (and closing its span) happens at [Driver.await].
 
-   With [?adaptive] the cell's campaign runs through the Driver's
-   run-to-confidence variants instead: same per-cell trial budget, but
-   as the cap of a sequential-stopping target. [ci_width = 0.] never
-   stops early — the campaign runs to cap on the adaptive batch plan,
-   which is how the bench's fixed arm measures achieved widths on a
-   plan identical to the adaptive arm's. *)
+   With [?adaptive] the cell's campaign gets a stopping target: same
+   per-cell trial budget, but as the cap of a sequential-stopping
+   target. [ci_width = 0.] never stops early — the campaign runs to cap
+   on the adaptive batch plan, which is how the bench's fixed arm
+   measures achieved widths on a plan identical to the adaptive arm's. *)
 let target_for adaptive cap =
   match adaptive with
   | None -> None
@@ -70,24 +69,6 @@ let target_for adaptive cap =
       (Sequential.target ~confidence
          ~min_trials:(Stdlib.max 1 (Stdlib.min 100 cap))
          ~half_width:ci_width ~max_trials:cap ())
-
-(* Both arms reduce an attack result to the same tuple:
-   (recovered, separation, trials executed, cap, achieved half-width).
-   Fixed campaigns execute exactly their plan and measure no interval,
-   so trials = cap and the width is [nan]. *)
-let fixed_arm extract cap p =
-  Driver.map_pending
-    (fun r ->
-      let recovered, separation = extract r in
-      (recovered, separation, cap, cap, nan))
-    p
-
-let adaptive_arm extract p =
-  Driver.map_pending
-    (fun (a : _ Driver.adaptive) ->
-      let recovered, separation = extract a.Driver.value in
-      (recovered, separation, a.Driver.trials, a.Driver.cap, a.Driver.achieved))
-    p
 
 let submit_cell ?adaptive (ctx : Run.ctx) spec attack =
   let tm = ctx.Run.telemetry in
@@ -98,55 +79,47 @@ let submit_cell ?adaptive (ctx : Run.ctx) spec attack =
   in
   let ctx = Run.with_parent sp ctx in
   let t n = Figures.trials_for ctx n in
+  (* Every attack reduces its campaign to the same tuple: (recovered,
+     separation, trials executed, cap, achieved half-width). Without a
+     target the campaign runs its whole plan, so trials = cap and the
+     width is [nan]. *)
+  let run attack cap c extract =
+    Driver.map_pending
+      (fun (a : _ Driver.campaign) ->
+        let recovered, separation = extract a.Driver.value in
+        (recovered, separation, a.Driver.trials, a.Driver.cap, a.Driver.achieved))
+      (Driver.submit_attack ?target:(target_for adaptive cap) attack ctx spec c)
+  in
   match
     match attack with
     | Attack_type.Evict_and_time ->
       let cap = t 50000 in
-      let c =
+      run Driver.evict_time cap
         {
           Evict_time.default_config with
           Evict_time.trials = cap;
           lock_victim_tables = lock_for spec;
         }
-      in
-      let ex r = (r.Evict_time.nibble_recovered, r.Evict_time.separation) in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_evict_time ctx spec c)
-      | Some target ->
-        adaptive_arm ex (Driver.submit_evict_time_adaptive ctx spec ~target c))
+        (fun r -> (r.Evict_time.nibble_recovered, r.Evict_time.separation))
     | Attack_type.Prime_and_probe ->
       let cap = t 3000 in
-      let c =
+      run Driver.prime_probe cap
         {
           Prime_probe.default_config with
           Prime_probe.trials = cap;
           lock_victim_tables = lock_for spec;
         }
-      in
-      let ex r = (r.Prime_probe.nibble_recovered, r.Prime_probe.separation) in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_prime_probe ctx spec c)
-      | Some target ->
-        adaptive_arm ex (Driver.submit_prime_probe_adaptive ctx spec ~target c))
+        (fun r -> (r.Prime_probe.nibble_recovered, r.Prime_probe.separation))
     | Attack_type.Cache_collision ->
       let cap = t 250000 in
-      let c = { Collision.default_config with Collision.trials = cap } in
-      let ex r = (r.Collision.nibble_recovered, r.Collision.separation) in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_collision ctx spec c)
-      | Some target ->
-        adaptive_arm ex (Driver.submit_collision_adaptive ctx spec ~target c))
+      run Driver.collision cap
+        { Collision.default_config with Collision.trials = cap }
+        (fun r -> (r.Collision.nibble_recovered, r.Collision.separation))
     | Attack_type.Flush_and_reload ->
       let cap = t 3000 in
-      let c = { Flush_reload.default_config with Flush_reload.trials = cap } in
-      let ex r =
-        (r.Flush_reload.nibble_recovered, r.Flush_reload.separation)
-      in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_flush_reload ctx spec c)
-      | Some target ->
-        adaptive_arm ex
-          (Driver.submit_flush_reload_adaptive ctx spec ~target c))
+      run Driver.flush_reload cap
+        { Flush_reload.default_config with Flush_reload.trials = cap }
+        (fun r -> (r.Flush_reload.nibble_recovered, r.Flush_reload.separation))
   with
   | exception e ->
     Telemetry.close_span tm sp;

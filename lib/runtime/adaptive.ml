@@ -1,12 +1,14 @@
-(* Round-based adaptive execution on top of the fixed batch plan.
+(* Round-based execution of a batch plan: the one campaign path.
 
-   The whole trick is that adaptivity changes WHICH PREFIX of the fixed
-   campaign runs, never what any batch computes:
+   Every experiment campaign runs here. One with a stopping target runs
+   its plan in geometric rounds and may stop at a round boundary; one
+   without is the same plan as a single round ([plan ~start:total]),
+   which merges the same batches in the same order. Adaptivity changes
+   WHICH PREFIX of the plan runs, never what any batch computes:
 
-   - The batch plan is [Scheduler.plan ~total:cap ~batch_size] — the
-     same plan a fixed-count campaign over [cap] trials would use, so
-     batch [i]'s seed, first index and count are byte-identical to the
-     fixed world's.
+   - The batch plan is [Scheduler.plan ~total:cap ~batch_size], so
+     batch [i]'s seed, first index and count are byte-identical to a
+     single-round run over [cap] trials.
    - Rounds are a deterministic, geometrically growing partition of
      that plan: round [r] covers batches [boundaries.(r-1) ..
      boundaries.(r) - 1], where the boundaries are computed from
@@ -14,25 +16,23 @@
      wall-clock or partial values.
    - The stop decision is taken ONLY at round boundaries, on the
      batch-order merge of every batch executed so far. Merging in batch
-     index order makes the merged value jobs-invariant (same argument
-     as [Scheduler.fold_results]), hence the decision — and therefore
-     the executed prefix — is too.
+     index order makes the merged value jobs-invariant, hence the
+     decision — and therefore the executed prefix — is too.
 
-   So an adaptive run is bit-identical across jobs:1 / jobs:N and
-   across sequential / pipelined submission; what it saves is the
-   suffix of batches it never runs.
+   So a run is bit-identical across jobs:1 / jobs:N and across
+   sequential / pipelined submission; what a stopping target saves is
+   the suffix of batches it never runs.
 
-   Round 0's shards are dispatched at [submit] time (pipelining with
-   other campaigns' shards works exactly as for fixed campaigns). The
-   rounds then drive themselves: [Scheduler.dispatch]'s continuation
-   runs on the worker whose claimer finished the round last, merges,
-   consults [keep_going], and either dispatches the next round from
-   that worker or fulfils the campaign's [Pool] future. No round waits
-   for the main domain to reach [await], so several adaptive campaigns
-   submitted together all advance at once; [await] only blocks on the
-   future. With [jobs <= 1] every continuation runs inline, so a serial
-   submit computes the whole campaign eagerly, like a serial fixed
-   submit. *)
+   Round 0's shards are dispatched at [submit] time, so campaigns
+   submitted together share the pool queue. The rounds then drive
+   themselves: [Scheduler.dispatch]'s continuation runs on the worker
+   whose claimer finished the round last, merges, consults
+   [keep_going], and either dispatches the next round from that worker
+   or fulfils the campaign's [Pool] future. No round waits for the main
+   domain to reach [await], so several campaigns submitted together all
+   advance at once; [await] only blocks on the future. With
+   [jobs <= 1] every continuation runs inline, so a serial submit
+   computes the whole campaign eagerly. *)
 
 open Cachesec_telemetry
 
@@ -104,8 +104,8 @@ let submit ?jobs ?(tm = Telemetry.null) ?(span = Telemetry.null_span)
   in
   (* Round [r] covers batches [lo, hi). [acc] holds the batch-order
      merge of batches [0, lo) and [trials] their count, so folding this
-     round's partials onto it in index order is exactly
-     [Scheduler.fold_results] over the executed prefix. *)
+     round's partials onto it in index order is the left fold of
+     [merge] over the executed prefix, in batch order. *)
   let settle r lo hi acc trials parts =
     let merged =
       match
@@ -161,6 +161,3 @@ let submit ?jobs ?(tm = Telemetry.null) ?(span = Telemetry.null_span)
   fut
 
 let await = Pool.await
-
-let run ?jobs ?tm ?span ~what ~shard ~merge ~keep_going p =
-  await (submit ?jobs ?tm ?span ~what ~shard ~merge ~keep_going p)

@@ -1,20 +1,19 @@
-(** Adaptive (run-to-confidence) execution of a batched campaign in
-    deterministic geometrically-growing rounds.
+(** Round-based execution of a batched campaign: the one campaign path.
 
-    An adaptive campaign is the fixed campaign's batch plan
-    ([Scheduler.plan ~total:cap ~batch_size]) partitioned into rounds
-    whose boundaries depend only on [(cap, batch_size, start, factor)].
-    After each round the partials executed so far are merged in batch
-    index order and a caller-supplied predicate decides whether to
-    continue; the suffix of batches never run is the saving.
+    A campaign is a batch plan ([Scheduler.plan ~total:cap ~batch_size])
+    partitioned into rounds whose boundaries depend only on
+    [(cap, batch_size, start, factor)]. After each round the partials
+    executed so far are merged in batch index order and a
+    caller-supplied predicate decides whether to continue; the suffix
+    of batches never run is the saving. A campaign without a stopping
+    rule is the same plan as one round ([plan ~start:total ~total]).
 
     Because batch seeds, the round partition and the batch-order merge
-    are all independent of [jobs] and of submission order, an adaptive
-    run is bit-identical across [jobs:1] / [jobs:N] and across
-    sequential / pipelined execution — the invariant the rest of the
-    trial runtime already guarantees for fixed campaigns (enforced by
-    test_runtime's adaptive matrix case). Stopping decisions happen at
-    round boundaries ONLY, never inside a round or a batch. *)
+    are all independent of [jobs] and of submission order, a run is
+    bit-identical across [jobs:1] / [jobs:N] and across sequential /
+    pipelined execution (enforced by test_runtime's adaptive matrix
+    case). Stopping decisions happen at round boundaries ONLY, never
+    inside a round or a batch. *)
 
 open Cachesec_telemetry
 
@@ -86,15 +85,3 @@ val await : 'p running -> 'p progress
     progress, or re-raise the first failure of a shard, [merge] or
     [keep_going] with its backtrace. Must be called from outside the
     pool. *)
-
-val run :
-  ?jobs:int ->
-  ?tm:Telemetry.t ->
-  ?span:Telemetry.span ->
-  what:string ->
-  shard:(Scheduler.batch -> 'p) ->
-  merge:('p -> 'p -> 'p) ->
-  keep_going:(trials:int -> 'p -> bool) ->
-  plan ->
-  'p progress
-(** [await] of [submit] — the blocking form. *)

@@ -4,7 +4,7 @@
 
     A [ctx] is cheap, immutable and copied freely; the smart
     constructors below are the intended way to build one. Every
-    ctx-taking experiment function ([Driver.run_*],
+    ctx-taking experiment function ([Driver.submit_*],
     [Validation.cells], [Figures.render_*], ...) promises the trial
     runtime's contract: the result depends on [seed]/[batch]/[quick]
     only, never on [jobs] or [telemetry]. *)

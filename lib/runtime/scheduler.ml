@@ -8,26 +8,19 @@
    from [i] (a batch plan's [Run.seed_for_batch], a validation cell's
    own seed), so the contents of the results array do not depend on
    which worker ran which index or in what order — only the wall-clock
-   does. All merging therefore happens after the await, in index order,
-   which makes [jobs:1] and [jobs:n] bit-identical.
+   does. All merging therefore happens after the family has finished,
+   in index order, which makes [jobs:1] and [jobs:n] bit-identical.
 
    One primitive, [dispatch], enqueues the claimer tasks and takes a
    continuation: the claimer that finishes the family last calls it on
    its own worker with the results in index order (or the first
-   failure). The execution entry points come in pairs built on it:
-   [submit_*] dispatches into a settable [Pool] future and returns a
-   ['a pending] without blocking, [await] is [Pool.await] on it, and
-   the blocking [map_array] is submit-then-await. The adaptive runtime
-   passes its own continuation, which dispatches the next round from
-   the worker that finished the last one. Campaign
-   pipelining is exactly "call several [submit_*] before the first
-   [await]": shards from many campaigns share the one pool queue, so a
-   short campaign no longer leaves workers idle at its join barrier
-   while the next campaign waits its turn. Determinism is unaffected —
-   ordering moved from execution time to await time.
+   failure). [map_array] passes a continuation that fulfils a [Pool]
+   promise and waits on it. The adaptive runtime passes its own, which
+   merges the round and dispatches the next one from the worker that
+   finished the last; every experiment campaign runs that way.
 
    The serial path ([jobs <= 1], the library default) never touches the
-   pool: [submit_*] degrades to an eager inline [Array.init], keeping it
+   pool: [dispatch] computes an eager inline [Array.init], keeping it
    byte-identical to the pre-pool world (no queue traffic, no context
    switches) — which is what the zero-alloc and throughput gates
    measure.
@@ -50,21 +43,6 @@ let resolve_jobs jobs =
   | Some j when j < 0 ->
     invalid_arg "Scheduler.resolve_jobs: jobs must be non-negative (0 = auto)"
   | Some j -> j
-
-(* --- index-order fold (the driver's partial merge) ----------------------- *)
-
-(* [?what] names the campaign whose results are being folded, so an
-   empty-input failure points at the experiment that produced no
-   partials instead of at this anonymous fold. The default keeps the
-   historical message (pinned by test_runtime). *)
-let fold_results ?(what = "results") ~merge = function
-  | [||] -> invalid_arg ("Scheduler.fold_results: empty " ^ what)
-  | results ->
-    let acc = ref results.(0) in
-    for i = 1 to Array.length results - 1 do
-      acc := merge !acc results.(i)
-    done;
-    !acc
 
 (* --- dispatch ------------------------------------------------------------ *)
 
@@ -181,23 +159,14 @@ let dispatch ?(tm = Telemetry.null) ?(span = Telemetry.null_span) ~jobs n f k
     done
   end
 
-(* --- non-blocking execution ------------------------------------------- *)
-
-type 'a pending = 'a array Pool.future
-
-let submit_init ?tm ?span ~jobs n f =
+(* The blocking map: dispatch into a promise and wait on it. *)
+let map_array ?jobs ?tm ?span f xs =
+  let jobs = resolve_jobs jobs in
+  let n = Array.length xs in
   if jobs > 1 && n > 0 then Pool.ensure ~workers:jobs;
   let fut = Pool.promise () in
-  dispatch ?tm ?span ~jobs n f (Pool.fulfil fut);
-  fut
-
-let await = Pool.await
-
-let submit_map ?jobs ?tm ?span f xs =
-  let jobs = resolve_jobs jobs in
-  submit_init ?tm ?span ~jobs (Array.length xs) (fun i -> f xs.(i))
-
-let map_array ?jobs ?tm ?span f xs = await (submit_map ?jobs ?tm ?span f xs)
+  dispatch ?tm ?span ~jobs n (fun i -> f xs.(i)) (Pool.fulfil fut);
+  Pool.await fut
 
 (* --- batch planning -------------------------------------------------- *)
 

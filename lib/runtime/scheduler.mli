@@ -1,32 +1,26 @@
 (** Deterministic serial / Domain-parallel execution of index families.
 
     The scheduler's contract: for a body [f] whose result for index [i]
-    depends on [i] alone, [submit_init ~jobs:j n f] yields the same
+    depends on [i] alone, [map_array ~jobs:j f xs] yields the same
     array for every [j] — parallelism changes wall-clock only. The
     callers keep [f] that way by seeding each index's RNG from the index
     (a batch plan's {!Run.seed_for_batch}, a validation cell's own
     seed); results are written into per-index slots, and any reduction
-    ({!fold_results}) runs after the join in index order.
+    runs after the family has finished, in index order.
 
     Execution is dispatched onto the persistent process-global {!Pool}:
-    parallel entry points submit index-claiming shard tasks into the one
-    shared queue instead of spawning Domains per call. The non-blocking
-    entry points ([submit_*]) return an ['a pending], joined by
-    {!await}; {!map_array} is the blocking form. Campaign pipelining is calling several [submit_*] before
-    the first [await]: shards from many campaigns interleave in the pool
-    queue, so workers never idle at one campaign's join barrier while
-    another campaign has runnable shards. Determinism is unaffected —
-    ordering moved from execution time to await time.
-
-    Every entry point goes through one primitive, {!dispatch}: the
-    claimer that finishes a family last calls a continuation on its own
-    worker. [submit_*] feeds a settable {!Pool} future from it; the
-    adaptive runtime chains its next round from it, so no round waits
-    for the main domain.
+    parallel families submit index-claiming tasks into the one shared
+    queue instead of spawning Domains per call. There is one primitive,
+    {!dispatch}: the claimer that finishes a family last calls a
+    continuation on its own worker. {!map_array} feeds a {!Pool} promise
+    from it and waits; the adaptive runtime ({!Adaptive}), which runs
+    every experiment campaign, chains its next round from it, so no
+    round waits for the main domain and campaigns submitted together
+    share the queue.
 
     The serial path ([jobs <= 1], the default) never touches the pool:
-    [submit_*] degrades to an eager inline [Array.init], byte-identical
-    to the pre-pool world.
+    the family runs as an eager inline [Array.init], byte-identical to
+    the pre-pool world.
 
     Observability: every execution entry point accepts a telemetry
     context [?tm] and a parent [?span]. With an active context the
@@ -46,14 +40,6 @@ val resolve_jobs : int option -> int
     with [j > 0] is exactly [j] workers. Raises [Invalid_argument] on
     negative [j]. *)
 
-val fold_results : ?what:string -> merge:('a -> 'a -> 'a) -> 'a array -> 'a
-(** Left fold of [merge] over a results array in index order (so [merge]
-    need only be associative, not commutative): the experiment driver's
-    partial-merge step. Raises [Invalid_argument] on an empty array;
-    [?what] (default ["results"]) names the campaign in that message —
-    e.g. ["Scheduler.fold_results: empty evict-time:sa partials"] — so
-    an empty campaign is attributed, not anonymous. *)
-
 type 'a outcome = ('a array, exn * Printexc.raw_backtrace) result
 (** A finished family: its results in index order, or its first failure
     with the backtrace. *)
@@ -72,33 +58,6 @@ val dispatch :
     may dispatch the next family but only ever enqueues. The
     continuation must not raise: on a worker there is no one to
     re-raise to. *)
-
-type 'a pending
-(** A family of submitted shard tasks not yet joined: a {!Pool} future
-    the family's last claimer fulfils. Obtained from {!submit_init} /
-    {!submit_map}; joined by {!await}. On the serial path it is already
-    fulfilled at submit time. *)
-
-val submit_init :
-  ?tm:Telemetry.t -> ?span:Telemetry.span -> jobs:int -> int ->
-  (int -> 'a) -> 'a pending
-(** Non-blocking core: grow the pool to [jobs] workers, {!dispatch} the
-    index space [0, n) and return immediately. [jobs] is a resolved
-    worker count (see {!resolve_jobs}); only [jobs <= 1] computes
-    eagerly inline without touching the pool — a one-index family at
-    [jobs > 1] runs on a worker like any other. *)
-
-val await : 'a pending -> 'a array
-(** Join a pending family: block until every index has run, re-raise the
-    first failure (with its backtrace) if any shard raised, otherwise
-    return the results array in index order. Must be called from outside
-    the pool ([Pool.await]'s rule). *)
-
-val submit_map :
-  ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span -> ('a -> 'b) ->
-  'a array -> 'b pending
-(** Non-blocking {!map_array}: [await (submit_map f xs)] ≡
-    [map_array f xs]. [?jobs] follows {!resolve_jobs}. *)
 
 val map_array :
   ?jobs:int -> ?tm:Telemetry.t -> ?span:Telemetry.span -> ('a -> 'b) ->

@@ -289,9 +289,10 @@ let early_stop_at_round_boundary ~jobs () =
   in
   let p = Adaptive.plan ~start:100 ~factor:2 ~total:1000 ~batch_size:50 () in
   let progress =
-    Adaptive.run ~jobs ~what:"early-stop" ~shard ~merge:( + )
-      ~keep_going:(fun ~trials _ -> trials < 200)
-      p
+    Adaptive.await
+      (Adaptive.submit ~jobs ~what:"early-stop" ~shard ~merge:( + )
+         ~keep_going:(fun ~trials _ -> trials < 200)
+         p)
   in
   Alcotest.(check int) "stopped at the round-1 boundary" 200
     progress.Adaptive.trials;
@@ -307,11 +308,12 @@ let test_early_stop_at_round_boundary = early_stop_at_round_boundary ~jobs:1
 let test_no_stop_runs_to_cap () =
   let p = Adaptive.plan ~start:100 ~factor:2 ~total:1000 ~batch_size:50 () in
   let progress =
-    Adaptive.run ~jobs:1 ~what:"to-cap"
-      ~shard:(fun b -> b.Scheduler.count)
-      ~merge:( + )
-      ~keep_going:(fun ~trials:_ _ -> true)
-      p
+    Adaptive.await
+      (Adaptive.submit ~jobs:1 ~what:"to-cap"
+         ~shard:(fun b -> b.Scheduler.count)
+         ~merge:( + )
+         ~keep_going:(fun ~trials:_ _ -> true)
+         p)
   in
   Alcotest.(check int) "every trial ran" 1000 progress.Adaptive.trials;
   Alcotest.(check bool) "not early" false progress.Adaptive.stopped_early;
@@ -333,7 +335,9 @@ let test_adaptive_jobs_invariant () =
   let keep_going ~trials merged = trials < 300 && String.length merged < 250 in
   let p = Adaptive.plan ~start:64 ~factor:2 ~total:2000 ~batch_size:64 () in
   let run jobs =
-    Adaptive.run ~jobs ~what:"jobs-invariance" ~shard ~merge:( ^ ) ~keep_going p
+    Adaptive.await
+      (Adaptive.submit ~jobs ~what:"jobs-invariance" ~shard ~merge:( ^ )
+         ~keep_going p)
   in
   let serial = run 1 in
   let parallel = run 4 in
@@ -371,13 +375,14 @@ let test_no_shard_on_submitter () =
     (Array.to_list p.Adaptive.boundaries);
   let ran_on = Array.make (Array.length p.Adaptive.batches) main in
   let progress =
-    Adaptive.run ~jobs:2 ~what:"on-pool"
-      ~shard:(fun (b : Scheduler.batch) ->
-        ran_on.(b.Scheduler.index) <- self_id ();
-        b.Scheduler.count)
-      ~merge:( + )
-      ~keep_going:(fun ~trials:_ _ -> true)
-      p
+    Adaptive.await
+      (Adaptive.submit ~jobs:2 ~what:"on-pool"
+         ~shard:(fun (b : Scheduler.batch) ->
+           ran_on.(b.Scheduler.index) <- self_id ();
+           b.Scheduler.count)
+         ~merge:( + )
+         ~keep_going:(fun ~trials:_ _ -> true)
+         p)
   in
   Alcotest.(check int) "every batch ran" 400 progress.Adaptive.merged;
   Array.iteri
@@ -386,9 +391,7 @@ let test_no_shard_on_submitter () =
         (Printf.sprintf "batch %d ran on a worker" i)
         true (d <> main))
     ran_on;
-  let one =
-    Scheduler.await (Scheduler.submit_map ~jobs:2 (fun () -> self_id ()) [| () |])
-  in
+  let one = Scheduler.map_array ~jobs:2 (fun () -> self_id ()) [| () |] in
   Alcotest.(check bool) "one-batch family runs on a worker" true
     (one.(0) <> main)
 
@@ -405,7 +408,7 @@ let campaign c =
   let keep_going ~trials _ = trials < 50 * (1 + (c mod 9)) in
   (shard, keep_going)
 
-let submit_campaign ~jobs c =
+let submit_numbered ~jobs c =
   let shard, keep_going = campaign c in
   Adaptive.submit ~jobs ~what:(Printf.sprintf "campaign-%d" c) ~shard
     ~merge:( ^ ) ~keep_going (small_plan ())
@@ -415,7 +418,7 @@ let test_many_campaigns_match_serial () =
     (pr.Adaptive.merged, pr.Adaptive.trials, pr.Adaptive.stopped_early)
   in
   let serial =
-    List.init 16 (fun c -> summary (Adaptive.await (submit_campaign ~jobs:1 c)))
+    List.init 16 (fun c -> summary (Adaptive.await (submit_numbered ~jobs:1 c)))
   in
   Alcotest.(check bool) "campaigns stop at different rounds" true
     (List.length
@@ -423,7 +426,7 @@ let test_many_campaigns_match_serial () =
     > 1);
   List.iter
     (fun jobs ->
-      let running = List.init 16 (submit_campaign ~jobs) in
+      let running = List.init 16 (submit_numbered ~jobs) in
       let results =
         List.rev_map (fun r -> summary (Adaptive.await r)) (List.rev running)
       in

@@ -243,38 +243,6 @@ let test_pool_promise () =
   Alcotest.check_raises "a failed promise re-raises" (Failure "promise-boom")
     (fun () -> ignore (Pool.await q))
 
-let test_scheduler_fold_results () =
-  Alcotest.(check string)
-    "index-order fold" "abc"
-    (Scheduler.fold_results ~merge:( ^ ) [| "a"; "b"; "c" |]);
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Scheduler.fold_results: empty results") (fun () ->
-      ignore (Scheduler.fold_results ~merge:( ^ ) [||]));
-  (* ?what names the campaign in the error, so an empty merge can be
-     traced to its submitter. *)
-  Alcotest.check_raises "empty with what"
-    (Invalid_argument "Scheduler.fold_results: empty evict-time partials")
-    (fun () ->
-      ignore
-        (Scheduler.fold_results ~what:"evict-time partials" ~merge:( ^ ) [||]))
-
-let test_scheduler_pipelined_submits () =
-  (* Several families submitted before any await: results must equal the
-     blocking forms exactly, and awaiting out of submission order is
-     fine. *)
-  let xs = Array.init 40 (fun i -> i) in
-  let f i = (i * 7) mod 13 in
-  let g i = i + 1000 in
-  let a = Scheduler.submit_map ~jobs:4 f xs in
-  let b = Scheduler.submit_map ~jobs:4 g xs in
-  let c = Scheduler.submit_map ~jobs:1 f xs in
-  let rb = Scheduler.await b in
-  let ra = Scheduler.await a in
-  let rc = Scheduler.await c in
-  Alcotest.(check (array int)) "family a" (Array.map f xs) ra;
-  Alcotest.(check (array int)) "family b" (Array.map g xs) rb;
-  Alcotest.(check (array int)) "serial submit is eager and equal" ra rc
-
 let test_driver_pending_combinators () =
   Alcotest.(check int) "pending_value" 5 (Driver.await (Driver.pending_value 5));
   let calls = ref 0 in
@@ -299,8 +267,8 @@ let test_driver_flush_reload_invariant () =
       Cachesec_attacks.Flush_reload.trials = 600 (* spans 3 batches of 256 *)
     }
   in
-  let r1 = Driver.run_flush_reload (Run.make ~jobs:1 ~seed:42 ()) spec cfg in
-  let r4 = Driver.run_flush_reload (Run.make ~jobs:4 ~seed:42 ()) spec cfg in
+  let r1 = Driver.await (Driver.submit_flush_reload (Run.make ~jobs:1 ~seed:42 ()) spec cfg) in
+  let r4 = Driver.await (Driver.submit_flush_reload (Run.make ~jobs:4 ~seed:42 ()) spec cfg) in
   Alcotest.(check bool)
     "same verdict" r1.Cachesec_attacks.Flush_reload.nibble_recovered
     r4.Cachesec_attacks.Flush_reload.nibble_recovered;
@@ -313,23 +281,12 @@ let test_driver_flush_reload_invariant () =
 
 let test_driver_cleaning_game_invariant () =
   let p jobs =
-    Driver.run_cleaning_game (Run.make ~jobs ~seed:7 ()) spec ~accesses:16
-      ~samples:600
+    Driver.await
+      (Driver.submit_cleaning_game (Run.make ~jobs ~seed:7 ()) spec
+         ~accesses:16 ~samples:600)
   in
   let p1 = p 1 and p4 = p 4 in
   Alcotest.(check (float 0.)) "bit-identical probability" p1 p4
-
-let test_driver_timing_stats_invariant () =
-  let stats jobs =
-    Driver.run_timing_stats (Run.make ~jobs ~seed:9 ()) spec ~trials:1500 ()
-  in
-  let h1, s1 = stats 1 in
-  let h4, s4 = stats 4 in
-  Alcotest.(check (array int))
-    "identical merged histograms" (Histogram.counts h1) (Histogram.counts h4);
-  Alcotest.(check int) "identical totals" (Histogram.total h1) (Histogram.total h4);
-  Alcotest.(check int) "identical counts" (Summary.count s1) (Summary.count s4);
-  Alcotest.(check (float 1e-9)) "identical means" (Summary.mean s1) (Summary.mean s4)
 
 let cell_testable =
   let pp ppf (c : Validation.cell) =
@@ -467,11 +424,14 @@ let test_telemetry_observer_only () =
     }
   in
   let ctx = Run.make ~jobs:4 ~seed:42 () in
-  let plain = Driver.run_flush_reload ctx spec cfg in
+  let plain = Driver.await (Driver.submit_flush_reload ctx spec cfg) in
   let open Cachesec_telemetry in
   let sink, _ = Sink.memory () in
   let tm = Telemetry.make ~sink () in
-  let observed = Driver.run_flush_reload (Run.with_telemetry tm ctx) spec cfg in
+  let observed =
+    Driver.await
+      (Driver.submit_flush_reload (Run.with_telemetry tm ctx) spec cfg)
+  in
   Telemetry.close tm;
   Alcotest.(check bool) "telemetry does not perturb results" true
     (compare plain observed = 0)
@@ -503,9 +463,6 @@ let () =
             test_scheduler_exception_propagates;
           Alcotest.test_case "plan" `Quick test_plan;
           Alcotest.test_case "timed" `Quick test_timed_reports_jobs;
-          Alcotest.test_case "fold_results" `Quick test_scheduler_fold_results;
-          Alcotest.test_case "pipelined submits" `Quick
-            test_scheduler_pipelined_submits;
         ] );
       ( "driver",
         [
@@ -513,8 +470,6 @@ let () =
             test_driver_flush_reload_invariant;
           Alcotest.test_case "cleaning game jobs-invariant" `Quick
             test_driver_cleaning_game_invariant;
-          Alcotest.test_case "timing stats jobs-invariant" `Quick
-            test_driver_timing_stats_invariant;
           Alcotest.test_case "validation cells jobs-invariant" `Quick
             test_validation_cells_jobs_invariant;
           Alcotest.test_case "validation matrix pipelined-identical" `Slow

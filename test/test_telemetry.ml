@@ -110,8 +110,10 @@ let counters_for ~jobs =
       Cachesec_attacks.Flush_reload.trials = 600 (* spans 3 batches of 256 *)
     }
   in
-  ignore (Driver.run_flush_reload ctx Spec.paper_sa cfg);
-  ignore (Driver.run_cleaning_game ctx Spec.paper_sa ~accesses:16 ~samples:600);
+  ignore (Driver.await (Driver.submit_flush_reload ctx Spec.paper_sa cfg));
+  ignore
+    (Driver.await
+       (Driver.submit_cleaning_game ctx Spec.paper_sa ~accesses:16 ~samples:600));
   let cs = Telemetry.counters tm in
   Telemetry.close tm;
   cs
@@ -128,6 +130,79 @@ let test_counter_merge_jobs_invariant () =
     | None -> false);
   Alcotest.(check int) "driver.trials totalled" 1200
     (Option.value ~default:0 (List.assoc_opt "driver.trials" c1))
+
+(* --- campaign telemetry ------------------------------------------------ *)
+
+(* What benchmark/layers.ml reads from a campaign, by name and value. A
+   campaign without a target gauges [trials] (its total) once, at
+   submit. A targeted one gauges [trials_cap] at submit and the executed
+   [trials] at await, and counts [driver.trials_saved]. Both count
+   [driver.batches] and [driver.trials], the batches and trials that
+   ran. *)
+let campaign_telemetry submit =
+  let sink, events = Sink.memory () in
+  let tm = Telemetry.make ~sink () in
+  let r =
+    Driver.await (submit (Run.with_telemetry tm (Run.make ~jobs:2 ~seed:42 ())))
+  in
+  let counters = Telemetry.counters tm in
+  Telemetry.close tm;
+  let events = events () in
+  let spans =
+    List.filter_map
+      (function Event.Span_start { name; _ } -> Some name | _ -> None)
+      events
+  in
+  let gauges =
+    List.filter_map
+      (function Event.Gauge { name; value; _ } -> Some (name, value) | _ -> None)
+      events
+  in
+  (r, spans, gauges, fun name -> List.assoc_opt name counters)
+
+let test_fixed_campaign_telemetry () =
+  let cfg =
+    { Cachesec_attacks.Flush_reload.default_config with
+      Cachesec_attacks.Flush_reload.trials = 600 (* 3 batches of 256 *)
+    }
+  in
+  let _, spans, gauges, counter =
+    campaign_telemetry (fun ctx -> Driver.submit_flush_reload ctx Spec.paper_sa cfg)
+  in
+  Alcotest.(check (list string)) "one span" [ "flush-reload:sa" ] spans;
+  Alcotest.(check (list (pair string (float 0.))))
+    "trials gauged once, no cap" [ ("trials", 600.) ] gauges;
+  Alcotest.(check (option int)) "driver.batches" (Some 3) (counter "driver.batches");
+  Alcotest.(check (option int)) "driver.trials" (Some 600) (counter "driver.trials");
+  Alcotest.(check (option int)) "no driver.trials_saved" None
+    (counter "driver.trials_saved");
+  Alcotest.(check (option int)) "attacks.trials" (Some 600) (counter "attacks.trials");
+  Alcotest.(check (option int)) "attacks.flush_reload.trials" (Some 600)
+    (counter "attacks.flush_reload.trials")
+
+let test_adaptive_campaign_telemetry () =
+  let target =
+    Cachesec_stats.Sequential.target ~half_width:0.05 ~max_trials:2000 ()
+  in
+  let a, spans, gauges, counter =
+    campaign_telemetry (fun ctx ->
+        Driver.submit_cleaning_game_adaptive ctx Spec.paper_sa ~accesses:16
+          ~target)
+  in
+  let trials = a.Driver.trials in
+  Alcotest.(check bool) "stopped below the cap" true (trials < 2000);
+  Alcotest.(check (list string)) "one span" [ "cleaning-game:sa:adaptive" ] spans;
+  Alcotest.(check (list (pair string (float 0.))))
+    "cap at submit, executed trials at await"
+    [ ("trials_cap", 2000.); ("trials", float_of_int trials) ]
+    gauges;
+  (* The adaptive batch is min 250 (ceil (2000 / 8)) = 250 games. *)
+  Alcotest.(check (option int)) "driver.batches" (Some (trials / 250))
+    (counter "driver.batches");
+  Alcotest.(check (option int)) "driver.trials" (Some trials)
+    (counter "driver.trials");
+  Alcotest.(check (option int)) "driver.trials_saved" (Some (2000 - trials))
+    (counter "driver.trials_saved")
 
 let test_domain_local_counts_merge () =
   let (), _ =
@@ -276,6 +351,10 @@ let () =
             test_counter_merge_jobs_invariant;
           Alcotest.test_case "domain-local merge" `Quick
             test_domain_local_counts_merge;
+          Alcotest.test_case "fixed campaign telemetry" `Quick
+            test_fixed_campaign_telemetry;
+          Alcotest.test_case "adaptive campaign telemetry" `Quick
+            test_adaptive_campaign_telemetry;
         ] );
       ( "json",
         [
