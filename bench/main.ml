@@ -587,11 +587,11 @@ let main perf sim (ctx : Run.ctx) =
       ^ Printf.sprintf "  wrote results/BENCH_e2e.json (with adaptive rows)%s\n"
           (if t.Scheduler.span_id = 0 then ""
            else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
-  (* Fourth perf gate: the PAS query server. A forked Inline server is
-     driven over its real socket in three mixes — memo-hit (batched
-     repeats of the heaviest closed form against a warm memo), cold
-     (the same query recomputed every round trip) and sim (quick-scale
-     validate cells). The hard gate is memo-hit QPS >= 50x cold QPS:
+  (* Fourth perf gate: the PAS query server. A re-executed server with
+     no pool workers is driven over its real socket in three mixes —
+     memo-hit (batched repeats of the heaviest closed form against a
+     warm memo), cold (the same query recomputed every round trip) and
+     sim (quick-scale validate cells). The hard gate is memo-hit QPS >= 50x cold QPS:
      what memoization + batching buy over honest recomputation,
      measured end to end through framing, syscalls and routing. *)
   section "PAS query server throughput (memo-hit / cold / sim mixes)"

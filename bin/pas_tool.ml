@@ -691,26 +691,12 @@ let serve_cmd =
       & info [ "max-memo" ] ~docv:"N"
           ~doc:"Answer-cache entry bound (FIFO eviction beyond it).")
   in
-  let inline_arg =
-    Arg.(
-      value & flag
-      & info [ "inline" ]
-          ~doc:
-            "Run simulation campaigns synchronously in the server's own \
-             domain instead of pool workers (single-client/test mode; \
-             ignores --jobs and --queue-bound).")
-  in
-  let run socket queue_bound max_memo inline (ctx : Run.ctx) =
-    let execution =
-      if inline then Cachesec_serve.Server.Inline
-      else
-        let j = Scheduler.resolve_jobs ctx.Run.jobs in
-        Cachesec_serve.Server.Pooled
-          { workers = (if j <= 1 then 0 else j); queue_bound }
-    in
+  let run socket queue_bound max_memo (ctx : Run.ctx) =
+    let j = Scheduler.resolve_jobs ctx.Run.jobs in
+    let workers = if j <= 1 then 0 else j in
     match
       Cachesec_serve.Server.run ~telemetry:ctx.Run.telemetry
-        { Cachesec_serve.Server.socket; execution; max_memo }
+        { Cachesec_serve.Server.socket; workers; queue_bound; max_memo }
     with
     | Ok () -> `Ok ()
     | Error msg -> `Error (false, msg)
@@ -721,12 +707,12 @@ let serve_cmd =
          "Run the PAS query server: a daemon answering pas/prepas/\
           resilience/table queries from a memo cache (microseconds when \
           warm) and validate queries through the simulation pool, with \
-          in-flight deduplication and backpressure. Stop it with a \
+          in-flight deduplication and backpressure. With --jobs 1 (the \
+          default) campaigns run on the server's own loop. Stop it with a \
           'shutdown' query or SIGINT.")
     Term.(
       ret
-        (const run $ socket_arg $ queue_bound_arg $ max_memo_arg $ inline_arg
-       $ ctx_term))
+        (const run $ socket_arg $ queue_bound_arg $ max_memo_arg $ ctx_term))
 
 let query_cmd =
   let lines_arg =

@@ -44,7 +44,6 @@ let await p =
       p.state <- Error (e, bt);
       Printexc.raise_with_backtrace e bt)
 
-let pending_value v = { state = Value v }
 let pending_of_thunk f = { state = Thunk f }
 let map_pending f p = { state = Thunk (fun () -> f (await p)) }
 (* Join every pending before re-raising: a failure must not leave the
@@ -122,10 +121,8 @@ let submit_rounds ~(ctx : Run.ctx) ~name ~default_batch ?target ~total ~shard
     (float_of_int cap);
   match
     let batch_size =
-      Option.value ctx.Run.batch
-        ~default:
-          (if Option.is_none target then default_batch
-           else adaptive_batch ~default_batch ~cap)
+      if Option.is_none target then default_batch
+      else adaptive_batch ~default_batch ~cap
     in
     let start, keep_going =
       match target with

@@ -19,8 +19,8 @@
     batches run.
 
     Every entry point is ctx-first and non-blocking: one
-    {!Cachesec_runtime.Run.ctx} carries seed, worker count, batch
-    override and telemetry, and [submit_*] opens the campaign's span
+    {!Cachesec_runtime.Run.ctx} carries seed, worker count, scale and
+    telemetry, and [submit_*] opens the campaign's span
     and dispatches its first round onto the persistent
     {!Cachesec_runtime.Pool} at once, returning an ['a pending].
     Finalize and the driver counters run at {!await}; the blocking form
@@ -65,10 +65,6 @@ val await_all : 'a pending list -> 'a list
     the first failure in that order, if any. A failing campaign does not
     leave the later ones unjoined: each has finished its rounds and
     closed its span before [await_all] raises. *)
-
-val pending_value : 'a -> 'a pending
-(** An already-available result, for mixing computed-inline values into
-    a pending pipeline. *)
 
 val pending_of_thunk : (unit -> 'a) -> 'a pending
 (** Defer arbitrary join logic (run once, memoized) — used by layers
@@ -125,7 +121,7 @@ val submit_attack :
 
     A targeted campaign shards finer than the attack's default batch
     size ([min default (ceil (cap / 8))]) so quick-scale caps contain
-    several round boundaries; [ctx.batch] still overrides either size.
+    several round boundaries.
     The span is named [<label>:<spec>], with an [:adaptive] suffix
     under a target. Raises [Invalid_argument] on a non-positive trial
     count. *)

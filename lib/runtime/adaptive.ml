@@ -63,18 +63,6 @@ let plan ?(start = 0) ?(factor = 2) ~total ~batch_size () =
     { batches; boundaries = Array.of_list (grow [] start 0) }
   end
 
-let rounds p = Array.length p.boundaries
-
-let round_trials p r =
-  if r < 0 || r >= Array.length p.boundaries then
-    invalid_arg "Adaptive.round_trials: round out of range";
-  let upto = p.boundaries.(r) in
-  let t = ref 0 in
-  for i = 0 to upto - 1 do
-    t := !t + p.batches.(i).Scheduler.count
-  done;
-  !t
-
 (* --- execution -------------------------------------------------------- *)
 
 type 'p progress = {
@@ -94,7 +82,7 @@ type 'p step = Stop of 'p progress | Next of 'p * int
 
 let submit ?jobs ?(tm = Telemetry.null) ?(span = Telemetry.null_span)
     ~what ~shard ~merge ~keep_going p =
-  let total_rounds = rounds p in
+  let total_rounds = Array.length p.boundaries in
   if total_rounds = 0 then
     invalid_arg ("Adaptive.submit: empty plan for " ^ what);
   let jobs = Scheduler.resolve_jobs jobs in

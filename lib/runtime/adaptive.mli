@@ -34,13 +34,6 @@ val plan :
     [factor] defaults to 2 and must be [>= 2]. A [total] of 0 yields an
     empty plan. *)
 
-val rounds : plan -> int
-(** Number of rounds in the plan (0 only for an empty plan). *)
-
-val round_trials : plan -> int -> int
-(** [round_trials p r] is the cumulative trial count once round [r] has
-    completed. Raises [Invalid_argument] out of range. *)
-
 (** {1 Execution} *)
 
 type 'p progress = {

@@ -4,7 +4,6 @@ open Cachesec_telemetry
 type ctx = {
   seed : int;
   jobs : int option;
-  batch : int option;
   telemetry : Telemetry.t;
   parent : Telemetry.span;
   quick : bool;
@@ -14,14 +13,13 @@ let default =
   {
     seed = 42;
     jobs = None;
-    batch = None;
     telemetry = Telemetry.null;
     parent = Telemetry.null_span;
     quick = false;
   }
 
-let make ?jobs ?batch ?(telemetry = Telemetry.null) ?(quick = false) ~seed () =
-  { seed; jobs; batch; telemetry; parent = Telemetry.null_span; quick }
+let make ?jobs ?(telemetry = Telemetry.null) ?(quick = false) ~seed () =
+  { seed; jobs; telemetry; parent = Telemetry.null_span; quick }
 
 let with_seed seed ctx = { ctx with seed }
 let with_jobs jobs ctx = { ctx with jobs = Some jobs }
@@ -97,7 +95,6 @@ let of_cmdline ?(default_seed = 42) ?(run = "run") () =
     {
       seed;
       jobs = Some jobs;
-      batch = None;
       telemetry;
       parent = Telemetry.null_span;
       quick = quick_flag;

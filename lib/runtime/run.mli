@@ -1,13 +1,13 @@
 (** The experiment-calling context: one record instead of the
-    [?jobs ?batch seed] optional tails that every experiment entry point
+    [?jobs seed] optional tails that every experiment entry point
     had grown independently.
 
     A [ctx] is cheap, immutable and copied freely; the smart
     constructors below are the intended way to build one. Every
     ctx-taking experiment function ([Driver.submit_*],
     [Validation.cells], [Figures.render_*], ...) promises the trial
-    runtime's contract: the result depends on [seed]/[batch]/[quick]
-    only, never on [jobs] or [telemetry]. *)
+    runtime's contract: the result depends on [seed]/[quick] only,
+    never on [jobs] or [telemetry]. *)
 
 open Cachesec_telemetry
 
@@ -16,10 +16,6 @@ type ctx = {
   jobs : int option;
       (** worker domains, per {!Scheduler.resolve_jobs}: [None] serial,
           [Some 0] auto, [Some n] exactly [n] *)
-  batch : int option;
-      (** trial-batch size override; [None] = the experiment's own
-          default. Part of the experiment definition: changing it
-          changes results (the batch plan), unlike [jobs]. *)
   telemetry : Telemetry.t;  (** {!Telemetry.null} = zero-cost off *)
   parent : Telemetry.span;
       (** span under which experiment spans nest
@@ -28,11 +24,11 @@ type ctx = {
 }
 
 val default : ctx
-(** [seed 42], serial, default batches, null telemetry, full scale. *)
+(** [seed 42], serial, null telemetry, full scale. *)
 
 val make :
-  ?jobs:int -> ?batch:int -> ?telemetry:Telemetry.t -> ?quick:bool ->
-  seed:int -> unit -> ctx
+  ?jobs:int -> ?telemetry:Telemetry.t -> ?quick:bool -> seed:int -> unit ->
+  ctx
 
 val with_seed : int -> ctx -> ctx
 val with_jobs : int -> ctx -> ctx

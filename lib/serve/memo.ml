@@ -82,29 +82,3 @@ let add t k v =
   end
 
 let size t = Hashtbl.length t.table
-
-(* --- in-flight registry ----------------------------------------------- *)
-
-module Inflight = struct
-  type ('a, 'w) entry = {
-    key : string;
-    fut : 'a Cachesec_runtime.Pool.future;
-    mutable waiters : 'w list;
-  }
-
-  type ('a, 'w) t = (string, ('a, 'w) entry) Hashtbl.t
-
-  let create () = Hashtbl.create 16
-  let find t k = Hashtbl.find_opt t k
-
-  let add t ~key ~fut w =
-    assert (not (Hashtbl.mem t key));
-    let e = { key; fut; waiters = [ w ] } in
-    Hashtbl.add t key e;
-    e
-
-  let join e w = e.waiters <- w :: e.waiters
-  let remove t k = Hashtbl.remove t k
-  let count t = Hashtbl.length t
-  let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t []
-end

@@ -1,6 +1,5 @@
-(** Memoization for the PAS query server: canonical query keys, a
-    bounded answer cache, and the in-flight registry behind campaign
-    deduplication.
+(** Memoization for the PAS query server: canonical query keys and a
+    bounded answer cache.
 
     {2 Keys}
 
@@ -39,33 +38,3 @@ val add : t -> string -> string -> unit
     bookkeeping). *)
 
 val size : t -> int
-
-(** In-flight simulation campaigns, keyed by canonical query key. A
-    memo-miss simulation query either starts a campaign (adding an
-    entry) or joins the entry already running — the joiner records
-    itself as a waiter and every waiter observes the one shared
-    {!Cachesec_runtime.Pool.future}. ['w] is the caller's waiter
-    handle (the server uses [(batch, slot index)]). *)
-module Inflight : sig
-  type ('a, 'w) entry = {
-    key : string;
-    fut : 'a Cachesec_runtime.Pool.future;
-    mutable waiters : 'w list;  (** newest first *)
-  }
-
-  type ('a, 'w) t
-
-  val create : unit -> ('a, 'w) t
-  val find : ('a, 'w) t -> string -> ('a, 'w) entry option
-
-  val add :
-    ('a, 'w) t -> key:string -> fut:'a Cachesec_runtime.Pool.future -> 'w ->
-    ('a, 'w) entry
-  (** Register a fresh campaign with its first waiter. The key must not
-      already be present. *)
-
-  val join : ('a, 'w) entry -> 'w -> unit
-  val remove : ('a, 'w) t -> string -> unit
-  val count : ('a, 'w) t -> int
-  val entries : ('a, 'w) t -> ('a, 'w) entry list
-end

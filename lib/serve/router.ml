@@ -146,11 +146,29 @@ and route_slow t line =
   | Ok Ping -> Now (Protocol.encode_reply Ok_)
   | Ok Stats -> Now (Protocol.encode_reply (Stats_v (stats t)))
   | Ok Shutdown -> Quit (Protocol.encode_reply Ok_)
-  | Ok (Validate _ as q) ->
-    if Protocol.cold q then Sim { key = None; run = sim_thunk q }
-    else begin
-      (* Memoizable query: [Memo.key] is total outside the control
-         verbs, so [Option.get] cannot raise here. *)
+  | Ok q -> (
+    (* Answer a question the memo does not hold: a validate query
+       becomes a campaign, a closed form is computed now. [key] is
+       [None] for a cold query, which is never memoized. *)
+    let miss key =
+      match q with
+      | Validate _ -> Sim { key; run = sim_thunk q }
+      | _ -> (
+        bump t "closed" (fun c -> c.closed <- c.closed + 1);
+        match Protocol.encode_reply (compute_closed q) with
+        | enc ->
+          Option.iter
+            (fun k ->
+              Memo.add t.memo k enc;
+              Memo.add t.lines line enc)
+            key;
+          Now enc
+        | exception e -> Now (error_reply e))
+    in
+    if Protocol.cold q then miss None
+    else
+      (* [Memo.key] is total outside the control verbs, so [Option.get]
+         cannot raise here. *)
       let key = Option.get (Memo.key q) in
       match Memo.find t.memo key with
       | Some enc ->
@@ -159,27 +177,4 @@ and route_slow t line =
         Now enc
       | None ->
         bump t "misses" (fun c -> c.misses <- c.misses + 1);
-        Sim { key = Some key; run = sim_thunk q }
-    end
-  | Ok q ->
-    let compute () =
-      bump t "closed" (fun c -> c.closed <- c.closed + 1);
-      Protocol.encode_reply (compute_closed q)
-    in
-    if Protocol.cold q then Now (try compute () with e -> error_reply e)
-    else begin
-      let key = Option.get (Memo.key q) in
-      match Memo.find t.memo key with
-      | Some enc ->
-        bump t "hits" (fun c -> c.hits <- c.hits + 1);
-        Memo.add t.lines line enc;
-        Now enc
-      | None -> (
-        bump t "misses" (fun c -> c.misses <- c.misses + 1);
-        match compute () with
-        | enc ->
-          Memo.add t.memo key enc;
-          Memo.add t.lines line enc;
-          Now enc
-        | exception e -> Now (error_reply e))
-    end
+        miss (Some key))

@@ -112,7 +112,12 @@ let child_entry () =
     let code =
       match
         Server.run
-          { Server.socket; execution = Server.Inline; max_memo = 65536 }
+          {
+            Server.socket;
+            workers = 0;
+            queue_bound = Server.default_queue_bound;
+            max_memo = 65536;
+          }
       with
       | Ok () -> 0
       | Error msg ->

@@ -57,11 +57,11 @@ val child_flag : string
 val child_entry : unit -> unit
 (** Call FIRST in the [main] of any executable that runs {!bench}
     (before Cmdliner parses argv). If the process was spawned as
-    [argv = [| _; child_flag; socket |]], runs an [Inline] server on
-    [socket] and exits; otherwise returns immediately. *)
+    [argv = [| _; child_flag; socket |]], runs a server with no pool
+    workers (campaigns run on its loop) on [socket] and exits; otherwise returns immediately. *)
 
 val bench : Run.ctx -> entry list
-(** Spawn an [Inline] server child (re-exec via {!child_entry}),
+(** Spawn the server child (re-exec via {!child_entry}),
     measure the three mixes, shut it down cleanly (the socket file is
     gone on return). [ctx.quick] economises on frames and
     repetitions. Gauges [serve_bench.<mix>.qps] are reported to

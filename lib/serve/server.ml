@@ -1,11 +1,10 @@
 open Cachesec_runtime
 open Cachesec_telemetry
 
-type execution = Inline | Pooled of { workers : int; queue_bound : int }
-
 type config = {
   socket : string;
-  execution : execution;
+  workers : int;
+  queue_bound : int;
   max_memo : int;
 }
 
@@ -155,20 +154,23 @@ let preflight ~socket =
 
 (* --- the event loop --------------------------------------------------- *)
 
+(* One campaign in flight: the starter and every dedup joiner wait on
+   [fut]. Only a keyed entry can be joined; a cold one ([key = None])
+   is tracked for completion alone. *)
+type inflight = {
+  key : string option;
+  fut : string Pool.future;
+  mutable waiters : (batch * int) list;  (* newest first *)
+}
+
 type state = {
   router : Router.t;
   queue_bound : int;
   listener : Unix.file_descr;
   mutable conns : conn list;
-  (* deduplicated campaigns: canonical key -> running future + waiters *)
-  inflight : (string, batch * int) Memo.Inflight.t;
-  (* cold campaigns: tracked for completion, exempt from dedup *)
-  mutable anon : (string Pool.future * batch * int) list;
+  mutable inflight : inflight list;
   mutable draining : bool;  (* shutdown requested: no new input *)
 }
-
-let inflight_empty st =
-  Memo.Inflight.count st.inflight = 0 && st.anon = []
 
 let handle_line st b i line =
   match Router.route st.router line with
@@ -177,26 +179,19 @@ let handle_line st b i line =
     st.draining <- true;
     deliver b i enc
   | Router.Sim { key; run } -> (
-    let join_existing =
-      match key with
-      | None -> false
-      | Some k -> (
-        match Memo.Inflight.find st.inflight k with
-        | Some e ->
-          Memo.Inflight.join e (b, i);
-          Router.note_dedup_join st.router;
-          true
-        | None -> false)
-    in
-    if not join_existing then
+    match
+      List.find_opt (fun e -> Option.is_some key && e.key = key) st.inflight
+    with
+    | Some e ->
+      e.waiters <- (b, i) :: e.waiters;
+      Router.note_dedup_join st.router
+    | None -> (
       match Pool.try_submit ~max_pending:st.queue_bound run with
       | None ->
         Router.note_overloaded st.router;
         deliver b i (Protocol.encode_reply Protocol.Overloaded)
-      | Some fut -> (
-        match key with
-        | Some k -> ignore (Memo.Inflight.add st.inflight ~key:k ~fut (b, i))
-        | None -> st.anon <- (fut, b, i) :: st.anon))
+      | Some fut ->
+        st.inflight <- { key; fut; waiters = [ (b, i) ] } :: st.inflight))
 
 (* One read may carry several frames; nothing after the frame that
    doomed a connection is processed. *)
@@ -227,44 +222,28 @@ let handle_frame st c payload =
     end
   end
 
-(* Completion sweep: non-blocking poll of every outstanding campaign.
-   A completed campaign's result is delivered to every waiter (the
+(* Completion sweep: non-blocking poll of every campaign in flight. A
+   completed campaign's result is delivered to every waiter (the
    starter and all dedup joiners — one list, one result), memoized via
-   the router, and the entry retired. A raised campaign delivers the
-   same error to every waiter and is never memoized. *)
+   the router when keyed, and the entry retired. A raised campaign
+   delivers the same error to every waiter and is never memoized. *)
 let poll_inflight st =
-  let finish_waiters waiters enc =
-    List.iter (fun (b, i) -> deliver b i enc) waiters
-  in
-  List.iter
-    (fun (e : (string, batch * int) Memo.Inflight.entry) ->
-      match Pool.poll e.fut with
-      | None -> ()
-      | Some enc ->
-        Router.note_sim_done st.router ~key:(Some e.key) enc;
-        finish_waiters e.waiters enc;
-        Memo.Inflight.remove st.inflight e.key
-      | exception ex ->
-        Router.note_sim_error st.router;
-        finish_waiters e.waiters
-          (Protocol.encode_reply (Protocol.Error_ (Printexc.to_string ex)));
-        Memo.Inflight.remove st.inflight e.key)
-    (Memo.Inflight.entries st.inflight);
-  st.anon <-
+  let finish e enc = List.iter (fun (b, i) -> deliver b i enc) e.waiters in
+  st.inflight <-
     List.filter
-      (fun (fut, b, i) ->
-        match Pool.poll fut with
+      (fun e ->
+        match Pool.poll e.fut with
         | None -> true
         | Some enc ->
-          Router.note_sim_done st.router ~key:None enc;
-          deliver b i enc;
+          Router.note_sim_done st.router ~key:e.key enc;
+          finish e enc;
           false
         | exception ex ->
           Router.note_sim_error st.router;
-          deliver b i
+          finish e
             (Protocol.encode_reply (Protocol.Error_ (Printexc.to_string ex)));
           false)
-      st.anon
+      st.inflight
 
 let read_buf = Bytes.create 65536
 
@@ -296,7 +275,7 @@ let serve_loop st ~stop =
     List.iter flush_conn st.conns;
     if !stop then ()
     else if
-      st.draining && inflight_empty st
+      st.draining && List.is_empty st.inflight
       && List.for_all
            (fun c ->
              c.closed || (Queue.is_empty c.pending && Queue.is_empty c.out))
@@ -305,7 +284,7 @@ let serve_loop st ~stop =
     else begin
       (* While campaigns are in flight we tick fast to poll their
          futures; otherwise we sit in select until traffic arrives. *)
-      let timeout = if inflight_empty st then 0.5 else 0.02 in
+      let timeout = if List.is_empty st.inflight then 0.5 else 0.02 in
       let read_fds =
         if st.draining then []
         else
@@ -365,14 +344,7 @@ let run ?(telemetry = Telemetry.null) cfg =
   match preflight ~socket:cfg.socket with
   | Error _ as e -> e
   | Ok () -> (
-    let queue_bound =
-      match cfg.execution with
-      | Inline -> 1 (* pool stays empty: any positive bound admits inline *)
-      | Pooled { queue_bound; _ } -> queue_bound
-    in
-    (match cfg.execution with
-    | Pooled { workers; _ } when workers > 0 -> Pool.ensure ~workers
-    | Pooled _ | Inline -> ());
+    if cfg.workers > 0 then Pool.ensure ~workers:cfg.workers;
     let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (* Non-blocking: a peer that resets between select and accept must
        not block the loop (accepted fds get set_nonblock individually —
@@ -391,11 +363,10 @@ let run ?(telemetry = Telemetry.null) cfg =
       let st =
         {
           router = Router.create ~telemetry ~max_memo:cfg.max_memo ();
-          queue_bound;
+          queue_bound = cfg.queue_bound;
           listener;
           conns = [];
-          inflight = Memo.Inflight.create ();
-          anon = [];
+          inflight = [];
           draining = false;
         }
       in

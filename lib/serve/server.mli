@@ -1,15 +1,18 @@
 (** The PAS query server: a single-domain [Unix.select] event loop over
     a Unix-domain socket, answering {!Protocol} frames.
 
-    Closed-form queries are answered inline by the {!Router} (memo hit:
-    microseconds; miss: the [lib/analysis] closed forms). Simulation-
-    backed queries are admitted to the process-global
-    {!Cachesec_runtime.Pool} through the bounded
-    [Pool.try_submit] gate — a full queue yields an [overloaded] reply
-    instead of unbounded buffering — and identical in-flight campaigns
-    are deduplicated: the second asker joins the running campaign's
-    future instead of starting its own, and every joined waiter
-    observes the same result (or the same error).
+    Closed-form queries are answered on the loop by the {!Router} (memo
+    hit: microseconds; miss: the [lib/analysis] closed forms).
+    Simulation-backed queries are admitted to the process-global
+    {!Cachesec_runtime.Pool} through the bounded [Pool.try_submit] gate
+    — a full queue yields an [overloaded] reply instead of unbounded
+    buffering. With zero workers the pool runs an admitted campaign on
+    the loop before the next query line is read. Every admitted
+    campaign, keyed or [cold], enters one in-flight list that a single
+    completion sweep polls. Identical keyed campaigns are deduplicated:
+    the second asker joins the running entry instead of starting its
+    own, and every joined waiter observes the same result (or the same
+    error). A cold campaign is never joined and never memoized.
 
     Response ordering is FIFO per connection: a response frame is
     written only when every earlier frame on that connection has been
@@ -32,20 +35,14 @@
     removes the socket file and quiesces the pool, so a clean exit
     leaves no socket litter and no live domains. *)
 
-type execution =
-  | Inline
-      (** Simulations run synchronously in the server's own domain (the
-          pool is never started). Queries arriving behind a running
-          simulation wait; good for tests and single-client use. *)
-  | Pooled of { workers : int; queue_bound : int }
-      (** Simulations run in pool workers; at most [queue_bound] may be
-          queued awaiting a worker before new admissions are refused
-          with [overloaded]. [workers = 0] degrades to inline execution
-          with the same admission bound. *)
-
 type config = {
   socket : string;  (** Unix-domain socket path (OS limit ~107 bytes) *)
-  execution : execution;
+  workers : int;
+      (** pool workers running campaigns; [0] runs each campaign on the
+          loop, so queries behind it wait (single-client and test use) *)
+  queue_bound : int;
+      (** campaigns that may wait for a worker before new admissions
+          are refused with [overloaded]; [0] refuses every simulation *)
   max_memo : int;  (** answer-cache entry bound *)
 }
 

@@ -37,19 +37,6 @@ let add t x =
 
 let add_many t xs = Array.iter (add t) xs
 
-let merge a b =
-  if a.lo <> b.lo || a.hi <> b.hi
-     || Array.length a.counts <> Array.length b.counts
-  then invalid_arg "Histogram.merge: incompatible binning";
-  {
-    lo = a.lo;
-    hi = a.hi;
-    width = a.width;
-    counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i));
-    underflow = a.underflow + b.underflow;
-    overflow = a.overflow + b.overflow;
-    total = a.total + b.total;
-  }
 let counts t = Array.copy t.counts
 let underflow t = t.underflow
 let overflow t = t.overflow

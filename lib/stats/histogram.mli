@@ -13,13 +13,6 @@ val create : lo:float -> hi:float -> bins:int -> t
 val add : t -> float -> unit
 val add_many : t -> float array -> unit
 
-val merge : t -> t -> t
-(** [merge a b] is a fresh histogram equivalent to having seen both
-    sample streams. Associative and commutative, so per-batch histograms
-    produced by parallel trial shards can be folded in any grouping.
-    Raises [Invalid_argument] if the two histograms do not share the same
-    [lo], [hi] and bin count. *)
-
 val counts : t -> int array
 (** In-range bin counts, length [bins]. *)
 

@@ -27,8 +27,6 @@ let min t = t.min
 let max t = t.max
 let total t = t.total
 
-let copy t = { t with n = t.n }
-
 (* In-place Chan et al. parallel update: fold [b] into [a]. [b.mean]/
    [b.m2] are read before any write to [a], so [merge_into t t] is also
    well-defined (doubles the stream). *)
@@ -53,11 +51,6 @@ let merge_into a b =
     a.max <- Float.max a.max b.max;
     a.total <- a.total +. b.total
   end
-
-let merge a b =
-  let acc = copy a in
-  merge_into acc b;
-  acc
 
 let of_array xs =
   let t = create () in

@@ -30,13 +30,10 @@ val std : t -> float
 val min : t -> float
 val max : t -> float
 val total : t -> float
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator equivalent to having seen both
-    streams (Chan et al. parallel update). *)
-
 val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b]'s stream into [a] in place (same update
-    as {!merge}, no allocation). [b] is unchanged. *)
+(** [merge_into a b] folds [b]'s stream into [a] in place, as if [a]
+    had also seen [b]'s observations (Chan et al. parallel update, no
+    allocation). [b] is unchanged. *)
 
 val of_array : float array -> t
 val pp : Format.formatter -> t -> unit

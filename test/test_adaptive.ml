@@ -221,31 +221,40 @@ let test_plan_structure () =
         (Adaptive.plan ~total ~batch_size ()))
     [ (1, 1); (10, 4); (100, 7); (275400, 512); (4096, 4096); (50, 100) ]
 
+(* Cumulative trial count once each round of [p] has completed, read
+   from the plan's public batches and boundaries. *)
+let round_trials (p : Adaptive.plan) =
+  Array.to_list
+    (Array.map
+       (fun upto ->
+         Array.fold_left ( + ) 0
+           (Array.map
+              (fun (b : Scheduler.batch) -> b.Scheduler.count)
+              (Array.sub p.Adaptive.batches 0 upto)))
+       p.Adaptive.boundaries)
+
 let test_plan_geometry () =
   (* start=100, factor=2 over 1000 trials in batches of 50: cumulative
      round targets 100, 200, 400, 800, 1000 — each already on a batch
      boundary. *)
   let p = Adaptive.plan ~start:100 ~factor:2 ~total:1000 ~batch_size:50 () in
-  Alcotest.(check int) "rounds" 5 (Adaptive.rounds p);
+  Alcotest.(check int) "rounds" 5 (Array.length p.Adaptive.boundaries);
   Alcotest.(check (list int)) "cumulative trials"
     [ 100; 200; 400; 800; 1000 ]
-    (List.init (Adaptive.rounds p) (Adaptive.round_trials p));
+    (round_trials p);
   (* Targets that fall inside a batch round UP to its boundary. *)
   let q = Adaptive.plan ~start:100 ~factor:2 ~total:1000 ~batch_size:64 () in
   Alcotest.(check int) "round 0 rounds up to a batch boundary" 128
-    (Adaptive.round_trials q 0);
+    (List.hd (round_trials q));
   (* start <= 0 means one batch. *)
   let r = Adaptive.plan ~total:1000 ~batch_size:64 () in
   Alcotest.(check int) "default start is one batch" 64
-    (Adaptive.round_trials r 0);
-  Alcotest.check_raises "round_trials out of range"
-    (Invalid_argument "Adaptive.round_trials: round out of range") (fun () ->
-      ignore (Adaptive.round_trials p 5))
+    (List.hd (round_trials r))
 
 let test_plan_empty () =
   let p = Adaptive.plan ~total:0 ~batch_size:64 () in
   Alcotest.(check int) "no batches" 0 (Array.length p.Adaptive.batches);
-  Alcotest.(check int) "no rounds" 0 (Adaptive.rounds p);
+  Alcotest.(check int) "no rounds" 0 (Array.length p.Adaptive.boundaries);
   Alcotest.check_raises "submit refuses an empty plan"
     (Invalid_argument "Adaptive.submit: empty plan for nothing") (fun () ->
       ignore
@@ -272,8 +281,9 @@ let plan_partition_prop =
       let p = Adaptive.plan ~start ~factor ~total ~batch_size () in
       check_plan_invariants ~total ~batch_size p;
       (* Cumulative trials at the final boundary cover the total. *)
-      let n = Adaptive.rounds p in
-      n = 0 || Adaptive.round_trials p (n - 1) = total)
+      match List.rev (round_trials p) with
+      | [] -> total = 0
+      | last :: _ -> last = total)
 
 (* --- Adaptive: execution --------------------------------------------- *)
 
@@ -317,7 +327,7 @@ let test_no_stop_runs_to_cap () =
   in
   Alcotest.(check int) "every trial ran" 1000 progress.Adaptive.trials;
   Alcotest.(check bool) "not early" false progress.Adaptive.stopped_early;
-  Alcotest.(check int) "all rounds ran" (Adaptive.rounds p)
+  Alcotest.(check int) "all rounds ran" (Array.length p.Adaptive.boundaries)
     progress.Adaptive.rounds_run
 
 let test_adaptive_jobs_invariant () =

@@ -321,20 +321,6 @@ let test_memo_table () =
   Alcotest.(check (option string)) "oldest evicted" None (Memo.find m "a");
   Alcotest.(check (option string)) "newest present" (Some "4") (Memo.find m "d")
 
-let test_inflight () =
-  let t = Memo.Inflight.create () in
-  let fut = Cachesec_runtime.Pool.submit (fun () -> "r") in
-  let e = Memo.Inflight.add t ~key:"k" ~fut "w1" in
-  Memo.Inflight.join e "w2";
-  Alcotest.(check int) "one entry" 1 (Memo.Inflight.count t);
-  (match Memo.Inflight.find t "k" with
-  | Some e' ->
-    Alcotest.(check (list string)) "waiters newest-first" [ "w2"; "w1" ]
-      e'.Memo.Inflight.waiters
-  | None -> Alcotest.fail "entry missing");
-  Memo.Inflight.remove t "k";
-  Alcotest.(check int) "removed" 0 (Memo.Inflight.count t)
-
 (* --- router ----------------------------------------------------------- *)
 
 let stats_of_router r =
@@ -476,14 +462,17 @@ let test_nbits_range () =
 
 (* --- end-to-end (forked server) -------------------------------------- *)
 
-let fork_server ?(execution = Server.Inline) ~socket () =
+let fork_server ?(workers = 0) ?(queue_bound = Server.default_queue_bound)
+    ~socket () =
   if Sys.file_exists socket then Sys.remove socket;
   flush stdout;
   flush stderr;
   match Unix.fork () with
   | 0 ->
     let code =
-      match Server.run { Server.socket; execution; max_memo = 1024 } with
+      match
+        Server.run { Server.socket; workers; queue_bound; max_memo = 1024 }
+      with
       | Ok () -> 0
       | Error _ -> 1
       | exception _ -> 2
@@ -496,8 +485,8 @@ let kill_server pid socket =
   (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
   try Sys.remove socket with Sys_error _ -> ()
 
-let with_server ?execution ~socket f =
-  let pid = fork_server ?execution ~socket () in
+let with_server ?workers ?queue_bound ~socket f =
+  let pid = fork_server ?workers ?queue_bound ~socket () in
   Fun.protect
     ~finally:(fun () -> kill_server pid socket)
     (fun () ->
@@ -578,9 +567,7 @@ let test_e2e_overloaded () =
   let socket = "test-serve-over.sock" in
   (* queue_bound = 0: every simulation is refused — closed forms still
      answer. *)
-  with_server
-    ~execution:(Server.Pooled { workers = 1; queue_bound = 0 })
-    ~socket
+  with_server ~workers:1 ~queue_bound:0 ~socket
     (fun c _pid ->
       (match
          Client.request c
@@ -598,9 +585,7 @@ let test_e2e_overloaded () =
 
 let test_e2e_dedup () =
   let socket = "test-serve-dedup.sock" in
-  with_server
-    ~execution:(Server.Pooled { workers = 1; queue_bound = 8 })
-    ~socket
+  with_server ~workers:1 ~queue_bound:8 ~socket
     (fun c _pid ->
       let v seed : Protocol.query =
         Validate
@@ -625,6 +610,33 @@ let test_e2e_dedup () =
         Alcotest.(check int) "memo hit" 1 (stat kvs "hits");
         Alcotest.(check int) "still one campaign" 1 (stat kvs "sim_runs")
       | _ -> Alcotest.fail "third ask")
+
+let test_e2e_cold_and_keyed () =
+  (* A cold campaign and a keyed one for the same question, plus a
+     duplicate of the keyed one, in one frame: the cold campaign runs on
+     its own (never joined), the duplicate joins the keyed campaign,
+     and only the keyed answer is memoized. *)
+  let socket = "test-serve-cold.sock" in
+  let keyed = "validate cache=sa attack=flush-and-reload seed=13 quick=1" in
+  let lines = [ keyed ^ " cold"; keyed; keyed ] in
+  let direct =
+    List.map
+      (fun line ->
+        match Router.route (Router.create ()) line with
+        | Router.Sim { run; _ } -> run ()
+        | _ -> Alcotest.failf "%S should need a campaign" line)
+      lines
+  in
+  with_server ~workers:1 ~queue_bound:8 ~socket (fun c _pid ->
+      Alcotest.(check (list string)) "replies match the in-process router"
+        direct (Client.round_trip_raw c lines);
+      match Client.request1 c Protocol.Stats with
+      | Protocol.Stats_v kvs ->
+        Alcotest.(check int) "two campaigns ran" 2 (stat kvs "sim_runs");
+        Alcotest.(check int) "one dedup join" 1 (stat kvs "dedup_joins");
+        Alcotest.(check int) "cold answer not memoized" 1
+          (stat kvs "memo_size")
+      | _ -> Alcotest.fail "stats reply")
 
 let test_e2e_batch_cap () =
   (* A batch over max_batch_lines is a protocol error: the server
@@ -701,7 +713,11 @@ let test_preflight_stale () =
          in
          contains "stale")
   | Ok () -> Alcotest.fail "stale socket accepted");
-  (match Server.run { Server.socket; execution = Server.Inline; max_memo = 4 } with
+  (match
+     Server.run
+       { Server.socket; workers = 0;
+         queue_bound = Server.default_queue_bound; max_memo = 4 }
+   with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "server started over a stale socket");
   Sys.remove socket;
@@ -738,7 +754,6 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "bounded table" `Quick test_memo_table;
-          Alcotest.test_case "inflight registry" `Quick test_inflight;
         ] );
       ( "router",
         [
@@ -753,6 +768,8 @@ let () =
           Alcotest.test_case "buffered large batch" `Quick test_e2e_large_batch;
           Alcotest.test_case "backpressure" `Quick test_e2e_overloaded;
           Alcotest.test_case "in-flight dedup" `Quick test_e2e_dedup;
+          Alcotest.test_case "cold and keyed campaigns" `Quick
+            test_e2e_cold_and_keyed;
           Alcotest.test_case "stale socket preflight" `Quick test_preflight_stale;
         ] );
     ]

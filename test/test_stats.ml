@@ -272,9 +272,8 @@ let prop_summary_merge =
     QCheck.(
       pair (list (float_bound_inclusive 100.)) (list (float_bound_inclusive 100.)))
     (fun (xs, ys) ->
-      let a = Summary.of_array (Array.of_list xs) in
-      let b = Summary.of_array (Array.of_list ys) in
-      let m = Summary.merge a b in
+      let m = Summary.of_array (Array.of_list xs) in
+      Summary.merge_into m (Summary.of_array (Array.of_list ys));
       let all = Summary.of_array (Array.of_list (xs @ ys)) in
       Summary.count m = Summary.count all
       && (Summary.count m = 0
@@ -290,11 +289,10 @@ let prop_summary_partition_merge =
   qtest "merge of arbitrary partition = single pass"
     QCheck.(list (list (float_bound_inclusive 100.)))
     (fun chunks ->
-      let merged =
-        List.fold_left
-          (fun acc c -> Summary.merge acc (Summary.of_array (Array.of_list c)))
-          (Summary.create ()) chunks
-      in
+      let merged = Summary.create () in
+      List.iter
+        (fun c -> Summary.merge_into merged (Summary.of_array (Array.of_list c)))
+        chunks;
       let whole = Summary.of_array (Array.of_list (List.concat chunks)) in
       Summary.count merged = Summary.count whole
       && (Summary.count merged = 0
@@ -366,49 +364,6 @@ let prop_histogram_conservation =
       List.iter (Histogram.add h) xs;
       let in_range = Array.fold_left ( + ) 0 (Histogram.counts h) in
       in_range + Histogram.underflow h + Histogram.overflow h = List.length xs)
-
-let prop_histogram_merge =
-  (* merge over a partition equals one histogram over the whole sample:
-     the property the per-shard merge in the trial runtime relies on. *)
-  qtest "merge of shards = whole"
-    QCheck.(pair (list (float_bound_inclusive 20.)) (list (float_bound_inclusive 20.)))
-    (fun (xs, ys) ->
-      let mk zs =
-        let h = Histogram.create ~lo:2. ~hi:12. ~bins:7 in
-        List.iter (Histogram.add h) zs;
-        h
-      in
-      let merged = Histogram.merge (mk xs) (mk ys) in
-      let whole = mk (xs @ ys) in
-      Histogram.counts merged = Histogram.counts whole
-      && Histogram.underflow merged = Histogram.underflow whole
-      && Histogram.overflow merged = Histogram.overflow whole
-      && Histogram.total merged = Histogram.total whole)
-
-let prop_histogram_partition_merge =
-  qtest "merge of arbitrary partition = single pass"
-    QCheck.(list (list (float_bound_inclusive 20.)))
-    (fun chunks ->
-      let mk zs =
-        let h = Histogram.create ~lo:2. ~hi:12. ~bins:7 in
-        List.iter (Histogram.add h) zs;
-        h
-      in
-      let merged =
-        List.fold_left (fun acc c -> Histogram.merge acc (mk c)) (mk []) chunks
-      in
-      let whole = mk (List.concat chunks) in
-      Histogram.counts merged = Histogram.counts whole
-      && Histogram.underflow merged = Histogram.underflow whole
-      && Histogram.overflow merged = Histogram.overflow whole
-      && Histogram.total merged = Histogram.total whole)
-
-let test_histogram_merge_incompatible () =
-  let a = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  let b = Histogram.create ~lo:0. ~hi:2. ~bins:4 in
-  Alcotest.check_raises "binning mismatch"
-    (Invalid_argument "Histogram.merge: incompatible binning") (fun () ->
-      ignore (Histogram.merge a b))
 
 (* --- Coupon ---------------------------------------------------------- *)
 
@@ -582,10 +537,6 @@ let () =
           Alcotest.test_case "density" `Quick test_histogram_density;
           Alcotest.test_case "invalid" `Quick test_histogram_invalid;
           prop_histogram_conservation;
-          prop_histogram_merge;
-          prop_histogram_partition_merge;
-          Alcotest.test_case "merge incompatible" `Quick
-            test_histogram_merge_incompatible;
         ] );
       ( "coupon",
         [
