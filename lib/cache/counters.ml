@@ -61,11 +61,11 @@ let cell t pid =
       Hashtbl.replace t.overflow pid c;
       c
 
-let cell_hit (c : cell) =
+let[@inline] cell_hit (c : cell) =
   c.accesses <- c.accesses + 1;
   c.hits <- c.hits + 1
 
-let cell_add (c : cell) ~miss ~read_through ~evictions =
+let[@inline] cell_add (c : cell) ~miss ~read_through ~evictions =
   c.accesses <- c.accesses + 1;
   if miss then begin
     c.misses <- c.misses + 1;
@@ -144,7 +144,3 @@ let reset t =
   Array.iter clear t.small;
   if Hashtbl.length t.overflow > 0 then
     Hashtbl.iter (fun _ c -> clear c) t.overflow
-
-let pp_snapshot ppf (s : snapshot) =
-  Format.fprintf ppf "acc=%d hit=%d miss=%d evict=%d rt=%d flush=%d" s.accesses
-    s.hits s.misses s.evictions s.read_throughs s.flushes

@@ -49,5 +49,3 @@ val hit_rate : snapshot -> float
 val reset : t -> unit
 (** Zero every count. Allocates nothing unless a pid outside the small
     table has a cell. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

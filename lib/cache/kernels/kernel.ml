@@ -27,7 +27,7 @@ let not_cached code = code lor 0b100
 let one_eviction = 0b1000
 let[@inline] is_miss code = code land 1 <> 0
 
-let fill (b : Backing.t) way ~tag ~owner ~seq =
+let[@inline] fill (b : Backing.t) way ~tag ~owner ~seq =
   let s = b.Backing.slab in
   let old = s.Slab.tags.(way) in
   b.Backing.fetched <- tag;
@@ -116,7 +116,7 @@ let make_counter ~bins =
    scalar-looping [run_of_scalar] so the classification arithmetic has
    exactly one definition. [Timing.observe] keeps the draw semantics
    (mu = the event's base time) in one place. *)
-let count_hit (c : counter) =
+let[@inline] count_hit (c : counter) =
   if c.sigma <> 0. then begin
     let tm = Timing.observe c.noise ~sigma:c.sigma Outcome.Hit in
     (match Timing.classify tm with
@@ -125,7 +125,7 @@ let count_hit (c : counter) =
     c.times.(c.bin) <- c.times.(c.bin) +. tm
   end
 
-let count_miss (c : counter) =
+let[@inline] count_miss (c : counter) =
   c.true_misses.(c.bin) <- c.true_misses.(c.bin) + 1;
   if c.sigma = 0. then begin
     c.classified.(c.bin) <- c.classified.(c.bin) + 1;
@@ -141,7 +141,7 @@ let count_miss (c : counter) =
 
 (* The per-access epilogue of every engine's run loop: the pid cell
    bump [record] would make, then the mode's accumulation. *)
-let finish (b : Backing.t) c mode k code =
+let[@inline] finish (b : Backing.t) c mode k code =
   if code = hit then begin
     Counters.cell_hit c;
     match mode with

@@ -37,7 +37,6 @@ val miss_uncached : t
 val fill : fetched:int -> evicted:(int * int) option -> t
 (** A miss that cached [fetched], displacing [evicted] if [Some]. *)
 
-val event_to_string : event -> string
 val is_hit : t -> bool
 val is_miss : t -> bool
 

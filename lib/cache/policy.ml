@@ -1,9 +1,8 @@
 open Cachesec_stats
 
 (* The one place that knows every replacement policy. Engines, the
-   factory, the CLI and the serve protocol all consume this registry;
-   the only other copies of the hooks are the inlined ones [Sa] and [Rp]
-   specialise their steps with (see policy.mli). *)
+   factory, the CLI and the serve protocol all consume this registry,
+   and every engine step calls the hooks below. *)
 
 type t = Lru | Random | Fifo | Mru | Lfu | Mfu | Plru
 
@@ -103,41 +102,44 @@ let plru_touch (s : Slab.t) i =
 
 (* --- victim selection ------------------------------------------------ *)
 
-let check (s : Slab.t) ~base ~len =
+let[@inline] check (s : Slab.t) ~base ~len =
   if len <= 0 then invalid_arg "Policy.victim_in: no candidates";
   if base < 0 || base + len > s.Slab.n then
     invalid_arg "Policy.victim_in: candidate out of range"
 
-let victim_in p rng (s : Slab.t) ~base ~len =
+(* [@inline], as are the hooks below: an engine step that passes a
+   constant policy gets the match folded away. *)
+let[@inline] victim_in p rng (s : Slab.t) ~base ~len =
   check s ~base ~len;
-  let i = Slab.first_invalid s ~base ~len in
+  let stop = base + len in
+  let i = Slab.scan_invalid s.Slab.tags base stop in
   if i >= 0 then i
   else
     match p with
-    | Lru -> Slab.min_last_use s ~base ~len
-    | Fifo -> Slab.min_fill_seq s ~base ~len
+    | Lru -> Slab.scan_min s.Slab.last_use base stop
+    | Fifo -> Slab.scan_min s.Slab.fill_seq base stop
     | Random -> base + Rng.int rng len
-    | Mru -> Slab.max_last_use s ~base ~len
-    | Lfu -> Slab.min_freq s ~base ~len
-    | Mfu -> Slab.max_freq s ~base ~len
+    | Mru -> Slab.scan_max s.Slab.last_use base stop
+    | Lfu -> Slab.scan_min s.Slab.freq base stop
+    | Mfu -> Slab.scan_max s.Slab.freq base stop
     | Plru ->
       if
         len = s.Slab.ways
         && plru_tree_capable len
         && base land (len - 1) = 0
       then base + plru_walk s.Slab.tree.(base lsr s.Slab.set_shift) len 1
-      else Slab.min_last_use s ~base ~len
+      else Slab.scan_min s.Slab.last_use base stop
 
 (* --- per-access state hooks ------------------------------------------ *)
 
-let touch p (s : Slab.t) i ~seq =
+let[@inline] touch p (s : Slab.t) i ~seq =
   Slab.touch s i ~seq;
   match p with
   | Lru | Random | Fifo | Mru -> ()
   | Lfu | Mfu -> s.Slab.freq.(i) <- s.Slab.freq.(i) + 1
   | Plru -> plru_touch s i
 
-let filled p (s : Slab.t) i =
+let[@inline] filled p (s : Slab.t) i =
   match p with
   | Lru | Random | Fifo | Mru | Lfu | Mfu -> ()
   | Plru -> plru_touch s i

@@ -7,9 +7,7 @@
     module.
 
     Adding a policy: extend {!t}, {!all}, {!id}, the spellings, {!needs}
-    and the three dispatch functions here; the inlined copies of the
-    hooks in [Sa] and [Rp] (which specialise their steps per policy);
-    the reference model under test/reference/; and, optionally, a
+    and the three dispatch functions here; the reference model under test/reference/; and, optionally, a
     pre-PAS formula in [Prepas]. Everything downstream — factory cells,
     the reference fuzz, golden traces, `--policy` parsing, serve
     spellings, bench rows — picks it up from {!all}.
@@ -100,15 +98,10 @@ val filled : t -> Slab.t -> int -> unit
 
 (** {2 Tree-PLRU internals}
 
-    Exposed for the inlined hooks of [Sa] and [Rp] and the unit
-    tests. *)
+    Exposed for the unit tests. *)
 
 val plru_tree_capable : int -> bool
 (** Whether a way count is covered by the tree (power of two, > 1). *)
-
-val plru_walk : int -> int -> int -> int
-(** [plru_walk tree ways node]: follow the bits from heap [node] (the
-    root is 1) down to a leaf; returns the way index. *)
 
 val plru_touch : Slab.t -> int -> unit
 (** Point every ancestor of line [i]'s leaf away from it. No-op when

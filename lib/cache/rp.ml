@@ -74,42 +74,6 @@ let swap_mapping (tbl : int array) ~logical ~target =
 
 (* --- the transition ---------------------------------------------------- *)
 
-(* The policy hooks, written out here as in [Sa] (the dev build
-   compiles every module -opaque, so a hook in another module never
-   inlines and its policy match never folds): [Policy.victim_in] /
-   [touch] / [filled] on one whole set. *)
-let[@inline] victim p rng (s : Slab.t) ~set ~base ~stop =
-  let inv = Slab.scan_invalid s.Slab.tags base stop in
-  if inv >= 0 then inv
-  else
-    let w = s.Slab.ways and lu = s.Slab.last_use and fq = s.Slab.freq in
-    match (p : Policy.t) with
-    | Lru -> Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
-    | Fifo ->
-      let fs = s.Slab.fill_seq in
-      Slab.scan_min fs (base + 1) stop base (Array.unsafe_get fs base)
-    | Random -> base + Rng.int rng w
-    | Mru -> Slab.scan_max lu (base + 1) stop base (Array.unsafe_get lu base)
-    | Lfu -> Slab.scan_min fq (base + 1) stop base (Array.unsafe_get fq base)
-    | Mfu -> Slab.scan_max fq (base + 1) stop base (Array.unsafe_get fq base)
-    | Plru ->
-      if Policy.plru_tree_capable w then
-        base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) w 1
-      else Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
-
-let[@inline] touch p (s : Slab.t) i ~seq =
-  Array.unsafe_set s.Slab.last_use i seq;
-  match (p : Policy.t) with
-  | Lfu | Mfu ->
-    Array.unsafe_set s.Slab.freq i (Array.unsafe_get s.Slab.freq i + 1)
-  | Plru -> Policy.plru_touch s i
-  | Lru | Random | Fifo | Mru -> ()
-
-let[@inline] filled p (s : Slab.t) way =
-  match (p : Policy.t) with
-  | Plru -> Policy.plru_touch s way
-  | Lru | Random | Fifo | Mru | Lfu | Mfu -> ()
-
 (* One access by [pid], whose permutation table is [tbl]. The PID
    feature: the tag array conceptually stores the owning context, so
    the probe requires the owner to match too. A miss whose victim way is
@@ -123,16 +87,16 @@ let[@inline] step p (b : Backing.t) tbl ~pid addr =
   b.Backing.seq <- seq;
   let logical = addr land b.Backing.set_mask in
   let w = s.Slab.ways in
-  let set = Array.unsafe_get tbl logical in
-  let base = set * w in
-  let stop = base + w in
-  let i = Slab.scan_tag_owned s.Slab.tags s.Slab.owners addr pid base stop in
+  let base = Array.unsafe_get tbl logical * w in
+  let i =
+    Slab.scan_tag_owned s.Slab.tags s.Slab.owners addr pid base (base + w)
+  in
   if i >= 0 then begin
-    touch p s i ~seq;
+    Policy.touch p s i ~seq;
     Kernel.hit
   end
   else begin
-    let way = victim p b.Backing.rng s ~set ~base ~stop in
+    let way = Policy.victim_in p b.Backing.rng s ~base ~len:w in
     let internal =
       Array.unsafe_get s.Slab.tags way < 0
       || Array.unsafe_get s.Slab.owners way = pid
@@ -140,7 +104,7 @@ let[@inline] step p (b : Backing.t) tbl ~pid addr =
     let target = if internal then -1 else Rng.int b.Backing.rng b.Backing.sets in
     let way = if internal then way else (target * w) + Rng.int b.Backing.rng w in
     let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
-    filled p s way;
+    Policy.filled p s way;
     if not internal then swap_mapping tbl ~logical ~target;
     code
   end

@@ -1,5 +1,3 @@
-open Cachesec_stats
-
 type t = {
   b : Backing.t;
   policy : Policy.t;
@@ -9,62 +7,23 @@ type t = {
 
 (* --- the transition ---------------------------------------------------- *)
 
-(* The policy hooks of the step, written out here rather than called in
-   [Policy]: the default (dev) build compiles every module with
-   -opaque, so nothing inlines across modules, and the policy match
-   only folds away when it is inlined into an instantiation with a
-   constant policy. Semantics are [Policy.victim_in]/[touch]/[filled]
-   on a whole set. *)
-let[@inline] victim p rng (s : Slab.t) ~set ~base ~stop =
-  let inv = Slab.scan_invalid s.Slab.tags base stop in
-  if inv >= 0 then inv
-  else
-    let w = s.Slab.ways and lu = s.Slab.last_use and fq = s.Slab.freq in
-    match (p : Policy.t) with
-    | Lru -> Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
-    | Fifo ->
-      let fs = s.Slab.fill_seq in
-      Slab.scan_min fs (base + 1) stop base (Array.unsafe_get fs base)
-    | Random -> base + Rng.int rng w
-    | Mru -> Slab.scan_max lu (base + 1) stop base (Array.unsafe_get lu base)
-    | Lfu -> Slab.scan_min fq (base + 1) stop base (Array.unsafe_get fq base)
-    | Mfu -> Slab.scan_max fq (base + 1) stop base (Array.unsafe_get fq base)
-    | Plru ->
-      if Policy.plru_tree_capable w then
-        base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) w 1
-      else Slab.scan_min lu (base + 1) stop base (Array.unsafe_get lu base)
-
-let[@inline] touch p (s : Slab.t) i ~seq =
-  Array.unsafe_set s.Slab.last_use i seq;
-  match (p : Policy.t) with
-  | Lfu | Mfu ->
-    Array.unsafe_set s.Slab.freq i (Array.unsafe_get s.Slab.freq i + 1)
-  | Plru -> Policy.plru_touch s i
-  | Lru | Random | Fifo | Mru -> ()
-
-let[@inline] filled p (s : Slab.t) way =
-  match (p : Policy.t) with
-  | Plru -> Policy.plru_touch s way
-  | Lru | Random | Fifo | Mru | Lfu | Mfu -> ()
-
 (* One access: probe the set, touch on a hit, otherwise fill the
    policy's victim. Returns the {!Kernel} step code. *)
 let[@inline] step p (b : Backing.t) ~pid addr =
   let s = b.Backing.slab in
   let seq = b.Backing.seq + 1 in
   b.Backing.seq <- seq;
-  let set = addr land b.Backing.set_mask in
-  let base = set * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag s.Slab.tags addr base stop in
+  let w = s.Slab.ways in
+  let base = (addr land b.Backing.set_mask) * w in
+  let i = Slab.scan_tag s.Slab.tags addr base (base + w) in
   if i >= 0 then begin
-    touch p s i ~seq;
+    Policy.touch p s i ~seq;
     Kernel.hit
   end
   else begin
-    let way = victim p b.Backing.rng s ~set ~base ~stop in
+    let way = Policy.victim_in p b.Backing.rng s ~base ~len:w in
     let code = Kernel.fill b way ~tag:addr ~owner:pid ~seq in
-    filled p s way;
+    Policy.filled p s way;
     code
   end
 

@@ -31,8 +31,11 @@
    The top-level scan loops use [Array.unsafe_get]: their bounds are
    the range invariant above, established once at engine construction
    (geometry) rather than per access. They take every free variable as
-   an argument — without flambda a local [let rec] capturing the slab
-   allocates its closure per call. *)
+   an argument, and they and the per-line mutators are [@inline]: the
+   default (release) build compiles without -opaque, so each engine
+   step inlines them, with no call per access. Under
+   [--profile dev] (-opaque) they are ordinary calls, with the same
+   results. *)
 
 type t = {
   n : int;  (** physical line count; every slab has length [n] *)
@@ -87,69 +90,73 @@ let valid t i = t.tags.(i) >= 0
 
 (* --- hot scans (bounds = the range invariant, see header) ----------- *)
 
-let rec scan_tag (tags : int array) tag i stop =
-  if i >= stop then -1
-  else if Array.unsafe_get tags i = tag then i
-  else scan_tag tags tag (i + 1) stop
+(* Loops, not [let rec]: the compiler never inlines a recursive
+   function, and every engine step inlines these. *)
 
-let rec scan_tag_owned (tags : int array) (owners : int array) tag owner i stop
-    =
-  if i >= stop then -1
-  else if Array.unsafe_get tags i = tag && Array.unsafe_get owners i = owner
-  then i
-  else scan_tag_owned tags owners tag owner (i + 1) stop
+let[@inline] scan_tag (tags : int array) tag i stop =
+  let j = ref i in
+  while !j < stop && Array.unsafe_get tags !j <> tag do
+    incr j
+  done;
+  if !j < stop then !j else -1
+
+let[@inline] scan_tag_owned (tags : int array) (owners : int array) tag owner i
+    stop =
+  let j = ref i in
+  while
+    !j < stop
+    && not
+         (Array.unsafe_get tags !j = tag && Array.unsafe_get owners !j = owner)
+  do
+    incr j
+  done;
+  if !j < stop then !j else -1
 
 (* First invalid index in [i, stop), or -1: a fill never evicts while
    free space remains. *)
-let rec scan_invalid (tags : int array) i stop =
-  if i >= stop then -1
-  else if Array.unsafe_get tags i < 0 then i
-  else scan_invalid tags (i + 1) stop
+let[@inline] scan_invalid (tags : int array) i stop =
+  let j = ref i in
+  while !j < stop && Array.unsafe_get tags !j >= 0 do
+    incr j
+  done;
+  if !j < stop then !j else -1
 
-(* Index of the minimum of [a] over [i, stop); first occurrence wins
-   ties (same as the seed's per-line scans). Carrying [bestv] saves the
-   re-load of [a.(best)] per step. *)
-let rec scan_min (a : int array) i stop best bestv =
-  if i >= stop then best
-  else
-    let v = Array.unsafe_get a i in
-    if v < bestv then scan_min a (i + 1) stop i v
-    else scan_min a (i + 1) stop best bestv
+(* Index of the minimum of [a] over the non-empty range [i, stop);
+   first occurrence wins ties (same as the seed's per-line scans).
+   Carrying [bestv] saves the re-load of [a.(best)] per step. *)
+let[@inline] scan_min (a : int array) i stop =
+  let best = ref i and bestv = ref (Array.unsafe_get a i) in
+  for j = i + 1 to stop - 1 do
+    let v = Array.unsafe_get a j in
+    if v < !bestv then begin
+      best := j;
+      bestv := v
+    end
+  done;
+  !best
 
-(* Index of the maximum of [a] over [i, stop); first occurrence wins
-   ties, mirroring {!scan_min} (MRU and MFU victim scans). *)
-let rec scan_max (a : int array) i stop best bestv =
-  if i >= stop then best
-  else
-    let v = Array.unsafe_get a i in
-    if v > bestv then scan_max a (i + 1) stop i v
-    else scan_max a (i + 1) stop best bestv
+(* Index of the maximum of [a] over the non-empty range [i, stop);
+   first occurrence wins ties, mirroring {!scan_min} (MRU and MFU
+   victim scans). *)
+let[@inline] scan_max (a : int array) i stop =
+  let best = ref i and bestv = ref (Array.unsafe_get a i) in
+  for j = i + 1 to stop - 1 do
+    let v = Array.unsafe_get a j in
+    if v > !bestv then begin
+      best := j;
+      bestv := v
+    end
+  done;
+  !best
 
 let find_tag t ~tag ~base ~len = scan_tag t.tags tag base (base + len)
 
 let find_tag_owned t ~tag ~owner ~base ~len =
   scan_tag_owned t.tags t.owners tag owner base (base + len)
 
-let first_invalid t ~base ~len = scan_invalid t.tags base (base + len)
-
-let min_last_use t ~base ~len =
-  scan_min t.last_use (base + 1) (base + len) base t.last_use.(base)
-
-let min_fill_seq t ~base ~len =
-  scan_min t.fill_seq (base + 1) (base + len) base t.fill_seq.(base)
-
-let max_last_use t ~base ~len =
-  scan_max t.last_use (base + 1) (base + len) base t.last_use.(base)
-
-let min_freq t ~base ~len =
-  scan_min t.freq (base + 1) (base + len) base t.freq.(base)
-
-let max_freq t ~base ~len =
-  scan_max t.freq (base + 1) (base + len) base t.freq.(base)
-
 (* --- per-line mutators --------------------------------------------- *)
 
-let fill t i ~tag ~owner ~seq =
+let[@inline] fill t i ~tag ~owner ~seq =
   if t.tags.(i) < 0 then begin
     let k = t.dirty_len and cap = Array.length t.dirty in
     if k < cap then begin
@@ -166,7 +173,7 @@ let fill t i ~tag ~owner ~seq =
   t.aux.(i) <- 0;
   t.freq.(i) <- 1
 
-let touch t i ~seq = t.last_use.(i) <- seq
+let[@inline] touch t i ~seq = t.last_use.(i) <- seq
 
 let invalidate t i =
   t.tags.(i) <- invalid_tag;

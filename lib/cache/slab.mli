@@ -72,29 +72,6 @@ val find_tag_owned : t -> tag:int -> owner:int -> base:int -> len:int -> int
 (** As {!find_tag}, additionally requiring the filling pid to match
     (RP's PID feature). *)
 
-val first_invalid : t -> base:int -> len:int -> int
-(** First invalid index in the range, or -1. *)
-
-val min_last_use : t -> base:int -> len:int -> int
-(** Index of the least-recently-used line in the (non-empty) range;
-    first occurrence wins ties. *)
-
-val min_fill_seq : t -> base:int -> len:int -> int
-(** Index of the oldest fill in the (non-empty) range; first occurrence
-    wins ties. *)
-
-val max_last_use : t -> base:int -> len:int -> int
-(** Index of the most-recently-used line in the (non-empty) range
-    (MRU victim); first occurrence wins ties. *)
-
-val min_freq : t -> base:int -> len:int -> int
-(** Index of the least-frequently-used line in the (non-empty) range
-    (LFU victim); first occurrence wins ties. *)
-
-val max_freq : t -> base:int -> len:int -> int
-(** Index of the most-frequently-used line in the (non-empty) range
-    (MFU victim); first occurrence wins ties. *)
-
 val fill : t -> int -> tag:int -> owner:int -> seq:int -> unit
 (** Install a memory line: clears the lock bit and [aux], sets both
     timestamps and resets the frequency
@@ -131,16 +108,20 @@ val clear : t -> int
    invariant above). *)
 
 val scan_tag : int array -> int -> int -> int -> int
-(** [scan_tag tags tag i stop]. *)
+(** [scan_tag tags tag i stop]: the first index in [i, stop) holding
+    [tag], or -1. *)
 
 val scan_tag_owned : int array -> int array -> int -> int -> int -> int -> int
-(** [scan_tag_owned tags owners tag owner i stop]. *)
+(** [scan_tag_owned tags owners tag owner i stop]: as {!scan_tag},
+    additionally requiring [owners] to hold [owner]. *)
 
 val scan_invalid : int array -> int -> int -> int
-(** [scan_invalid tags i stop]. *)
+(** [scan_invalid tags i stop]: the first index in [i, stop) holding a
+    negative (invalid) tag, or -1. *)
 
-val scan_min : int array -> int -> int -> int -> int -> int
-(** [scan_min a i stop best bestv]. *)
+val scan_min : int array -> int -> int -> int
+(** [scan_min a i stop]: the index of the minimum of [a] over the
+    non-empty range [i, stop); first occurrence wins ties. *)
 
-val scan_max : int array -> int -> int -> int -> int -> int
-(** [scan_max a i stop best bestv]; first occurrence wins ties. *)
+val scan_max : int array -> int -> int -> int
+(** [scan_max a i stop]: as {!scan_min}, for the maximum. *)

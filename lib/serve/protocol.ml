@@ -426,8 +426,17 @@ let decode_query line =
 
 (* --- reply encoding --------------------------------------------------- *)
 
-let one_line s =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) s
+(* An error message may quote client bytes: every byte outside
+   printable ASCII goes out as [\xNN], so the reply stays one line of
+   UTF-8 text whatever the query held. *)
+let printable s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      if c >= ' ' && c <= '~' then Buffer.add_char b c
+      else Printf.bprintf b "\\x%02x" (Char.code c))
+    s;
+  Buffer.contents b
 
 let pairs kvs =
   String.concat " "
@@ -436,7 +445,7 @@ let pairs kvs =
 let encode_reply = function
   | Ok_ -> "ok"
   | Overloaded -> "overloaded"
-  | Error_ msg -> "error " ^ one_line msg
+  | Error_ msg -> "error " ^ printable msg
   | Pas_v v -> Printf.sprintf "pas v=%s" (fmt_float v)
   | Prepas_v v -> Printf.sprintf "prepas v=%s" (fmt_float v)
   | Resilience_v { verdict; pas } ->

@@ -105,7 +105,9 @@ val decode_query : string -> (query, string) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, string) result
 (** One line, no newline. Floats survive the round trip bit-exactly
-    ([%.17g]). *)
+    ([%.17g]). An [Error_] message is sent with every byte outside
+    printable ASCII written as [\xNN], so an error that quotes the
+    client's bytes is still one line of UTF-8 text. *)
 
 (** {2 Framing} *)
 

@@ -172,6 +172,24 @@ type state = {
   mutable draining : bool;  (* shutdown requested: no new input *)
 }
 
+(* Completion check of one campaign, without blocking. A completed
+   campaign's result is delivered to every waiter (the starter and all
+   dedup joiners — one list, one result) and memoized via the router
+   when keyed; a raised campaign delivers the same error to every
+   waiter and is never memoized. True once the entry can be retired. *)
+let settle st e =
+  let finish enc = List.iter (fun (b, i) -> deliver b i enc) e.waiters in
+  match Pool.poll e.fut with
+  | None -> false
+  | Some enc ->
+    Router.note_sim_done st.router ~key:e.key enc;
+    finish enc;
+    true
+  | exception ex ->
+    Router.note_sim_error st.router;
+    finish (Protocol.encode_reply (Protocol.Error_ (Printexc.to_string ex)));
+    true
+
 let handle_line st b i line =
   match Router.route st.router line with
   | Router.Now enc -> deliver b i enc
@@ -191,7 +209,11 @@ let handle_line st b i line =
         Router.note_overloaded st.router;
         deliver b i (Protocol.encode_reply Protocol.Overloaded)
       | Some fut ->
-        st.inflight <- { key; fut; waiters = [ (b, i) ] } :: st.inflight))
+        (* At [workers = 0] the campaign has already run: retire it now,
+           so a later line of this frame ([stats], a repeat) sees it
+           counted and memoized. *)
+        let e = { key; fut; waiters = [ (b, i) ] } in
+        if not (settle st e) then st.inflight <- e :: st.inflight))
 
 (* One read may carry several frames; nothing after the frame that
    doomed a connection is processed. *)
@@ -222,28 +244,9 @@ let handle_frame st c payload =
     end
   end
 
-(* Completion sweep: non-blocking poll of every campaign in flight. A
-   completed campaign's result is delivered to every waiter (the
-   starter and all dedup joiners — one list, one result), memoized via
-   the router when keyed, and the entry retired. A raised campaign
-   delivers the same error to every waiter and is never memoized. *)
+(* Completion sweep over every campaign in flight. *)
 let poll_inflight st =
-  let finish e enc = List.iter (fun (b, i) -> deliver b i enc) e.waiters in
-  st.inflight <-
-    List.filter
-      (fun e ->
-        match Pool.poll e.fut with
-        | None -> true
-        | Some enc ->
-          Router.note_sim_done st.router ~key:e.key enc;
-          finish e enc;
-          false
-        | exception ex ->
-          Router.note_sim_error st.router;
-          finish e
-            (Protocol.encode_reply (Protocol.Error_ (Printexc.to_string ex)));
-          false)
-      st.inflight
+  st.inflight <- List.filter (fun e -> not (settle st e)) st.inflight
 
 let read_buf = Bytes.create 65536
 

@@ -7,9 +7,10 @@
     {!Cachesec_runtime.Pool} through the bounded [Pool.try_submit] gate
     — a full queue yields an [overloaded] reply instead of unbounded
     buffering. With zero workers the pool runs an admitted campaign on
-    the loop before the next query line is read. Every admitted
-    campaign, keyed or [cold], enters one in-flight list that a single
-    completion sweep polls. Identical keyed campaigns are deduplicated:
+    the loop before the next query line is read, and the campaign is
+    counted and memoized at once, so a [stats] later in the same frame
+    sees it. Every campaign still running, keyed or [cold], is in one
+    in-flight list that a single completion sweep polls. Identical keyed campaigns are deduplicated:
     the second asker joins the running entry instead of starting its
     own, and every joined waiter observes the same result (or the same
     error). A cold campaign is never joined and never memoized.

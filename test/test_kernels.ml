@@ -722,6 +722,75 @@ let test_count_wins_matches_clean_once () =
         [ w - 1; w; 4 * w; 300 ])
     (cells ())
 
+(* --- the slab scans against naive list definitions ------------------- *)
+
+(* Each engine step inlines [Slab]'s scan loops, so a loop that drops a
+   tie or reads past [stop] is named here rather than found by the fuzz.
+   The oracles are list definitions: the first index in the range that
+   satisfies the test, and the first index in the (non-empty) range that
+   holds the extreme value. *)
+
+let range i stop = List.init (max 0 (stop - i)) (fun k -> i + k)
+
+let naive_first ok i stop =
+  Option.value ~default:(-1) (List.find_opt ok (range i stop))
+
+let naive_extreme pick (a : int array) i stop =
+  let cands = List.map (fun j -> (j, a.(j))) (range i stop) in
+  let v = List.fold_left (fun m (_, x) -> pick m x) (snd (List.hd cands)) cands in
+  fst (List.find (fun (_, x) -> x = v) cands)
+
+(* Small values so that ties, repeated tags and invalid (negative) tags
+   are common; [i] and [stop] range over the whole array, so empty and
+   reversed ranges occur. *)
+let scan_input =
+  QCheck.make
+    ~print:(fun (a, o, i, stop, x) ->
+      Printf.sprintf "a=[%s] owners=[%s] i=%d stop=%d x=%d"
+        (String.concat ";" (Array.to_list (Array.map string_of_int a)))
+        (String.concat ";" (Array.to_list (Array.map string_of_int o)))
+        i stop x)
+    QCheck.Gen.(
+      int_bound 12 >>= fun n ->
+      array_size (return n) (int_range (-1) 4) >>= fun a ->
+      array_size (return n) (int_bound 2) >>= fun o ->
+      int_bound n >>= fun i ->
+      int_bound n >>= fun stop ->
+      int_range (-1) 4 >|= fun x -> (a, o, i, stop, x))
+
+let scan_qcheck name prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:500 ~name scan_input prop)
+
+let slab_scan_tests =
+  [
+    scan_qcheck "scan_tag = first match" (fun (a, _, i, stop, x) ->
+        Slab.scan_tag a x i stop = naive_first (fun j -> a.(j) = x) i stop);
+    scan_qcheck "scan_tag_owned = first match" (fun (a, o, i, stop, x) ->
+        Slab.scan_tag_owned a o x 1 i stop
+        = naive_first (fun j -> a.(j) = x && o.(j) = 1) i stop);
+    scan_qcheck "scan_invalid = first negative" (fun (a, _, i, stop, _) ->
+        Slab.scan_invalid a i stop = naive_first (fun j -> a.(j) < 0) i stop);
+    scan_qcheck "scan_min = first minimum" (fun (a, _, i, stop, _) ->
+        QCheck.assume (i < stop);
+        Slab.scan_min a i stop = naive_extreme min a i stop);
+    scan_qcheck "scan_max = first maximum" (fun (a, _, i, stop, _) ->
+        QCheck.assume (i < stop);
+        Slab.scan_max a i stop = naive_extreme max a i stop);
+    Alcotest.test_case "range edges and ties" `Quick (fun () ->
+        let a = [| 5; 3; 7; 3; 7 |] in
+        let check = Alcotest.(check int) in
+        check "match at stop - 1" 2 (Slab.scan_tag a 7 0 3);
+        check "stop is exclusive" (-1) (Slab.scan_tag a 7 0 2);
+        check "empty range" (-1) (Slab.scan_tag a 5 1 1);
+        check "invalid at stop - 1" 2 (Slab.scan_invalid [| 1; 1; -1 |] 0 3);
+        check "invalid past stop" (-1) (Slab.scan_invalid [| 1; 1; -1 |] 0 2);
+        check "min: first of a tie" 1 (Slab.scan_min a 0 5);
+        check "max: first of a tie" 2 (Slab.scan_max a 0 5);
+        check "min: stop is exclusive" 0 (Slab.scan_min a 0 1);
+        check "max at stop - 1" 2 (Slab.scan_max [| 1; 2; 9 |] 0 3);
+        check "one-element range" 4 (Slab.scan_min a 4 5));
+  ]
+
 let wrappers =
   [
     ("skewed", fun rng -> Skewed.engine (Skewed.create ~rng ()));
@@ -753,6 +822,7 @@ let () =
               (test_sp_homing p))
           Policy.all );
       ("batched-fuzz", List.map test_batched_cell (cells ()));
+      ("slab-scans", slab_scan_tests);
       ("flush-equivalence", List.map test_flush_cell (cells ()));
       ( "reset",
         List.map

@@ -460,6 +460,29 @@ let test_nbits_range () =
   Alcotest.(check bool) "1024 lines, nbits 52" true
     (Result.is_error (pas ~lines:1024 52))
 
+(* Error replies quote query bytes, and a query is arbitrary bytes: every
+   [error] reply the router gives must still be one line of UTF-8 text.
+   Lines are random bytes, or a query prefix followed by random bytes. *)
+let test_error_replies_printable =
+  let prefixes =
+    [ ""; "pas cache="; "pas cache=sa attack="; "prepas cache=rp k=";
+      "validate cache=sa attack=flush-and-reload seed="; "table attack=" ]
+  in
+  let line =
+    QCheck.Gen.(
+      map2 ( ^ ) (oneofl prefixes)
+        (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 24)))
+  in
+  let r = Router.create () in
+  qtest ~count:500 "error replies are printable"
+    (QCheck.make ~print:String.escaped line)
+    (fun line ->
+      match Router.route r line with
+      | Router.Now enc when String.starts_with ~prefix:"error" enc ->
+        String.is_valid_utf_8 enc
+        && not (String.exists (fun c -> c = '\000' || c = '\r' || c = '\n') enc)
+      | _ -> true)
+
 (* --- end-to-end (forked server) -------------------------------------- *)
 
 let fork_server ?(workers = 0) ?(queue_bound = Server.default_queue_bound)
@@ -638,6 +661,23 @@ let test_e2e_cold_and_keyed () =
           (stat kvs "memo_size")
       | _ -> Alcotest.fail "stats reply")
 
+let test_e2e_in_frame_stats () =
+  (* On the default zero-worker server a campaign runs while its line is
+     routed, so a [stats] later in the same frame counts it: the keyed
+     and the cold campaign have both run, and only the keyed answer is
+     memoized. *)
+  let socket = "test-serve-inframe.sock" in
+  let keyed = "validate cache=sa attack=flush-and-reload seed=17 quick=1" in
+  with_server ~socket (fun c _pid ->
+      match Client.round_trip_raw c [ keyed; keyed ^ " cold"; "stats" ] with
+      | [ _; _; stats ] -> (
+        match Protocol.decode_reply stats with
+        | Ok (Protocol.Stats_v kvs) ->
+          Alcotest.(check int) "both campaigns ran" 2 (stat kvs "sim_runs");
+          Alcotest.(check int) "keyed answer memoized" 1 (stat kvs "memo_size")
+        | _ -> Alcotest.failf "expected stats reply, got %S" stats)
+      | _ -> Alcotest.fail "three replies")
+
 let test_e2e_batch_cap () =
   (* A batch over max_batch_lines is a protocol error: the server
      answers (after every earlier pipelined frame, in order) with a
@@ -760,6 +800,7 @@ let () =
           Alcotest.test_case "closed form + memo" `Quick test_router_closed_form;
           Alcotest.test_case "sim memoization" `Quick test_router_sim_memoization;
           Alcotest.test_case "nbits range" `Quick test_nbits_range;
+          test_error_replies_printable;
         ] );
       ( "end-to-end",
         [
@@ -770,6 +811,7 @@ let () =
           Alcotest.test_case "in-flight dedup" `Quick test_e2e_dedup;
           Alcotest.test_case "cold and keyed campaigns" `Quick
             test_e2e_cold_and_keyed;
+          Alcotest.test_case "in-frame stats" `Quick test_e2e_in_frame_stats;
           Alcotest.test_case "stale socket preflight" `Quick test_preflight_stale;
         ] );
     ]
