@@ -262,7 +262,6 @@ let run_perf ~quick () =
    are deliberately not overridden by it). *)
 let crosscheck_seed = 7
 let learning_curves_seed = 61
-let skewed_seed = 19
 let mitigation_seed = 67
 let llc_seed = 37
 
@@ -316,8 +315,6 @@ let main perf sim (ctx : Run.ctx) =
         cells := Some matrix;
         Validation.render matrix);
     section "Ablations" (fun () -> Ablations.render ctx);
-    section "Extension: skewed randomized cache" (fun () ->
-        Extension.skewed_report (Run.with_seed skewed_seed ctx));
     section "Extension: multi-line evictions" (fun () ->
         Extension.multi_line_report ());
     section "Extension: PAS vs mutual information" (fun () ->

@@ -21,22 +21,4 @@ let is_miss_based = function
   | Evict_and_time | Prime_and_probe -> true
   | Cache_collision | Flush_and_reload -> false
 
-let is_timing_based = function
-  | Evict_and_time | Cache_collision -> true
-  | Prime_and_probe | Flush_and_reload -> false
-
-let description = function
-  | Evict_and_time ->
-    "victim uses attacker-evicted lines, lengthening the victim's whole \
-     security-critical operation"
-  | Prime_and_probe ->
-    "victim evicts the attacker's primed lines, lengthening the attacker's \
-     own later accesses"
-  | Cache_collision ->
-    "victim reuses his own previously fetched lines, shortening the \
-     victim's whole security-critical operation"
-  | Flush_and_reload ->
-    "attacker reloads victim-fetched shared lines, shortening the \
-     attacker's own accesses"
-
 let pp ppf t = Format.fprintf ppf "%s (%s)" (short t) (name t)

@@ -20,9 +20,6 @@ val short : t -> string
 (** "Type 1" .. "Type 4". *)
 
 val is_miss_based : t -> bool
-val is_timing_based : t -> bool
-(** Timing-based = the attacker measures the victim's whole operation;
-    access-based = the attacker times his own individual accesses. *)
+(** Types 1 and 2: the victim's or the attacker's accesses miss. *)
 
-val description : t -> string
 val pp : Format.formatter -> t -> unit

@@ -4,10 +4,6 @@ let zipf_popularity ~n ~exponent =
   let total = Array.fold_left ( +. ) 0. w in
   Array.map (fun x -> x /. total) w
 
-let uniform_popularity ~n =
-  if n <= 0 then invalid_arg "Perf_model.uniform_popularity: n must be positive";
-  Array.make n (1. /. float_of_int n)
-
 let check popularity cache_lines =
   if cache_lines <= 0 then invalid_arg "Perf_model: cache_lines must be positive";
   if Array.length popularity = 0 then invalid_arg "Perf_model: empty popularity"

@@ -15,8 +15,6 @@
 val zipf_popularity : n:int -> exponent:float -> float array
 (** Normalised Zipf weights over [n] items. *)
 
-val uniform_popularity : n:int -> float array
-
 val lru_hit_rate : popularity:float array -> cache_lines:int -> float
 (** Che's approximation. [cache_lines] must be positive and smaller than
     the item count (otherwise the hit rate is trivially 1). *)

@@ -32,10 +32,6 @@ let sa_self_thrash ~ways ~k =
   check_kw ~ways ~k;
   if ways = 1 && k >= 1 then 1. else 0.
 
-let sa_mru ~ways ~k = sa_self_thrash ~ways ~k
-let sa_lfu ~ways ~k = sa_self_thrash ~ways ~k
-let sa_mfu ~ways ~k = sa_self_thrash ~ways ~k
-
 (* Tree-PLRU: from any tree state, [ways] consecutive misses (each fill
    re-pointing the tree away from itself) visit [ways] distinct leaves
    — by induction on the tree height the walk alternates subtrees — so
@@ -51,21 +47,15 @@ let sa ~ways ~k ~policy =
   | Policy.Lru -> sa_lru ~ways ~k
   | Policy.Fifo -> sa_fifo ~ways ~k
   | Policy.Random -> sa_random ~ways ~k
-  | Policy.Mru -> sa_mru ~ways ~k
-  | Policy.Lfu -> sa_lfu ~ways ~k
-  | Policy.Mfu -> sa_mfu ~ways ~k
+  | Policy.Mru -> sa_self_thrash ~ways ~k
+  | Policy.Lfu -> sa_self_thrash ~ways ~k
+  | Policy.Mfu -> sa_self_thrash ~ways ~k
   | Policy.Plru -> sa_plru ~ways ~k
 
 let newcache ~logical_lines ~k =
   if logical_lines <= 0 then invalid_arg "Prepas.newcache: lines must be positive";
   if k < 0 then invalid_arg "Prepas.newcache: k must be non-negative";
   1. -. exp (float_of_int k *. log (1. -. (1. /. float_of_int logical_lines)))
-
-let sp ~k:_ = 0.
-let pl_locked ~k:_ = 0.
-let pl_unlocked ~ways ~k ~policy = sa ~ways ~k ~policy
-let rp ~ways ~k ~policy = sa ~ways ~k ~policy
-let rf ~ways ~k ~policy = sa ~ways ~k ~policy
 
 let re ~ways ~interval ~k ~policy =
   if interval <= 0 then invalid_arg "Prepas.re: interval must be positive";
@@ -83,9 +73,8 @@ let nomo ~ways ~reserved ~victim_lines_in_set ~k ~policy =
 let for_spec ?victim_lines_in_set ?(prefetched = true) spec ~k =
   match spec with
   | Spec.Sa { ways; policy } | Spec.Noisy { ways; policy; _ } -> sa ~ways ~k ~policy
-  | Spec.Sp _ -> sp ~k
-  | Spec.Pl { ways; policy } ->
-    if prefetched then pl_locked ~k else pl_unlocked ~ways ~k ~policy
+  | Spec.Sp _ -> 0.
+  | Spec.Pl { ways; policy } -> if prefetched then 0. else sa ~ways ~k ~policy
   | Spec.Nomo { ways; policy; reserved } ->
     let victim_lines_in_set = Option.value victim_lines_in_set ~default:ways in
     nomo ~ways ~reserved ~victim_lines_in_set ~k ~policy
@@ -93,8 +82,7 @@ let for_spec ?victim_lines_in_set ?(prefetched = true) spec ~k =
     (* The designated physical line sits among the physical lines the
        attacker's random evictions choose from. *)
     newcache ~logical_lines:Config.standard.Config.lines ~k
-  | Spec.Rp { ways; policy } -> rp ~ways ~k ~policy
-  | Spec.Rf { ways; policy; _ } -> rf ~ways ~k ~policy
+  | Spec.Rp { ways; policy } | Spec.Rf { ways; policy; _ } -> sa ~ways ~k ~policy
   | Spec.Re { ways; policy; interval } -> re ~ways ~interval ~k ~policy
 
 (* k -> infinity limit of {!for_spec}: every closed form above is

@@ -16,12 +16,12 @@ open Cachesec_cache
 type verdict = High | Low
 (** High resilience (the paper's check mark) vs low (the paper's X). *)
 
-val default_threshold : float
-(** 0.01: separates "close to 0" PAS values. The largest value the paper
-    treats as resilient is RF's 7.75e-3; the smallest it marks X is SA's
-    Type 2 at 1.56e-2. *)
-
 val classify : ?threshold:float -> Spec.t -> Attack_type.t -> verdict
+(** High when PAS is below [threshold]. The default 0.01 separates
+    "close to 0" PAS values: the largest the paper treats as resilient
+    is RF's 7.75e-3, the smallest it marks X is SA's Type 2 at
+    1.56e-2. *)
+
 val table7 : ?threshold:float -> unit -> (string * verdict array) list
 (** Verdicts for the nine caches x four types (Table 7). *)
 
@@ -76,11 +76,6 @@ val policy_cell :
 (** One cell of the matrix; the spec is rebound with
     {!Cachesec_cache.Spec.with_policy} first. *)
 
-val policy_specs : Spec.t list
-(** The paper architectures whose replacement policy is a free
-    parameter — {!Cachesec_cache.Spec.all_paper} minus Newcache, whose
-    SecRAND replacement is part of the design. *)
-
 val policy_matrix :
   ?threshold:float ->
   ?config:Config.t ->
@@ -89,5 +84,7 @@ val policy_matrix :
   unit ->
   (Spec.t * (Policy.t * policy_cell list) list) list
 (** The full matrix, one {!policy_cell} per attack type in
-    {!Attack_type.all} order. Defaults: {!policy_specs} x
+    {!Attack_type.all} order. Defaults: the paper architectures whose
+    replacement policy is a free parameter ({!Cachesec_cache.Spec.all_paper}
+    minus Newcache, whose SecRAND replacement is part of the design) x
     {!Cachesec_cache.Policy.all}. *)

@@ -42,8 +42,6 @@ let line_of_entry t ~table ~index =
     invalid_arg "Aes_layout.line_of_entry: bad index";
   t.base_line + (table * lines_per_table t) + (index / entries_per_line t)
 
-let line_of_access t (a : Aes.access) = line_of_entry t ~table:a.table ~index:a.index
-
 let table_lines t ~table =
   List.init (lines_per_table t) (fun i ->
       t.base_line + (table * lines_per_table t) + i)
@@ -59,5 +57,3 @@ let line_ranges t =
 
 let set_of_entry t ~table ~index =
   Address.set_index t.cfg (line_of_entry t ~table ~index)
-
-let entry_line_of_index t index = index / entries_per_line t

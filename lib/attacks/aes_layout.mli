@@ -7,7 +7,6 @@
     the attacker (to aim evictions) and the analysis share. *)
 
 open Cachesec_cache
-open Cachesec_crypto
 
 type t
 
@@ -23,8 +22,6 @@ val entries_per_line : t -> int
 (** Table entries sharing one cache line (16 for 64-byte lines). *)
 
 val lines_per_table : t -> int
-val line_of_access : t -> Aes.access -> int
-(** The memory line touched by one AES table lookup. *)
 
 val line_of_entry : t -> table:int -> index:int -> int
 
@@ -51,7 +48,3 @@ val line_ranges : t -> (int * int) list
 
 val set_of_entry : t -> table:int -> index:int -> int
 (** Cache set of an entry under conventional indexing. *)
-
-val entry_line_of_index : t -> int -> int
-(** [index / entries_per_line]: which line {e within its table} an entry
-    index falls on. *)

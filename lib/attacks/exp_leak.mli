@@ -9,12 +9,6 @@
 
 open Cachesec_cache
 
-val square_line : int
-(** Line 96: the square routine's code line (victim-owned, shared). *)
-
-val multiply_line : int
-(** Line 97: the multiply routine's code line. *)
-
 type result = {
   observed_ops : Cachesec_crypto.Modexp.op option array;
       (** per time slot: what the attacker concluded (None = saw neither) *)

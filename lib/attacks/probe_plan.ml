@@ -30,10 +30,6 @@ let line t ~set k = t.lines.((set * t.ways) + k)
 
 (* Prime: one batched Fill run — outcomes discarded, engine state and
    RNG stream identical to the scalar access loop. *)
-let prime_set t set =
-  t.engine.Engine.access_run ~pid:t.pid ~trace:t.lines ~pos:(set * t.ways)
-    ~len:t.ways Kernel.Fill
-
 let prime_all t =
   t.engine.Engine.access_run ~pid:t.pid ~trace:t.lines ~pos:0
     ~len:(t.sets * t.ways) Kernel.Fill

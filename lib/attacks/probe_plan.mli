@@ -47,11 +47,9 @@ val line : t -> set:int -> int -> int
 (** [line t ~set k] — the [k]-th precompiled conflict line of [set]
     (unchecked indexing into the flat array). *)
 
-val prime_set : t -> int -> unit
-(** Access the [ways] plan lines of one set (the prime / evict step). *)
-
 val prime_all : t -> unit
-(** {!prime_set} for every set, ascending. *)
+(** Access the [ways] plan lines of every set, ascending (the prime /
+    evict step). *)
 
 val probe_set : t -> Cachesec_stats.Rng.t -> int -> unit
 (** Re-access the plan lines of one set, overwriting that set's scratch

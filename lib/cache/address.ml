@@ -1,13 +1,2 @@
-let line_of_byte (cfg : Config.t) a = a / cfg.line_bytes
-let byte_of_line (cfg : Config.t) l = l * cfg.line_bytes
 let set_index cfg line = line mod Config.sets cfg
 let tag cfg line = line / Config.sets cfg
-
-let lines_in_byte_range cfg ~first ~length =
-  if length < 0 then invalid_arg "Address.lines_in_byte_range: negative length";
-  if length = 0 then []
-  else begin
-    let lo = line_of_byte cfg first in
-    let hi = line_of_byte cfg (first + length - 1) in
-    List.init (hi - lo + 1) (fun i -> lo + i)
-  end

@@ -2,21 +2,11 @@
 
     The simulator works in units of {e memory lines} (byte address divided
     by the line size): cache side channels leak at line granularity, so
-    nothing below that resolution matters. This module converts between
-    byte addresses and line numbers and extracts index/tag fields. *)
-
-val line_of_byte : Config.t -> int -> int
-(** [line_of_byte cfg a] is the memory-line number containing byte [a]. *)
-
-val byte_of_line : Config.t -> int -> int
-(** First byte address of a line. *)
+    nothing below that resolution matters. This module extracts a line's
+    index and tag fields. *)
 
 val set_index : Config.t -> int -> int
 (** [set_index cfg line] is the conventional set index: [line mod sets]. *)
 
 val tag : Config.t -> int -> int
 (** [tag cfg line] is the conventional tag: [line / sets]. *)
-
-val lines_in_byte_range : Config.t -> first:int -> length:int -> int list
-(** The distinct line numbers covering the byte range
-    [first, first+length), in increasing order. [length >= 0]. *)

@@ -20,5 +20,4 @@ val fully_associative : t
 (** 64-byte lines, 512 lines, 512 ways (one set; Newcache's physical array). *)
 
 val sets : t -> int
-val capacity_bytes : t -> int
 val pp : Format.formatter -> t -> unit

@@ -31,7 +31,8 @@ type t = {
   run_kernel : string;
       (** which path serves [access] and [access_run]: the engine's step
           (["sa-lru"], ["rp-random"], ["newcache"], ["sp"], ...) or
-          {!Kernel.generic} for a wrapper that loops its scalar access.
+          {!Kernel.generic} for Hierarchy, the one wrapper that loops its
+          scalar access.
           Reported as the [cache.kernel] telemetry gauge and in bench
           rows. *)
   peek : pid:int -> int -> bool;

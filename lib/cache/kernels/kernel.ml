@@ -159,8 +159,8 @@ let[@inline] finish (b : Backing.t) c mode k code =
     | Trace out -> Array.unsafe_set out k (outcome b code)
   end
 
-(* [access_run] for the wrappers that have no step of their own
-   (Hierarchy, Skewed): loop the scalar access closure. *)
+(* [access_run] for Hierarchy, the one wrapper with no step of its own:
+   loop the scalar access closure. *)
 let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     mode =
   match mode with

@@ -95,5 +95,5 @@ val run_of_scalar :
   len:int ->
   mode ->
   unit
-(** Loop a scalar access closure over the run: the [access_run] of the
-    wrappers that have no step of their own (Hierarchy, Skewed). *)
+(** Loop a scalar access closure over the run: the [access_run] of
+    Hierarchy, the one wrapper with no step of its own. *)

@@ -31,10 +31,6 @@ let event_to_string = function Hit -> "hit" | Miss -> "miss"
 let is_hit t = match t.event with Hit -> true | Miss -> false
 let is_miss t = match t.event with Miss -> true | Hit -> false
 
-let eviction_count t =
-  (match t.evicted with Some _ -> 1 | None -> 0)
-  + (match t.also_evicted with Some _ -> 1 | None -> 0)
-
 let evictions t =
   match (t.evicted, t.also_evicted) with
   | None, None -> []

@@ -40,9 +40,6 @@ val fill : fetched:int -> evicted:(int * int) option -> t
 val is_hit : t -> bool
 val is_miss : t -> bool
 
-val eviction_count : t -> int
-(** 0, 1 or 2; allocation-free. *)
-
 val evictions : t -> (int * int) list
 (** The displaced [(owner_pid, line)] pairs in eviction order ([evicted]
     first, then [also_evicted]). Allocates; not for the hot path. *)

@@ -7,13 +7,6 @@ type pattern =
   | Uniform of { base : int; range : int }
   | Zipf of { base : int; range : int; exponent : float }
 
-let pattern_name = function
-  | Sequential { length; _ } -> Printf.sprintf "sequential-%d" length
-  | Loop { length; _ } -> Printf.sprintf "loop-%d" length
-  | Strided { stride; count; _ } -> Printf.sprintf "strided-%dx%d" stride count
-  | Uniform { range; _ } -> Printf.sprintf "uniform-%d" range
-  | Zipf { range; exponent; _ } -> Printf.sprintf "zipf-%d-%.2g" range exponent
-
 let zipf_cdf ~range ~exponent =
   let w = Array.init range (fun r -> 1. /. (float_of_int (r + 1) ** exponent)) in
   let total = Array.fold_left ( +. ) 0. w in

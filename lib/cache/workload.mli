@@ -17,8 +17,6 @@ type pattern =
   | Zipf of { base : int; range : int; exponent : float }
       (** Zipf-distributed popularity (rank r with weight 1/r^exponent) *)
 
-val pattern_name : pattern -> string
-
 val generate :
   pattern -> Cachesec_stats.Rng.t -> accesses:int -> int array
 (** The line-address trace. [accesses] must be positive; patterns with

@@ -30,4 +30,3 @@ let tag name parts =
 
 let equal (K a) (K b) = String.equal a b
 let compare (K a) (K b) = String.compare a b
-let hash (K a) = Hashtbl.hash a

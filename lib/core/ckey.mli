@@ -47,4 +47,3 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int

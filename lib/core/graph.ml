@@ -195,8 +195,6 @@ let children t id =
   | None -> []
   | Some es -> dedup (List.map (fun (e : Edge.t) -> e.child) es)
 
-let in_edge t id = Int_map.find_opt id t.in_edge
-let out_edges t id = Option.value ~default:[] (Int_map.find_opt id t.out_edges)
 
 let by_role t role =
   nodes t |> List.filter (fun (n : Node.t) -> n.role = role)

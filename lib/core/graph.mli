@@ -25,8 +25,6 @@ type error =
   | No_observation  (** the graph declares no observation node *)
   | No_victim_origin  (** the graph declares no victim security-origin node *)
 
-val error_to_string : error -> string
-
 val create : nodes:Node.t list -> edges:Edge.t list -> (t, error list) result
 (** Validate and freeze a graph. All violated invariants are reported, not
     just the first. *)
@@ -54,12 +52,6 @@ val parents : t -> int -> int list
 
 val children : t -> int -> int list
 (** Child node ids reachable via one edge from this node, duplicate-free. *)
-
-val in_edge : t -> int -> Edge.t option
-(** The edge defining the conditional of this child node, if any. *)
-
-val out_edges : t -> int -> Edge.t list
-(** Edges in which the node appears as a parent. *)
 
 val victim_origins : t -> Node.t list
 val attacker_origins : t -> Node.t list

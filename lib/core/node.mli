@@ -21,7 +21,6 @@ type t = private { id : int; label : string; role : role }
 val v : id:int -> label:string -> role:role -> t
 (** Construct a node. [label] is for display only. *)
 
-val role_to_string : role -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

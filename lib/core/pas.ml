@@ -38,10 +38,3 @@ let pas g =
     List.fold_left
       (fun acc (e : Edge.t) -> acc *. e.prob)
       1. (security_critical_edges g)
-
-let log_pas g =
-  let p = pas g in
-  if p = 0. then neg_infinity else log p
-
-let per_edge_breakdown g =
-  List.map (fun (e : Edge.t) -> (e, e.prob)) (security_critical_edges g)

@@ -26,11 +26,3 @@ val pas : Graph.t -> float
 (** The Probability of Attack Success: the product of the EFPs of
     {!security_critical_edges}. Returns 0. if the victim's origin cannot
     reach any observation node (no leakage path exists). *)
-
-val log_pas : Graph.t -> float
-(** Natural log of {!pas}; [neg_infinity] when PAS = 0. Numerically
-    preferable when chaining many graphs. *)
-
-val per_edge_breakdown : Graph.t -> (Edge.t * float) list
-(** The security-critical edges with their probabilities — the columns the
-    paper prints in Tables 3 and 5. *)

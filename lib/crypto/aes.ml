@@ -106,10 +106,6 @@ type scratch = { st : int array; tmp : int array }
 
 let create_scratch () = { st = Array.make 4 0; tmp = Array.make 4 0 }
 
-let table_of_packed a = a lsr 8
-let index_of_packed a = a land 0xff
-let access_of_packed a = { table = a lsr 8; index = a land 0xff }
-
 let encrypt_traced_into sc k ~src ~dst ~trace =
   if Bytes.length src <> 16 then invalid_arg "Aes.encrypt: need a 16-byte block";
   if Bytes.length dst <> 16 then
@@ -171,15 +167,7 @@ let encrypt_traced k input =
   let trace = Array.make trace_length 0 in
   let dst = Bytes.create 16 in
   encrypt_traced_into sc k ~src:input ~dst ~trace;
-  (dst, Array.map access_of_packed trace)
-
-let first_round_accesses k plaintext =
-  if Bytes.length plaintext <> 16 then
-    invalid_arg "Aes.first_round_accesses: need a 16-byte block";
-  Array.init 16 (fun i ->
-      let kb = Char.code (Bytes.get k.raw i) in
-      let pb = Char.code (Bytes.get plaintext i) in
-      { table = i mod 4; index = pb lxor kb })
+  (dst, Array.map (fun a -> { table = a lsr 8; index = a land 0xff }) trace)
 
 (* Byte-oriented inverse cipher, used as the round-trip oracle. *)
 let add_round_key state w off =

@@ -60,20 +60,6 @@ val encrypt_traced_into :
     [src]) as {!encrypt_traced}; raises [Invalid_argument] if [dst] is
     not 16 bytes or [trace] has fewer than {!trace_length} slots. *)
 
-val table_of_packed : int -> int
-(** [table_of_packed a = a lsr 8] — 0..3 for te0..te3, 4 for te4. *)
-
-val index_of_packed : int -> int
-(** [index_of_packed a = a land 0xff]. *)
-
-val access_of_packed : int -> access
-(** Unpack into the record form (allocates). *)
-
-val first_round_accesses : key -> Bytes.t -> access array
-(** Just the 16 first-round lookups (computable without encrypting), in
-    byte order: byte i reads table [i mod 4] at index
-    [plaintext.(i) lxor key.(i)]. *)
-
 val decrypt : key -> Bytes.t -> Bytes.t
 (** Inverse cipher (byte-oriented; untraced). *)
 

@@ -4,9 +4,6 @@
 val forward : int array
 (** [forward.(x)] for byte [x]; length 256. *)
 
-val inverse : int array
-(** [inverse.(forward.(x)) = x]. *)
-
 val sub : int -> int
 (** [sub x = forward.(x land 0xff)]. *)
 

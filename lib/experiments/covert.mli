@@ -20,8 +20,6 @@
 
 type protocol = Set_conflict | Occupancy
 
-val protocol_name : protocol -> string
-
 type row = {
   arch : string;
   protocol : protocol;

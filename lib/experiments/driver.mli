@@ -4,7 +4,7 @@
     plan over the trial index space ({!Cachesec_runtime.Scheduler.plan})
     in which each batch builds its own fully independent world — a fresh
     {!Setup.t} (engine, victim, RNG) seeded from the pure hash
-    {!Cachesec_runtime.Run.seed_for_batch} — runs the attack's
+    {!Cachesec_runtime.Run.batch_seed} — runs the attack's
     [run_span] over its slice, and the mergeable partials are folded
     back together in batch order. Because the plan and the seeds depend
     only on the experiment definition (never on [jobs]), running with

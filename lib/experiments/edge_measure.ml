@@ -185,10 +185,3 @@ let render ms =
   ^ Table.render
       ~headers:[ "Cache"; "stage"; "closed form"; "measured"; "samples" ]
       ~rows ()
-
-let max_relative_error ms =
-  List.fold_left
-    (fun acc m ->
-      Float.max acc
-        (Float.abs (m.measured -. m.closed_form) /. Float.max m.closed_form 0.01))
-    0. ms

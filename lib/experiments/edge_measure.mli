@@ -43,6 +43,3 @@ val table : ?samples:int -> ?seed:int -> unit -> measurement list
 (** All three stages for the nine caches. *)
 
 val render : measurement list -> string
-val max_relative_error : measurement list -> float
-(** max over measurements of |measured − closed| / max(closed, 0.01) —
-    the figure the tests bound. *)

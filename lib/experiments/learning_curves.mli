@@ -20,13 +20,10 @@ val curve : ?seeds:int -> ?grid:int list -> Run.ctx -> Cachesec_cache.Spec.t -> 
     independent of [ctx.jobs] (each campaign keeps its legacy
     per-instance [ctx.seed + 1000 i] seed). *)
 
-val standard_specs : Cachesec_cache.Spec.t list
-(** SA (PAS 1.0), RE (0.9998), Noisy (0.691), RF (7.75e-3),
-    Newcache (0). *)
-
 val curves : ?seeds:int -> Run.ctx -> curve list
-(** One {!curve} per {!standard_specs}, under one [learning-curves]
-    span. *)
+(** One {!curve} per standard spec — SA (PAS 1.0), RE (0.9998), Noisy
+    (0.691), RF (7.75e-3) and Newcache (0) — under one
+    [learning-curves] span. *)
 
 val render : curve list -> string
 val csv_rows : curve list -> string list list

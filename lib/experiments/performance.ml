@@ -21,10 +21,6 @@ let measure ?(seed = 31) ?(accesses = 60000) spec pattern =
   let engine = Factory.build spec scenario ~rng:(Rng.split rng) in
   Workload.hit_rate engine ~pid:0 pattern ~rng:(Rng.split rng) ~accesses
 
-let measure_engine ?(seed = 31) ?(accesses = 60000) engine pattern =
-  let rng = Rng.create ~seed in
-  Workload.hit_rate engine ~pid:0 pattern ~rng:(Rng.split rng) ~accesses
-
 let model_table ?(seed = 73) ?(accesses = 120000) () =
   let open Cachesec_analysis in
   let n = 2048 and cache_lines = 512 in
@@ -65,19 +61,14 @@ let model_table ?(seed = 73) ?(accesses = 120000) () =
 
 let hit_rate_table ?(seed = 31) ?(accesses = 60000) () =
   let headers = "Cache" :: List.map fst workloads in
-  let row_for name cell =
-    name :: List.map (fun (_, w) -> Printf.sprintf "%.3f" (cell w)) workloads
-  in
   let rows =
     List.map
       (fun spec ->
-        row_for (Spec.display_name spec) (fun w -> measure ~seed ~accesses spec w))
+        Spec.display_name spec
+        :: List.map
+             (fun (_, w) -> Printf.sprintf "%.3f" (measure ~seed ~accesses spec w))
+             workloads)
       Spec.all_paper
-    @ [
-        (let rng = Rng.create ~seed in
-         let skewed = Skewed.engine (Skewed.create ~rng:(Rng.split rng) ()) in
-         row_for "Skewed (ext.)" (fun w -> measure_engine ~seed ~accesses skewed w));
-      ]
   in
   "Victim hit rate per architecture and workload (higher = better; the\n\
    security/performance trade-off the paper describes qualitatively):\n"
@@ -85,5 +76,5 @@ let hit_rate_table ?(seed = 31) ?(accesses = 60000) () =
   ^ "Notes: SP pays the halved-capacity cost on every workload; RF's random\n\
      fill wrecks skewed-popularity reuse (zipf) though it accidentally\n\
      defeats cyclic thrashing on the over-capacity loop; RE's direct map\n\
-     dies on strided conflicts; Newcache and the skewed extension behave\n\
-     like a fully-associative cache.\n"
+     dies on strided conflicts; Newcache behaves like a fully-associative\n\
+     cache.\n"

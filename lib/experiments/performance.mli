@@ -7,8 +7,8 @@ val workloads : (string * Cachesec_cache.Workload.pattern) list
     conflict-heavy stride, a Zipf mix and uniform random. *)
 
 val hit_rate_table : ?seed:int -> ?accesses:int -> unit -> string
-(** Victim (pid 0) hit rate for the nine paper caches plus the skewed
-    extension, one column per workload. *)
+(** Victim (pid 0) hit rate for the nine paper caches, one column per
+    workload. *)
 
 val measure :
   ?seed:int ->

@@ -17,11 +17,6 @@ val rf_window_sweep : windows:int list -> (int * float * float) list
 (** (w, Type 3 PAS = 1/(2w+1), Type 2 PAS) for an RF cache with window
     half-size w. *)
 
-val re_interval_sweep : intervals:int list -> (int * float * float) list
-(** (T, Type 3 PAS, expected victim slowdown fraction 1/T): random
-    eviction barely moves PAS while costing throughput — the paper's
-    verdict on RE quantified. *)
-
 val nomo_reservation_sweep :
   ways:int -> reserved:int list -> (int * float * float) list
 (** (r, Type 1 PAS = 1/(w - r) given spill, shared-way pre-PAS at

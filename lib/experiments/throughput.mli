@@ -47,13 +47,6 @@ val measure :
     unloaded cost) with the stddev of the per-repetition rates as the
     error bar. *)
 
-val cases : unit -> Cachesec_cache.Spec.t list
-(** The 29 benchmark rows: 8 policied architectures x {lru, random,
-    fifo}, with the conventional SA cache swept across the full
-    {!Cachesec_cache.Policy.all} registry instead, plus Newcache
-    (SecRAND only). Rows missing from a committed baseline render as
-    ["-"] in the vs-base column and never gate. *)
-
 val bench : Run.ctx -> entry list
 (** Measure every case (40k accesses each when [ctx.quick], 400k
     otherwise; 2 repetitions instead of 3 under [ctx.quick]). Each case
@@ -100,10 +93,6 @@ module Attacks : sig
     per_sec : float;
   }
 
-  val archs : Cachesec_cache.Spec.t list
-  (** sa, newcache, rp — the three harness regimes (many small sets /
-      one fully-associative "set" / randomized indexing). *)
-
   val classes : string list
   (** The four attack-class names, in benchmark row order. *)
 
@@ -138,11 +127,6 @@ module Attacks : sig
 
   val find :
     entry list -> attack:string -> arch:string -> path:string -> entry option
-
-  val min_speedup : entry list -> baseline:entry list -> attack:string -> float option
-  (** Worst-case speedup of [attack]'s batched rows over the baseline's
-      scalar rows, across the measured architectures; [None] without
-      overlapping rows on both sides. *)
 
   val hard_classes : string list
   (** The classes whose gate result is a hard PASS/FAIL
@@ -196,15 +180,10 @@ module Adaptive : sig
 
   val find : entry list -> arm:string -> entry option
 
-  val savings : entry list -> float option
-  (** Within-run trials ratio fixed/adaptive — the gate observable. *)
-
-  val wall_reduction : entry list -> float option
-  (** Within-run wall-clock ratio fixed/adaptive; reported, not gated. *)
-
   val gate : ?threshold:float -> entry list -> float option * bool
-  (** [(savings, savings >= threshold)] (default 2.0). Hard on every
-      host: the ratio is a function of the seeds alone. *)
+  (** [(savings, savings >= threshold)] (default 2.0), where [savings]
+      is the within-run trials ratio fixed/adaptive. Hard on every host:
+      the ratio is a function of the seeds alone. *)
 
   val render : ?baseline:string -> entry list -> string
 end

@@ -67,9 +67,6 @@ val render : cell list -> string
     table gains [trials] and [ci] columns plus a trials-saved footer;
     fixed-path output is unchanged. *)
 
-val agreement_rate : cell list -> float
-(** Fraction of cells where prediction and simulation agree. *)
-
 val total_trials : cell list -> int
 (** Sum of trials actually executed across the cells. *)
 

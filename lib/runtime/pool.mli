@@ -27,8 +27,8 @@ type 'a future
 val ensure : workers:int -> unit
 (** Grow the pool to at least [workers] Domains (never shrinks; capped
     at 126 to respect OCaml 5's 128-domain limit). The first spawn
-    registers an [at_exit] {!shutdown}. Raises [Invalid_argument] after
-    {!shutdown}. *)
+    registers an [at_exit] shutdown that drains the queue and joins
+    every worker; [ensure] raises [Invalid_argument] after it. *)
 
 val workers : unit -> int
 (** Current worker count ([0] until the first {!ensure}). *)
@@ -99,8 +99,3 @@ val quiesce : unit -> unit
     genuinely single-domain, matching the world throughput baselines
     were recorded in. Cumulative {!busy_seconds} survive the cycle.
     No-op with zero workers. *)
-
-val shutdown : unit -> unit
-(** Drain the queue, wake and join every worker, permanently ({!ensure}
-    afterwards raises). Runs automatically via [at_exit]; safe to call
-    more than once. *)

@@ -23,7 +23,6 @@ let make ?jobs ?(telemetry = Telemetry.null) ?(quick = false) ~seed () =
 
 let with_seed seed ctx = { ctx with seed }
 let with_jobs jobs ctx = { ctx with jobs = Some jobs }
-let with_telemetry telemetry ctx = { ctx with telemetry }
 let with_parent parent ctx = { ctx with parent }
 let quick ctx = { ctx with quick = true }
 
@@ -33,8 +32,7 @@ let quick ctx = { ctx with quick = true }
    refactor). Later batches draw well-separated seeds from the pure
    hash. This is the single point of seed derivation for the whole
    experiments layer. *)
-let seed_for_batch ~seed i = if i = 0 then seed else Rng.derive_seed seed i
-let batch_seed ctx i = seed_for_batch ~seed:ctx.seed i
+let batch_seed ctx i = if i = 0 then ctx.seed else Rng.derive_seed ctx.seed i
 
 (* --- shared CLI wiring ------------------------------------------------ *)
 

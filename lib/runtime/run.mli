@@ -32,20 +32,16 @@ val make :
 
 val with_seed : int -> ctx -> ctx
 val with_jobs : int -> ctx -> ctx
-val with_telemetry : Telemetry.t -> ctx -> ctx
 val with_parent : Telemetry.span -> ctx -> ctx
 
 val quick : ctx -> ctx
 (** Reduced trial counts (what [Figures.trials_for] reads). *)
 
-val seed_for_batch : seed:int -> int -> int
-(** Seed of trial batch [i]: the root [seed] itself for batch 0 (keeping
-    single-batch runs bit-identical to the legacy serial loops and to
-    the pre-runtime results), [Rng.derive_seed seed i] otherwise. The
-    single point of seed derivation for the experiments layer. *)
-
 val batch_seed : ctx -> int -> int
-(** [seed_for_batch ~seed:ctx.seed]. *)
+(** Seed of trial batch [i]: [ctx.seed] itself for batch 0 (keeping
+    single-batch runs bit-identical to the legacy serial loops and to
+    the pre-runtime results), [Rng.derive_seed ctx.seed i] otherwise.
+    The single point of seed derivation for the experiments layer. *)
 
 val of_cmdline :
   ?default_seed:int -> ?run:string -> unit -> ctx Cmdliner.Term.t

@@ -5,7 +5,7 @@
    Claimer tasks dispatched onto {!Pool} pull the next index from an
    atomic counter and write the result into its slot of a pre-sized
    results array. Every caller's body for index [i] seeds its own RNG
-   from [i] (a batch plan's [Run.seed_for_batch], a validation cell's
+   from [i] (a batch plan's [Run.batch_seed], a validation cell's
    own seed), so the contents of the results array do not depend on
    which worker ran which index or in what order — only the wall-clock
    does. All merging therefore happens after the family has finished,

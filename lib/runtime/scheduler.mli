@@ -4,7 +4,7 @@
     depends on [i] alone, [map_array ~jobs:j f xs] yields the same
     array for every [j] — parallelism changes wall-clock only. The
     callers keep [f] that way by seeding each index's RNG from the index
-    (a batch plan's {!Run.seed_for_batch}, a validation cell's own
+    (a batch plan's {!Run.batch_seed}, a validation cell's own
     seed); results are written into per-index slots, and any reduction
     runs after the family has finished, in index order.
 
@@ -32,11 +32,8 @@
 
 open Cachesec_telemetry
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val resolve_jobs : int option -> int
-(** [None] is serial ([1]); [Some 0] is auto ({!default_jobs}); [Some j]
+(** [None] is serial ([1]); [Some 0] is auto ([Domain.recommended_domain_count ()]); [Some j]
     with [j > 0] is exactly [j] workers. Raises [Invalid_argument] on
     negative [j]. *)
 

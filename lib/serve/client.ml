@@ -44,18 +44,3 @@ let round_trip_raw c lines =
              (List.length lines) (List.length replies));
       replies
   end
-
-let request c queries =
-  let lines = List.map Protocol.encode_query queries in
-  List.map
-    (fun line ->
-      match Protocol.decode_reply line with
-      | Ok r -> r
-      | Error msg ->
-        failwith (Printf.sprintf "Client: undecodable reply %S: %s" line msg))
-    (round_trip_raw c lines)
-
-let request1 c q =
-  match request c [ q ] with
-  | [ r ] -> r
-  | _ -> assert false

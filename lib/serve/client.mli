@@ -26,10 +26,3 @@ val round_trip_raw : t -> string list -> string list
 (** Send raw query lines as one frame; return the reply lines.
     Raises [Failure] if the server closes without replying or replies
     with a different line count. *)
-
-val request : t -> Protocol.query list -> Protocol.reply list
-(** Typed {!round_trip_raw}: encode the batch, decode every reply.
-    A reply line that fails to decode raises [Failure]. *)
-
-val request1 : t -> Protocol.query -> Protocol.reply
-(** Single-query convenience. *)

@@ -26,7 +26,7 @@
       repetition; these are seconds-scale, variance is visible in
       p50/p99).
 
-    The hard gate: memo-hit QPS >= {!default_gate_threshold} x cold
+    The hard gate: memo-hit QPS >= 50 x cold
     QPS. Batch sizes are recorded in the entries — the comparison is
     honest about amortization: the served fast path is only worth its
     name if batching + memoization beat recomputation by a wide
@@ -48,16 +48,10 @@ type entry = {
   stddev : float;  (** of QPS across the repetitions *)
 }
 
-val default_socket : string
-(** [results/.serve-bench.sock] — inside the repo tree. *)
-
-val child_flag : string
-(** ["--serve-bench-child"] — the sentinel argv for the server child. *)
-
 val child_entry : unit -> unit
 (** Call FIRST in the [main] of any executable that runs {!bench}
     (before Cmdliner parses argv). If the process was spawned as
-    [argv = [| _; child_flag; socket |]], runs a server with no pool
+    [argv = [| _; "--serve-bench-child"; socket |]], runs a server with no pool
     workers (campaigns run on its loop) on [socket] and exits; otherwise returns immediately. *)
 
 val bench : Run.ctx -> entry list
@@ -66,9 +60,6 @@ val bench : Run.ctx -> entry list
     gone on return). [ctx.quick] economises on frames and
     repetitions. Gauges [serve_bench.<mix>.qps] are reported to
     [ctx.telemetry]. *)
-
-val default_gate_threshold : float
-(** 50. *)
 
 val gate : ?threshold:float -> entry list -> (float * bool) option
 (** [(memo-hit QPS / cold QPS, ratio >= threshold)]; [None] when either

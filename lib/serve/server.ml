@@ -165,6 +165,7 @@ type inflight = {
 
 type state = {
   router : Router.t;
+  workers : int;
   queue_bound : int;
   listener : Unix.file_descr;
   mutable conns : conn list;
@@ -209,11 +210,15 @@ let handle_line st b i line =
         Router.note_overloaded st.router;
         deliver b i (Protocol.encode_reply Protocol.Overloaded)
       | Some fut ->
-        (* At [workers = 0] the campaign has already run: retire it now,
-           so a later line of this frame ([stats], a repeat) sees it
-           counted and memoized. *)
+        (* At [workers = 0] the campaign ran inside [try_submit]: retire
+           it now, so a later line of this frame ([stats], a repeat)
+           sees it counted and memoized. A pooled campaign stays in
+           flight until the sweep after the frame, even if a worker has
+           already finished it, so a duplicate later in the frame joins
+           it whatever the timing. *)
         let e = { key; fut; waiters = [ (b, i) ] } in
-        if not (settle st e) then st.inflight <- e :: st.inflight))
+        if not (st.workers = 0 && settle st e) then
+          st.inflight <- e :: st.inflight))
 
 (* One read may carry several frames; nothing after the frame that
    doomed a connection is processed. *)
@@ -366,6 +371,7 @@ let run ?(telemetry = Telemetry.null) cfg =
       let st =
         {
           router = Router.create ~telemetry ~max_memo:cfg.max_memo ();
+          workers = cfg.workers;
           queue_bound = cfg.queue_bound;
           listener;
           conns = [];

@@ -17,9 +17,6 @@ val cdf : df:int -> float -> float
 val critical_value : df:int -> alpha:float -> float
 (** The x with cdf df x = 1 - alpha, by bisection. [alpha] in (0, 1). *)
 
-val p_value : df:int -> float -> float
-(** 1 - cdf. *)
-
 val uniform_fit : observed:int array -> float
 (** p-value for "these counts are uniform draws over the cells". *)
 

@@ -22,8 +22,6 @@ val total : t -> int
 (** All samples seen, including out-of-range. *)
 
 val bin_center : t -> int -> float
-val bin_of_value : t -> float -> int option
-(** The in-range bin index for a value, or [None] if out of range. *)
 
 val density : t -> float array
 (** Normalised so that the histogram integrates to 1 over the in-range part

@@ -42,8 +42,6 @@ let entropy_of_counts counts n =
       0. counts
 
 let entropy_x j = entropy_of_counts (fst (marginals j)) j.n
-let entropy_y j = entropy_of_counts (snd (marginals j)) j.n
-
 let mi j =
   if j.n = 0 then 0.
   else begin

@@ -16,8 +16,6 @@ val count : joint -> int
 val mi : joint -> float
 (** Plug-in estimate of I(X;Y) in bits; 0. when the table is empty. *)
 
-val entropy_x : joint -> float
-val entropy_y : joint -> float
 val normalized_mi : joint -> float
 (** I(X;Y) / H(X): the fraction of the secret's entropy leaked; 0. when
     H(X) = 0. *)

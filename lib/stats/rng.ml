@@ -30,8 +30,6 @@ let mix z =
 let derive_seed base i =
   mix ((mix (base + 0x165667B19E3779F9) lxor i) + (i * 0x3779B97F4A7C15))
 
-let derive t i = create ~seed:(derive_seed t.seed i)
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Random.State.int t.state bound
@@ -43,11 +41,6 @@ let bits t = Random.State.bits t.state
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | l -> List.nth l (int t (List.length l))
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

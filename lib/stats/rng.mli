@@ -20,7 +20,7 @@ val copy : t -> t
 (** [copy t] duplicates the current state without advancing [t]. *)
 
 val seed : t -> int
-(** The seed [t] was created from ({!create}, {!derive}); for a generator
+(** The seed [t] was created from ({!create}); for a generator
     obtained via {!split}, the freshly drawn child seed. *)
 
 val derive_seed : int -> int -> int
@@ -30,11 +30,6 @@ val derive_seed : int -> int -> int
     state, so trial [i]'s stream is a function of [(base, i)] alone —
     the property the Domain-parallel scheduler relies on for bit-identical
     serial/parallel runs. *)
-
-val derive : t -> int -> t
-(** [derive t i] is [create ~seed:(derive_seed (seed t) i)]. Pure with
-    respect to [t]: it does not advance [t], and equal [(seed t, i)] pairs
-    give equal streams. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform over [0, bound-1]. [bound] must be positive. *)
@@ -50,12 +45,6 @@ val bits : t -> int
 
 val pick : t -> 'a array -> 'a
 (** [pick t a] is a uniformly chosen element of the non-empty array [a]. *)
-
-val pick_list : t -> 'a list -> 'a
-(** [pick t l] is a uniformly chosen element of the non-empty list [l]. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)

@@ -7,12 +7,9 @@
     timestamps, [Scheduler.timed], the [Throughput] stopwatches, the
     domain pool's busy accounting — uses this module instead. *)
 
-val monotonic_ns : unit -> int64
-(** Nanoseconds since an unspecified (boot-time) origin. Only
-    differences are meaningful. *)
-
 val now_s : unit -> float
-(** {!monotonic_ns} in seconds. *)
+(** Seconds since an unspecified (boot-time) origin. Only differences
+    are meaningful. *)
 
 val elapsed_s : since:float -> float
 (** [now_s () -. since]. *)

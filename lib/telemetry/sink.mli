@@ -25,9 +25,6 @@ val progress : ?out:out_channel -> unit -> t
     lines indented by nesting depth, ≤ ~9 batch-progress lines per span,
     per-domain busy summaries, gauges and final counter totals. *)
 
-val schema_version : string
-(** ["telemetry/v1"]. *)
-
 val default_json_path : run:string -> string
 (** ["results/TELEMETRY_<run>.json"] — the conventional export path. *)
 

@@ -78,7 +78,7 @@ let digest build =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* --- the engine zoo: 9 paper architectures x the full policy registry
-   (Newcache contributes its single SecRAND row) + skewed + two-level
+   (Newcache contributes its single SecRAND row) + a two-level
    hierarchy -- *)
 
 let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] }
@@ -101,7 +101,6 @@ let cases () =
     (fun spec -> (case_name spec, fun rng -> Factory.build spec scenario ~rng))
     spec_cases
   @ [
-      ("skewed", fun rng -> Skewed.engine (Skewed.create ~rng ()));
       ( "hierarchy:l1+sa",
         fun rng ->
           let l2 =

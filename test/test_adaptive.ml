@@ -504,7 +504,7 @@ let test_await_all_joins_after_failure () =
   let traced f =
     let sink, events = Sink.memory () in
     let tm = Telemetry.make ~sink () in
-    let r = f (Run.with_telemetry tm (Run.make ~jobs:2 ~seed:7 ())) in
+    let r = f (Run.make ~telemetry:tm ~jobs:2 ~seed:7 ()) in
     Telemetry.close tm;
     (r, events ())
   in

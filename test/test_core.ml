@@ -49,8 +49,8 @@ let figure2 () =
 (* --- Node / Edge constructors ---------------------------------------- *)
 
 let test_node_roles () =
-  Alcotest.(check string) "role names" "victim-origin"
-    (Node.role_to_string Node.Victim_origin);
+  Alcotest.(check string) "role names" "x#1(victim-origin)"
+    (Format.asprintf "%a" Node.pp (node 1 "x" Node.Victim_origin));
   let a = node 1 "x" Node.Internal and b = node 1 "y" Node.Observation in
   Alcotest.(check bool) "identity is the id" true (Node.equal a b)
 
@@ -198,8 +198,7 @@ let test_accessors () =
   let g = figure2 () in
   Alcotest.(check (list int)) "parents of F" [ 4; 6 ] (Graph.parents g 7);
   Alcotest.(check (list int)) "children of B" [ 2; 4 ] (Graph.children g 1);
-  Alcotest.(check bool) "in_edge of origin" true (Graph.in_edge g 0 = None);
-  Alcotest.(check int) "out edges of F" 2 (List.length (Graph.out_edges g 7));
+  Alcotest.(check (list int)) "parents of an origin" [] (Graph.parents g 0);
   Alcotest.(check int) "victim origins" 1 (List.length (Graph.victim_origins g));
   Alcotest.(check int) "attacker origins" 1
     (List.length (Graph.attacker_origins g));
@@ -260,8 +259,7 @@ let test_pas_figure2 () =
   Alcotest.(check (list string)) "union"
     [ "p1"; "p4"; "p5"; "p6"; "p7"; "p9" ]
     (labels (Pas.security_critical_edges g));
-  Alcotest.(check (float 1e-12)) "PAS" (0.5 *. 0.25 *. 0.5) (Pas.pas g);
-  Alcotest.(check (float 1e-9)) "log PAS" (log (Pas.pas g)) (Pas.log_pas g)
+  Alcotest.(check (float 1e-12)) "PAS" (0.5 *. 0.25 *. 0.5) (Pas.pas g)
 
 let test_pas_critical_nodes () =
   let g = figure2 () in
@@ -292,8 +290,7 @@ let test_pas_no_leak_path () =
     ]
   in
   let g = Graph.create_exn ~nodes ~edges in
-  Alcotest.(check (float 0.)) "PAS 0" 0. (Pas.pas g);
-  Alcotest.(check bool) "log -inf" true (Pas.log_pas g = neg_infinity)
+  Alcotest.(check (float 0.)) "PAS 0" 0. (Pas.pas g)
 
 let test_pas_no_attacker_origin () =
   (* Collision-style graph: no attacker origin at all. *)

@@ -146,24 +146,6 @@ let test_re_slot_uniform () =
   done;
   check_uniform "re periodic slot" counts
 
-let test_skewed_bank_uniform () =
-  (* Evicted victims, bucketed by line mod 8, must look uniform: the
-     bank choice is random and the slot hashes scatter the partition. *)
-  let r = rng () in
-  let counts = Array.make 8 0 in
-  let c = Skewed.engine (Skewed.create ~rng:(Rng.split r) ()) in
-  (* Fill everything so each miss displaces a resident line. *)
-  for i = 0 to 4095 do
-    ignore (c.Engine.access ~pid:0 i)
-  done;
-  for i = 0 to 7999 do
-    let o = c.Engine.access ~pid:0 (200000 + i) in
-    List.iter
-      (fun (_, line) -> counts.(line land 7) <- counts.(line land 7) + 1)
-      (Outcome.evictions o)
-  done;
-  check_uniform "skewed eviction spread" counts
-
 (* --- Noise distribution ------------------------------------------------------ *)
 
 let test_gaussian_histogram () =
@@ -254,7 +236,6 @@ let () =
           Alcotest.test_case "rp interference" `Slow
             test_rp_interference_set_uniform;
           Alcotest.test_case "re slot uniform" `Quick test_re_slot_uniform;
-          Alcotest.test_case "skewed spread" `Quick test_skewed_bank_uniform;
         ] );
       ( "noise",
         [

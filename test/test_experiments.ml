@@ -129,9 +129,7 @@ let test_render_digests () =
     (Mitigation.report (quick 67));
   check "mitigation @42" "95e7c927675bed404f0c1ff070b8a62b"
     (Mitigation.report (quick 42));
-  check "llc @37" "e1be82f73af7a9f79cd678eb3ec9f1a7" (Llc.report (quick 37));
-  check "skewed @19" "f9ba5bc301e5d3d84b1db526eec2cca4"
-    (Extension.skewed_report (quick 19))
+  check "llc @37" "e1be82f73af7a9f79cd678eb3ec9f1a7" (Llc.report (quick 37))
 
 (* --- Validation cells --------------------------------------------------------- *)
 
@@ -160,7 +158,7 @@ let test_validation_render () =
   in
   let s = Validation.render cells in
   Alcotest.(check bool) "table" true (contains s "SP Cache");
-  Alcotest.(check (float 1e-9)) "rate" 1. (Validation.agreement_rate cells)
+  Alcotest.(check bool) "rate" true (contains s "agreement: 100%")
 
 (* --- Ablations (structure only, quick) ------------------------------------------ *)
 

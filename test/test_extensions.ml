@@ -1,5 +1,4 @@
-(* Tests for the post-paper extensions: the skewed cache, workload
-   generators, performance measurement, multi-line analysis, full-key
+(* Tests for the post-paper extensions: workload generators, performance measurement, multi-line analysis, full-key
    recovery and the MI metric comparison. *)
 
 open Cachesec_stats
@@ -16,72 +15,6 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-(* --- Skewed cache -------------------------------------------------------- *)
-
-let test_skewed_hit_after_fill () =
-  let t = Skewed.create ~rng:(rng ()) () in
-  let c = Skewed.engine t in
-  Alcotest.(check int) "banks" 8 (Skewed.banks t);
-  Alcotest.(check int) "slots" 64 (Skewed.slots_per_bank t);
-  ignore (c.Engine.access ~pid:0 7);
-  Alcotest.(check bool) "hit" true (Outcome.is_hit (c.Engine.access ~pid:0 7))
-
-let test_skewed_domain_isolation () =
-  let c = Skewed.engine (Skewed.create ~rng:(rng ()) ()) in
-  ignore (c.Engine.access ~pid:0 7);
-  Alcotest.(check bool) "cross-domain miss" true
-    (Outcome.is_miss (c.Engine.access ~pid:1 7));
-  Alcotest.(check bool) "victim copy alive" true (c.Engine.peek ~pid:0 7)
-
-let test_skewed_mappings_differ () =
-  let t = Skewed.create ~rng:(rng ()) () in
-  (* Two domains agree on a line's slot in a given bank only by chance;
-     over 8 banks and many lines, the mappings must differ somewhere. *)
-  let differs = ref false in
-  for addr = 0 to 63 do
-    for bank = 0 to 7 do
-      if Skewed.slot_of t ~pid:0 ~bank addr <> Skewed.slot_of t ~pid:1 ~bank addr
-      then differs := true
-    done
-  done;
-  Alcotest.(check bool) "per-domain keys" true !differs
-
-let test_skewed_banks_skew () =
-  let t = Skewed.create ~rng:(rng ()) () in
-  (* A single line maps to (mostly) different slots across banks. *)
-  let slots =
-    List.sort_uniq compare
-      (List.init 8 (fun bank -> Skewed.slot_of t ~pid:0 ~bank 100))
-  in
-  Alcotest.(check bool) "skewed across banks" true (List.length slots >= 4)
-
-let test_skewed_no_deterministic_conflict () =
-  (* Victim parks a line; attacker hammers 500 distinct lines; the victim
-     line survives with overwhelming probability only on a keyed cache if
-     the attacker cannot aim - expect survival more often than not. *)
-  let survived = ref 0 in
-  for trial = 0 to 9 do
-    let c = Skewed.engine (Skewed.create ~rng:(Rng.create ~seed:trial) ()) in
-    ignore (c.Engine.access ~pid:0 7);
-    for k = 1 to 200 do
-      ignore (c.Engine.access ~pid:1 (10000 + k))
-    done;
-    if c.Engine.peek ~pid:0 7 then incr survived
-  done;
-  (* Each attacker miss evicts the victim line w.p. 1/512: 200 accesses
-     leave it alive w.p. ~0.68. *)
-  Alcotest.(check bool) "usually survives" true (!survived >= 4)
-
-let test_skewed_flush () =
-  let c = Skewed.engine (Skewed.create ~rng:(rng ()) ()) in
-  ignore (c.Engine.access ~pid:0 7);
-  Alcotest.(check bool) "attacker cannot flush victim copy" false
-    (c.Engine.flush_line ~pid:1 7);
-  Alcotest.(check bool) "owner flush" true (c.Engine.flush_line ~pid:0 7);
-  ignore (c.Engine.access ~pid:0 7);
-  c.Engine.flush_all ();
-  Alcotest.(check bool) "flush all" false (c.Engine.peek ~pid:0 7)
 
 (* --- Workload ------------------------------------------------------------- *)
 
@@ -163,8 +96,19 @@ let test_performance_conflict_immunity () =
 
 let test_performance_table_renders () =
   let s = Performance.hit_rate_table ~accesses:5000 () in
-  Alcotest.(check bool) "all archs present" true
-    (contains s "Newcache" && contains s "Skewed (ext.)" && contains s "loop 256")
+  (* The first cell of every body row: exactly one row per paper design. *)
+  let rows =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char '|' line with
+        | "" :: cell :: _ :: _ when String.trim cell <> "Cache" ->
+          Some (String.trim cell)
+        | _ -> None)
+      (String.split_on_char '\n' s)
+  in
+  Alcotest.(check (list string)) "one row per paper design"
+    (List.map Spec.display_name Spec.all_paper) rows;
+  Alcotest.(check bool) "workload columns" true (contains s "loop 256")
 
 (* --- Multi-line analysis ------------------------------------------------------ *)
 
@@ -355,15 +299,6 @@ let test_prefetch_blinds_flush_reload () =
 
 (* --- Extension report ----------------------------------------------------------- *)
 
-let test_skewed_pas_values () =
-  let pas = Extension.skewed_pas () in
-  Alcotest.(check (float 1e-9)) "type1" (1. /. 512.)
-    (List.assoc "Type 1 evict-and-time" pas);
-  Alcotest.(check (float 1e-12)) "type2" (1. /. 512. /. 512.)
-    (List.assoc "Type 2 prime-and-probe" pas);
-  Alcotest.(check (float 0.)) "type4" 0.
-    (List.assoc "Type 4 flush-and-reload" pas)
-
 let test_multi_line_report () =
   let s = Extension.multi_line_report ~lines:3 () in
   Alcotest.(check bool) "renders" true (contains s "3 lines")
@@ -371,16 +306,6 @@ let test_multi_line_report () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "skewed cache",
-        [
-          Alcotest.test_case "hit after fill" `Quick test_skewed_hit_after_fill;
-          Alcotest.test_case "domain isolation" `Quick test_skewed_domain_isolation;
-          Alcotest.test_case "per-domain mappings" `Quick test_skewed_mappings_differ;
-          Alcotest.test_case "banks skew" `Quick test_skewed_banks_skew;
-          Alcotest.test_case "no deterministic conflict" `Quick
-            test_skewed_no_deterministic_conflict;
-          Alcotest.test_case "flush" `Quick test_skewed_flush;
-        ] );
       ( "workload",
         [
           Alcotest.test_case "shapes" `Quick test_workload_shapes;
@@ -442,7 +367,6 @@ let () =
         ] );
       ( "extension report",
         [
-          Alcotest.test_case "skewed pas" `Quick test_skewed_pas_values;
           Alcotest.test_case "multi-line report" `Quick test_multi_line_report;
         ] );
     ]

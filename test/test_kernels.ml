@@ -793,7 +793,6 @@ let slab_scan_tests =
 
 let wrappers =
   [
-    ("skewed", fun rng -> Skewed.engine (Skewed.create ~rng ()));
     ( "hierarchy:l1+rp",
       fun rng ->
         let l2 = Factory.build Spec.paper_rp scenario ~rng:(Rng.split rng) in

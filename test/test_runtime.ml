@@ -15,7 +15,7 @@ let test_resolve_jobs () =
   Alcotest.(check int) "absent = serial" 1 (Scheduler.resolve_jobs None);
   Alcotest.(check int) "explicit" 3 (Scheduler.resolve_jobs (Some 3));
   Alcotest.(check int)
-    "auto = recommended" (Scheduler.default_jobs ())
+    "auto = recommended" (Domain.recommended_domain_count ())
     (Scheduler.resolve_jobs (Some 0));
   Alcotest.check_raises "negative"
     (Invalid_argument
@@ -402,18 +402,14 @@ let test_seed_for_batch_contract () =
      the pure hash. *)
   List.iter
     (fun seed ->
-      Alcotest.(check int) "batch 0 is the root seed" seed
-        (Run.seed_for_batch ~seed 0);
+      let ctx = Run.make ~seed () in
+      Alcotest.(check int) "batch 0 is the root seed" seed (Run.batch_seed ctx 0);
       List.iter
         (fun i ->
           Alcotest.(check int) "later batches use derive_seed"
-            (Rng.derive_seed seed i)
-            (Run.seed_for_batch ~seed i))
+            (Rng.derive_seed seed i) (Run.batch_seed ctx i))
         [ 1; 2; 17; 4096 ])
-    [ 0; 7; 42; 0x5EED ];
-  let ctx = Run.make ~seed:42 () in
-  Alcotest.(check int) "batch_seed reads ctx.seed"
-    (Run.seed_for_batch ~seed:42 3) (Run.batch_seed ctx 3)
+    [ 0; 7; 42; 0x5EED ]
 
 let test_telemetry_observer_only () =
   (* An active telemetry context cannot move results. *)
@@ -429,7 +425,7 @@ let test_telemetry_observer_only () =
   let tm = Telemetry.make ~sink () in
   let observed =
     Driver.await
-      (Driver.submit_flush_reload (Run.with_telemetry tm ctx) spec cfg)
+      (Driver.submit_flush_reload { ctx with Run.telemetry = tm } spec cfg)
   in
   Telemetry.close tm;
   Alcotest.(check bool) "telemetry does not perturb results" true

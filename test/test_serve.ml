@@ -485,6 +485,18 @@ let test_error_replies_printable =
 
 (* --- end-to-end (forked server) -------------------------------------- *)
 
+(* Typed round trip: encode the batch, decode every reply. *)
+let request c queries =
+  List.map
+    (fun line ->
+      match Protocol.decode_reply line with
+      | Ok r -> r
+      | Error msg -> Alcotest.failf "undecodable reply %S: %s" line msg)
+    (Client.round_trip_raw c (List.map Protocol.encode_query queries))
+
+let request1 c q =
+  match request c [ q ] with [ r ] -> r | _ -> Alcotest.fail "one reply"
+
 let fork_server ?(workers = 0) ?(queue_bound = Server.default_queue_bound)
     ~socket () =
   if Sys.file_exists socket then Sys.remove socket;
@@ -519,12 +531,12 @@ let with_server ?workers ?queue_bound ~socket f =
 let test_e2e_inline () =
   let socket = "test-serve-e2e.sock" in
   with_server ~socket (fun c pid ->
-      (match Client.request1 c Protocol.Ping with
+      (match request1 c Protocol.Ping with
       | Protocol.Ok_ -> ()
       | _ -> Alcotest.fail "ping");
       (* Closed forms match direct computation bit-exactly. *)
       (match
-         Client.request1 c
+         request1 c
            (Protocol.Pas
               { spec = Spec.paper_sa; config = Config.standard;
                 attack = Attack_type.Prime_and_probe; cold = false })
@@ -536,7 +548,7 @@ let test_e2e_inline () =
                 Attack_type.Prime_and_probe Spec.paper_sa ()))
       | _ -> Alcotest.fail "pas reply");
       (match
-         Client.request1 c (Protocol.Prepas { spec = Spec.paper_rp; k = 32; cold = false })
+         request1 c (Protocol.Prepas { spec = Spec.paper_rp; k = 32; cold = false })
        with
       | Protocol.Prepas_v v ->
         Alcotest.(check bool) "prepas matches direct" true
@@ -545,7 +557,7 @@ let test_e2e_inline () =
       (* Sim-backed cell: bit-identical to a direct serial run. *)
       let seed = 11 in
       (match
-         Client.request1 c
+         request1 c
            (Protocol.Validate
               { spec = Spec.paper_sa; attack = Attack_type.Flush_and_reload;
                 seed; quick = true; cold = false })
@@ -564,7 +576,7 @@ let test_e2e_inline () =
       | _ -> Alcotest.fail "validate reply");
       (* Pipelined frames answer in order. *)
       (match
-         Client.request c
+         request c
            [ Protocol.Stats;
              Protocol.Prepas { spec = Spec.paper_rp; k = 32; cold = false };
              Protocol.Ping ]
@@ -578,7 +590,7 @@ let test_e2e_inline () =
           (String.length msg > 0)
       | Ok () -> Alcotest.fail "preflight should refuse a live socket");
       (* Clean shutdown: ok reply, child exit 0, socket file removed. *)
-      (match Client.request1 c Protocol.Shutdown with
+      (match request1 c Protocol.Shutdown with
       | Protocol.Ok_ -> ()
       | _ -> Alcotest.fail "shutdown reply");
       (match Unix.waitpid [] pid with
@@ -593,7 +605,7 @@ let test_e2e_overloaded () =
   with_server ~workers:1 ~queue_bound:0 ~socket
     (fun c _pid ->
       (match
-         Client.request c
+         request c
            [ Protocol.Validate
                { spec = Spec.paper_sa; attack = Attack_type.Flush_and_reload;
                  seed = 3; quick = true; cold = false };
@@ -601,7 +613,7 @@ let test_e2e_overloaded () =
        with
       | [ Protocol.Overloaded; Protocol.Prepas_v _ ] -> ()
       | _ -> Alcotest.fail "expected overloaded + prepas");
-      match Client.request1 c Protocol.Stats with
+      match request1 c Protocol.Stats with
       | Protocol.Stats_v kvs ->
         Alcotest.(check int) "overloaded counted" 1 (stat kvs "overloaded")
       | _ -> Alcotest.fail "stats reply")
@@ -617,18 +629,18 @@ let test_e2e_dedup () =
       in
       (* Two identical queries in one frame: the second joins the first
          campaign in flight; both waiters see the same reply. *)
-      (match Client.request c [ v 7; v 7 ] with
+      (match request c [ v 7; v 7 ] with
       | [ r1; r2 ] ->
         Alcotest.(check bool) "joined waiters share the result" true (r1 = r2)
       | _ -> Alcotest.fail "two replies");
-      (match Client.request1 c Protocol.Stats with
+      (match request1 c Protocol.Stats with
       | Protocol.Stats_v kvs ->
         Alcotest.(check int) "one campaign ran" 1 (stat kvs "sim_runs");
         Alcotest.(check int) "one dedup join" 1 (stat kvs "dedup_joins");
         Alcotest.(check int) "two misses" 2 (stat kvs "misses")
       | _ -> Alcotest.fail "stats reply");
       (* The memoized answer now serves a third asker instantly. *)
-      match Client.request c [ v 7; Protocol.Stats ] with
+      match request c [ v 7; Protocol.Stats ] with
       | [ _; Protocol.Stats_v kvs ] ->
         Alcotest.(check int) "memo hit" 1 (stat kvs "hits");
         Alcotest.(check int) "still one campaign" 1 (stat kvs "sim_runs")
@@ -653,7 +665,7 @@ let test_e2e_cold_and_keyed () =
   with_server ~workers:1 ~queue_bound:8 ~socket (fun c _pid ->
       Alcotest.(check (list string)) "replies match the in-process router"
         direct (Client.round_trip_raw c lines);
-      match Client.request1 c Protocol.Stats with
+      match request1 c Protocol.Stats with
       | Protocol.Stats_v kvs ->
         Alcotest.(check int) "two campaigns ran" 2 (stat kvs "sim_runs");
         Alcotest.(check int) "one dedup join" 1 (stat kvs "dedup_joins");
@@ -708,7 +720,7 @@ let test_e2e_batch_cap () =
           | None -> ()
           | Some _ -> Alcotest.fail "connection should be closed"));
       (* The daemon is unharmed: the untouched connection still works. *)
-      match Client.request1 c Protocol.Ping with
+      match request1 c Protocol.Ping with
       | Protocol.Ok_ -> ()
       | _ -> Alcotest.fail "daemon should survive the oversized batch")
 

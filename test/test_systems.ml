@@ -1,7 +1,7 @@
 (* Tests for the composed systems: the two-level hierarchy, the
    square-and-multiply victim, the exponent-leak attack, the LLC demo,
    and generic engine invariants that must hold for every architecture
-   (including the skewed extension and the hierarchy composite). *)
+   (including the hierarchy composite). *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -176,7 +176,6 @@ let engines_under_test () =
       (Spec.name spec, Factory.build spec scenario ~rng:(Rng.split r)))
     Spec.all_paper
   @ [
-      ("skewed", Skewed.engine (Skewed.create ~rng:(Rng.split r) ()));
       ( "hierarchy",
         Hierarchy.engine
           (Hierarchy.create

@@ -104,7 +104,7 @@ let test_scheduler_batch_events () =
 let counters_for ~jobs =
   let sink, _ = Sink.memory () in
   let tm = Telemetry.make ~sink () in
-  let ctx = Run.with_telemetry tm (Run.make ~jobs ~seed:42 ()) in
+  let ctx = Run.make ~telemetry:tm ~jobs ~seed:42 () in
   let cfg =
     { Cachesec_attacks.Flush_reload.default_config with
       Cachesec_attacks.Flush_reload.trials = 600 (* spans 3 batches of 256 *)
@@ -143,7 +143,7 @@ let campaign_telemetry submit =
   let sink, events = Sink.memory () in
   let tm = Telemetry.make ~sink () in
   let r =
-    Driver.await (submit (Run.with_telemetry tm (Run.make ~jobs:2 ~seed:42 ())))
+    Driver.await (submit (Run.make ~telemetry:tm ~jobs:2 ~seed:42 ()))
   in
   let counters = Telemetry.counters tm in
   Telemetry.close tm;
@@ -261,7 +261,7 @@ let test_json_sink_round_trip () =
   (match Sink.read_json ~path with
   | None -> Alcotest.fail "written file did not parse"
   | Some (schema, run, events) ->
-    Alcotest.(check string) "schema version" Sink.schema_version schema;
+    Alcotest.(check string) "schema version" "telemetry/v1" schema;
     Alcotest.(check string) "run name" "test" run;
     let names =
       List.filter_map
