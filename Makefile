@@ -24,7 +24,7 @@ bench-smoke: build
 	dune exec bench/main.exe -- --quick --no-perf --jobs 2
 
 # Re-record regression baselines (goalpost moves — commit deliberately).
-# The section list lives in bench/baseline.ml; `baseline-%` forwards the
+# The section list is bench/suite.ml's Suite.all; `baseline-%` forwards the
 # name and the executable errors on anything it doesn't know, so the two
 # can't drift. `dune exec bench/baseline.exe -- --list-sections` prints
 # the valid names. (bench/BENCH_cache.seed.json is frozen and never

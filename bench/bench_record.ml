@@ -128,3 +128,9 @@ let float row key =
 
 let default d get row key = if List.mem_assoc key row then get row key else d
 let parse f row = try Some (f row) with Not_found -> None
+
+(* --- gate lines ------------------------------------------------------- *)
+
+let verdict ?(digits = 2) ~threshold x =
+  if x >= threshold then Printf.sprintf ">= %.*fx PASS" digits threshold
+  else Printf.sprintf "<  %.*fx FAIL" digits threshold

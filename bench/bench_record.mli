@@ -55,3 +55,9 @@ val default : 'a -> (row -> string -> 'a) -> row -> string -> 'a
 
 val parse : (row -> 'a) -> row -> 'a option
 (** [Some (f row)], or [None] when [f] raises [Not_found]. *)
+
+val verdict : ?digits:int -> threshold:float -> float -> string
+(** The verdict every hard gate line ends with: [">= 2.50x PASS"] when
+    the ratio reaches [threshold], ["<  2.50x FAIL"] otherwise (CI greps
+    for both), the threshold printed with [digits] (default 2)
+    decimals. *)

@@ -17,7 +17,7 @@
 open Cachesec_experiments
 open Cachesec_runtime
 open Cachesec_telemetry
-module Bench_record = Cachesec_report.Bench_record
+open Cachesec_bench
 
 (* Each section body is a thunk so the harness can report the
    wall-clock spent inside it (the interesting number when comparing
@@ -407,216 +407,28 @@ let main perf sim (ctx : Run.ctx) =
        run Cachesec_cache.Spec.paper_sa 3000
        ^ run Cachesec_cache.Spec.paper_newcache 1000)
   end;
-  (* Always runs (even under --no-sim / --no-perf): this is the perf
-     regression gate. Writes results/BENCH_cache.json in a frozen format
-     directly comparable across checkouts; the committed
-     bench/BENCH_cache.baseline.json holds the pre-optimization numbers.
-     The benchmark proper is timed through Scheduler.timed so its
-     telemetry span id can be embedded in the JSON, cross-referencing
-     BENCH_cache.json against TELEMETRY_*.json of the same run. *)
-  section "Simulator throughput (accesses/sec per architecture x policy)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"throughput-bench"
-          (fun () -> Throughput.bench ctx)
-      in
-      ensure_results_dirs ();
-      Bench_record.write ~span_id:t.Scheduler.span_id
-        ~schema:Throughput.schema ~path:"results/BENCH_cache.json"
-        (List.map Throughput.to_row entries);
-      (* Hard engine gate: sa/lru accesses/sec against the FROZEN seed
-         numbers (bench/BENCH_cache.seed.json — the pre-slab, pre-kernel
-         engine, never re-recorded), unlike the re-recordable
-         BENCH_cache.baseline.json behind the vs-base column. sa/lru is
-         the gated row because it is the paper's conventional-cache
-         reference point and the hottest monomorphized kernel. *)
-      let gate_line =
-        let seed =
-          List.filter_map Throughput.of_row
-            (Bench_record.read ~path:"bench/BENCH_cache.seed.json")
-        in
-        match
-          ( Throughput.find entries ~arch:"sa" ~policy:"lru",
-            Throughput.find seed ~arch:"sa" ~policy:"lru" )
-        with
-        | Some e, Some b when b.Throughput.per_sec > 0. ->
-          let x = e.Throughput.per_sec /. b.Throughput.per_sec in
-          Printf.sprintf "  gate bench_cache  sa/lru speedup %5.2fx %s\n" x
-            (if x >= 2.5 then ">= 2.50x PASS" else "<  2.50x FAIL")
-        | _ -> "  gate bench_cache  no seed baseline row for sa/lru FAIL\n"
-      in
-      Throughput.render ~baseline:"bench/BENCH_cache.baseline.json" entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_cache.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else
-             Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
-  (* Companion perf gate for the attack fast path: whole attack trials
-     per second through each attack's run_span on the batched replay
-     path. Two baseline files, mirroring the engine bench above: the
-     hard gate compares current batched rows against
-     bench/BENCH_attacks.seed.json — the FROZEN pre-batching harness
-     numbers (v1, scalar by construction), never re-recorded — while
-     the re-recordable bench/BENCH_attacks.baseline.json feeds the
-     vs-base trajectory column. Prime-probe and
-     evict-time are hard PASS/FAIL gates (their trial cost is dominated
-     by batched probe/evict runs); flush-reload and collision amortize
-     batching against whole-region flushes and AES tracing, so they
-     report speedup without failing the build. *)
-  section "Attack throughput (trials/sec per attack class x arch x path)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"attack-throughput-bench"
-          (fun () -> Throughput.Attacks.bench ctx)
-      in
-      ensure_results_dirs ();
-      Bench_record.write ~span_id:t.Scheduler.span_id
-        ~schema:Throughput.Attacks.schema ~path:"results/BENCH_attacks.json"
-        (List.map Throughput.Attacks.to_row entries);
-      let gate_lines =
-        Throughput.Attacks.gate ~baseline:"bench/BENCH_attacks.seed.json"
-          entries
-        |> List.map (fun (attack, speedup, pass) ->
-               match speedup with
-               | None ->
-                 (* A hard gate with nothing to compare against fails:
-                    a missing or unreadable seed file must not pass
-                    silently. *)
-                 Printf.sprintf "  gate bench_attacks %-12s no baseline rows %s\n"
-                   attack
-                   (if List.mem attack Throughput.Attacks.hard_classes then
-                      "FAIL"
-                    else "(reported)")
-               | Some x
-                 when List.mem attack Throughput.Attacks.hard_classes ->
-                 Printf.sprintf
-                   "  gate bench_attacks %-12s min speedup %5.2fx %s\n" attack
-                   x
-                   (if pass then ">= 1.30x PASS" else "<  1.30x FAIL")
-               | Some x ->
-                 Printf.sprintf
-                   "  gate bench_attacks %-12s min speedup %5.2fx (reported)\n"
-                   attack x)
-        |> String.concat ""
-      in
-      Throughput.Attacks.render ~baseline:"bench/BENCH_attacks.baseline.json"
-        entries
-      ^ gate_lines
-      ^ Printf.sprintf "  wrote results/BENCH_attacks.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
-  (* Third perf gate: end-to-end campaign pipelining. Runs the
-     quick-scale validation matrix and the experimental figures twice —
-     sequential campaign execution vs all campaigns' shards submitted
-     onto the persistent Domain pool before the first await — and gates
-     on the within-run sequential/pipelined wall-clock ratio. The ratio
-     is a controlled experiment on this host; it is a hard PASS/FAIL
-     only where parallelism is demonstrable (>= 4 cores and >= 4 jobs),
-     and reported otherwise. The committed bench/BENCH_e2e.baseline.json
-     (pre-refactor sequential numbers) feeds the vs-base trajectory
-     column. *)
-  let e2e_entries = ref [] in
-  let e2e_span = ref 0 in
-  section "End-to-end throughput (sequential vs pipelined campaigns)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"e2e-bench"
-          (fun () -> Throughput.E2e.bench ctx)
-      in
-      e2e_entries := entries;
-      e2e_span := t.Scheduler.span_id;
-      ensure_results_dirs ();
-      Bench_record.write ~span_id:t.Scheduler.span_id
-        ~schema:Throughput.E2e.schema ~path:"results/BENCH_e2e.json"
-        (List.map Throughput.E2e.to_row entries);
-      let gate_line =
-        match Throughput.E2e.gate ~threshold:1.3 entries with
-        | None, _ -> "  gate e2e          missing arm, no ratio\n"
-        | Some x, Throughput.E2e.Pass ->
-          Printf.sprintf "  gate e2e          pipelining speedup %5.2fx >= 1.30x PASS\n" x
-        | Some x, Throughput.E2e.Fail ->
-          Printf.sprintf "  gate e2e          pipelining speedup %5.2fx <  1.30x FAIL\n" x
-        | Some x, Throughput.E2e.Reported ->
-          Printf.sprintf
-            "  gate e2e          pipelining speedup %5.2fx (reported: needs \
-             >= 4 cores and >= 4 jobs for a hard gate)\n"
-            x
-      in
-      Throughput.E2e.render ~baseline:"bench/BENCH_e2e.baseline.json" entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_e2e.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
-  (* Adaptive-stopping gate: the quick matrix run twice through the
-     same adaptive machinery — a run-to-cap arm that measures the CI
-     widths the fixed budgets achieve, then a run-to-confidence arm
-     targeted at the fixed arm's worst width. The trials ratio between
-     the arms is seed-deterministic and jobs-invariant, so it is a hard
-     PASS/FAIL on every host; wall-clock is reported and tracked
-     against the committed baseline's adaptive rows. Both row kinds are
-     re-written into results/BENCH_e2e.json (schema bench_e2e/v2). *)
-  section "Adaptive stopping (fixed-count vs run-to-confidence matrix)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"adaptive-bench"
-          (fun () -> Throughput.Adaptive.bench ctx)
-      in
-      ensure_results_dirs ();
-      Bench_record.write ~span_id:!e2e_span ~schema:Throughput.E2e.schema
-        ~path:"results/BENCH_e2e.json"
-        (List.map Throughput.E2e.to_row !e2e_entries
-        @ List.map Throughput.Adaptive.to_row entries);
-      let gate_line =
-        match Throughput.Adaptive.gate ~threshold:2.0 entries with
-        | None, _ -> "  gate adaptive     missing arm, no ratio FAIL\n"
-        | Some x, pass ->
-          Printf.sprintf
-            "  gate adaptive     trials saved at matched width %5.2fx %s\n" x
-            (if pass then ">= 2.00x PASS" else "<  2.00x FAIL")
-      in
-      Throughput.Adaptive.render ~baseline:"bench/BENCH_e2e.baseline.json"
-        entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_e2e.json (with adaptive rows)%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
-  (* Fourth perf gate: the PAS query server. A re-executed server with
-     no pool workers is driven over its real socket in three mixes —
-     memo-hit (batched repeats of the heaviest closed form against a
-     warm memo), cold (the same query recomputed every round trip) and
-     sim (quick-scale validate cells). The hard gate is memo-hit QPS >= 50x cold QPS:
-     what memoization + batching buy over honest recomputation,
-     measured end to end through framing, syscalls and routing. *)
-  section "PAS query server throughput (memo-hit / cold / sim mixes)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"serve-bench"
-          (fun () -> Cachesec_serve.Serve_bench.bench ctx)
-      in
-      ensure_results_dirs ();
-      Bench_record.write ~span_id:t.Scheduler.span_id
-        ~schema:Cachesec_serve.Serve_bench.schema
-        ~path:"results/BENCH_serve.json"
-        (List.map Cachesec_serve.Serve_bench.to_row entries);
-      let gate_line =
-        match Cachesec_serve.Serve_bench.gate entries with
-        | None -> "  gate bench_serve  missing mix, no ratio FAIL\n"
-        | Some (x, pass) ->
-          Printf.sprintf
-            "  gate bench_serve  memo-hit/cold qps ratio %7.1fx %s\n" x
-            (if pass then ">= 50.0x PASS" else "<  50.0x FAIL")
-      in
-      Cachesec_serve.Serve_bench.render
-        ~baseline:"bench/BENCH_serve.baseline.json" entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_serve.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
+  (* The bench suites always run (even under --no-sim / --no-perf): they
+     are the perf regression gates. Each writes its results/ file in the
+     format of the committed baseline it renders against; the header
+     names the telemetry span of the suite's run, cross-referencing
+     BENCH_*.json against TELEMETRY_*.json of the same run. *)
+  List.iter
+    (fun (s : Suite.t) ->
+      section s.title (fun () ->
+          let o, t =
+            Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
+              ~name:(s.name ^ "-bench")
+              (fun () -> s.run ctx)
+          in
+          ensure_results_dirs ();
+          Bench_record.write ~span_id:t.Scheduler.span_id ~schema:s.schema
+            ~path:s.results o.rows;
+          o.table ^ o.gates
+          ^ Printf.sprintf "  wrote %s%s\n" s.results
+              (if t.Scheduler.span_id = 0 then ""
+               else
+                 Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id)))
+    Suite.all;
   section "CSV export" (fun () ->
       export_csvs !cells;
       "");
@@ -652,5 +464,5 @@ let cmd =
 let () =
   (* Serve-bench server children re-exec this executable; intercept the
      sentinel argv before Cmdliner parses it. *)
-  Cachesec_serve.Serve_bench.child_entry ();
+  Serve_bench.child_entry ();
   exit (Cmdliner.Cmd.eval cmd)

@@ -2,7 +2,7 @@ open Cachesec_runtime
 open Cachesec_telemetry
 open Cachesec_cache
 open Cachesec_analysis
-module Bench_record = Cachesec_report.Bench_record
+open Cachesec_serve
 
 type entry = {
   mix : string;
@@ -18,7 +18,6 @@ type entry = {
 }
 
 let default_socket = "results/.serve-bench.sock"
-let default_gate_threshold = 50.
 
 (* The gate query: the heaviest closed form served (all nine
    architectures' PIFGs under one attack), so the memo-hit/cold ratio
@@ -210,15 +209,19 @@ let bench (ctx : Run.ctx) =
             finished := true;
             entries))
 
-let gate ?(threshold = default_gate_threshold) entries =
-  let find mix = List.find_opt (fun e -> e.mix = mix) entries in
-  match (find "memo-hit", find "cold") with
-  | Some h, Some c when c.qps > 0. ->
-    let ratio = h.qps /. c.qps in
-    Some (ratio, ratio >= threshold)
-  | _ -> None
+(* The hard gate: what memoization and batching buy over honest
+   recomputation, end to end through framing, syscalls and routing. *)
+let threshold = 50.
 
 let find entries ~mix = List.find_opt (fun e -> e.mix = mix) entries
+
+let gate entries =
+  match (find entries ~mix:"memo-hit", find entries ~mix:"cold") with
+  | Some h, Some c when c.qps > 0. ->
+    let x = h.qps /. c.qps in
+    Printf.sprintf "  gate bench_serve  memo-hit/cold qps ratio %7.1fx %s\n" x
+      (Bench_record.verdict ~digits:1 ~threshold x)
+  | _ -> "  gate bench_serve  missing mix, no ratio FAIL\n"
 
 (* --- bench record ----------------------------------------------------- *)
 
@@ -268,7 +271,7 @@ let render ?baseline entries =
   List.iter
     (fun e ->
       let vs =
-        match List.find_opt (fun b -> b.mix = e.mix) base with
+        match find base ~mix:e.mix with
         | Some b when b.qps > 0. -> Printf.sprintf "%8.2fx" (e.qps /. b.qps)
         | _ -> "        -"
       in

@@ -1,7 +1,6 @@
 (** Client/server throughput benchmark for the PAS query server,
     exported as [BENCH_serve.json] (schema {!schema}), one
-    {!Cachesec_report.Bench_record} row per mix like the other bench
-    files.
+    {!Bench_record} row per mix like the other bench files.
 
     The server is a child process: the benchmark re-execs its own
     executable with a sentinel argv that {!child_entry} intercepts
@@ -33,7 +32,6 @@
     margin. *)
 
 open Cachesec_runtime
-module Bench_record = Cachesec_report.Bench_record
 
 type entry = {
   mix : string;  (** "memo-hit" | "cold" | "sim" *)
@@ -61,9 +59,9 @@ val bench : Run.ctx -> entry list
     repetitions. Gauges [serve_bench.<mix>.qps] are reported to
     [ctx.telemetry]. *)
 
-val gate : ?threshold:float -> entry list -> (float * bool) option
-(** [(memo-hit QPS / cold QPS, ratio >= threshold)]; [None] when either
-    mix is missing. *)
+val gate : entry list -> string
+(** The ["gate bench_serve"] line: memo-hit QPS / cold QPS against the
+    50x floor, PASS or FAIL; FAIL when either mix is missing. *)
 
 val schema : string
 (** ["bench_serve/v1"]. *)
@@ -73,7 +71,6 @@ val to_row : entry -> Bench_record.row
 val of_row : Bench_record.row -> entry option
 (** [None] for a row of another suite. *)
 
-val find : entry list -> mix:string -> entry option
 val render : ?baseline:string -> entry list -> string
 (** Human-readable table; with a readable [baseline] file, adds a
     per-mix QPS speedup column against it. *)

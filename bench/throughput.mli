@@ -1,12 +1,11 @@
 (** Simulator-throughput benchmark: accesses/second through
     [Engine.access] per architecture x replacement policy, exported as
     [BENCH_cache.json] (schema {!schema}). Every suite here writes and
-    reads its file through {!Cachesec_report.Bench_record}: its entry
+    reads its file through {!Bench_record}: its entry
     maps to one flat row ([to_row]) and back ([of_row]), so runs from
     different checkouts are directly comparable row by row. *)
 
 open Cachesec_runtime
-module Bench_record = Cachesec_report.Bench_record
 
 type entry = {
   arch : string;
@@ -32,24 +31,14 @@ val stddev_of : float list -> float
     Contrast {!Cachesec_stats.Summary.std}, which uses the unbiased
     SAMPLE convention ([n-1]) because a summary always holds a sample
     of a larger trial population. Both conventions are pinned by
-    regression tests in test_stats. *)
-
-val measure :
-  ?accesses:int ->
-  ?seed:int ->
-  ?repeats:int ->
-  Cachesec_cache.Spec.t ->
-  entry
-(** Time [accesses] engine accesses over a frozen mixed working set
-    (hot 600-line region + 4096-line spread), after a warm-up pass.
-    [repeats] (default 3) timed repetitions over the same addresses;
-    the fastest is reported (minimum time is the standard estimator of
-    unloaded cost) with the stddev of the per-repetition rates as the
-    error bar. *)
+    regression tests in test_bench. *)
 
 val bench : Run.ctx -> entry list
-(** Measure every case (40k accesses each when [ctx.quick], 400k
-    otherwise; 2 repetitions instead of 3 under [ctx.quick]). Each case
+(** Time every case over a frozen mixed working set (hot 600-line
+    region + 4096-line spread) after a warm-up pass: 40k accesses each
+    when [ctx.quick], 400k otherwise, and the fastest of 3 repetitions
+    (2 under [ctx.quick]), with the stddev of the per-repetition rates
+    as the error bar. Each case
     is bracketed in a [throughput:<arch>] span with [accesses_per_sec] /
     [accesses] gauges plus [cache.kernel] (1.0 = the engine's own step,
     0.0 = {!Cachesec_cache.Kernel.generic} — gauges are floats; the
@@ -68,6 +57,11 @@ val of_row : Bench_record.row -> entry option
     [kernel = ""], [slab_bytes = 0]. *)
 
 val find : entry list -> arch:string -> policy:string -> entry option
+
+val gate : seed:string -> entry list -> string
+(** The ["gate bench_cache"] line: the sa/lru rate over the [seed]
+    file's sa/lru rate against the 2.50x floor, PASS or FAIL; FAIL when
+    [seed] has no sa/lru row. *)
 
 val render : ?baseline:string -> entry list -> string
 (** Human-readable table; when [baseline] names a readable bench file,
@@ -93,24 +87,13 @@ module Attacks : sig
     per_sec : float;
   }
 
-  val classes : string list
-  (** The four attack-class names, in benchmark row order. *)
-
-  val measure :
-    ?seed:int -> ?trials:int -> ?repeats:int ->
-    string -> Cachesec_cache.Spec.t -> entry
-  (** Time [trials] attack trials (one warm-up span of [trials/10]
-      first), repeated [repeats] (default 3) times, keeping the fastest
-      repetition — these rates feed a hard gate, and the minimum over
-      repetitions is the standard estimator of unloaded cost (external
-      load only ever adds time). Raises [Invalid_argument] on an unknown attack
-      class. *)
-
   val bench : Run.ctx -> entry list
-  (** Measure every class × arch case at the FULL
-      trial counts — the gate compares rates against a full-count
-      baseline, and rates only transfer when per-span fixed costs
-      amortize identically on both sides. [ctx.quick] economises on
+  (** Time every class × arch case at the FULL trial counts, after one
+      warm-up span of a tenth of them, keeping the fastest repetition
+      (the minimum is the standard estimator of unloaded cost). The
+      gate compares rates against a full-count baseline, and rates
+      only transfer when per-span fixed costs amortize identically on
+      both sides. [ctx.quick] economises on
       repetitions (2 instead of 3) rather than trials: variance, not
       bias. Each case is spanned as [attacks:<class>:<arch>:<path>]
       with [trials_per_sec] / [trials] gauges reported after its
@@ -125,19 +108,17 @@ module Attacks : sig
   (** A row without a [path] key (the pre-batching v1 seed) is labelled
       ["scalar"], which is what it measured. *)
 
-  val find :
-    entry list -> attack:string -> arch:string -> path:string -> entry option
+  val speedups : seed:string -> entry list -> (string * float option) list
+  (** Per attack class: the minimum speedup of its batched rows over
+      the [seed] file's scalar rows of the same arch; [None] when the two
+      share no row. *)
 
-  val hard_classes : string list
-  (** The classes whose gate result is a hard PASS/FAIL
-      (["prime-probe"; "evict-time"] — the two whose trial cost is
-      dominated by batched runs); the rest report without failing. *)
-
-  val gate : ?threshold:float -> baseline:string -> entry list ->
-    (string * float option * bool) list
-  (** Per attack class: [(class, min batched-vs-scalar speedup vs the
-      baseline file, speedup >= threshold)]. Threshold defaults to
-      1.3. *)
+  val gate : seed:string -> entry list -> string
+  (** One ["gate bench_attacks"] line per class from {!speedups}.
+      Prime-probe and evict-time (the two whose trial cost is dominated
+      by batched runs) are hard PASS/FAIL against the 1.30x floor, and
+      FAIL without a ratio; flush-reload and collision print
+      ["(reported)"]. *)
 
   val render : ?baseline:string -> entry list -> string
 end
@@ -165,9 +146,6 @@ module Adaptive : sig
     seconds : float;
   }
 
-  val confidence : float
-  (** Confidence level both arms measure at (0.95). *)
-
   val bench : Run.ctx -> entry list
   (** Always quick scale; each arm spanned as [adaptive:<arm>] with
       [seconds] / [trials] / [ci_width] gauges. Returns
@@ -178,12 +156,11 @@ module Adaptive : sig
   val of_row : Bench_record.row -> entry option
   (** [None] for the section-mode rows sharing the file. *)
 
-  val find : entry list -> arm:string -> entry option
-
-  val gate : ?threshold:float -> entry list -> float option * bool
-  (** [(savings, savings >= threshold)] (default 2.0), where [savings]
-      is the within-run trials ratio fixed/adaptive. Hard on every host:
-      the ratio is a function of the seeds alone. *)
+  val gate : entry list -> string
+  (** The ["gate adaptive"] line: the within-run trials ratio
+      fixed/adaptive against the 2.00x floor, PASS or FAIL; FAIL when an
+      arm is missing. Hard on every host: the ratio is a function of the
+      seeds alone. *)
 
   val render : ?baseline:string -> entry list -> string
 end
@@ -209,9 +186,6 @@ module E2e : sig
     seconds : float;
   }
 
-  val sections : string list
-  (** Benchmark section names, in row order. *)
-
   val bench : Run.ctx -> entry list
   (** Run both sections in both modes (sequential arm first), always at
       quick scale; each (mode, section) is spanned as
@@ -228,23 +202,13 @@ module E2e : sig
   val of_row : Bench_record.row -> entry option
   (** [None] for the adaptive rows sharing the file. *)
 
-  val find :
-    ?jobs:int -> entry list -> section:string -> mode:string -> entry option
-  (** Prefer the row matching [?jobs] (baselines may hold several jobs
-      settings), falling back to any row of the (section, mode). *)
-
-  val speedup : entry list -> float option
-  (** Total sequential seconds / total pipelined seconds across all
-      sections; [None] when either arm is missing. *)
-
-  type verdict = Pass | Fail | Reported
-
-  val gate : ?threshold:float -> entry list -> float option * verdict
-  (** The pipelining gate: [Pass]/[Fail] against [threshold] (default
-      1.3) when the run could demonstrate parallelism (host cores >= 4
-      and jobs >= 4); [Reported] otherwise — on a small host there are
-      no idle workers to fill, so a ratio near 1.0 is the expected
-      honest answer, not a regression. *)
+  val gate : entry list -> string
+  (** The ["gate e2e"] line: total sequential seconds / total pipelined
+      seconds, PASS or FAIL against the 1.30x floor when the run could
+      demonstrate parallelism (host cores >= 4 and jobs >= 4), and
+      ["(reported: ...)"] otherwise — on a small host there are no idle
+      workers to fill, so a ratio near 1.0 is the expected honest
+      answer, not a regression. No verdict when an arm is missing. *)
 
   val render : ?baseline:string -> entry list -> string
 end

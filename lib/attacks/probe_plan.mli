@@ -51,15 +51,13 @@ val prime_all : t -> unit
 (** Access the [ways] plan lines of every set, ascending (the prime /
     evict step). *)
 
-val probe_set : t -> Cachesec_stats.Rng.t -> int -> unit
-(** Re-access the plan lines of one set, overwriting that set's scratch
-    slots: true misses, classified misses (after per-access noisy-time
-    classification; equal to true misses when sigma = 0) and total
-    observed time. The RNG is consumed exactly as the record-returning
-    [Attacker.probe_set] consumes it (not at all when sigma = 0). *)
-
 val probe_all : t -> Cachesec_stats.Rng.t -> unit
-(** {!probe_set} for every set, ascending. *)
+(** Re-access the plan lines of every set, ascending, overwriting each
+    set's scratch slots: true misses, classified misses (after
+    per-access noisy-time classification; equal to true misses when
+    sigma = 0) and total observed time. The RNG is consumed exactly as
+    the record-returning [Attacker.probe_set] consumes it, set by set
+    (not at all when sigma = 0). *)
 
 val true_misses : t -> int -> int
 (** Scratch readback for one set, valid until the next probe of it. *)

@@ -1,2 +1,1 @@
 let set_index cfg line = line mod Config.sets cfg
-let tag cfg line = line / Config.sets cfg

@@ -22,9 +22,6 @@ val generate :
 (** The line-address trace. [accesses] must be positive; patterns with
     zero-size ranges raise [Invalid_argument]. *)
 
-val replay : Engine.t -> pid:int -> int array -> unit
-(** Run a trace through a cache. *)
-
 val hit_rate :
   Engine.t -> pid:int -> pattern -> rng:Cachesec_stats.Rng.t -> accesses:int -> float
 (** Reset counters, replay a fresh trace, return the pid's hit rate. *)

@@ -21,11 +21,11 @@ val std : t -> float
     (divide by [n-1]). This is the right estimator here because a
     summary always holds a sample of a larger trial population and its
     spread feeds inference (separation judgments, the adaptive
-    runtime's [Sequential.mean_half_width]). Contrast
-    [Cachesec_experiments.Throughput.stddev_of], which deliberately
-    uses the POPULATION convention (divide by [n]) for bench error
-    bars over the complete set of repetitions. Both choices are pinned
-    by regression tests in test_stats. *)
+    runtime's [Sequential.mean_half_width]). Contrast the bench suites'
+    error bars (bench/throughput.ml), which deliberately use the
+    POPULATION convention (divide by [n]) over the complete set of
+    repetitions. Both choices are pinned by a regression test in
+    test_bench. *)
 
 val min : t -> float
 val max : t -> float

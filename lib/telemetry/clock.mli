@@ -4,7 +4,7 @@
     host clock; a step in the middle of a benchmark section skews the
     measured wall-clock and can flip a perf-gate verdict. Everything in
     this codebase that measures a {e duration} — telemetry event
-    timestamps, [Scheduler.timed], the [Throughput] stopwatches, the
+    timestamps, [Scheduler.timed], the bench suites' stopwatches, the
     domain pool's busy accounting — uses this module instead. *)
 
 val now_s : unit -> float

@@ -4,9 +4,9 @@
    ([Telemetry.make]), so the JSON export is small, diffable and
    independent of the host's wall-clock epoch.
 
-   The JSON line codec mirrors Throughput's discipline: one object per
-   line with a fixed key order, so the file is parseable with [Scanf]
-   alone and the library needs no JSON dependency. *)
+   The JSON line codec mirrors the bench files' discipline: one object
+   per line with a fixed key order, so the file is parseable with
+   [Scanf] alone and the library needs no JSON dependency. *)
 
 type t =
   | Span_start of { id : int; parent : int; name : string; t_s : float }

@@ -4,9 +4,6 @@
 open Cachesec_stats
 open Cachesec_cache
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
-
 let rng () = Rng.create ~seed:1234
 
 (* --- Config / Address ------------------------------------------------- *)
@@ -25,13 +22,7 @@ let test_config () =
 
 let test_address () =
   let c = Config.standard in
-  Alcotest.(check int) "set" 1 (Address.set_index c 65);
-  Alcotest.(check int) "tag" 1 (Address.tag c 65)
-
-let prop_address_roundtrip =
-  qtest "line = tag*sets + set" QCheck.(int_range 0 1000000) (fun line ->
-      let c = Config.standard in
-      (Address.tag c line * Config.sets c) + Address.set_index c line = line)
+  Alcotest.(check int) "set" 1 (Address.set_index c 65)
 
 (* --- Policy selectors over a Slab ------------------------------------ *)
 
@@ -815,7 +806,6 @@ let () =
         [
           Alcotest.test_case "config" `Quick test_config;
           Alcotest.test_case "address" `Quick test_address;
-          prop_address_roundtrip;
         ] );
       ( "replacement",
         [

@@ -308,28 +308,6 @@ let prop_summary_partition_merge =
          || Summary.min merged = Summary.min whole
             && Summary.max merged = Summary.max whole))
 
-let test_stddev_conventions () =
-  (* Two deliberate conventions, pinned so neither drifts into the
-     other: Summary.std divides by n-1 (unbiased sample — summaries
-     hold samples of a larger trial population and feed inference),
-     Throughput.stddev_of divides by n (population — bench error bars
-     over the complete set of repetitions). On {2,4}: sample std is
-     sqrt 2, population std is exactly 1. *)
-  check_close 1e-9 "Summary.std is unbiased sample (n-1)" (sqrt 2.)
-    (Summary.std (Summary.of_array [| 2.; 4. |]));
-  check_close 1e-9 "Throughput.stddev_of is population (n)" 1.
-    (Cachesec_experiments.Throughput.stddev_of [ 2.; 4. ]);
-  (* Same stream, same mean, different spread estimators. *)
-  let xs = [ 10.; 12.; 9.; 14.; 11. ] in
-  let sample = Summary.std (Summary.of_array (Array.of_list xs)) in
-  let population = Cachesec_experiments.Throughput.stddev_of xs in
-  Alcotest.(check bool) "population < sample on the same data" true
-    (population < sample);
-  let n = float_of_int (List.length xs) in
-  check_close 1e-9 "related by sqrt((n-1)/n)"
-    (sample *. sqrt ((n -. 1.) /. n))
-    population
-
 (* --- Histogram ------------------------------------------------------- *)
 
 let test_histogram_basic () =
@@ -531,8 +509,6 @@ let () =
           Alcotest.test_case "known values" `Quick test_summary_known;
           prop_summary_merge;
           prop_summary_partition_merge;
-          Alcotest.test_case "stddev conventions" `Quick
-            test_stddev_conventions;
         ] );
       ( "histogram",
         [
