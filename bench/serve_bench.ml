@@ -75,14 +75,6 @@ let measure_mix client ~mix ~lines ~frames ~warmup_frames ~repeats =
       (fun (bt, bx) (t, x) -> if t < bt then (t, x) else (bt, bx))
       (List.hd reps) (List.tl reps)
   in
-  let mean = List.fold_left ( +. ) 0. rates /. float_of_int repeats in
-  let stddev =
-    if repeats < 2 then 0.
-    else
-      sqrt
-        (List.fold_left (fun a r -> a +. ((r -. mean) ** 2.)) 0. rates
-        /. float_of_int (repeats - 1))
-  in
   let per_query =
     Array.map (fun t -> t /. float_of_int batch *. 1e6) best_times
   in
@@ -97,7 +89,7 @@ let measure_mix client ~mix ~lines ~frames ~warmup_frames ~repeats =
     p99_us = percentile per_query 0.99;
     warmup = warmup_frames * batch;
     repeats;
-    stddev;
+    stddev = Throughput.stddev_of rates;
   }
 
 let ensure_results_dir () =

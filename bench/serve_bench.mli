@@ -43,7 +43,9 @@ type entry = {
   p99_us : float;  (** repetition, in microseconds *)
   warmup : int;  (** warm-up queries before the first stopwatch *)
   repeats : int;  (** timed repetitions behind [seconds]/[stddev] *)
-  stddev : float;  (** of QPS across the repetitions *)
+  stddev : float;
+      (** of QPS across the repetitions, by {!Throughput.stddev_of}
+          (population convention, as BENCH_cache.json's) *)
 }
 
 val child_entry : unit -> unit

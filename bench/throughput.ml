@@ -736,16 +736,19 @@ module E2e = struct
   let threshold = 1.3
 
   let gate entries =
+    let hard = List.exists (fun e -> e.jobs >= 4 && e.cores >= 4) entries in
+    let reported = "(reported: needs >= 4 cores and >= 4 jobs for a hard gate)" in
     match speedup entries with
-    | None -> "  gate e2e          missing arm, no ratio\n"
-    | Some x when List.exists (fun e -> e.jobs >= 4 && e.cores >= 4) entries ->
+    | None ->
+      (* A hard gate with nothing to compare against fails. *)
+      Printf.sprintf "  gate e2e          missing arm, no ratio %s\n"
+        (if hard then "FAIL" else reported)
+    | Some x when hard ->
       Printf.sprintf "  gate e2e          pipelining speedup %5.2fx %s\n" x
         (Bench_record.verdict ~threshold x)
     | Some x ->
-      Printf.sprintf
-        "  gate e2e          pipelining speedup %5.2fx (reported: needs >= 4 \
-         cores and >= 4 jobs for a hard gate)\n"
-        x
+      Printf.sprintf "  gate e2e          pipelining speedup %5.2fx %s\n" x
+        reported
 
   let render ?baseline entries =
     let buf = Buffer.create 1024 in

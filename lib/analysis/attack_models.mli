@@ -16,8 +16,6 @@ val cache_collision : ?config:Config.t -> Spec.t -> unit -> Graph.t
 (** Includes the "selected memory line" node the paper adds in Figure 5(b)
     to model the RF cache. *)
 
-val flush_and_reload : ?config:Config.t -> Spec.t -> unit -> Graph.t
-
 val build : ?config:Config.t -> Attack_type.t -> Spec.t -> unit -> Graph.t
 val pas : ?config:Config.t -> Attack_type.t -> Spec.t -> unit -> float
 (** [Pas.pas] of {!build}. *)

@@ -20,5 +20,3 @@ let short t = Printf.sprintf "Type %d" (type_number t)
 let is_miss_based = function
   | Evict_and_time | Prime_and_probe -> true
   | Cache_collision | Flush_and_reload -> false
-
-let pp ppf t = Format.fprintf ppf "%s (%s)" (short t) (name t)

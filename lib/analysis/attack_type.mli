@@ -10,7 +10,6 @@ type t =
 val all : t list
 (** In type order 1..4. *)
 
-val type_number : t -> int
 val name : t -> string
 (** "evict-and-time", "prime-and-probe", "cache-collision",
     "flush-and-reload". *)
@@ -21,5 +20,3 @@ val short : t -> string
 
 val is_miss_based : t -> bool
 (** Types 1 and 2: the victim's or the attacker's accesses miss. *)
-
-val pp : Format.formatter -> t -> unit

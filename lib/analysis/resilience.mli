@@ -66,16 +66,6 @@ type policy_cell = {
   verdict : verdict;  (** {!classify} applied to the {e effective} PAS *)
 }
 
-val policy_cell :
-  ?threshold:float ->
-  ?config:Config.t ->
-  Spec.t ->
-  Policy.t ->
-  Attack_type.t ->
-  policy_cell
-(** One cell of the matrix; the spec is rebound with
-    {!Cachesec_cache.Spec.with_policy} first. *)
-
 val policy_matrix :
   ?threshold:float ->
   ?config:Config.t ->
@@ -84,7 +74,8 @@ val policy_matrix :
   unit ->
   (Spec.t * (Policy.t * policy_cell list) list) list
 (** The full matrix, one {!policy_cell} per attack type in
-    {!Attack_type.all} order. Defaults: the paper architectures whose
+    {!Attack_type.all} order, each computed on the spec rebound with
+    {!Cachesec_cache.Spec.with_policy}. Defaults: the paper architectures whose
     replacement policy is a free parameter ({!Cachesec_cache.Spec.all_paper}
     minus Newcache, whose SecRAND replacement is part of the design) x
     {!Cachesec_cache.Policy.all}. *)

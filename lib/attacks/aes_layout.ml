@@ -24,7 +24,6 @@ let create ?(base_line = 0) cfg =
   }
 
 let base_line t = t.base_line
-let config t = t.cfg
 let entries_per_line t = t.epl
 let lines_per_table t = t.lpt
 

@@ -16,7 +16,6 @@ val create : ?base_line:int -> Config.t -> t
     than a table or narrower than one table entry. *)
 
 val base_line : t -> int
-val config : t -> Config.t
 
 val entries_per_line : t -> int
 (** Table entries sharing one cache line (16 for 64-byte lines). *)

@@ -17,7 +17,7 @@ val nth_conflict_line : Config.t -> ?base:int -> set:int -> int -> int
 (** [nth_conflict_line cfg ~set k] is the [k]-th distinct attacker line
     mapping (under conventional indexing) to [set]: base aligned down to
     the set stride, plus [set + k*sets]. Pure arithmetic — this is the
-    element formula behind {!probe_set} and {!Probe_plan}. Raises
+    element formula behind {!probe_all_sets} and {!Probe_plan}. Raises
     [Invalid_argument] on a bad set. *)
 
 val evict_set : Engine.t -> pid:int -> ?base:int -> int -> unit
@@ -35,11 +35,8 @@ type probe = {
   time : float;  (** total observed probe time, noise included *)
 }
 
-val probe_set :
-  Engine.t -> Cachesec_stats.Rng.t -> pid:int -> ?base:int -> int -> probe
-(** Re-access the priming lines of [set]. Allocates its result record;
-    per-trial loops should prefer {!Probe_plan.probe_all}. *)
-
 val probe_all_sets :
   Engine.t -> Cachesec_stats.Rng.t -> pid:int -> ?base:int -> unit -> probe array
-(** {!probe_set} for every set, indexed by set number. *)
+(** Re-access the priming lines of every set, indexed by set number.
+    Allocates a record per set; per-trial loops should prefer
+    {!Probe_plan.probe_all}. *)

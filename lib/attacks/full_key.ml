@@ -27,19 +27,6 @@ let flush_reload ~victim ~attacker_pid ~rng ~trials_per_byte =
          in
          (r.Flush_reload.best_candidate, r.Flush_reload.nibble_recovered)))
 
-let prime_probe ~victim ~attacker_pid ~rng ~trials_per_byte =
-  aggregate
-    (Array.init 16 (fun target_byte ->
-         let r =
-           Prime_probe.run ~victim ~attacker_pid ~rng
-             {
-               Prime_probe.trials = trials_per_byte;
-               target_byte;
-               lock_victim_tables = false;
-             }
-         in
-         (r.Prime_probe.best_candidate, r.Prime_probe.nibble_recovered)))
-
 let render t =
   let cells =
     Array.to_list

@@ -19,13 +19,5 @@ val flush_reload :
   t
 (** One flush-and-reload campaign per key byte. *)
 
-val prime_probe :
-  victim:Victim.t ->
-  attacker_pid:int ->
-  rng:Cachesec_stats.Rng.t ->
-  trials_per_byte:int ->
-  t
-(** Same via prime-and-probe. *)
-
 val render : t -> string
 (** A 16-cell summary line, e.g. "2b.. 7e.. ... 12/16 nibbles (48 bits)". *)

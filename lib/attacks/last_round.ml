@@ -3,8 +3,6 @@ open Cachesec_crypto
 
 type config = { trials : int }
 
-let default_config = { trials = 3000 }
-
 type result = {
   round10_guess : int array;
   bytes_correct : int;

@@ -13,9 +13,6 @@
 
 type config = { trials : int }
 
-val default_config : config
-(** 3000 trials (all 16 bytes share them). *)
-
 type result = {
   round10_guess : int array;  (** best candidate per round-10 key byte *)
   bytes_correct : int;  (** against the victim's true round-10 key *)

@@ -27,7 +27,7 @@
     {b Determinism.} Access order is identical to the historical
     list-based [Attacker.evict_set]/[probe_all_sets] path (set 0..sets-1,
     line k = 0..ways-1 within a set) and the probe consumes the
-    observation RNG exactly as [Attacker.probe_set] did, so campaigns
+    observation RNG exactly as [Attacker.probe_all_sets] does, so campaigns
     produce bit-for-bit identical results (pinned by the attack golden
     digests in [test/golden/attacks.golden]). *)
 
@@ -56,7 +56,7 @@ val probe_all : t -> Cachesec_stats.Rng.t -> unit
     set's scratch slots: true misses, classified misses (after
     per-access noisy-time classification; equal to true misses when
     sigma = 0) and total observed time. The RNG is consumed exactly as
-    the record-returning [Attacker.probe_set] consumes it, set by set
+    the record-returning [Attacker.probe_all_sets] consumes it, set by set
     (not at all when sigma = 0). *)
 
 val true_misses : t -> int -> int

@@ -15,9 +15,3 @@ let standard = v ~line_bytes:64 ~lines:512 ~ways:8
 let direct_mapped = v ~line_bytes:64 ~lines:512 ~ways:1
 let fully_associative = v ~line_bytes:64 ~lines:512 ~ways:512
 let sets t = t.lines / t.ways
-let capacity_bytes t = t.lines * t.line_bytes
-
-let pp ppf t =
-  Format.fprintf ppf "%dB lines x %d, %d-way (%d sets, %d KB)" t.line_bytes
-    t.lines t.ways (sets t)
-    (capacity_bytes t / 1024)

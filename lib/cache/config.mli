@@ -20,4 +20,3 @@ val fully_associative : t
 (** 64-byte lines, 512 lines, 512 ways (one set; Newcache's physical array). *)
 
 val sets : t -> int
-val pp : Format.formatter -> t -> unit

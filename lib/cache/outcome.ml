@@ -23,8 +23,6 @@ let miss_uncached =
 let fill ~fetched ~evicted =
   { event = Miss; cached = true; fetched = Some fetched; evicted; also_evicted = None }
 
-let event_to_string = function Hit -> "hit" | Miss -> "miss"
-
 (* Matches, not [=]: polymorphic equality is a [caml_equal] call even on
    constant constructors without flambda, and these two run once per
    probed access in the attack loops. *)
@@ -37,16 +35,3 @@ let evictions t =
   | Some e, None -> [ e ]
   | None, Some e -> [ e ]
   | Some e1, Some e2 -> [ e1; e2 ]
-
-let pp ppf t =
-  Format.fprintf ppf "%s%s%s" (event_to_string t.event)
-    (match t.fetched with
-    | Some l when not t.cached -> Printf.sprintf " (filled line %d instead)" l
-    | Some _ -> ""
-    | None -> if t.cached then "" else " (uncached)")
-    (match evictions t with
-    | [] -> ""
-    | ev ->
-      " evicted "
-      ^ String.concat ","
-          (List.map (fun (pid, l) -> Printf.sprintf "%d:%d" pid l) ev))

@@ -43,5 +43,3 @@ val is_miss : t -> bool
 val evictions : t -> (int * int) list
 (** The displaced [(owner_pid, line)] pairs in eviction order ([evicted]
     first, then [also_evicted]). Allocates; not for the hot path. *)
-
-val pp : Format.formatter -> t -> unit

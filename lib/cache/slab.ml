@@ -182,8 +182,6 @@ let invalidate t i =
   t.aux.(i) <- 0;
   t.freq.(i) <- 0
 
-let victim t i = if t.tags.(i) >= 0 then Some (t.owners.(i), t.tags.(i)) else None
-
 let locked t i = t.locked.(i) = 1
 let set_locked t i v = t.locked.(i) <- (if v then 1 else 0)
 

@@ -85,10 +85,6 @@ val invalidate : t -> int -> unit
 (** Clear the line ([owner = -1], lock, [aux] and [freq] cleared;
     timestamps retained). *)
 
-val victim : t -> int -> (int * int) option
-(** [(owner, tag)] if the line is valid — the eviction payload when the
-    line is displaced. Allocates only when valid. *)
-
 val locked : t -> int -> bool
 val set_locked : t -> int -> bool -> unit
 

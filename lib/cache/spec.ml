@@ -79,33 +79,3 @@ let policy_of = function
   | Re { policy; _ }
   | Noisy { policy; _ } -> Some policy
   | Newcache _ -> None
-
-let pp ppf t =
-  match t with
-  | Sa { ways; policy } ->
-    Format.fprintf ppf "SA(%d-way, %s)" ways (Policy.to_string policy)
-  | Sp { ways; policy; partitions } ->
-    Format.fprintf ppf "SP(%d-way, %s, %d partitions)" ways
-      (Policy.to_string policy)
-      partitions
-  | Pl { ways; policy } ->
-    Format.fprintf ppf "PL(%d-way, %s)" ways (Policy.to_string policy)
-  | Nomo { ways; policy; reserved } ->
-    Format.fprintf ppf "Nomo(%d-way, %s, %d reserved)" ways
-      (Policy.to_string policy)
-      reserved
-  | Newcache { extra_bits } -> Format.fprintf ppf "Newcache(k=%d)" extra_bits
-  | Rp { ways; policy } ->
-    Format.fprintf ppf "RP(%d-way, %s)" ways (Policy.to_string policy)
-  | Rf { ways; policy; back; fwd } ->
-    Format.fprintf ppf "RF(%d-way, %s, window -%d/+%d)" ways
-      (Policy.to_string policy)
-      back fwd
-  | Re { ways; policy; interval } ->
-    Format.fprintf ppf "RE(%d-way, %s, every %d)" ways
-      (Policy.to_string policy)
-      interval
-  | Noisy { ways; policy; sigma } ->
-    Format.fprintf ppf "Noisy(%d-way, %s, sigma=%g)" ways
-      (Policy.to_string policy)
-      sigma

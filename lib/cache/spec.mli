@@ -54,5 +54,3 @@ val with_policy : t -> Policy.t -> t
 
 val policy_of : t -> Policy.t option
 (** The spec's replacement policy; [None] for {!Newcache}. *)
-
-val pp : Format.formatter -> t -> unit

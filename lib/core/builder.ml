@@ -19,7 +19,5 @@ let edge t ?(label = "") ~parents ~child prob =
   t.edges <- Edge.v ~id ~label ~parents ~child prob :: t.edges;
   id
 
-let finish t = Graph.create ~nodes:(List.rev t.nodes) ~edges:(List.rev t.edges)
-
 let finish_exn t =
   Graph.create_exn ~nodes:(List.rev t.nodes) ~edges:(List.rev t.edges)

@@ -24,8 +24,7 @@ val edge : t -> ?label:string -> parents:int list -> child:int -> float -> int
     id. Raises like {!Edge.v} on malformed input (empty parents,
     probability outside [0,1], ...). *)
 
-val finish : t -> (Graph.t, Graph.error list) result
-(** Validate and freeze. The builder may keep being extended afterwards;
-    each [finish] snapshots the current contents. *)
-
 val finish_exn : t -> Graph.t
+(** Validate and freeze; raises [Invalid_argument] on an invalid graph.
+    The builder may keep being extended afterwards; each call snapshots
+    the current contents. *)

@@ -18,14 +18,4 @@ let v ~id ?(label = "") ~parents ~child prob =
     invalid_arg "Edge.v: probability must lie in [0, 1]";
   { id; label; parents; child; prob }
 
-let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
-
-let pp ppf t =
-  Format.fprintf ppf "%s#%d: {%a} -> %d @@ %g"
-    (if t.label = "" then "e" else t.label)
-    t.id
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    t.parents t.child t.prob

@@ -21,6 +21,4 @@ val v : id:int -> ?label:string -> parents:int list -> child:int -> float -> t
     [child] appears among [parents] (self-loop), or if [prob] is outside
     [0, 1] or not finite. *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

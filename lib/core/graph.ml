@@ -177,9 +177,6 @@ let edges t = Int_map.bindings t.edges |> List.map snd
 let node t id =
   match Int_map.find_opt id t.nodes with Some n -> n | None -> raise Not_found
 
-let edge t id =
-  match Int_map.find_opt id t.edges with Some e -> e | None -> raise Not_found
-
 let node_count t = Int_map.cardinal t.nodes
 let edge_count t = Int_map.cardinal t.edges
 

@@ -43,7 +43,6 @@ val edges : t -> Edge.t list
 val node : t -> int -> Node.t
 (** Raises [Not_found] for an unknown id. *)
 
-val edge : t -> int -> Edge.t
 val node_count : t -> int
 val edge_count : t -> int
 

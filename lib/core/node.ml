@@ -3,14 +3,4 @@ type t = { id : int; label : string; role : role }
 
 let v ~id ~label ~role = { id; label; role }
 
-let role_to_string = function
-  | Victim_origin -> "victim-origin"
-  | Attacker_origin -> "attacker-origin"
-  | Observation -> "observation"
-  | Internal -> "internal"
-
 let equal a b = a.id = b.id
-let compare a b = Int.compare a.id b.id
-
-let pp ppf t =
-  Format.fprintf ppf "%s#%d(%s)" t.label t.id (role_to_string t.role)

@@ -22,5 +22,3 @@ val v : id:int -> label:string -> role:role -> t
 (** Construct a node. [label] is for display only. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

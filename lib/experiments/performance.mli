@@ -2,13 +2,10 @@
     (Section 2.2), quantified: victim hit rates per architecture under
     synthetic workloads. *)
 
-val workloads : (string * Cachesec_cache.Workload.pattern) list
-(** The standard suite: a fitting loop, a capacity-exceeding loop, a
-    conflict-heavy stride, a Zipf mix and uniform random. *)
-
 val hit_rate_table : ?seed:int -> ?accesses:int -> unit -> string
 (** Victim (pid 0) hit rate for the nine paper caches, one column per
-    workload. *)
+    workload of the standard suite: a fitting loop, a capacity-exceeding
+    loop, a conflict-heavy stride, a Zipf mix and uniform random. *)
 
 val measure :
   ?seed:int ->

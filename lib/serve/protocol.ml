@@ -119,13 +119,14 @@ let config_args (c : Config.t) =
     Printf.sprintf "lines=%d" c.Config.lines ]
 
 let attack_arg a = Printf.sprintf "attack=%s" (Attack_type.name a)
-let cold_arg cold = if cold then [ "cold" ] else []
 
-let encode_query = function
+(* The line without its [cold] flag: {!canonical}, and the body of
+   {!encode_query}. *)
+let question_line = function
   | Ping -> "ping"
   | Stats -> "stats"
   | Shutdown -> "shutdown"
-  | Pas { spec; config; attack; cold } ->
+  | Pas { spec; config; attack; cold = _ } ->
     (* The pas wire form carries one [ways=] (a spec field); the decoder
        mirrors it into the config (Newcache, which has none, gets the
        standard 8). A config whose way count disagrees with the spec
@@ -139,33 +140,34 @@ let encode_query = function
             spec's ways (%d); the wire form cannot express the mismatch"
            config.Config.ways wire_ways);
     String.concat " "
-      (("pas" :: spec_args spec) @ config_args config @ [ attack_arg attack ]
-      @ cold_arg cold)
-  | Prepas { spec; k; cold } ->
-    String.concat " "
-      (("prepas" :: spec_args spec)
-      @ [ Printf.sprintf "k=%d" k ]
-      @ cold_arg cold)
-  | Resilience { spec; attack; cold } ->
-    String.concat " "
-      (("resilience" :: spec_args spec) @ [ attack_arg attack ] @ cold_arg cold)
-  | Table { attack; config; cold } ->
+      (("pas" :: spec_args spec) @ config_args config @ [ attack_arg attack ])
+  | Prepas { spec; k; cold = _ } ->
+    String.concat " " (("prepas" :: spec_args spec) @ [ Printf.sprintf "k=%d" k ])
+  | Resilience { spec; attack; cold = _ } ->
+    String.concat " " (("resilience" :: spec_args spec) @ [ attack_arg attack ])
+  | Table { attack; config; cold = _ } ->
     String.concat " "
       (("table" :: config_args config)
       @ [
           Printf.sprintf "ways=%d" config.Config.ways;
           attack_arg attack;
-        ]
-      @ cold_arg cold)
-  | Validate { spec; attack; seed; quick; cold } ->
+        ])
+  | Validate { spec; attack; seed; quick; cold = _ } ->
     String.concat " "
       (("validate" :: spec_args spec)
       @ [
           attack_arg attack;
           Printf.sprintf "seed=%d" seed;
           Printf.sprintf "quick=%d" (if quick then 1 else 0);
-        ]
-      @ cold_arg cold)
+        ])
+
+let encode_query q =
+  let line = question_line q in
+  if cold q then line ^ " cold" else line
+
+let canonical = function
+  | Ping | Stats | Shutdown -> None
+  | q -> Some (question_line q)
 
 (* --- query decoding --------------------------------------------------- *)
 
@@ -207,6 +209,38 @@ let spec_keys =
   ]
 
 let config_keys = [ "lb"; "lines" ]
+
+(* The ranges the engines' [create] accept, checked on the spec with
+   every override applied, so the server never answers (or memoizes, or
+   runs a campaign for) a question the model refuses. [lines] is the
+   query's geometry; a non-positive one is left to [parse_config].
+   Nomo's [reserved < ways] is checked only where a campaign builds the
+   engine ([validate]): the closed forms refuse it for the attacks that
+   read [reserved], and the PAS of the two that do not is answered. *)
+let check_ranges spec ~lines =
+  match spec with
+  | _ when lines > 0 && lines mod Option.value (spec_ways spec) ~default:1 <> 0 ->
+    Error (Printf.sprintf "ways must divide lines (%d)" lines)
+  | Spec.Newcache { extra_bits } ->
+    (* The logical cache, [lines lsl nbits] lines, must fit in an int. *)
+    let max = if lines > 0 then Newcache.max_extra_bits ~lines else max_int in
+    if extra_bits < 0 || extra_bits > max then
+      Error (Printf.sprintf "nbits must be in 0..%d" max)
+    else Ok spec
+  | Spec.Sp { ways; partitions; _ } ->
+    let sets = lines / ways in
+    if partitions < 2 || (sets > 0 && sets mod partitions <> 0) then
+      Error
+        (Printf.sprintf
+           "partitions must be >= 2 and divide the set count (%d)" sets)
+    else Ok spec
+  | Spec.Nomo { reserved; _ } when reserved < 0 -> Error "reserved must be >= 0"
+  | Spec.Rf { back; fwd; _ } when back < 0 || fwd < 0 ->
+    Error "back and fwd must be >= 0"
+  | Spec.Re { interval; _ } when interval <= 0 -> Error "interval must be >= 1"
+  | Spec.Noisy { sigma; _ } when not (Float.is_finite sigma && sigma >= 0.) ->
+    Error "sigma must be finite and >= 0"
+  | _ -> Ok spec
 
 (* The paper spec by name, then field overrides. Overrides that don't
    apply to the named architecture are errors, not silent no-ops: a
@@ -265,21 +299,11 @@ let parse_spec args =
       | None -> Error (Printf.sprintf "%s: not an integer: %s" key v)
       | Some n -> apply spec n)
   in
-  (* The logical cache, [lines lsl nbits] lines, must fit in an int for
-     the geometry the query names (engines run on [Config.standard]); a
-     non-positive [lines] is left to [parse_config] to reject. *)
-  let* lines = int_arg args "lines" ~default:Config.standard.Config.lines in
   let* spec =
     int_override "nbits"
       (fun s n ->
         match s with
-        | Spec.Newcache _ ->
-          let max =
-            if lines > 0 then Newcache.max_extra_bits ~lines else max_int
-          in
-          if n < 0 || n > max then
-            Error (Printf.sprintf "nbits must be in 0..%d" max)
-          else Ok (Spec.Newcache { extra_bits = n })
+        | Spec.Newcache _ -> Ok (Spec.Newcache { extra_bits = n })
         | _ -> Error "nbits applies to newcache only")
       spec
   in
@@ -323,15 +347,19 @@ let parse_spec args =
         | _ -> Error "interval applies to re only")
       spec
   in
-  match List.assoc_opt "sigma" args with
-  | None -> Ok spec
-  | Some v -> (
-    match float_of_string_opt v with
-    | None -> Error (Printf.sprintf "sigma: not a number: %s" v)
-    | Some sigma -> (
-      match spec with
-      | Spec.Noisy r -> Ok (Spec.Noisy { r with sigma })
-      | _ -> Error "sigma applies to noisy only"))
+  let* spec =
+    match List.assoc_opt "sigma" args with
+    | None -> Ok spec
+    | Some v -> (
+      match float_of_string_opt v with
+      | None -> Error (Printf.sprintf "sigma: not a number: %s" v)
+      | Some sigma -> (
+        match spec with
+        | Spec.Noisy r -> Ok (Spec.Noisy { r with sigma })
+        | _ -> Error "sigma applies to noisy only"))
+  in
+  let* lines = int_arg args "lines" ~default:Config.standard.Config.lines in
+  check_ranges spec ~lines
 
 (* Geometry: the paper's Table 4 defaults, with the config's way count
    mirroring the spec's (Newcache, which has no ways, gets the standard
@@ -418,6 +446,12 @@ let decode_query line =
         check_keys args ~allowed:("attack" :: "seed" :: "quick" :: spec_keys)
       in
       let* spec = parse_spec args in
+      let* () =
+        match spec with
+        | Spec.Nomo { ways; reserved; _ } when reserved >= ways ->
+          Error (Printf.sprintf "reserved must be in 0..%d" (ways - 1))
+        | _ -> Ok ()
+      in
       let* attack = parse_attack args in
       let* seed = int_arg args "seed" ~default:42 in
       let* quick = int_arg args "quick" ~default:1 in

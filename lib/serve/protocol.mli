@@ -41,8 +41,11 @@
     [back=N]/[fwd=N] (rf), [interval=N] (re), and geometry
     [lines=N]/[lb=N]. Defaults are the paper's Table 4 values; parsing
     expands every default, so equivalent spellings of the same
-    question canonicalize to the same {!query} value (and hence the
-    same memo key — see {!Memo}). *)
+    question canonicalize to the same {!query} value, and
+    {!canonical} spells that value as the one line the server's memo
+    is keyed by. Overrides outside the range the cache model accepts
+    are decode errors, so an error is the only answer to a question
+    the model refuses. *)
 
 open Cachesec_cache
 open Cachesec_analysis
@@ -95,12 +98,26 @@ val cold : query -> bool
 
 val encode_query : query -> string
 val decode_query : string -> (query, string) result
-(** One line, no newline. [decode_query (encode_query q) = Ok q].
+(** One line, no newline. [decode_query (encode_query q) = Ok q]:
+    the encoder spells every field, the decoder expands every default.
     [encode_query] raises [Invalid_argument] on a [Pas] whose
     [config.ways] disagrees with the spec's way count (standard 8 for
     [Newcache]): the wire form carries a single [ways=] argument, so
     such a value cannot round-trip and must not be sent silently as a
-    different question. *)
+    different question. [decode_query] refuses an override the cache
+    model refuses: [ways] not dividing the query's [lines] (512 unless
+    given), [partitions] below 2 or not dividing the set count,
+    a negative [reserved], a negative [back]/[fwd], a
+    non-positive [interval], a negative or non-finite [sigma], an
+    [nbits] whose logical cache overflows; and, for [validate], whose
+    campaign builds the engine, a Nomo [reserved] not below [ways]. *)
+
+val canonical : query -> string option
+(** The question a query asks, as one string: {!encode_query}'s line
+    without [cold] ([None] for ping, stats and shutdown) — the memo
+    key. By the round trip above, queries that differ in a field other
+    than [cold] get different strings; equal ones get the same string
+    ([sigma] [-0] and [0] are spelled apart, as distinct doubles). *)
 
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, string) result

@@ -131,8 +131,8 @@ let error_reply e =
    memoized answer are ever inserted (never cold lines, never errors,
    never stats/ping), so the fast path can only repeat an answer the
    slow path already gave for that exact spelling; other spellings of
-   the same question still canonicalize through [Memo.key] to the one
-   shared entry. *)
+   the same question still canonicalize through [Protocol.canonical]
+   to the one shared entry. *)
 let rec route t line =
   match Memo.find t.lines line with
   | Some enc ->
@@ -167,9 +167,9 @@ and route_slow t line =
     in
     if Protocol.cold q then miss None
     else
-      (* [Memo.key] is total outside the control verbs, so [Option.get]
-         cannot raise here. *)
-      let key = Option.get (Memo.key q) in
+      (* [Protocol.canonical] is total outside the control verbs, so
+         [Option.get] cannot raise here. *)
+      let key = Option.get (Protocol.canonical q) in
       match Memo.find t.memo key with
       | Some enc ->
         bump t "hits" (fun c -> c.hits <- c.hits + 1);

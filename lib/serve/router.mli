@@ -17,7 +17,8 @@
     measures. Lines enter that cache only after a full route ended in a
     memoized answer, so the fast path can never answer a cold line, an
     error, or a stats/ping verb; differently-spelled equivalents of the
-    same question still share one canonical entry through {!Memo.key}.
+    same question still share one canonical entry through
+    {!Protocol.canonical}.
 
     Errors are never memoized — a transient failure must not poison the
     cache for the lifetime of the daemon. *)

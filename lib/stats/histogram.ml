@@ -57,7 +57,3 @@ let mode t =
     Array.iteri (fun i c -> if c > t.counts.(!best) then best := i) t.counts;
     Some !best
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>histogram [%g,%g) %d bins, %d samples@]" t.lo t.hi
-    (Array.length t.counts) t.total

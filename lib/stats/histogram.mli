@@ -29,5 +29,3 @@ val density : t -> float array
 
 val mode : t -> int option
 (** Index of the fullest in-range bin; ties break low; [None] when empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,7 +56,3 @@ let of_array xs =
   let t = create () in
   Array.iter (add t) xs;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "{n=%d; mean=%g; std=%g; min=%g; max=%g}" t.n (mean t)
-    (std t) t.min t.max

@@ -36,4 +36,3 @@ val merge_into : t -> t -> unit
     allocation). [b] is unchanged. *)
 
 val of_array : float array -> t
-val pp : Format.formatter -> t -> unit

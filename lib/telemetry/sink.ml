@@ -7,8 +7,6 @@
 
 type t = { emit : Event.t -> unit; close : unit -> unit }
 
-let null = { emit = ignore; close = ignore }
-
 let tee sinks =
   {
     emit = (fun e -> List.iter (fun s -> s.emit e) sinks);

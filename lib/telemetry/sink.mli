@@ -8,11 +8,6 @@
 
 type t = { emit : Event.t -> unit; close : unit -> unit }
 
-val null : t
-(** Drops everything. Prefer {!Telemetry.null} (the whole context) when
-    you want the zero-cost off switch: a null [Telemetry.t] never even
-    constructs events. *)
-
 val tee : t list -> t
 (** Fan every event out to each sink, close them all in order. *)
 

@@ -50,9 +50,6 @@ val span_id : span -> int
 (** Unique id ([>= 1]; [0] for {!null_span}) — the cross-reference key
     written into e.g. [BENCH_cache.json]. *)
 
-val emit : t -> Event.t -> unit
-(** Thread-safe raw emission (serialized behind the context mutex). *)
-
 val count : t -> string -> int -> unit
 (** Add to a named counter in the calling domain's local table.
     Lock-free; safe from scheduler workers. *)

@@ -16,8 +16,9 @@ let check_close eps = Alcotest.(check (float eps))
 
 let test_attack_type () =
   Alcotest.(check int) "four types" 4 (List.length Attack_type.all);
-  Alcotest.(check (list int)) "numbering" [ 1; 2; 3; 4 ]
-    (List.map Attack_type.type_number Attack_type.all);
+  Alcotest.(check (list string)) "numbering"
+    [ "Type 1"; "Type 2"; "Type 3"; "Type 4" ]
+    (List.map Attack_type.short Attack_type.all);
   List.iter
     (fun a ->
       Alcotest.(check bool) "name roundtrip" true

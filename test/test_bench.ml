@@ -259,8 +259,15 @@ let test_gate_lines () =
     \  gate bench_attacks flush-reload no baseline rows (reported)\n\
     \  gate bench_attacks collision    no baseline rows (reported)\n"
     (Throughput.Attacks.gate ~seed:absent attacks);
-  check "no arm e2e" "  gate e2e          missing arm, no ratio\n"
+  check "no arm e2e"
+    "  gate e2e          missing arm, no ratio (reported: needs >= 4 cores \
+     and >= 4 jobs for a hard gate)\n"
     (Throughput.E2e.gate e2e);
+  check "no arm four-core e2e" "  gate e2e          missing arm, no ratio FAIL\n"
+    (Throughput.E2e.gate
+       (List.map
+          (fun (e : Throughput.E2e.entry) -> { e with jobs = 4; cores = 4 })
+          e2e));
   check "no arm adaptive" "  gate adaptive     missing arm, no ratio FAIL\n"
     (Throughput.Adaptive.gate
        (List.filter

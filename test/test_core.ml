@@ -49,8 +49,8 @@ let figure2 () =
 (* --- Node / Edge constructors ---------------------------------------- *)
 
 let test_node_roles () =
-  Alcotest.(check string) "role names" "x#1(victim-origin)"
-    (Format.asprintf "%a" Node.pp (node 1 "x" Node.Victim_origin));
+  Alcotest.(check bool) "role kept" true
+    ((node 1 "x" Node.Victim_origin).Node.role = Node.Victim_origin);
   let a = node 1 "x" Node.Internal and b = node 1 "y" Node.Observation in
   Alcotest.(check bool) "identity is the id" true (Node.equal a b)
 
@@ -493,66 +493,6 @@ let test_dot () =
     (String.fold_left (fun acc c -> if c = '{' then acc + 1 else if c = '}' then acc - 1 else acc) 0 s
      = 0)
 
-(* --- Ckey: canonical-key injectivity --------------------------------- *)
-
-let test_ckey_atoms () =
-  let distinct pairs =
-    List.iter
-      (fun (name, a, b) ->
-        Alcotest.(check bool) name false
-          (String.equal (Ckey.to_string a) (Ckey.to_string b)))
-      pairs
-  in
-  distinct
-    [
-      (* Same payload spelling, different types. *)
-      ("string vs int", Ckey.string "1", Ckey.int 1);
-      ("float vs int", Ckey.float 1.0, Ckey.int 1);
-      ("bool vs int", Ckey.bool true, Ckey.int 1);
-      (* List splits: concatenation without self-delimiting atoms would
-         confuse these. *)
-      ( "list split point",
-        Ckey.list [ Ckey.string "ab"; Ckey.string "c" ],
-        Ckey.list [ Ckey.string "a"; Ckey.string "bc" ] );
-      ( "nesting depth",
-        Ckey.list [ Ckey.list [ Ckey.int 1 ]; Ckey.int 2 ],
-        Ckey.list [ Ckey.int 1; Ckey.list [ Ckey.int 2 ] ] );
-      (* Tag names that are prefixes of one another. *)
-      ("prefix tags", Ckey.tag "sa" [ Ckey.int 1 ], Ckey.tag "sas" [ Ckey.int 1 ]);
-      ( "tag vs child",
-        Ckey.tag "a" [ Ckey.tag "b" [] ],
-        Ckey.tag "ab" [] );
-      (* Strings containing the encoder's own separators. *)
-      ( "separator injection",
-        Ckey.string "i1;",
-        Ckey.list [ Ckey.int 1 ] );
-      ("empty variants", Ckey.string "", Ckey.list []);
-    ];
-  (* Equal trees encode equally (the other half of canonicality). *)
-  Alcotest.(check string) "deterministic"
-    (Ckey.to_string (Ckey.tag "q" [ Ckey.int 3; Ckey.float 0.5 ]))
-    (Ckey.to_string (Ckey.tag "q" [ Ckey.int 3; Ckey.float 0.5 ]));
-  (* Floats are exact: values that differ in the last ulp get distinct
-     keys, equal values (however computed) share one. *)
-  Alcotest.(check bool) "float exactness" false
-    (String.equal
-       (Ckey.to_string (Ckey.float 0.3))
-       (Ckey.to_string (Ckey.float (0.1 +. 0.2))));
-  Alcotest.(check string) "float identity"
-    (Ckey.to_string (Ckey.float 1.))
-    (Ckey.to_string (Ckey.float (0.5 +. 0.5)))
-
-let test_ckey_qcheck_strings () =
-  (* Randomized check of the workhorse case: distinct string lists
-     never collide under concatenation. *)
-  let gen = QCheck.(pair (small_list small_string) (small_list small_string)) in
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:500 ~name:"list-of-strings injective" gen
-       (fun (xs, ys) ->
-         let k l = Ckey.to_string (Ckey.list (List.map Ckey.string l)) in
-         QCheck.assume (xs <> ys);
-         not (String.equal (k xs) (k ys))))
-
 let () =
   Alcotest.run "core"
     [
@@ -601,11 +541,4 @@ let () =
           Alcotest.test_case "builder invalid" `Quick test_builder_invalid;
         ] );
       ("dot", [ Alcotest.test_case "dot output" `Quick test_dot ]);
-      ( "ckey",
-        [
-          Alcotest.test_case "injective atoms & composites" `Quick
-            test_ckey_atoms;
-          Alcotest.test_case "random string lists" `Quick
-            test_ckey_qcheck_strings;
-        ] );
     ]

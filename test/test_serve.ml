@@ -1,7 +1,9 @@
-(* The PAS query server: protocol codec round-trips, canonical memo
-   keys (equivalence AND collision-freedom over the full matrix),
-   router memoization, and forked end-to-end servers — including the
-   backpressure and dedup paths.
+(* The PAS query server: protocol codec round-trips (the memo key's
+   injectivity rests on them), decode refusing out-of-range overrides,
+   canonical memo keys ([Protocol.canonical]: equivalence AND
+   collision-freedom over the full matrix), router memoization, and
+   forked end-to-end servers — including the backpressure and dedup
+   paths.
 
    Fork discipline: every end-to-end test forks BEFORE this process
    ever touches the Domain pool (serial contexts only in the parent),
@@ -95,6 +97,31 @@ let test_reply_roundtrip () =
     Alcotest.(check bool) "bit-exact float" true (float_eq v (0.1 +. 0.2))
   | _ -> Alcotest.fail "expected Pas_v"
 
+(* Overrides outside the range the cache model accepts. *)
+let out_of_range =
+  [
+    "resilience cache=sp attack=prime-and-probe partitions=0";
+    "pas cache=sp attack=prime-and-probe partitions=0";
+    "pas cache=sp attack=prime-and-probe partitions=1";
+    "pas cache=sp attack=prime-and-probe partitions=3";
+    "pas cache=sp attack=prime-and-probe partitions=-2";
+    "pas cache=sp attack=prime-and-probe partitions=128";  (* > 64 sets *)
+    "pas cache=sp attack=prime-and-probe ways=16 lines=64 partitions=8";
+    "pas cache=nomo attack=prime-and-probe reserved=-1";
+    "validate cache=nomo attack=cache-collision reserved=8";
+    "validate cache=nomo attack=cache-collision ways=2";  (* reserved=2 *)
+    "pas cache=rf attack=cache-collision back=-3";
+    "pas cache=rf attack=cache-collision fwd=-1";
+    "validate cache=re attack=prime-and-probe interval=0";
+    "validate cache=re attack=prime-and-probe interval=-5";
+    "pas cache=noisy attack=prime-and-probe sigma=inf";
+    "pas cache=noisy attack=prime-and-probe sigma=-inf";
+    "pas cache=noisy attack=prime-and-probe sigma=nan";
+    "pas cache=noisy attack=prime-and-probe sigma=-0.5";
+    "validate cache=sa attack=prime-and-probe ways=3";  (* 512 lines *)
+    "resilience cache=sa attack=prime-and-probe ways=1024";
+  ]
+
 let test_decode_errors () =
   let bad =
     [
@@ -112,6 +139,7 @@ let test_decode_errors () =
       "prepas cache=sa k=minus";
       "ping cold";
     ]
+    @ out_of_range
   in
   List.iter
     (fun line ->
@@ -119,6 +147,93 @@ let test_decode_errors () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected decode error for %S" line)
     bad
+
+(* Queries the decoder accepts: every verb, all nine architectures with
+   in-range overrides, several geometries, and floats that a lossy
+   printer would merge ([0.1 +. 0.2] vs [0.3], [-0.] vs [0.]). *)
+let gen_query : Protocol.query QCheck.Gen.t =
+  let open QCheck.Gen in
+  let pow2 lo hi = map (fun e -> 1 lsl e) (int_range lo hi) in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  let sigma =
+    oneof
+      [ oneofl [ 0.; -0.; 0.1 +. 0.2; 0.3; 1.; 1e-300; 5e-324; 1e300 ];
+        float_bound_inclusive 4. ]
+  in
+  let spec ~lines ~ways =
+    let* policy = oneofl Policy.all in
+    oneof
+      [
+        return (Spec.Sa { ways; policy });
+        map
+          (fun partitions -> Spec.Sp { ways; policy; partitions })
+          (pow2 1 (log2 (lines / ways)));
+        return (Spec.Pl { ways; policy });
+        map
+          (fun reserved -> Spec.Nomo { ways; policy; reserved })
+          (int_range 0 (ways - 1));
+        map
+          (fun extra_bits -> Spec.Newcache { extra_bits })
+          (int_range 0 (Newcache.max_extra_bits ~lines));
+        return (Spec.Rp { ways; policy });
+        map2
+          (fun back fwd -> Spec.Rf { ways; policy; back; fwd })
+          (int_range 0 512) (int_range 0 512);
+        map (fun interval -> Spec.Re { ways; policy; interval }) (int_range 1 1000);
+        map (fun sigma -> Spec.Noisy { ways; policy; sigma }) sigma;
+      ]
+  in
+  let attack = oneofl Attack_type.all in
+  let* cold = bool in
+  let* ways = pow2 0 4 in
+  let* lines = pow2 6 12 and* line_bytes = pow2 4 7 in
+  let standard = Config.standard.Config.lines in
+  oneof
+    [
+      oneofl [ Protocol.Ping; Stats; Shutdown ];
+      (let* spec = spec ~lines ~ways and* attack = attack in
+       let ways = match spec with Spec.Newcache _ -> 8 | _ -> ways in
+       return
+         (Protocol.Pas
+            { spec; config = Config.v ~line_bytes ~lines ~ways; attack; cold }));
+      (let* spec = spec ~lines:standard ~ways and* k = int_range 0 4096 in
+       return (Protocol.Prepas { spec; k; cold }));
+      (let* spec = spec ~lines:standard ~ways and* attack = attack in
+       return (Protocol.Resilience { spec; attack; cold }));
+      (let* attack = attack in
+       return
+         (Protocol.Table
+            { attack; config = Config.v ~line_bytes ~lines ~ways; cold }));
+      (let* spec = spec ~lines:standard ~ways
+       and* attack = attack
+       and* seed = oneof [ int; oneofl [ min_int; max_int; 0 ] ]
+       and* quick = bool in
+       return (Protocol.Validate { spec; attack; seed; quick; cold }));
+    ]
+
+(* [decode_query (encode_query q) = Ok q] with floats compared by bits:
+   the memo key ([Protocol.canonical], the line without [cold]) is
+   injective because of it. *)
+let test_query_roundtrip_generated =
+  let same_bits (a : Protocol.query) (b : Protocol.query) =
+    match (a, b) with
+    | ( (Pas { spec = Spec.Noisy { sigma = x; _ }; _ }
+        | Prepas { spec = Spec.Noisy { sigma = x; _ }; _ }
+        | Resilience { spec = Spec.Noisy { sigma = x; _ }; _ }
+        | Validate { spec = Spec.Noisy { sigma = x; _ }; _ }),
+        ( Pas { spec = Spec.Noisy { sigma = y; _ }; _ }
+        | Prepas { spec = Spec.Noisy { sigma = y; _ }; _ }
+        | Resilience { spec = Spec.Noisy { sigma = y; _ }; _ }
+        | Validate { spec = Spec.Noisy { sigma = y; _ }; _ }) ) ->
+      float_eq x y
+    | _ -> true
+  in
+  qtest ~count:2000 "query round trip over generated queries"
+    (QCheck.make ~print:Protocol.encode_query gen_query)
+    (fun q ->
+      match Protocol.decode_query (Protocol.encode_query q) with
+      | Ok q' -> q = q' && same_bits q q'
+      | Error _ -> false)
 
 let test_encode_ways_mismatch () =
   (* The pas wire form carries a single ways= argument; a Pas whose
@@ -165,7 +280,7 @@ let test_frames_incremental () =
 let key_of_line line =
   match Protocol.decode_query line with
   | Ok q -> (
-    match Memo.key q with
+    match Protocol.canonical q with
     | Some k -> k
     | None -> Alcotest.failf "no key for %S" line)
   | Error e -> Alcotest.failf "decode %S: %s" line e
@@ -249,7 +364,7 @@ let test_key_distinctness () =
   Alcotest.(check int)
     "every question keyed" (List.length !lines) (Hashtbl.length tbl)
 
-(* Ckey injectivity over the enlarged policy registry: any two distinct
+(* Key injectivity over the enlarged policy registry: any two distinct
    (architecture, policy, attack) questions — policy spelled explicitly,
    so the default never aliases — must map to distinct memo keys, and
    equal questions to equal keys. *)
@@ -306,7 +421,7 @@ let test_policy_spellings () =
           Alcotest.failf "error %S does not list policy %s" e s)
       Policy.all
 
-(* --- memo table & inflight ------------------------------------------- *)
+(* --- memo table --------------------------------------------------------- *)
 
 let test_memo_table () =
   let m = Memo.create ~max_entries:3 () in
@@ -459,6 +574,23 @@ let test_nbits_range () =
     (Result.is_ok (pas ~lines:1024 51));
   Alcotest.(check bool) "1024 lines, nbits 52" true
     (Result.is_error (pas ~lines:1024 52))
+
+(* A question the cache model refuses gets an error reply: never a
+   computed answer, a memo entry or a campaign. *)
+let test_out_of_range_overrides () =
+  let r = Router.create () in
+  List.iter
+    (fun line ->
+      match Router.route r line with
+      | Router.Now enc when String.starts_with ~prefix:"error " enc -> ()
+      | Router.Now enc -> Alcotest.failf "%S answered %S" line enc
+      | Router.Sim _ -> Alcotest.failf "%S became a campaign" line
+      | Router.Quit _ -> Alcotest.failf "%S quit" line)
+    out_of_range;
+  let s = stats_of_router r in
+  Alcotest.(check int) "nothing computed" 0 (stat s "closed");
+  Alcotest.(check int) "no memo miss" 0 (stat s "misses");
+  Alcotest.(check int) "nothing memoized" 0 (Router.memo_size r)
 
 (* Error replies quote query bytes, and a query is arbitrary bytes: every
    [error] reply the router gives must still be one line of UTF-8 text.
@@ -790,6 +922,7 @@ let () =
         [
           Alcotest.test_case "query round trips" `Quick test_query_roundtrip;
           Alcotest.test_case "reply round trips" `Quick test_reply_roundtrip;
+          test_query_roundtrip_generated;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "pas ways mismatch refuses to encode" `Quick
             test_encode_ways_mismatch;
@@ -812,6 +945,8 @@ let () =
           Alcotest.test_case "closed form + memo" `Quick test_router_closed_form;
           Alcotest.test_case "sim memoization" `Quick test_router_sim_memoization;
           Alcotest.test_case "nbits range" `Quick test_nbits_range;
+          Alcotest.test_case "out-of-range overrides" `Quick
+            test_out_of_range_overrides;
           test_error_replies_printable;
         ] );
       ( "end-to-end",
