@@ -164,7 +164,8 @@ let bench (ctx : Run.ctx) =
         Fun.protect
           ~finally:(fun () -> Client.close client)
           (fun () ->
-            (* Warm the memo (and the raw-line fast path) once. *)
+            (* Warm the memo once: the gate query is canonical, so
+               every later ask hits before decoding. *)
             ignore (Client.round_trip_raw client [ gate_query ~cold:false ]);
             let hit_frames = if quick then 50 else 200 in
             let cold_frames = if quick then 50 else 200 in

@@ -687,7 +687,7 @@ let serve_cmd =
   in
   let max_memo_arg =
     Arg.(
-      value & opt int 65536
+      value & opt count_conv 65536
       & info [ "max-memo" ] ~docv:"N"
           ~doc:"Answer-cache entry bound (FIFO eviction beyond it).")
   in

@@ -5,6 +5,7 @@ type t = {
 }
 
 let create ?(max_entries = 65536) () =
+  if max_entries < 1 then invalid_arg "Memo.create: max_entries must be >= 1";
   { table = Hashtbl.create 256; order = Queue.create (); max_entries }
 
 let find t k = Hashtbl.find_opt t.table k

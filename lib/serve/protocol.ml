@@ -66,53 +66,110 @@ let spec_ways = function
   | Spec.Noisy { ways; _ } -> Some ways
   | Spec.Newcache _ -> None
 
-(* Every field of the spec is emitted explicitly (no reliance on
-   defaults), so encode/decode round-trips by construction. *)
+let ( let* ) r f = Result.bind r f
+
+let int_value key v =
+  match int_of_string_opt v with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "%s: not an integer: %s" key v)
+
+(* One field of a spec, [key=value] on the wire: [show] is its value on
+   the specs that have it ([get] is [None] on the others), [set] the
+   spec with it set from a wire value, or the exact decode error. *)
+type field = {
+  key : string;
+  show : Spec.t -> string option;
+  set : Spec.t -> string -> (Spec.t, string) result;
+}
+
+(* [put] is called only on a spec whose [get] is [Some _]. *)
+let field key ~parse ~show ~get ~put ~absent =
+  {
+    key;
+    show = (fun s -> Option.map show (get s));
+    set =
+      (fun s v ->
+        let* x = parse v in
+        if Option.is_none (get s) then Error absent else Ok (put s x));
+  }
+
+let arch_int key ~arch ~get ~put =
+  field key ~parse:(int_value key) ~show:string_of_int ~get ~put
+    ~absent:(Printf.sprintf "%s applies to %s only" key arch)
+
+(* Every spec field, in wire order: the encoder spells each one a spec
+   has (no reliance on defaults, so encode/decode round-trips by
+   construction), the decoder reads each one as an override. *)
+let spec_fields =
+  [
+    field "ways"
+      ~parse:(fun v ->
+        let* w = int_value "ways" v in
+        if w <= 0 then Error "ways must be positive" else Ok w)
+      ~show:string_of_int ~get:spec_ways
+      ~put:(fun s ways ->
+        match s with
+        | Spec.Sa r -> Spec.Sa { r with ways }
+        | Spec.Sp r -> Spec.Sp { r with ways }
+        | Spec.Pl r -> Spec.Pl { r with ways }
+        | Spec.Nomo r -> Spec.Nomo { r with ways }
+        | Spec.Rp r -> Spec.Rp { r with ways }
+        | Spec.Rf r -> Spec.Rf { r with ways }
+        | Spec.Re r -> Spec.Re { r with ways }
+        | Spec.Noisy r -> Spec.Noisy { r with ways }
+        | Spec.Newcache _ -> s)
+      ~absent:"newcache has no ways";
+    field "policy"
+      ~parse:(fun p ->
+        match Policy.of_string p with
+        | Some policy -> Ok policy
+        | None ->
+          Error
+            (Printf.sprintf "unknown policy %s (expected one of: %s)" p
+               Policy.names))
+      ~show:Policy.to_string ~get:Spec.policy_of ~put:Spec.with_policy
+      ~absent:"newcache has no replacement policy";
+    arch_int "nbits" ~arch:"newcache"
+      ~get:(function
+        | Spec.Newcache { extra_bits } -> Some extra_bits | _ -> None)
+      ~put:(fun _ extra_bits -> Spec.Newcache { extra_bits });
+    arch_int "partitions" ~arch:"sp"
+      ~get:(function Spec.Sp { partitions; _ } -> Some partitions | _ -> None)
+      ~put:(fun s partitions ->
+        match s with Spec.Sp r -> Spec.Sp { r with partitions } | s -> s);
+    arch_int "reserved" ~arch:"nomo"
+      ~get:(function Spec.Nomo { reserved; _ } -> Some reserved | _ -> None)
+      ~put:(fun s reserved ->
+        match s with Spec.Nomo r -> Spec.Nomo { r with reserved } | s -> s);
+    arch_int "back" ~arch:"rf"
+      ~get:(function Spec.Rf { back; _ } -> Some back | _ -> None)
+      ~put:(fun s back ->
+        match s with Spec.Rf r -> Spec.Rf { r with back } | s -> s);
+    arch_int "fwd" ~arch:"rf"
+      ~get:(function Spec.Rf { fwd; _ } -> Some fwd | _ -> None)
+      ~put:(fun s fwd ->
+        match s with Spec.Rf r -> Spec.Rf { r with fwd } | s -> s);
+    arch_int "interval" ~arch:"re"
+      ~get:(function Spec.Re { interval; _ } -> Some interval | _ -> None)
+      ~put:(fun s interval ->
+        match s with Spec.Re r -> Spec.Re { r with interval } | s -> s);
+    field "sigma"
+      ~parse:(fun v ->
+        match float_of_string_opt v with
+        | Some sigma -> Ok sigma
+        | None -> Error (Printf.sprintf "sigma: not a number: %s" v))
+      ~show:fmt_float
+      ~get:(function Spec.Noisy { sigma; _ } -> Some sigma | _ -> None)
+      ~put:(fun s sigma ->
+        match s with Spec.Noisy r -> Spec.Noisy { r with sigma } | s -> s)
+      ~absent:"sigma applies to noisy only";
+  ]
+
 let spec_args spec =
-  let pol p = Printf.sprintf "policy=%s" (Policy.to_string p) in
-  let base = Printf.sprintf "cache=%s" (Spec.name spec) in
-  match spec with
-  | Spec.Sa { ways; policy }
-  | Spec.Pl { ways; policy }
-  | Spec.Rp { ways; policy } ->
-    [ base; Printf.sprintf "ways=%d" ways; pol policy ]
-  | Spec.Sp { ways; policy; partitions } ->
-    [
-      base;
-      Printf.sprintf "ways=%d" ways;
-      pol policy;
-      Printf.sprintf "partitions=%d" partitions;
-    ]
-  | Spec.Nomo { ways; policy; reserved } ->
-    [
-      base;
-      Printf.sprintf "ways=%d" ways;
-      pol policy;
-      Printf.sprintf "reserved=%d" reserved;
-    ]
-  | Spec.Newcache { extra_bits } -> [ base; Printf.sprintf "nbits=%d" extra_bits ]
-  | Spec.Rf { ways; policy; back; fwd } ->
-    [
-      base;
-      Printf.sprintf "ways=%d" ways;
-      pol policy;
-      Printf.sprintf "back=%d" back;
-      Printf.sprintf "fwd=%d" fwd;
-    ]
-  | Spec.Re { ways; policy; interval } ->
-    [
-      base;
-      Printf.sprintf "ways=%d" ways;
-      pol policy;
-      Printf.sprintf "interval=%d" interval;
-    ]
-  | Spec.Noisy { ways; policy; sigma } ->
-    [
-      base;
-      Printf.sprintf "ways=%d" ways;
-      pol policy;
-      Printf.sprintf "sigma=%s" (fmt_float sigma);
-    ]
+  Printf.sprintf "cache=%s" (Spec.name spec)
+  :: List.filter_map
+       (fun f -> Option.map (Printf.sprintf "%s=%s" f.key) (f.show spec))
+       spec_fields
 
 let config_args (c : Config.t) =
   [ Printf.sprintf "lb=%d" c.Config.line_bytes;
@@ -171,10 +228,14 @@ let canonical = function
 
 (* --- query decoding --------------------------------------------------- *)
 
-let ( let* ) r f = Result.bind r f
-
 let split_words s =
   List.filter (fun w -> w <> "") (String.split_on_char ' ' s)
+
+let split_pair w =
+  match String.index_opt w '=' with
+  | None -> None
+  | Some i ->
+    Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
 
 (* key=value args plus bare flags; duplicate keys are an error (a
    silently-last-wins duplicate would canonicalize two different lines
@@ -183,11 +244,9 @@ let parse_args words =
   let rec go acc flags = function
     | [] -> Ok (List.rev acc, List.rev flags)
     | w :: rest -> (
-      match String.index_opt w '=' with
+      match split_pair w with
       | None -> go acc (w :: flags) rest
-      | Some i ->
-        let k = String.sub w 0 i in
-        let v = String.sub w (i + 1) (String.length w - i - 1) in
+      | Some (k, v) ->
         if List.mem_assoc k acc then
           Error (Printf.sprintf "duplicate argument %s" k)
         else go ((k, v) :: acc) flags rest)
@@ -197,16 +256,15 @@ let parse_args words =
 let int_arg args key ~default =
   match List.assoc_opt key args with
   | None -> Ok default
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "%s: not an integer: %s" key v))
+  | Some v -> int_value key v
 
-let spec_keys =
-  [
-    "cache"; "policy"; "ways"; "sigma"; "nbits"; "partitions"; "reserved";
-    "back"; "fwd"; "interval";
-  ]
+let spec_keys = "cache" :: List.map (fun f -> f.key) spec_fields
+
+(* [policy] first, then the rest in wire order: a line with two faults
+   reports the first of them in this order. *)
+let decode_order =
+  let policy, rest = List.partition (fun f -> f.key = "policy") spec_fields in
+  policy @ rest
 
 let config_keys = [ "lb"; "lines" ]
 
@@ -259,104 +317,13 @@ let parse_spec args =
              (String.concat ", " (List.map Spec.name Spec.all_paper))))
   in
   let* spec =
-    match List.assoc_opt "policy" args with
-    | None -> Ok base
-    | Some p -> (
-      match Policy.of_string p with
-      | Some policy -> (
-        match base with
-        | Spec.Newcache _ -> Error "newcache has no replacement policy"
-        | _ -> Ok (Spec.with_policy base policy))
-      | None ->
-        Error
-          (Printf.sprintf "unknown policy %s (expected one of: %s)" p
-             Policy.names))
-  in
-  let* spec =
-    match List.assoc_opt "ways" args with
-    | None -> Ok spec
-    | Some v -> (
-      match int_of_string_opt v with
-      | None -> Error (Printf.sprintf "ways: not an integer: %s" v)
-      | Some w when w <= 0 -> Error "ways must be positive"
-      | Some w -> (
-        match spec with
-        | Spec.Sa r -> Ok (Spec.Sa { r with ways = w })
-        | Spec.Sp r -> Ok (Spec.Sp { r with ways = w })
-        | Spec.Pl r -> Ok (Spec.Pl { r with ways = w })
-        | Spec.Nomo r -> Ok (Spec.Nomo { r with ways = w })
-        | Spec.Rp r -> Ok (Spec.Rp { r with ways = w })
-        | Spec.Rf r -> Ok (Spec.Rf { r with ways = w })
-        | Spec.Re r -> Ok (Spec.Re { r with ways = w })
-        | Spec.Noisy r -> Ok (Spec.Noisy { r with ways = w })
-        | Spec.Newcache _ -> Error "newcache has no ways"))
-  in
-  let int_override key apply spec =
-    match List.assoc_opt key args with
-    | None -> Ok spec
-    | Some v -> (
-      match int_of_string_opt v with
-      | None -> Error (Printf.sprintf "%s: not an integer: %s" key v)
-      | Some n -> apply spec n)
-  in
-  let* spec =
-    int_override "nbits"
-      (fun s n ->
-        match s with
-        | Spec.Newcache _ -> Ok (Spec.Newcache { extra_bits = n })
-        | _ -> Error "nbits applies to newcache only")
-      spec
-  in
-  let* spec =
-    int_override "partitions"
-      (fun s n ->
-        match s with
-        | Spec.Sp r -> Ok (Spec.Sp { r with partitions = n })
-        | _ -> Error "partitions applies to sp only")
-      spec
-  in
-  let* spec =
-    int_override "reserved"
-      (fun s n ->
-        match s with
-        | Spec.Nomo r -> Ok (Spec.Nomo { r with reserved = n })
-        | _ -> Error "reserved applies to nomo only")
-      spec
-  in
-  let* spec =
-    int_override "back"
-      (fun s n ->
-        match s with
-        | Spec.Rf r -> Ok (Spec.Rf { r with back = n })
-        | _ -> Error "back applies to rf only")
-      spec
-  in
-  let* spec =
-    int_override "fwd"
-      (fun s n ->
-        match s with
-        | Spec.Rf r -> Ok (Spec.Rf { r with fwd = n })
-        | _ -> Error "fwd applies to rf only")
-      spec
-  in
-  let* spec =
-    int_override "interval"
-      (fun s n ->
-        match s with
-        | Spec.Re r -> Ok (Spec.Re { r with interval = n })
-        | _ -> Error "interval applies to re only")
-      spec
-  in
-  let* spec =
-    match List.assoc_opt "sigma" args with
-    | None -> Ok spec
-    | Some v -> (
-      match float_of_string_opt v with
-      | None -> Error (Printf.sprintf "sigma: not a number: %s" v)
-      | Some sigma -> (
-        match spec with
-        | Spec.Noisy r -> Ok (Spec.Noisy { r with sigma })
-        | _ -> Error "sigma applies to noisy only"))
+    List.fold_left
+      (fun spec f ->
+        let* spec = spec in
+        match List.assoc_opt f.key args with
+        | None -> Ok spec
+        | Some v -> f.set spec v)
+      (Ok base) decode_order
   in
   let* lines = int_arg args "lines" ~default:Config.standard.Config.lines in
   check_ranges spec ~lines
@@ -499,11 +466,9 @@ let parse_pairs words =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | w :: rest -> (
-      match String.index_opt w '=' with
+      match split_pair w with
       | None -> Error (Printf.sprintf "malformed pair %s" w)
-      | Some i -> (
-        let k = String.sub w 0 i in
-        let v = String.sub w (i + 1) (String.length w - i - 1) in
+      | Some (k, v) -> (
         match float_of_string_opt v with
         | Some f -> go ((k, f) :: acc) rest
         | None -> Error (Printf.sprintf "%s: not a number: %s" k v)))
@@ -537,14 +502,11 @@ let decode_reply line =
     let* v = float_pair kvs "v" in
     Ok (Prepas_v v)
   | "resilience" :: rest -> (
-    match rest with
-    | [ v; p ] when String.length v > 8 && String.sub v 0 8 = "verdict=" -> (
-      let verdict = String.sub v 8 (String.length v - 8) in
-      match String.index_opt p '=' with
-      | Some i when String.sub p 0 i = "pas" -> (
-        match
-          float_of_string_opt (String.sub p (i + 1) (String.length p - i - 1))
-        with
+    match List.map split_pair rest with
+    | [ Some ("verdict", verdict); p ] when verdict <> "" -> (
+      match p with
+      | Some ("pas", p) -> (
+        match float_of_string_opt p with
         | Some pas -> Ok (Resilience_v { verdict; pas })
         | None -> Error "resilience: bad pas value")
       | _ -> Error "resilience: missing pas=")
@@ -637,26 +599,43 @@ let read_frame fd =
       | Some b -> Some (Bytes.to_string b))
 
 module Frames = struct
-  type t = { mutable pending : string }
+  (* The piece being read: a frame's 4-byte length prefix, then its
+     payload, each allocated once at its final size and filled in place,
+     so every byte received is copied once however it is split. *)
+  type t = {
+    mutable piece : Bytes.t;
+    mutable got : int;  (* bytes of [piece] filled *)
+    mutable in_payload : bool;
+  }
 
-  let create () = { pending = "" }
-  let pending_bytes t = String.length t.pending
+  let create () = { piece = Bytes.create 4; got = 0; in_payload = false }
+  let pending_bytes t = if t.in_payload then 4 + t.got else t.got
 
   let feed t ~bytes ~len =
-    t.pending <- t.pending ^ Bytes.sub_string bytes 0 len;
-    let rec extract acc =
-      let s = t.pending in
-      let n = String.length s in
-      if n < 4 then Ok (List.rev acc)
-      else
-        let flen = be32 s 0 in
-        if flen > max_frame then Error "oversized frame"
-        else if n < 4 + flen then Ok (List.rev acc)
-        else begin
-          let payload = String.sub s 4 flen in
-          t.pending <- String.sub s (4 + flen) (n - 4 - flen);
-          extract (payload :: acc)
+    let rec go off acc =
+      if t.got = Bytes.length t.piece then
+        if t.in_payload then begin
+          let payload = Bytes.unsafe_to_string t.piece in
+          t.piece <- Bytes.create 4;
+          t.got <- 0;
+          t.in_payload <- false;
+          go off (payload :: acc)
         end
+        else
+          let flen = be32 (Bytes.unsafe_to_string t.piece) 0 in
+          if flen > max_frame then Error "oversized frame"
+          else begin
+            t.piece <- Bytes.create flen;
+            t.got <- 0;
+            t.in_payload <- true;
+            go off acc
+          end
+      else if off = len then Ok (List.rev acc)
+      else
+        let n = min (Bytes.length t.piece - t.got) (len - off) in
+        Bytes.blit bytes off t.piece t.got n;
+        t.got <- t.got + n;
+        go (off + n) acc
     in
-    extract []
+    go 0 []
 end

@@ -159,8 +159,10 @@ module Frames : sig
 
   val feed : t -> bytes:Bytes.t -> len:int -> (string list, string) result
   (** Append [len] bytes and extract complete frame payloads, in order.
-      [Error] on an oversized frame declaration (the connection is
-      beyond recovery — close it). *)
+      Each byte is copied once, so the cost is linear in the bytes
+      received however the reads split them. [Error] on an oversized
+      frame declaration (the connection is beyond recovery — close
+      it). *)
 
   val pending_bytes : t -> int
   (** Buffered bytes not yet forming a complete frame. *)

@@ -14,7 +14,6 @@ type stats_counters = {
 
 type t = {
   memo : Memo.t;  (* canonical key -> encoded reply *)
-  lines : Memo.t;  (* exact query line -> encoded reply (fast path) *)
   c : stats_counters;
   tm : Telemetry.t;
   started : float;
@@ -28,7 +27,6 @@ type decision =
 let create ?(telemetry = Telemetry.null) ?(max_memo = 65536) () =
   {
     memo = Memo.create ~max_entries:max_memo ();
-    lines = Memo.create ~max_entries:max_memo ();
     c =
       {
         closed = 0;
@@ -61,8 +59,6 @@ let note_dedup_join t =
 
 let note_overloaded t =
   bump t "overloaded" (fun c -> c.overloaded <- c.overloaded + 1)
-
-let memo_size t = Memo.size t.memo
 
 let stats t =
   let qd = Cachesec_runtime.Pool.queued_tasks () in
@@ -125,16 +121,14 @@ let sim_thunk (q : Protocol.query) () =
 let error_reply e =
   Protocol.encode_reply (Error_ (Printexc.to_string e))
 
-(* The memo-hit fast path: a repeated query line is answered by one
-   hashtable probe on the raw line, skipping decode and key
-   construction entirely. Only lines whose full route ended in a
-   memoized answer are ever inserted (never cold lines, never errors,
-   never stats/ping), so the fast path can only repeat an answer the
-   slow path already gave for that exact spelling; other spellings of
-   the same question still canonicalize through [Protocol.canonical]
-   to the one shared entry. *)
+(* The memo-hit fast path: a canonical line is its own memo key
+   ([decode_query (encode_query q) = Ok q]), so the memo is probed with
+   the line as sent, skipping decode and key construction entirely. A
+   line with [cold], an error line or a control verb never equals a
+   key; any other spelling of a memoized question decodes and hits
+   through [Protocol.canonical]. *)
 let rec route t line =
-  match Memo.find t.lines line with
+  match Memo.find t.memo line with
   | Some enc ->
     bump t "hits" (fun c -> c.hits <- c.hits + 1);
     Now enc
@@ -157,11 +151,7 @@ and route_slow t line =
         bump t "closed" (fun c -> c.closed <- c.closed + 1);
         match Protocol.encode_reply (compute_closed q) with
         | enc ->
-          Option.iter
-            (fun k ->
-              Memo.add t.memo k enc;
-              Memo.add t.lines line enc)
-            key;
+          Option.iter (fun k -> Memo.add t.memo k enc) key;
           Now enc
         | exception e -> Now (error_reply e))
     in
@@ -173,7 +163,6 @@ and route_slow t line =
       match Memo.find t.memo key with
       | Some enc ->
         bump t "hits" (fun c -> c.hits <- c.hits + 1);
-        Memo.add t.lines line enc;
         Now enc
       | None ->
         bump t "misses" (fun c -> c.misses <- c.misses + 1);

@@ -11,14 +11,13 @@
     campaigns back through {!note_sim_done} so the answer is memoized
     for every later asker.
 
-    A raw-line cache sits in front of the decoder: a repeated query
-    line (exact spelling) is answered by one hashtable probe with no
-    parsing at all — the memo-hit fast path the [bench_serve] gate
-    measures. Lines enter that cache only after a full route ended in a
-    memoized answer, so the fast path can never answer a cold line, an
-    error, or a stats/ping verb; differently-spelled equivalents of the
-    same question still share one canonical entry through
-    {!Protocol.canonical}.
+    The memo is one table keyed by {!Protocol.canonical}. A canonical
+    line is its own key, so {!route} probes the memo with the line as
+    sent before parsing it: a repeated canonical line is answered by
+    one hashtable probe — the memo-hit fast path the [bench_serve] gate
+    measures. A cold line, an error line or a control verb never equals
+    a key; any other spelling of a memoized question is decoded and
+    hits through its canonical form.
 
     Errors are never memoized — a transient failure must not poison the
     cache for the lifetime of the daemon. *)
@@ -45,7 +44,10 @@ val create :
     are mirrored to [telemetry] under [serve.*]. *)
 
 val route : t -> string -> decision
-(** Route one query line. *)
+(** Route one query line. A [stats] line answers the counters
+    closed/hits/misses/dedup_joins/overloaded/sim_runs/sim_errors plus
+    memo_size, queue_depth (live {!Cachesec_runtime.Pool.queued_tasks})
+    and uptime_s. *)
 
 val note_sim_done : t -> key:string option -> string -> unit
 (** Record a completed simulation campaign's encoded reply under [key]
@@ -55,11 +57,3 @@ val note_sim_error : t -> unit
 val note_dedup_join : t -> unit
 val note_overloaded : t -> unit
 (** Outcome counters owned by the server's admission logic. *)
-
-val stats : t -> (string * float) list
-(** The [stats] reply payload: closed/hits/misses/dedup_joins/
-    overloaded/sim_runs/sim_errors counters plus memo_size,
-    queue_depth (live {!Cachesec_runtime.Pool.queued_tasks}) and
-    uptime_s. *)
-
-val memo_size : t -> int

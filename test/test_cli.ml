@@ -67,6 +67,8 @@ let () =
           case "prepas --samples=0"
             [ "prepas"; "-c"; "sa"; "--monte-carlo"; "--samples=0" ]
             "--samples";
+          case "serve --max-memo 0" [ "serve"; "--max-memo"; "0" ] "--max-memo";
+          case "serve --max-memo=-1" [ "serve"; "--max-memo=-1" ] "--max-memo";
           Alcotest.test_case "a positive count runs" `Quick
             test_positive_count_runs;
         ] );

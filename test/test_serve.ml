@@ -148,6 +148,90 @@ let test_decode_errors () =
       | Ok _ -> Alcotest.failf "expected decode error for %S" line)
     bad
 
+(* The decoder pinned over a generated corpus: every verb (and an
+   unknown one) x every paper cache name (and an unknown one) x no, one
+   and two overrides, each field taking valid, out-of-range, non-numeric
+   and inapplicable values. The digest covers each line with its
+   decoded wire form or its exact error, so a change to decoding, to
+   the canonical spelling or to an error message moves it. *)
+let corpus_fields =
+  [
+    ("policy", [ "lru"; "plru"; "random"; "clock"; "" ]);
+    ("ways", [ "1"; "4"; "8"; "3"; "0"; "-2"; "1024"; "x" ]);
+    ("nbits", [ "0"; "4"; "52"; "53"; "-1"; "x" ]);
+    ("partitions", [ "2"; "4"; "0"; "1"; "3"; "128"; "x" ]);
+    ("reserved", [ "0"; "2"; "7"; "8"; "-1"; "x" ]);
+    ("back", [ "0"; "32"; "-3"; "x" ]);
+    ("fwd", [ "0"; "64"; "-1"; "1.5" ]);
+    ("interval", [ "1"; "20"; "0"; "-5"; "x" ]);
+    ("sigma", [ "0"; "-0"; "0.5"; "1e300"; "-0.5"; "inf"; "nan"; "x" ]);
+    ("lines", [ "64"; "1024"; "100"; "0"; "x" ]);
+    ("lb", [ "32"; "0"; "x" ]);
+    ("k", [ "8"; "-1"; "x" ]);
+  ]
+
+let decoder_corpus () =
+  let overrides =
+    let single =
+      List.concat_map
+        (fun (k, vs) -> List.map (fun v -> [ k ^ "=" ^ v ]) vs)
+        corpus_fields
+    in
+    let rec pairs = function
+      | [] -> []
+      | (k, vs) :: rest ->
+        List.concat_map
+          (fun v ->
+            List.concat_map
+              (fun (k', vs') ->
+                List.map (fun v' -> [ k ^ "=" ^ v; k' ^ "=" ^ v' ]) vs')
+              rest)
+          vs
+        @ pairs rest
+    in
+    ([] :: single) @ pairs corpus_fields
+  in
+  let verbs =
+    [ "pas"; "prepas"; "resilience"; "table"; "validate"; "ping"; "stats";
+      "shutdown"; "frob" ]
+  in
+  let caches = List.map Spec.name Spec.all_paper @ [ "zz" ] in
+  let attacks = List.map Attack_type.name Attack_type.all in
+  let n = ref 0 in
+  List.concat_map
+    (fun verb ->
+      List.concat_map
+        (fun cache ->
+          List.map
+            (fun ovs ->
+              incr n;
+              let attack =
+                match List.nth_opt attacks (!n mod 5) with
+                | Some a -> [ "attack=" ^ a ]
+                | None -> []
+              in
+              let cold = if !n mod 7 = 0 then [ "cold" ] else [] in
+              String.concat " "
+                ((verb :: ("cache=" ^ cache) :: ovs) @ attack @ cold))
+            overrides)
+        caches)
+    verbs
+
+let test_decoder_corpus () =
+  let corpus = decoder_corpus () in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun line ->
+      Buffer.add_string b line;
+      (match Protocol.decode_query line with
+      | Ok q -> Buffer.add_string b ("\tOk " ^ Protocol.encode_query q)
+      | Error msg -> Buffer.add_string b ("\tError " ^ msg));
+      Buffer.add_char b '\n')
+    corpus;
+  Alcotest.(check int) "corpus lines" 173340 (List.length corpus);
+  Alcotest.(check string) "corpus digest" "24381782165ae1aa502c5103105891d7"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* Queries the decoder accepts: every verb, all nine architectures with
    in-range overrides, several geometries, and floats that a lossy
    printer would merge ([0.1 +. 0.2] vs [0.3], [-0.] vs [0.]). *)
@@ -274,6 +358,33 @@ let test_frames_incremental () =
   (match Protocol.Frames.feed fr ~bytes:huge ~len:4 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized frame accepted")
+
+(* A frame trickled in 1 KiB reads costs in proportion to its size, so a
+   slow client cannot stall the loop: a feed that re-copied its pending
+   bytes on every read would allocate ~2000x this frame. *)
+let test_frames_trickle () =
+  let payload = String.init Protocol.max_frame (fun i -> Char.chr (i land 0xff)) in
+  let wire = Protocol.frame payload in
+  let fr = Protocol.Frames.create () in
+  let chunk = Bytes.create 1024 in
+  let got = ref [] in
+  let before = Gc.allocated_bytes () in
+  let off = ref 0 in
+  while !off < Bytes.length wire do
+    let len = min 1024 (Bytes.length wire - !off) in
+    Bytes.blit wire !off chunk 0 len;
+    (match Protocol.Frames.feed fr ~bytes:chunk ~len with
+    | Ok ps -> got := !got @ ps
+    | Error e -> Alcotest.failf "feed error: %s" e);
+    off := !off + len
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "one frame" 1 (List.length !got);
+  Alcotest.(check bool) "payload reassembled" true (!got = [ payload ]);
+  Alcotest.(check int) "no leftover" 0 (Protocol.Frames.pending_bytes fr);
+  if allocated > 2. *. float_of_int Protocol.max_frame then
+    Alcotest.failf "feeding a %d-byte frame allocated %.0f bytes"
+      Protocol.max_frame allocated
 
 (* --- canonical keys --------------------------------------------------- *)
 
@@ -434,14 +545,31 @@ let test_memo_table () =
   Memo.add m "d" "4";  (* evicts oldest ("a") *)
   Alcotest.(check int) "bounded" 3 (Memo.size m);
   Alcotest.(check (option string)) "oldest evicted" None (Memo.find m "a");
-  Alcotest.(check (option string)) "newest present" (Some "4") (Memo.find m "d")
+  Alcotest.(check (option string)) "newest present" (Some "4") (Memo.find m "d");
+  (* A bound below one entry is refused, not rounded up to one. *)
+  List.iter
+    (fun max_entries ->
+      match Memo.create ~max_entries () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "max_entries %d accepted" max_entries)
+    [ 0; -1 ];
+  let m = Memo.create ~max_entries:1 () in
+  Memo.add m "a" "1";
+  Memo.add m "b" "2";
+  Alcotest.(check int) "one entry" 1 (Memo.size m);
+  Alcotest.(check (option string)) "last kept" (Some "2") (Memo.find m "b")
 
 (* --- router ----------------------------------------------------------- *)
 
+(* The counters as a client reads them: a [stats] line routed like any
+   other. *)
 let stats_of_router r =
-  match Protocol.decode_reply (Protocol.encode_reply (Stats_v (Router.stats r))) with
-  | Ok (Stats_v kvs) -> kvs
-  | _ -> Alcotest.fail "stats reply"
+  match Router.route r "stats" with
+  | Router.Now enc -> (
+    match Protocol.decode_reply enc with
+    | Ok (Stats_v kvs) -> kvs
+    | _ -> Alcotest.failf "stats reply %S" enc)
+  | _ -> Alcotest.fail "stats answers now"
 
 let stat kvs name =
   match List.assoc_opt name kvs with
@@ -473,7 +601,7 @@ let test_router_closed_form () =
   let s = stats_of_router r in
   Alcotest.(check int) "one miss" 1 (stat s "misses");
   Alcotest.(check int) "one compute" 1 (stat s "closed");
-  (* Second route: memo (raw-line fast path) hit, no recompute. *)
+  (* Second route: memo hit on the line as sent, no recompute. *)
   (match Router.route r line with
   | Router.Now _ -> ()
   | _ -> Alcotest.fail "hit should answer now");
@@ -498,7 +626,7 @@ let test_router_closed_form () =
   let s = stats_of_router r in
   Alcotest.(check int) "cold recomputed" 2 (stat s "closed");
   Alcotest.(check int) "cold not a hit" 2 (stat s "hits");
-  Alcotest.(check int) "memo size stable" 1 (Router.memo_size r)
+  Alcotest.(check int) "memo size stable" 1 (stat (stats_of_router r) "memo_size")
 
 let test_router_sim_memoization () =
   let r = Router.create () in
@@ -563,7 +691,7 @@ let test_nbits_range () =
         | _ -> Alcotest.failf "nbits=%d: expected an error reply" n)
       | _ -> Alcotest.failf "nbits=%d must not reach a simulation" n)
     [ -1; max + 1; 54; 62; 63; 64; 70 ];
-  Alcotest.(check int) "nothing memoized" 0 (Router.memo_size r);
+  Alcotest.(check int) "nothing memoized" 0 (stat (stats_of_router r) "memo_size");
   (* The bound follows the geometry a pas query names. *)
   let pas ~lines n =
     Protocol.decode_query
@@ -590,7 +718,7 @@ let test_out_of_range_overrides () =
   let s = stats_of_router r in
   Alcotest.(check int) "nothing computed" 0 (stat s "closed");
   Alcotest.(check int) "no memo miss" 0 (stat s "misses");
-  Alcotest.(check int) "nothing memoized" 0 (Router.memo_size r)
+  Alcotest.(check int) "nothing memoized" 0 (stat (stats_of_router r) "memo_size")
 
 (* Error replies quote query bytes, and a query is arbitrary bytes: every
    [error] reply the router gives must still be one line of UTF-8 text.
@@ -924,9 +1052,12 @@ let () =
           Alcotest.test_case "reply round trips" `Quick test_reply_roundtrip;
           test_query_roundtrip_generated;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
+          Alcotest.test_case "decoder corpus digest" `Quick test_decoder_corpus;
           Alcotest.test_case "pas ways mismatch refuses to encode" `Quick
             test_encode_ways_mismatch;
           Alcotest.test_case "incremental frames" `Quick test_frames_incremental;
+          Alcotest.test_case "trickled frame is linear" `Quick
+            test_frames_trickle;
         ] );
       ( "canonical keys",
         [
