@@ -10,12 +10,10 @@
 open Cachesec_cache
 open Cachesec_core
 
-val evict_and_time : ?config:Config.t -> Spec.t -> unit -> Graph.t
-val prime_and_probe : ?config:Config.t -> Spec.t -> unit -> Graph.t
-val cache_collision : ?config:Config.t -> Spec.t -> unit -> Graph.t
-(** Includes the "selected memory line" node the paper adds in Figure 5(b)
-    to model the RF cache. *)
-
 val build : ?config:Config.t -> Attack_type.t -> Spec.t -> unit -> Graph.t
+(** The attack's PIFG. The cache-collision graph includes the "selected
+    memory line" node the paper adds in Figure 5(b) to model the RF
+    cache. *)
+
 val pas : ?config:Config.t -> Attack_type.t -> Spec.t -> unit -> float
 (** [Pas.pas] of {!build}. *)

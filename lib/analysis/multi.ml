@@ -13,14 +13,6 @@ let evict_and_time ?config ~lines spec =
   let p = Edge_probs.find e in
   pow (p "p1" *. p "p2" *. p "p3") lines *. p "p4" *. p "p5"
 
-let prime_and_probe ?config ~lines spec =
-  check_lines lines;
-  let e = Edge_probs.prime_and_probe ?config spec () in
-  let p = Edge_probs.find e in
-  pow (p "p11" *. p "p21" *. p "p31") lines
-  *. pow (p "p12" *. p "p22" *. p "p32") lines
-  *. p "p42" *. p "p5"
-
 let advantage_table ?config ~lines () =
   List.map
     (fun spec ->

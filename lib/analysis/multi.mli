@@ -11,15 +11,10 @@
 
 open Cachesec_cache
 
-val evict_and_time : ?config:Config.t -> lines:int -> Spec.t -> float
-(** PAS of a Type 1 attack that requires [lines] distinct victim lines
-    evicted: (p1 p2 p3)^lines * p4 * p5. [lines] must be positive.
-    With [lines = 1] this equals {!Attack_models.pas}. *)
-
-val prime_and_probe : ?config:Config.t -> lines:int -> Spec.t -> float
-(** Same for Type 2: both the priming stage and the victim-eviction
-    stage must succeed for each of the [lines] lines. *)
-
 val advantage_table : ?config:Config.t -> lines:int -> unit -> (string * float * float) list
 (** (arch, single-line PAS, multi-line PAS) for Type 1 across the nine
-    caches — the data behind the bench's multi-line ablation. *)
+    caches, in {!Cachesec_cache.Spec.all_paper} order — the data behind
+    the bench's multi-line ablation. The PAS of a Type 1 attack that
+    requires [lines] distinct victim lines evicted is
+    (p1 p2 p3)^lines * p4 * p5; with one line it is
+    {!Attack_models.pas}. [lines] must be positive. *)

@@ -4,8 +4,6 @@ let p5 ~sigma =
   if sigma < 0. then invalid_arg "Noise.p5: negative sigma";
   if sigma = 0. then 1. else Special.normal_cdf (1. /. (2. *. sigma))
 
-let error_rate ~sigma = 1. -. p5 ~sigma
-
 let sigma_for_p5 ~target =
   if target <= 0.5 || target >= 1. then
     invalid_arg "Noise.sigma_for_p5: target must lie in (0.5, 1)";

@@ -9,9 +9,6 @@
 val p5 : sigma:float -> float
 (** [p5 ~sigma]; 1.0 when sigma = 0. Raises on negative sigma. *)
 
-val error_rate : sigma:float -> float
-(** 1 - p5: the attacker's FP = FN rate with the symmetric threshold. *)
-
 val sigma_for_p5 : target:float -> float
 (** Inverse: the sigma at which p5 equals [target], found by bisection.
     [target] must lie in (0.5, 1.0). *)

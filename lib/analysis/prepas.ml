@@ -42,6 +42,11 @@ let sa_plru ~ways ~k =
   check_kw ~ways ~k;
   if k >= ways then 1. else 0.
 
+(* Per-policy dispatch, one arm per policy; exhaustive, so a new
+   [Policy] constructor is a compile error here until its formula is
+   written. Under MRU/LFU/MFU each attacker miss evicts his own previous
+   fill (the most recently used line; under LFU/MFU every line ties at
+   frequency 1 and the tie-break re-selects the same way). *)
 let sa ~ways ~k ~policy =
   match policy with
   | Policy.Lru -> sa_lru ~ways ~k

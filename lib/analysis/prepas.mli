@@ -11,10 +11,10 @@
     closed form for the corresponding engine under the cleaning game —
     none is a curve fit. LRU, FIFO and tree-PLRU take the paper's
     Equation (10) step; random replacement the Equation (11)
-    coupon-collector sum; MRU, LFU and MFU follow from the
-    self-thrashing argument in {!sa} and are cross-checked against
-    Monte-Carlo simulation in the test suite. Each policy owns its own
-    arm in {!sa} — no two policies share a pattern — so adding a policy
+    coupon-collector sum; MRU, LFU and MFU follow from a self-thrashing
+    argument and are cross-checked against Monte-Carlo simulation in the
+    test suite. Each policy owns its own arm of the set-associative
+    dispatch — no two policies share a pattern — so adding a policy
     forces an explicit (compiler-checked) decision about its formula. *)
 
 open Cachesec_cache
@@ -22,22 +22,6 @@ open Cachesec_cache
 val sa_random : ways:int -> k:int -> float
 (** Equation (11): P(all [ways] slots picked in [k] uniform draws).
     Exact. *)
-
-val sa :
-  ways:int -> k:int -> policy:Policy.t -> float
-(** Per-policy dispatch, one arm per policy; exhaustive, so a new
-    {!Cachesec_cache.Policy} constructor is a compile error here until
-    its formula is written. Every arm is exact:
-    - LRU, FIFO and tree-PLRU: Equation (10), the step 1{k >= ways}.
-      FIFO's k distinct misses are always the set's k oldest fills;
-      from any tree state, [ways] consecutive PLRU misses visit [ways]
-      distinct leaves (non-power-of-two geometries use the engine's
-      LRU fallback — the same step).
-    - MRU, LFU and MFU: 1{ways = 1 && k >= 1}. The attacker
-      self-thrashes — each miss evicts the attacker's own previous fill
-      (the most recently used line; under LFU/MFU every line ties at
-      frequency 1 and the tie-break re-selects the same way) — so at
-      most one victim line is ever cleaned. *)
 
 val cleaning_limit :
   ?victim_lines_in_set:int -> ?prefetched:bool -> Spec.t -> float
@@ -63,16 +47,23 @@ val for_spec :
     default, Nomo victim exceeding its reservation by default
     ([victim_lines_in_set] defaults to [ways], the cleaning game's
     seeding), policies taken from the spec. Per architecture:
-    - SA and Noisy: {!sa}. SP: 0, partitions make cleaning impossible
-      (Section 5C). PL: 0 when the lines are prefetched and locked,
-      else {!sa}.
+    - SA and Noisy: the set-associative game, one exact arm per policy.
+      LRU, FIFO and tree-PLRU: Equation (10), the step 1{k >= ways}
+      (FIFO's k distinct misses are always the set's k oldest fills;
+      from any tree state, [ways] consecutive PLRU misses visit [ways]
+      distinct leaves). Random: {!sa_random}. MRU, LFU and MFU:
+      1{ways = 1 && k >= 1}, because the attacker self-thrashes — each
+      miss evicts his own previous fill — so at most one victim line is
+      ever cleaned.
+    - SP: 0, partitions make cleaning impossible (Section 5C). PL: 0
+      when the lines are prefetched and locked, else the SA game.
     - Newcache (Section 5B): 1 - (1 - 1/n)^k for evicting one
       designated physical line, with n the physical line count (512;
       the paper writes n = 2^n).
-    - RP and RF (Sections 5D, 5E): {!sa} — the attacker disables his
-      own permutation, or sets his window to zero.
-    - RE (Section 5F): {!sa} at k + floor(k / interval) — the periodic
-      evictions are free lunches.
+    - RP and RF (Sections 5D, 5E): the SA game — the attacker disables
+      his own permutation, or sets his window to zero.
+    - RE (Section 5F): the SA game at k + floor(k / interval) — the
+      periodic evictions are free lunches.
     - Nomo: {!nomo}. *)
 
 val figure8_series :

@@ -70,8 +70,3 @@ let count_wins spec ~accesses ~samples ~rng =
 let monte_carlo spec ~accesses ~samples ~rng =
   if samples <= 0 then invalid_arg "Cleaner.monte_carlo: samples must be positive";
   float_of_int (count_wins spec ~accesses ~samples ~rng) /. float_of_int samples
-
-let sweep spec ~accesses_list ~samples ~rng =
-  List.map
-    (fun accesses -> (accesses, monte_carlo spec ~accesses ~samples ~rng))
-    accesses_list

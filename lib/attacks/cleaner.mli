@@ -41,11 +41,3 @@ val count_wins :
 val monte_carlo :
   Spec.t -> accesses:int -> samples:int -> rng:Cachesec_stats.Rng.t -> float
 (** Fraction of successful samples. [samples] must be positive. *)
-
-val sweep :
-  Spec.t ->
-  accesses_list:int list ->
-  samples:int ->
-  rng:Cachesec_stats.Rng.t ->
-  (int * float) list
-(** The (k, pre-PAS) series behind a Figure 8-style curve. *)

@@ -24,10 +24,6 @@ let make ?(base = Attacker.default_base) engine ~pid =
   let counter = Kernel.make_counter ~bins:sets in
   { engine; pid; sets; ways; lines; counter; count_mode = Kernel.Count counter }
 
-let sets t = t.sets
-let ways t = t.ways
-let line t ~set k = t.lines.((set * t.ways) + k)
-
 (* Prime: one batched Fill run — outcomes discarded, engine state and
    RNG stream identical to the scalar access loop. *)
 let prime_all t =
@@ -56,6 +52,4 @@ let probe_all t rng =
     probe_set t rng set
   done
 
-let true_misses t set = t.counter.Kernel.true_misses.(set)
 let classified_misses t set = t.counter.Kernel.classified.(set)
-let time t set = t.counter.Kernel.times.(set)

@@ -9,7 +9,7 @@
       Probe_plan.prime_all plan;
       (* ... victim activity ... *)
       Probe_plan.probe_all plan rng;
-      (* read Probe_plan.classified_misses plan set, etc. *)
+      (* read Probe_plan.classified_misses plan set *)
     ]}
 
     without allocating: the addresses are precompiled, the results are
@@ -40,13 +40,6 @@ val make : ?base:int -> Engine.t -> pid:int -> t
     {!Attacker.default_base}; lines follow
     [Attacker.nth_conflict_line engine.config ~base ~set k]. *)
 
-val sets : t -> int
-val ways : t -> int
-
-val line : t -> set:int -> int -> int
-(** [line t ~set k] — the [k]-th precompiled conflict line of [set]
-    (unchecked indexing into the flat array). *)
-
 val prime_all : t -> unit
 (** Access the [ways] plan lines of every set, ascending (the prime /
     evict step). *)
@@ -59,8 +52,5 @@ val probe_all : t -> Cachesec_stats.Rng.t -> unit
     the record-returning [Attacker.probe_all_sets] consumes it, set by set
     (not at all when sigma = 0). *)
 
-val true_misses : t -> int -> int
-(** Scratch readback for one set, valid until the next probe of it. *)
-
 val classified_misses : t -> int -> int
-val time : t -> int -> float
+(** Scratch readback for one set, valid until the next probe of it. *)

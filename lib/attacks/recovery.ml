@@ -4,10 +4,6 @@ let argmax scores =
   Array.iteri (fun i s -> if s > scores.(!best) then best := i) scores;
   !best
 
-let rank scores i =
-  if i < 0 || i >= Array.length scores then invalid_arg "Recovery.rank: bad index";
-  Array.fold_left (fun acc s -> if s > scores.(i) then acc + 1 else acc) 0 scores
-
 let normalize scores =
   let lo = Array.fold_left Float.min infinity scores in
   let hi = Array.fold_left Float.max neg_infinity scores in

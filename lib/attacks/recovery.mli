@@ -9,10 +9,6 @@
 val argmax : float array -> int
 (** Lowest index among maxima. Raises [Invalid_argument] on empty. *)
 
-val rank : float array -> int -> int
-(** [rank scores i] is the number of candidates with a strictly higher
-    score than candidate [i] (0 = best). *)
-
 val normalize : float array -> float array
 (** Shift/scale to [0, 1]; a constant array maps to all zeros. *)
 

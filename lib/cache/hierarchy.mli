@@ -54,5 +54,5 @@ val engine : t -> Engine.t
     later L1s split from: the state of [create ~l2 ~rng] with [l2]
     built on [Rng.split rng]. A hierarchy
     built another way (say, [l2] and [rng] two sibling splits of one
-    parent, as [Llc.run] does) does not replay its own fresh build
+    parent, as the LLC demo in [Llc] does) does not replay its own fresh build
     after a reset. It allocates (the L1s are rebuilt on demand). *)

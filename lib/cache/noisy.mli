@@ -16,7 +16,7 @@ val create :
   t
 (** [sigma] defaults to 1.0, the paper's Table 4 configuration (noise
     standard deviation equal to the hit/miss time difference). Must be
-    non-negative. *)
+    finite and non-negative. *)
 
 val sigma : t -> float
 

@@ -34,12 +34,5 @@ val miss_uncached : t
 (** A miss served straight from memory: nothing fetched or evicted
     (SP cross-partition, PL locked-victim read-through). Preallocated. *)
 
-val fill : fetched:int -> evicted:(int * int) option -> t
-(** A miss that cached [fetched], displacing [evicted] if [Some]. *)
-
 val is_hit : t -> bool
 val is_miss : t -> bool
-
-val evictions : t -> (int * int) list
-(** The displaced [(owner_pid, line)] pairs in eviction order ([evicted]
-    first, then [also_evicted]). Allocates; not for the hot path. *)

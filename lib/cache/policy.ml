@@ -7,17 +7,6 @@ open Cachesec_stats
 type t = Lru | Random | Fifo | Mru | Lfu | Mfu | Plru
 
 let all = [ Lru; Random; Fifo; Mru; Lfu; Mfu; Plru ]
-let count = 7
-
-let id = function
-  | Lru -> 0
-  | Random -> 1
-  | Fifo -> 2
-  | Mru -> 3
-  | Lfu -> 4
-  | Mfu -> 5
-  | Plru -> 6
-
 let to_string = function
   | Lru -> "lru"
   | Random -> "random"

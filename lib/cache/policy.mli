@@ -6,7 +6,7 @@
     {!Spec}, the CLI and the serve protocol all dispatch through this
     module.
 
-    Adding a policy: extend {!t}, {!all}, {!id}, the spellings, {!needs}
+    Adding a policy: extend {!t}, {!all}, the spellings, {!needs}
     and the three dispatch functions here; the reference model under test/reference/; and, optionally, a
     pre-PAS formula in [Prepas]. Everything downstream — factory cells,
     the reference fuzz, golden traces, `--policy` parsing, serve
@@ -31,13 +31,7 @@
 type t = Lru | Random | Fifo | Mru | Lfu | Mfu | Plru
 
 val all : t list
-(** Every policy, in {!id} order. *)
-
-val count : int
-(** [List.length all]; the size of an {!id}-indexed table. *)
-
-val id : t -> int
-(** Dense index in [0, count). *)
+(** Every policy. *)
 
 val to_string : t -> string
 val of_string : string -> t option

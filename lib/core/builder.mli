@@ -1,6 +1,6 @@
 (** Incremental PIFG construction.
 
-    A thin mutable layer over {!Graph.create} that allocates node and edge
+    A thin mutable layer over {!Graph.create_exn} that allocates node and edge
     ids and lets attack models be written linearly:
 
     {[

@@ -9,14 +9,15 @@ type t = {
 }
 
 type error =
-  | Cycle of int list
-  | Unknown_node of int
-  | Origin_has_parent of int
+  | Cycle of int list  (** node ids forming a cycle *)
+  | Unknown_node of int  (** edge endpoint not declared *)
+  | Origin_has_parent of int  (** a security-origin node with an incoming edge *)
   | Duplicate_node_id of int
   | Duplicate_edge_id of int
   | Duplicate_child_definition of int
-  | No_observation
-  | No_victim_origin
+      (** two edges define the conditional of the same child node *)
+  | No_observation  (** the graph declares no observation node *)
+  | No_victim_origin  (** the graph declares no victim security-origin node *)
 
 let error_to_string = function
   | Cycle ids ->

@@ -2,7 +2,7 @@
 
     A PIFG is a directed acyclic graph whose vertices are random variables
     and whose (hyper-)edges carry conditional probabilities. Graphs are
-    immutable once built; {!create} validates the structural invariants the
+    immutable once built; {!create_exn} validates the structural invariants the
     paper relies on:
 
     - acyclicity (required by Lemma 1's topological ordering);
@@ -14,23 +14,9 @@
 
 type t
 
-type error =
-  | Cycle of int list  (** node ids forming a cycle *)
-  | Unknown_node of int  (** edge endpoint not declared *)
-  | Origin_has_parent of int  (** a security-origin node with an incoming edge *)
-  | Duplicate_node_id of int
-  | Duplicate_edge_id of int
-  | Duplicate_child_definition of int
-      (** two edges define the conditional of the same child node *)
-  | No_observation  (** the graph declares no observation node *)
-  | No_victim_origin  (** the graph declares no victim security-origin node *)
-
-val create : nodes:Node.t list -> edges:Edge.t list -> (t, error list) result
-(** Validate and freeze a graph. All violated invariants are reported, not
-    just the first. *)
-
 val create_exn : nodes:Node.t list -> edges:Edge.t list -> t
-(** Like {!create} but raises [Invalid_argument] with the rendered errors. *)
+(** Validate and freeze a graph. Raises [Invalid_argument] rendering
+    every violated invariant, not just the first. *)
 
 (** {1 Accessors} *)
 
@@ -45,12 +31,6 @@ val node : t -> int -> Node.t
 
 val node_count : t -> int
 val edge_count : t -> int
-
-val parents : t -> int -> int list
-(** Parent node ids of a node (via any incoming edge), duplicate-free. *)
-
-val children : t -> int -> int list
-(** Child node ids reachable via one edge from this node, duplicate-free. *)
 
 val victim_origins : t -> Node.t list
 val attacker_origins : t -> Node.t list

@@ -20,5 +20,3 @@ type t = private { id : int; label : string; role : role }
 
 val v : id:int -> label:string -> role:role -> t
 (** Construct a node. [label] is for display only. *)
-
-val equal : t -> t -> bool

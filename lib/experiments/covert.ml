@@ -77,7 +77,7 @@ let plan protocol (cfg : Config.t) =
     (receiver, len, fill_sender)
 
 let run_row ?(seed = 53) ?(bits = 2000) protocol spec =
-  if bits <= 0 then invalid_arg "Covert.run_row: bits must be positive";
+  if bits <= 0 then invalid_arg "Covert.table: bits must be positive";
   let root = Rng.create ~seed in
   let engine =
     Factory.build spec Factory.default_scenario ~rng:(Rng.split root)

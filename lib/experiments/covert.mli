@@ -27,11 +27,8 @@ type row = {
   capacity : float;  (** bits per symbol *)
 }
 
-val run_row :
-  ?seed:int -> ?bits:int -> protocol -> Cachesec_cache.Spec.t -> row
-(** [bits] defaults to 2000 symbols (plus a 200-symbol preamble). *)
-
 val table : ?seed:int -> ?bits:int -> unit -> row list
-(** Both protocols for the nine caches. *)
+(** Both protocols for the nine caches. [bits] defaults to 2000 symbols
+    (plus a 200-symbol preamble) and must be positive. *)
 
 val render : row list -> string

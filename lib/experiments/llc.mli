@@ -9,15 +9,5 @@
     Newcache L2 (per-context tags) does not, even though both victims
     enjoy private L1s. *)
 
-type result = {
-  l2_name : string;
-  recovered : bool;
-  best_candidate : int;
-  true_byte : int;
-}
-
-val run :
-  ?seed:int -> ?trials:int -> l2_spec:Cachesec_cache.Spec.t -> unit -> result
-
 val report : Cachesec_runtime.Run.ctx -> string
 (** SA vs Newcache as the shared level, both run with [ctx.seed]. *)

@@ -16,8 +16,5 @@ type row = {
   normalized : float;  (** MI / H(secret) in [0, 1] *)
 }
 
-val run_row :
-  ?seed:int -> ?trials:int -> Cachesec_cache.Spec.t -> row
-
 val table : ?seed:int -> ?trials:int -> unit -> row list
 val render : row list -> string

@@ -21,8 +21,8 @@ type row = {
   pas_type2 : float;
 }
 
-val run_row : ?seed:int -> ?intervals:int -> Cachesec_cache.Spec.t -> row
-(** [intervals] defaults to 80 (3160 interval pairs). *)
-
 val table : ?seed:int -> ?intervals:int -> unit -> row list
+(** One row per paper cache. [intervals] defaults to 80 (3160 interval
+    pairs). *)
+
 val render : row list -> string

@@ -4,8 +4,6 @@
 val escape_field : string -> string
 (** Quote a field if it contains a comma, quote or newline. *)
 
-val line : string list -> string
-val to_string : header:string list -> rows:string list list -> string
 val write : path:string -> header:string list -> rows:string list list -> unit
 (** Writes atomically-ish (temp file then rename). Creates parent
     directories if missing. *)

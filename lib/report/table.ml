@@ -89,5 +89,3 @@ let fmt_prob p =
       in
       mant ^ "e" ^ (if sign = "+" then "" else sign) ^ digits
   end
-
-let fmt_float ?(digits = 3) x = Printf.sprintf "%.*f" digits x

@@ -12,6 +12,3 @@ val fmt_prob : float -> string
 (** Paper-style probability formatting: "0" and "1.0" exact, three
     significant digits otherwise, scientific notation below 0.01
     ("1.95e-3"). *)
-
-val fmt_float : ?digits:int -> float -> string
-(** Fixed-point with [digits] decimals (default 3). *)

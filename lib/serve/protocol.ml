@@ -623,14 +623,16 @@ module Frames = struct
         end
         else
           let flen = be32 (Bytes.unsafe_to_string t.piece) 0 in
-          if flen > max_frame then Error "oversized frame"
+          if flen > max_frame then
+            ( List.rev acc,
+              Some (Printf.sprintf "frame of %d bytes exceeds %d" flen max_frame) )
           else begin
             t.piece <- Bytes.create flen;
             t.got <- 0;
             t.in_payload <- true;
             go off acc
           end
-      else if off = len then Ok (List.rev acc)
+      else if off = len then (List.rev acc, None)
       else
         let n = min (Bytes.length t.piece - t.got) (len - off) in
         Bytes.blit bytes off t.piece t.got n;

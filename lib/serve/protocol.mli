@@ -157,12 +157,13 @@ module Frames : sig
 
   val create : unit -> t
 
-  val feed : t -> bytes:Bytes.t -> len:int -> (string list, string) result
+  val feed : t -> bytes:Bytes.t -> len:int -> string list * string option
   (** Append [len] bytes and extract complete frame payloads, in order.
       Each byte is copied once, so the cost is linear in the bytes
-      received however the reads split them. [Error] on an oversized
-      frame declaration (the connection is beyond recovery — close
-      it). *)
+      received however the reads split them. [Some reason] when an
+      oversized frame declaration follows those payloads: the stream is
+      beyond recovery (answer the payloads, then close), and every later
+      feed reports it again. *)
 
   val pending_bytes : t -> int
   (** Buffered bytes not yet forming a complete frame. *)

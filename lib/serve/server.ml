@@ -220,6 +220,18 @@ let handle_line st b i line =
         if not (st.workers = 0 && settle st e) then
           st.inflight <- e :: st.inflight))
 
+(* A protocol error dooms the connection: answer it with a single-line
+   error frame, queued as a pre-completed one-slot batch so it still
+   goes out after every earlier pipelined batch, and close once
+   everything pending has been written. *)
+let refuse c reason =
+  if not (c.closing || c.closed) then begin
+    let b = { conn = c; slots = Array.make 1 None; left = 1 } in
+    Queue.push b c.pending;
+    deliver b 0 (Protocol.encode_reply (Protocol.Error_ reason));
+    c.closing <- true
+  end
+
 (* One read may carry several frames; nothing after the frame that
    doomed a connection is processed. *)
 let handle_frame st c payload =
@@ -227,21 +239,12 @@ let handle_frame st c payload =
   else begin
     let lines = String.split_on_char '\n' payload in
     let n = List.length lines in
-    if n > Protocol.max_batch_lines then begin
+    if n > Protocol.max_batch_lines then
       (* An unbounded batch could assemble a reply frame no client
-         could even receive. Answer with a single-line error frame —
-         queued as a pre-completed one-slot batch so it still goes out
-         after every earlier pipelined batch — and close once
-         everything pending has been written. *)
-      let b = { conn = c; slots = Array.make 1 None; left = 1 } in
-      Queue.push b c.pending;
-      deliver b 0
-        (Protocol.encode_reply
-           (Protocol.Error_
-              (Printf.sprintf "batch of %d queries exceeds %d lines per frame"
-                 n Protocol.max_batch_lines)));
-      c.closing <- true
-    end
+         could even receive. *)
+      refuse c
+        (Printf.sprintf "batch of %d queries exceeds %d lines per frame" n
+           Protocol.max_batch_lines)
     else begin
       let b = { conn = c; slots = Array.make n None; left = n } in
       Queue.push b c.pending;
@@ -264,10 +267,12 @@ let read_conn st c =
     ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     close_conn c
-  | len -> (
-    match Protocol.Frames.feed c.frames ~bytes:read_buf ~len with
-    | Error _ -> close_conn c (* oversized frame: unrecoverable stream *)
-    | Ok payloads -> List.iter (handle_frame st c) payloads)
+  | len ->
+    (* An oversized frame declaration ends the stream: the frames
+       completed before it are answered, then the refusal. *)
+    let payloads, broken = Protocol.Frames.feed c.frames ~bytes:read_buf ~len in
+    List.iter (handle_frame st c) payloads;
+    Option.iter (refuse c) broken
 
 (* [Unix.select] breaks past FD_SETSIZE (1024 on Linux): a descriptor
    numbered >= 1024 fails with EINVAL/EBADF and would kill the event

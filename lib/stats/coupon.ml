@@ -33,23 +33,3 @@ let expected_trials ~bins =
     h := !h +. (1. /. float_of_int i)
   done;
   float_of_int bins *. !h
-
-let monte_carlo rng ~bins ~trials ~samples =
-  if samples <= 0 then invalid_arg "Coupon.monte_carlo: samples must be positive";
-  let hits = ref 0 in
-  let seen = Array.make bins false in
-  for _ = 1 to samples do
-    Array.fill seen 0 bins false;
-    let distinct = ref 0 in
-    (let i = ref 0 in
-     while !i < trials && !distinct < bins do
-       let c = Rng.int rng bins in
-       if not seen.(c) then begin
-         seen.(c) <- true;
-         incr distinct
-       end;
-       incr i
-     done);
-    if !distinct = bins then incr hits
-  done;
-  float_of_int !hits /. float_of_int samples

@@ -18,7 +18,3 @@ val prob_cell_hit : bins:int -> trials:int -> float
 
 val expected_trials : bins:int -> float
 (** Expected number of draws to cover all cells: [bins * H(bins)]. *)
-
-val monte_carlo : Rng.t -> bins:int -> trials:int -> samples:int -> float
-(** Empirical estimate of {!prob_all_covered} used by the tests to
-    cross-check the closed form. *)

@@ -16,7 +16,6 @@ let observe j ~x ~y =
   j.table.(x).(y) <- j.table.(x).(y) + 1;
   j.n <- j.n + 1
 
-let count j = j.n
 let log2 x = log x /. log 2.
 
 let marginals j =

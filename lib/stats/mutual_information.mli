@@ -12,7 +12,6 @@ val create : x_card:int -> y_card:int -> joint
 val observe : joint -> x:int -> y:int -> unit
 (** Record one co-occurrence. Raises [Invalid_argument] out of range. *)
 
-val count : joint -> int
 val mi : joint -> float
 (** Plug-in estimate of I(X;Y) in bits; 0. when the table is empty. *)
 

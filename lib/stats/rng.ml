@@ -1,19 +1,11 @@
-type t = {
-  state : Random.State.t;
-  seed : int;  (** the seed this generator was created from *)
-  mutable spare : float option;
-}
+type t = { state : Random.State.t; mutable spare : float option }
 (* [spare] caches the second variate produced by each Box-Muller step. *)
 
-let create ~seed = { state = Random.State.make [| seed; 0x9e3779b9 |]; seed; spare = None }
+let create ~seed = { state = Random.State.make [| seed; 0x9e3779b9 |]; spare = None }
 
 let split t =
   let seed = Random.State.bits t.state in
-  { state = Random.State.make [| seed; 0x85ebca6b |]; seed; spare = None }
-
-let copy t = { state = Random.State.copy t.state; seed = t.seed; spare = t.spare }
-
-let seed t = t.seed
+  { state = Random.State.make [| seed; 0x85ebca6b |]; spare = None }
 
 (* SplitMix64-style finalizer adapted to OCaml's 63-bit ints: two rounds
    of xorshift-multiply with odd constants (xorshift64* / golden-ratio
@@ -36,7 +28,6 @@ let int t bound =
 
 let float t bound = Random.State.float t.state bound
 let bool t = Random.State.bool t.state
-let bits t = Random.State.bits t.state
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

@@ -16,13 +16,6 @@ val split : t -> t
     Useful to give each subsystem (cache, victim, attacker) its own stream so
     that adding draws in one does not perturb the others. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
-val seed : t -> int
-(** The seed [t] was created from ({!create}); for a generator
-    obtained via {!split}, the freshly drawn child seed. *)
-
 val derive_seed : int -> int -> int
 (** [derive_seed base i] is a pure SplitMix64-style hash of the pair
     [(base, i)]: a well-separated child seed for the [i]-th member of a
@@ -39,9 +32,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 (** A fair coin flip. *)
-
-val bits : t -> int
-(** 30 random bits. *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t a] is a uniformly chosen element of the non-empty array [a]. *)

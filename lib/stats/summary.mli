@@ -27,9 +27,6 @@ val std : t -> float
     repetitions. Both choices are pinned by a regression test in
     test_bench. *)
 
-val min : t -> float
-val max : t -> float
-val total : t -> float
 val merge_into : t -> t -> unit
 (** [merge_into a b] folds [b]'s stream into [a] in place, as if [a]
     had also seen [b]'s observations (Chan et al. parallel update, no

@@ -11,8 +11,8 @@
 
     Counters follow the trial runtime's merge discipline: each domain
     accumulates into its own unsynchronized table (registered once via a
-    lock-free atomic cons), and {!counters} merges by name-summation
-    after the scheduler has joined its workers. Batch increments are
+    lock-free atomic cons), and {!close} merges them by name-summation
+    into one [Counter_total] event per name, sorted by name. Batch increments are
     pure functions of the batch, so merged totals are bit-identical for
     [jobs:1] and [jobs:N]; only timings vary. *)
 
@@ -53,9 +53,6 @@ val span_id : span -> int
 val count : t -> string -> int -> unit
 (** Add to a named counter in the calling domain's local table.
     Lock-free; safe from scheduler workers. *)
-
-val counters : t -> (string * int) list
-(** Merged counter totals, sorted by name. Call after workers joined. *)
 
 val gauge : t -> ?span:span -> string -> float -> unit
 (** Emit a point-in-time sampled value attributed to [span]. *)

@@ -22,7 +22,7 @@ let workload_seed = 0x5EED_CAFE
 
 (* The one accessor the Outcome re-encoding is allowed to change: the
    displaced [(owner, line)] pairs of one access, in eviction order. *)
-let eviction_list (o : Outcome.t) = Outcome.evictions o
+let eviction_list (o : Outcome.t) = List.filter_map Fun.id [ o.evicted; o.also_evicted ]
 
 let fmt_outcome buf (o : Outcome.t) =
   Buffer.add_char buf (match o.Outcome.event with Outcome.Hit -> 'H' | Outcome.Miss -> 'M');

@@ -11,6 +11,10 @@
 open Cachesec_stats
 open Cachesec_cache
 
+(* The displaced [(owner_pid, line)] pairs of an access, in eviction
+   order ([evicted] first, then [also_evicted]). *)
+let evictions (o : Outcome.t) = List.filter_map Fun.id [ o.evicted; o.also_evicted ]
+
 type line = {
   mutable valid : bool;
   mutable tag : int;
@@ -136,7 +140,7 @@ let record t ~pid (o : Outcome.t) =
       | Outcome.Miss ->
         c.misses <- c.misses + 1;
         if not o.Outcome.cached then c.read_throughs <- c.read_throughs + 1);
-      c.evictions <- c.evictions + List.length (Outcome.evictions o))
+      c.evictions <- c.evictions + List.length (evictions o))
     [ t.global; counts_for t pid ]
 
 let tick t =
@@ -239,7 +243,8 @@ let find t s pred =
   !found
 
 let holding t s addr = find t s (fun l -> l.tag = addr)
-let miss_fill ~fetched evicted = Outcome.fill ~fetched ~evicted
+let miss_fill ~fetched evicted =
+  { Outcome.event = Miss; cached = true; fetched = Some fetched; evicted; also_evicted = None }
 
 (* --- one function per architecture ------------------------------------- *)
 

@@ -34,8 +34,6 @@ let test_attack_type () =
 let test_noise_p5 () =
   check_prob "sigma 0" 1. (Noise.p5 ~sigma:0.);
   check_close 1e-3 "paper value at sigma 1" 0.691 (Noise.p5 ~sigma:1.);
-  check_close 1e-9 "complement" (1. -. Noise.p5 ~sigma:2.)
-    (Noise.error_rate ~sigma:2.);
   Alcotest.(check bool) "raises on negative" true
     (try
        ignore (Noise.p5 ~sigma:(-1.));
@@ -199,25 +197,28 @@ let test_theorem1_all_36 () =
 
 let test_model_shapes () =
   let open Cachesec_core in
-  let g1 = Attack_models.evict_and_time Spec.paper_sa () in
+  let g1 = Attack_models.build Attack_type.Evict_and_time Spec.paper_sa () in
   Alcotest.(check int) "type1 nodes" 7 (Graph.node_count g1);
   Alcotest.(check int) "type1 edges" 5 (Graph.edge_count g1);
-  let g3 = Attack_models.cache_collision Spec.paper_rf () in
+  let g3 = Attack_models.build Attack_type.Cache_collision Spec.paper_rf () in
   Alcotest.(check int) "collision has no attacker origin" 0
     (List.length (Graph.attacker_origins g3));
   Alcotest.(check int) "collision victim origins" 2
     (List.length (Graph.victim_origins g3));
   Alcotest.(check int) "collision attacker path empty" 0
     (List.length (Pas.attacker_critical_edges g3));
-  let g2 = Attack_models.prime_and_probe Spec.paper_sa () in
+  let g2 = Attack_models.build Attack_type.Prime_and_probe Spec.paper_sa () in
   Alcotest.(check int) "type2 edges" 8 (Graph.edge_count g2)
 
 (* --- Pre-PAS ------------------------------------------------------------------------ *)
 
+(* The closed form of an SA cache's cleaning game. *)
+let prepas_sa ~ways ~k ~policy = Prepas.for_spec (Spec.Sa { ways; policy }) ~k
+
 let test_prepas_lru_step () =
-  check_prob "below" 0. (Prepas.sa ~ways:8 ~k:7 ~policy:Policy.Lru);
-  check_prob "at" 1. (Prepas.sa ~ways:8 ~k:8 ~policy:Policy.Lru);
-  check_prob "above" 1. (Prepas.sa ~ways:8 ~k:100 ~policy:Policy.Lru)
+  check_prob "below" 0. (prepas_sa ~ways:8 ~k:7 ~policy:Policy.Lru);
+  check_prob "at" 1. (prepas_sa ~ways:8 ~k:8 ~policy:Policy.Lru);
+  check_prob "above" 1. (prepas_sa ~ways:8 ~k:100 ~policy:Policy.Lru)
 
 let test_prepas_random_coupon () =
   check_close 1e-12 "matches coupon"
@@ -271,24 +272,24 @@ let test_prepas_for_spec () =
 
 let test_prepas_policy_arms () =
   (* FIFO owns its arm but coincides with the LRU step. *)
-  check_prob "fifo below" 0. (Prepas.sa ~ways:8 ~k:7 ~policy:Policy.Fifo);
-  check_prob "fifo at" 1. (Prepas.sa ~ways:8 ~k:8 ~policy:Policy.Fifo);
+  check_prob "fifo below" 0. (prepas_sa ~ways:8 ~k:7 ~policy:Policy.Fifo);
+  check_prob "fifo at" 1. (prepas_sa ~ways:8 ~k:8 ~policy:Policy.Fifo);
   (* MRU/LFU/MFU self-thrash: cleaning succeeds only in a 1-way set. *)
   List.iter
     (fun (name, policy) ->
-      let f ~ways ~k = Prepas.sa ~ways ~k ~policy in
+      let f ~ways ~k = prepas_sa ~ways ~k ~policy in
       check_prob (name ^ " multi-way never cleans") 0. (f ~ways:8 ~k:10_000);
       check_prob (name ^ " single-way k=0") 0. (f ~ways:1 ~k:0);
       check_prob (name ^ " single-way k=1") 1. (f ~ways:1 ~k:1))
     [ ("mru", Policy.Mru); ("lfu", Policy.Lfu); ("mfu", Policy.Mfu) ];
   (* Tree-PLRU cleans on the same step as true LRU. *)
-  check_prob "plru below" 0. (Prepas.sa ~ways:8 ~k:7 ~policy:Policy.Plru);
-  check_prob "plru at" 1. (Prepas.sa ~ways:8 ~k:8 ~policy:Policy.Plru);
+  check_prob "plru below" 0. (prepas_sa ~ways:8 ~k:7 ~policy:Policy.Plru);
+  check_prob "plru at" 1. (prepas_sa ~ways:8 ~k:8 ~policy:Policy.Plru);
   (* The exhaustive dispatch routes each policy to its own arm. *)
   List.iter
     (fun (policy, expect) ->
       check_prob ("dispatch " ^ Policy.to_string policy) expect
-        (Prepas.sa ~ways:8 ~k:8 ~policy))
+        (prepas_sa ~ways:8 ~k:8 ~policy))
     [
       (Policy.Lru, 1.);
       (Policy.Fifo, 1.);

@@ -186,7 +186,7 @@ let twin_engines spec =
     Factory.build spec scenario ~rng:(rng ()) )
 
 (* A probe plan must reproduce the record-based attacker primitives
-   bit-for-bit: same counts, same float times, same RNG consumption —
+   bit-for-bit: same classified counts, so the same RNG consumption —
    including under timing noise (paper_noisy, sigma = 1). *)
 let test_probe_plan_matches_attacker () =
   List.iter
@@ -194,9 +194,6 @@ let test_probe_plan_matches_attacker () =
       let e1, e2 = twin_engines spec in
       let r1 = rng () and r2 = rng () in
       let plan = Probe_plan.make e1 ~pid:1 in
-      Alcotest.(check int) "line formula"
-        (Attacker.nth_conflict_line e1.Engine.config ~set:5 2)
-        (Probe_plan.line plan ~set:5 2);
       Probe_plan.prime_all plan;
       Attacker.prime_all_sets e2 ~pid:1 ();
       (* Victim touches displace some primed lines on both engines. *)
@@ -209,13 +206,11 @@ let test_probe_plan_matches_attacker () =
       let probes = Attacker.probe_all_sets e2 r2 ~pid:1 () in
       Array.iteri
         (fun set (p : Attacker.probe) ->
-          Alcotest.(check int) "true misses" p.Attacker.true_misses
-            (Probe_plan.true_misses plan set);
           Alcotest.(check int) "classified" p.Attacker.classified_misses
-            (Probe_plan.classified_misses plan set);
-          Alcotest.(check (float 0.)) "time" p.Attacker.time
-            (Probe_plan.time plan set))
-        probes)
+            (Probe_plan.classified_misses plan set))
+        probes;
+      Alcotest.(check int) "same draws" (Rng.int r2 1_000_000)
+        (Rng.int r1 1_000_000))
     [ Spec.paper_sa; Spec.paper_rp; Spec.paper_noisy ]
 
 let test_encrypt_traced_into_matches () =
@@ -325,7 +320,7 @@ let test_prime_probe_trial_alloc_budget () =
   done;
   let trials = 50 in
   let accesses =
-    (2 * Probe_plan.sets plan * Probe_plan.ways plan) + Aes.trace_length
+    (2 * engine.Engine.config.Config.lines) + Aes.trace_length
   in
   let budget = float_of_int (trials * 20 * accesses) +. 64. in
   let before = Gc.minor_words () in
@@ -343,8 +338,6 @@ let test_prime_probe_trial_alloc_budget () =
 let test_recovery_argmax_rank () =
   let scores = [| 0.1; 0.9; 0.5; 0.9 |] in
   Alcotest.(check int) "argmax first max" 1 (Recovery.argmax scores);
-  Alcotest.(check int) "rank of best" 0 (Recovery.rank scores 1);
-  Alcotest.(check int) "rank of worst" 3 (Recovery.rank scores 0);
   Alcotest.check_raises "empty" (Invalid_argument "Recovery.argmax: empty")
     (fun () -> ignore (Recovery.argmax [||]))
 
@@ -601,9 +594,12 @@ let test_cleaner_re_free_lunch () =
   Alcotest.(check bool) "free lunch helps" true (p_re >= p_sa)
 
 let test_cleaner_sweep_monotone () =
+  let r = rng () in
   let pts =
-    Cleaner.sweep Spec.paper_sa ~accesses_list:[ 8; 16; 32; 64 ] ~samples:800
-      ~rng:(rng ())
+    List.map
+      (fun accesses ->
+        (accesses, Cleaner.monte_carlo Spec.paper_sa ~accesses ~samples:800 ~rng:r))
+      [ 8; 16; 32; 64 ]
   in
   let rec check = function
     | (_, a) :: ((_, b) :: _ as rest) ->

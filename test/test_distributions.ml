@@ -60,7 +60,7 @@ let test_sa_replacement_uniform () =
       ignore (sa.Engine.access ~pid:0 (3 + (k * sets)))
     done;
     let o = sa.Engine.access ~pid:1 (3 + (8 * sets)) in
-    match Outcome.evictions o with
+    match Reference.evictions o with
     | [ (_, line) ] -> counts.(line / sets) <- counts.(line / sets) + 1
     | _ -> Alcotest.fail "expected exactly one eviction"
   done;
@@ -82,7 +82,7 @@ let test_newcache_eviction_uniform () =
            choice gives uniform victims over any partition of the
            resident lines. *)
         counts.(line mod 16) <- counts.(line mod 16) + 1)
-      (Outcome.evictions o)
+      (Reference.evictions o)
   done;
   check_uniform "newcache eviction" counts
 
@@ -114,7 +114,7 @@ let test_rp_interference_set_uniform () =
     done;
     (* First attacker access to logical set 9 interferes. *)
     let o = rp.Engine.access ~pid:1 (100032 + 9) in
-    match Outcome.evictions o with
+    match Reference.evictions o with
     | [ (_, line) ] -> counts.(line mod sets) <- counts.(line mod sets) + 1
     | [] -> ()  (* random set had an invalid way: no victim line *)
     | _ -> Alcotest.fail "one eviction at most"
@@ -142,7 +142,7 @@ let test_re_slot_uniform () =
     let o = re.Engine.access ~pid:0 (i mod 512) in
     List.iter
       (fun (_, line) -> counts.(line mod 16) <- counts.(line mod 16) + 1)
-      (Outcome.evictions o)
+      (Reference.evictions o)
   done;
   check_uniform "re periodic slot" counts
 

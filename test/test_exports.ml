@@ -1,159 +1,133 @@
-(* Every export has a caller. Each [val] of an interface under lib/ must
-   be used outside its own module somewhere in lib/, bin/, bench/,
-   benchmark/ or examples/ (tests do not count), or be listed in
-   exports.allow with the reason it stays. The test fails on any
-   difference between the two lists, so a new callerless export, and an
-   entry whose name gained a caller or went, are both named here.
+(* Every export has a caller. Each [val] of an interface under lib/,
+   nested module signatures included, must be used outside its own
+   module somewhere in lib/, bin/, bench/, benchmark/ or examples/
+   (tests do not count), or be listed in exports.allow with the reason
+   it stays. The test fails on any difference between the two lists, so
+   a new callerless export, and an entry whose name gained a caller or
+   went, are both named here.
 
-   The match is by word, with comments and string literals removed: a
-   name that another module happens to use for something else counts as
-   called. The scan finds dead exports; it does not prove one live.
+   The match is by resolved path, not by word: the scan reads the typed
+   trees that [dune build @check] writes, the .cmti of each lib/
+   interface for the exports and every .cmt for the callers. A call is
+   a value identifier the compiler resolved to the export, with module
+   aliases followed, so a same-named word elsewhere is not one.
 
-   Under [dune runtest] the sources are copied next to this directory;
-   [dune exec test/test_exports.exe] from the repository root scans the
-   checkout itself. *)
+   Under [dune runtest] the typed trees sit next to this directory;
+   [dune exec test/test_exports.exe] from the repository root reads them
+   from _build/default, so build [@check] first. *)
 
-let root =
-  if Sys.file_exists "exports.allow" then Filename.parent_dir_name
-  else Filename.current_dir_name
-
-let allow_file =
-  Filename.concat root (Filename.concat "test" "exports.allow")
+let root, allow_file =
+  if Sys.file_exists "exports.allow" then ("..", "exports.allow")
+  else ("_build/default", "test/exports.allow")
 
 (* The allowlist only shrinks: lower this with it, never raise it. *)
-let allowlist_entries = 70
+let allowlist_entries = 81
 
 (* Where callers are looked for, besides lib/ itself. *)
 let caller_dirs = [ "bin"; "bench"; "benchmark"; "examples" ]
 
-let rec sources dir =
+let rec files suffix dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.concat_map (fun name ->
          let path = Filename.concat dir name in
-         if name.[0] = '.' || name.[0] = '_' then []
-         else if Sys.is_directory path then sources path
-         else if
-           Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
-         then [ path ]
+         if Sys.is_directory path then files suffix path
+         else if Filename.check_suffix name suffix then [ path ]
          else [])
 
-let read path = In_channel.with_open_bin path In_channel.input_all
+let typed_trees suffix dir =
+  List.map Cmt_format.read_cmt (files suffix (Filename.concat root dir))
 
-(* The text with comments (nested, strings inside them skipped) and
-   string and character literals blanked. *)
-let code s =
-  let n = String.length s in
-  let b = Bytes.of_string s in
-  let blank i j = Bytes.fill b i (min j n - i) ' ' in
-  (* Index just past the string literal opening at [i]. *)
-  let rec string_end i =
-    if i >= n then n
-    else
-      match s.[i] with
-      | '\\' -> string_end (i + 2)
-      | '"' -> i + 1
-      | _ -> string_end (i + 1)
-  in
-  let rec comment_end depth i =
-    if i >= n then n
-    else if s.[i] = '(' && i + 1 < n && s.[i + 1] = '*' then
-      comment_end (depth + 1) (i + 2)
-    else if s.[i] = '*' && i + 1 < n && s.[i + 1] = ')' then
-      if depth = 1 then i + 2 else comment_end (depth - 1) (i + 2)
-    else if s.[i] = '"' then comment_end depth (string_end (i + 1))
-    else comment_end depth (i + 1)
-  in
+(* A wrapped library's unit [Lib__M] as [Some (Lib, M)]. *)
+let split_unit name =
   let rec go i =
-    if i < n then
-      match s.[i] with
-      | '(' when i + 1 < n && s.[i + 1] = '*' ->
-        let j = comment_end 1 (i + 2) in
-        blank i j;
-        go j
-      | '"' ->
-        let j = string_end (i + 1) in
-        blank i j;
-        go j
-      | '\'' when i + 2 < n && s.[i + 1] <> '\\' && s.[i + 2] = '\'' ->
-        blank i (i + 3);
-        go (i + 3)
-      | '\'' when i + 1 < n && s.[i + 1] = '\\' ->
-        let j =
-          match String.index_from_opt s (i + 3) '\'' with
-          | Some k -> k + 1
-          | None -> n
-        in
-        blank i j;
-        go j
-      | _ -> go (i + 1)
+    if i + 1 >= String.length name then None
+    else if name.[i] = '_' && name.[i + 1] = '_' then
+      Some (String.sub name 0 i, String.sub name (i + 2) (String.length name - i - 2))
+    else go (i + 1)
   in
-  go 0;
-  Bytes.to_string b
+  go 0
 
-let is_ident c =
-  match c with
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-  | _ -> false
-
-(* The words of the text, in order. *)
-let words s =
-  let n = String.length s in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else if is_ident s.[i] then begin
-      let j = ref i in
-      while !j < n && is_ident s.[!j] do incr j done;
-      go !j (String.sub s i (!j - i) :: acc)
-    end
-    else go (i + 1) acc
+(* The exports of one lib/ interface, as [M.name] or [M.Sub.name]. *)
+let exports (cmt : Cmt_format.cmt_infos) =
+  let rec items prefix (s : Typedtree.signature) =
+    List.concat_map
+      (fun (item : Typedtree.signature_item) ->
+        match item.sig_desc with
+        | Tsig_value v -> [ prefix ^ "." ^ v.val_name.txt ]
+        | Tsig_module
+            { md_name = { txt = Some m; _ }; md_type = { mty_desc = Tmty_signature s; _ }; _ }
+          ->
+          items (prefix ^ "." ^ m) s
+        | _ -> [])
+      s.sig_items
   in
-  go 0 []
+  match (cmt.cmt_annots, split_unit cmt.cmt_modname) with
+  | Interface s, Some (_, m) -> items m s
+  | _ -> []
 
-(* The [val]s an interface declares (nested signatures included). *)
-let rec vals = function
-  | "val" :: name :: rest when Char.lowercase_ascii name.[0] = name.[0] ->
-    name :: vals rest
-  | _ :: rest -> vals rest
-  | [] -> []
+(* Adds to [used] every value path of an implementation that names a lib/
+   export, spelled as [exports] spells it. A wrapped library [Lib] spells
+   its module [M] as [Lib.M], [Lib__.M] or [Lib__M]; a module alias
+   ([module C = Lib.Client]) is replaced by the path it names. *)
+let add_uses used libs (cmt : Cmt_format.cmt_infos) =
+  let wrappers = libs @ List.map (fun l -> l ^ "__") libs in
+  let aliases = Hashtbl.create 16 in
+  let rec parts = function
+    | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some p -> parts p
+      | None -> [ Ident.name id ])
+    | Path.Pdot (p, s) -> parts p @ [ s ]
+    | _ -> []
+  in
+  let export = function
+    | w :: m :: rest when List.mem w wrappers -> Some (m :: rest)
+    | u :: rest -> (
+      match split_unit u with
+      | Some (l, m) when List.mem l libs -> Some (m :: rest)
+      | _ -> None)
+    | [] -> None
+  in
+  let open Tast_iterator in
+  let module_binding it (mb : Typedtree.module_binding) =
+    (match (mb.mb_id, mb.mb_expr.mod_desc) with
+    | Some id, Tmod_ident (p, _) -> Hashtbl.replace aliases (Ident.unique_name id) p
+    | _ -> ());
+    default_iterator.module_binding it mb
+  in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) ->
+      Option.iter (fun n -> Hashtbl.replace used (String.concat "." n) ()) (export (parts p))
+    | _ -> ());
+    default_iterator.expr it e
+  in
+  let it = { default_iterator with module_binding; expr } in
+  match cmt.cmt_annots with Implementation s -> it.structure it s | _ -> ()
 
-(* [Module.name] of every export of lib/ that no file outside its own
-   module mentions. A module is its .ml and .mli. *)
+(* [M.name] of every export of lib/ that nothing outside its own module
+   calls. Inside its own module an export is a local name, never [M.name],
+   so every use [add_uses] records comes from outside. *)
 let callerless () =
-  let scan d =
-    List.map
-      (fun f -> (f, words (code (read f))))
-      (sources (Filename.concat root d))
+  let interfaces = typed_trees ".cmti" "lib" in
+  let libs =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (c : Cmt_format.cmt_infos) -> Option.map fst (split_unit c.cmt_modname))
+         interfaces)
   in
-  let lib = scan "lib" in
-  let users = Hashtbl.create 4096 in
+  let used = Hashtbl.create 4096 in
   List.iter
-    (fun (f, words) ->
-      let m = Filename.remove_extension f in
-      List.iter
-        (fun w ->
-          if not (List.mem m (Hashtbl.find_all users w)) then
-            Hashtbl.add users w m)
-        words)
-    (lib @ List.concat_map scan caller_dirs);
-  List.concat_map
-    (fun (f, words) ->
-      if not (Filename.check_suffix f ".mli") then []
-      else
-        let m = Filename.remove_extension f in
-        List.filter_map
-          (fun name ->
-            if List.exists (fun u -> u <> m) (Hashtbl.find_all users name) then
-              None
-            else
-              Some
-                (String.capitalize_ascii (Filename.basename m) ^ "." ^ name))
-          (vals words))
-    lib
+    (fun dir -> List.iter (add_uses used libs) (typed_trees ".cmt" dir))
+    ("lib" :: caller_dirs);
+  List.concat_map exports interfaces
+  |> List.filter (fun n -> not (Hashtbl.mem used n))
   |> List.sort_uniq compare
 
 (* [(Module.name, reason)] per non-comment line of the allowlist. *)
 let allowlist () =
-  read allow_file |> String.split_on_char '\n'
+  In_channel.with_open_bin allow_file In_channel.input_all
+  |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          let line = String.trim line in
          if line = "" || line.[0] = '#' then None

@@ -112,38 +112,43 @@ let test_performance_table_renders () =
 
 (* --- Multi-line analysis ------------------------------------------------------ *)
 
+(* The multi-line Type 1 PAS of [spec] when [lines] lines must go. *)
+let multi ~lines spec =
+  let arch = Spec.display_name spec in
+  match List.find (fun (a, _, _) -> a = arch) (Multi.advantage_table ~lines ()) with
+  | _, _, pas -> pas
+
 let test_multi_reduces_to_single () =
-  List.iter
-    (fun spec ->
+  List.iter2
+    (fun spec (arch, single, one) ->
+      Alcotest.(check string) "paper order" (Spec.display_name spec) arch;
       Alcotest.(check (float 1e-12))
-        (Spec.name spec ^ " m=1")
+        (Spec.name spec ^ " single")
         (Attack_models.pas Attack_type.Evict_and_time spec ())
-        (Multi.evict_and_time ~lines:1 spec))
+        single;
+      Alcotest.(check (float 1e-12)) (Spec.name spec ^ " m=1") single one)
     Spec.all_paper
+    (Multi.advantage_table ~lines:1 ())
 
 let test_multi_compounds () =
   Alcotest.(check (float 1e-12)) "sa 4 lines" (0.125 ** 4.)
-    (Multi.evict_and_time ~lines:4 Spec.paper_sa);
+    (multi ~lines:4 Spec.paper_sa);
   Alcotest.(check (float 1e-12)) "re unchanged" 1.0
-    (Multi.evict_and_time ~lines:4 Spec.paper_re);
+    (multi ~lines:4 Spec.paper_re);
   Alcotest.(check (float 1e-12)) "sp still zero" 0.
-    (Multi.evict_and_time ~lines:4 Spec.paper_sp);
-  Alcotest.(check (float 1e-30)) "newcache type2 collapses"
-    ((1. /. 512.) ** 4. *. (1. /. 512.) ** 4.)
-    (Multi.prime_and_probe ~lines:4 Spec.paper_newcache)
+    (multi ~lines:4 Spec.paper_sp)
 
 let prop_multi_monotone =
   qtest "PAS non-increasing in required lines"
     QCheck.(pair (int_bound 8) (int_range 1 6))
     (fun (which, m) ->
       let spec = List.nth Spec.all_paper which in
-      Multi.evict_and_time ~lines:(m + 1) spec
-      <= Multi.evict_and_time ~lines:m spec +. 1e-12)
+      multi ~lines:(m + 1) spec <= multi ~lines:m spec +. 1e-12)
 
 let test_multi_validation () =
   Alcotest.check_raises "zero lines"
     (Invalid_argument "Multi: lines must be positive") (fun () ->
-      ignore (Multi.evict_and_time ~lines:0 Spec.paper_sa))
+      ignore (Multi.advantage_table ~lines:0 ()))
 
 (* --- Full key ------------------------------------------------------------------ *)
 
@@ -181,32 +186,39 @@ let test_full_key_newcache_chance () =
 (* --- Metrics --------------------------------------------------------------------- *)
 
 let test_metrics_leaky_vs_protected () =
-  let sa = Metrics.run_row ~trials:800 Spec.paper_sa in
+  let rows = Metrics.table ~trials:800 () in
+  let row spec =
+    List.find (fun r -> r.Metrics.arch = Spec.display_name spec) rows
+  in
+  let sa = row Spec.paper_sa in
   Alcotest.(check bool) "sa transmits ~4 bits" true (sa.Metrics.mi_bits > 3.5);
-  let nc = Metrics.run_row ~trials:800 Spec.paper_newcache in
+  let nc = row Spec.paper_newcache in
   Alcotest.(check bool) "newcache transmits ~0" true (nc.Metrics.mi_bits < 0.1);
-  let rf = Metrics.run_row ~trials:800 Spec.paper_rf in
+  let rf = row Spec.paper_rf in
   Alcotest.(check bool) "rf in between" true
     (rf.Metrics.mi_bits > nc.Metrics.mi_bits && rf.Metrics.mi_bits < 1.5)
 
 let test_metrics_render () =
   let rows =
-    [ Metrics.run_row ~trials:300 Spec.paper_sa ] in
+    [ { Metrics.arch = "SA Cache"; pas_type4 = 1.; mi_bits = 4.; normalized = 1. } ]
+  in
   Alcotest.(check bool) "renders" true
     (contains (Metrics.render rows) "MI (bits)")
 
 (* --- SVF --------------------------------------------------------------------------- *)
 
 let test_svf_leaky_vs_protected () =
-  let sa = Svf.run_row ~intervals:60 Spec.paper_sa in
+  let rows = Svf.table ~intervals:60 () in
+  let row spec = List.find (fun r -> r.Svf.arch = Spec.display_name spec) rows in
+  let sa = row Spec.paper_sa in
   Alcotest.(check bool) "sa positive svf" true (sa.Svf.svf > 0.15);
-  let nc = Svf.run_row ~intervals:60 Spec.paper_newcache in
+  let nc = row Spec.paper_newcache in
   Alcotest.(check bool) "newcache near zero" true (Float.abs nc.Svf.svf < 0.1);
-  let pl = Svf.run_row ~intervals:60 Spec.paper_pl in
+  let pl = row Spec.paper_pl in
   Alcotest.(check bool) "pl locked near zero" true (Float.abs pl.Svf.svf < 0.1)
 
 let test_svf_render () =
-  let s = Svf.render [ Svf.run_row ~intervals:30 Spec.paper_sp ] in
+  let s = Svf.render [ { Svf.arch = "SP Cache"; svf = 0.; pas_type2 = 0. } ] in
   Alcotest.(check bool) "renders" true (contains s "SVF")
 
 (* --- Learning curves ------------------------------------------------------------------ *)
@@ -232,18 +244,26 @@ let test_learning_curve_seeds_positive () =
 
 (* --- Covert channels ---------------------------------------------------------------- *)
 
+(* The [protocol] row of [spec] in [rows]. *)
+let covert_row rows protocol spec =
+  List.find
+    (fun r -> r.Covert.protocol = protocol && r.Covert.arch = Spec.display_name spec)
+    rows
+
 let test_covert_set_conflict () =
-  let sa = Covert.run_row ~bits:800 Covert.Set_conflict Spec.paper_sa in
+  let row = covert_row (Covert.table ~bits:800 ()) Covert.Set_conflict in
+  let sa = row Spec.paper_sa in
   Alcotest.(check bool) "sa conflict channel works" true (sa.Covert.capacity > 0.5);
-  let rp = Covert.run_row ~bits:800 Covert.Set_conflict Spec.paper_rp in
+  let rp = row Spec.paper_rp in
   Alcotest.(check bool) "rp kills it" true (rp.Covert.capacity < 0.1);
-  let nc = Covert.run_row ~bits:800 Covert.Set_conflict Spec.paper_newcache in
+  let nc = row Spec.paper_newcache in
   Alcotest.(check bool) "newcache kills it" true (nc.Covert.capacity < 0.2)
 
 let test_covert_occupancy_universal () =
+  let rows = Covert.table ~bits:400 () in
   List.iter
     (fun spec ->
-      let r = Covert.run_row ~bits:400 Covert.Occupancy spec in
+      let r = covert_row rows Covert.Occupancy spec in
       Alcotest.(check bool)
         (Spec.name spec ^ " occupancy survives")
         true
@@ -251,9 +271,8 @@ let test_covert_occupancy_universal () =
     [ Spec.paper_sa; Spec.paper_sp; Spec.paper_newcache; Spec.paper_rf ]
 
 let test_covert_validation () =
-  Alcotest.check_raises "bits" (Invalid_argument "Covert.run_row: bits must be positive")
-    (fun () ->
-      ignore (Covert.run_row ~bits:0 Covert.Set_conflict Spec.paper_sa))
+  Alcotest.check_raises "bits" (Invalid_argument "Covert.table: bits must be positive")
+    (fun () -> ignore (Covert.table ~bits:0 ()))
 
 (* --- Mitigations ---------------------------------------------------------------------- *)
 

@@ -52,7 +52,7 @@ let fmt_outcome (o : Outcome.t) =
   | Some l -> Buffer.add_string b (string_of_int l));
   List.iter
     (fun (pid, line) -> Buffer.add_string b (Printf.sprintf "e%d.%d" pid line))
-    (Outcome.evictions o);
+    (Reference.evictions o);
   Buffer.contents b
 
 let fmt_counts ~accesses ~hits ~misses ~evictions ~read_throughs ~flushes =
@@ -74,13 +74,17 @@ let fmt_dump dump =
            l.locked l.last_use l.fill_seq l.aux)
   |> String.concat "|"
 
+(* Two generators with one stream, seeded by a draw from [rng]. *)
+let twins rng =
+  let seed = Rng.int rng 0x3FFFFFFF in
+  (Rng.create ~seed, Rng.create ~seed)
+
 (* The engine and the model of one cell, built from [seed]: the engine
-   takes the split engine stream, the model a copy of it. The returned
-   generator drives the op program both sides replay. *)
+   and the model each take one of twin streams. The returned generator
+   drives the op program both sides replay. *)
 let build ?(scenario = scenario) ~seed spec =
   let rng = Rng.create ~seed in
-  let engine_rng = Rng.split rng in
-  let model_rng = Rng.copy engine_rng in
+  let engine_rng, model_rng = twins rng in
   let engine = Factory.build spec scenario ~rng:engine_rng in
   let model =
     Reference.create spec ~victim_pid:scenario.Factory.victim_pid
@@ -196,7 +200,7 @@ let check_newcache_conflicts ~seed ~steps =
     let e, m =
       if r < 880 then begin
         let o = engine.Engine.access ~pid a in
-        if List.length (Outcome.evictions o) = 2 then incr doubles;
+        if List.length (Reference.evictions o) = 2 then incr doubles;
         (fmt_outcome o, fmt_outcome (Reference.access model ~pid a))
       end
       else if r < 930 then
@@ -601,9 +605,9 @@ let overflowed (s : Slab.t) = s.Slab.dirty_len > Array.length s.Slab.dirty
 
 (* [build] makes an engine from a stream. A random prefix on one engine
    (with [burst], then Fill runs of 200 victim lines and 1024 other lines,
-   enough to overflow every engine's dirty log), then [reset] on a copy
-   of stream [r], against [build] on another copy; both then run the
-   same random suffix. Every op's result and the end observables must
+   enough to overflow every engine's dirty log), then [reset] on one of
+   twin streams, against [build] on the other; both then run the same
+   random suffix. Every op's result and the end observables must
    agree. Returns whether the reset took the overflow path. *)
 let check_reset ~name ~build ~seed ~prefix ~burst =
   let rng = Rng.create ~seed in
@@ -621,10 +625,10 @@ let check_reset ~name ~build ~seed ~prefix ~burst =
     fill 1 (Array.init 1024 (fun i -> 201 + i))
   end;
   let took_overflow = overflowed engine.Engine.slab in
-  let r = Rng.split rng in
-  let fresh = build (Rng.copy r) in
-  engine.Engine.reset ~rng:(Rng.copy r);
-  let suffix = Rng.bits rng in
+  let fresh_rng, reset_rng = twins rng in
+  let fresh = build fresh_rng in
+  engine.Engine.reset ~rng:reset_rng;
+  let suffix = Rng.int rng 0x3FFFFFFF in
   let run (e : Engine.t) =
     let ops = Rng.create ~seed:suffix in
     Array.init 400 (fun _ -> engine_op ops e)
@@ -659,19 +663,19 @@ let test_reset_equivalence ~name ~build () =
     [ 0x2E5E7; 0x7E5E2 ]
 
 (* The reference fuzz with resets interleaved: about one op in a hundred
-   resets the engine on a new split stream, and the model is recreated
-   from a copy of that stream. *)
+   resets the engine on a new stream, and the model is recreated on its
+   twin. *)
 let check_cell_resets ~seed ~steps spec =
   let name = case_name spec in
   let rng, engine, model = build ~seed spec in
   let model = ref model and resets = ref 0 in
   for i = 0 to steps - 1 do
     if Rng.int rng 100 = 0 then begin
-      let r = Rng.split rng in
+      let model_rng, engine_rng = twins rng in
       model :=
         Reference.create spec ~victim_pid:scenario.Factory.victim_pid
-          ~victim_lines:scenario.Factory.victim_lines ~rng:(Rng.copy r);
-      engine.Engine.reset ~rng:r;
+          ~victim_lines:scenario.Factory.victim_lines ~rng:model_rng;
+      engine.Engine.reset ~rng:engine_rng;
       incr resets
     end
     else begin

@@ -347,17 +347,24 @@ let test_frames_incremental () =
   String.iter
     (fun c ->
       match Protocol.Frames.feed fr ~bytes:(Bytes.make 1 c) ~len:1 with
-      | Ok ps -> got := !got @ ps
-      | Error e -> Alcotest.failf "feed error: %s" e)
+      | ps, None -> got := !got @ ps
+      | _, Some e -> Alcotest.failf "feed error: %s" e)
     wire;
   Alcotest.(check (list string)) "byte-at-a-time reassembly" payloads !got;
   Alcotest.(check int) "no leftover" 0 (Protocol.Frames.pending_bytes fr);
-  (* An oversized declared length is an unrecoverable stream error. *)
+  (* An oversized declared length is an unrecoverable stream error,
+     reported after the frames completed before it, and again on every
+     later feed. *)
   let fr = Protocol.Frames.create () in
-  let huge = Bytes.of_string "\xff\xff\xff\xff" in
-  (match Protocol.Frames.feed fr ~bytes:huge ~len:4 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized frame accepted")
+  let wire = Bytes.cat (Protocol.frame "ping") (Bytes.of_string "\xff\xff\xff\xff") in
+  (match Protocol.Frames.feed fr ~bytes:wire ~len:(Bytes.length wire) with
+  | [ "ping" ], Some _ -> ()
+  | ps, None ->
+    Alcotest.failf "oversized frame accepted after %d frames" (List.length ps)
+  | ps, Some _ -> Alcotest.failf "%d frames before the error, not 1" (List.length ps));
+  match Protocol.Frames.feed fr ~bytes:(Protocol.frame "ping") ~len:8 with
+  | [], Some _ -> ()
+  | _ -> Alcotest.fail "a broken stream accepted more bytes"
 
 (* A frame trickled in 1 KiB reads costs in proportion to its size, so a
    slow client cannot stall the loop: a feed that re-copied its pending
@@ -374,8 +381,8 @@ let test_frames_trickle () =
     let len = min 1024 (Bytes.length wire - !off) in
     Bytes.blit wire !off chunk 0 len;
     (match Protocol.Frames.feed fr ~bytes:chunk ~len with
-    | Ok ps -> got := !got @ ps
-    | Error e -> Alcotest.failf "feed error: %s" e);
+    | ps, None -> got := !got @ ps
+    | _, Some e -> Alcotest.failf "feed error: %s" e);
     off := !off + len
   done;
   let allocated = Gc.allocated_bytes () -. before in
@@ -487,7 +494,7 @@ let test_key_policy_injective =
     QCheck.(
       triple
         (int_bound (List.length policied_specs - 1))
-        (int_bound (Policy.count - 1))
+        (int_bound (List.length Policy.all - 1))
         (int_bound (List.length Attack_type.all - 1)))
   in
   qtest ~count:400 "ckey injective over (arch, policy, attack)"
@@ -984,6 +991,40 @@ let test_e2e_batch_cap () =
       | Protocol.Ok_ -> ()
       | _ -> Alcotest.fail "daemon should survive the oversized batch")
 
+let test_e2e_oversized_frame () =
+  (* A frame header declaring more than max_frame bytes breaks the
+     stream. The frames that arrived before it in the same read are
+     still answered, then one error frame, then EOF; the daemon
+     survives. *)
+  let socket = "test-serve-bigframe.sock" in
+  with_server ~socket (fun c _pid ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          let wire =
+            Bytes.cat (Protocol.frame "ping") (Bytes.of_string "\xff\xff\xff\xff")
+          in
+          Alcotest.(check int) "one write" (Bytes.length wire)
+            (Unix.write fd wire 0 (Bytes.length wire));
+          (match Protocol.read_frame fd with
+          | Some "ok" -> ()
+          | _ -> Alcotest.fail "the ping before the bad header should answer first");
+          (match Protocol.read_frame fd with
+          | Some payload -> (
+            match Protocol.decode_reply payload with
+            | Ok (Protocol.Error_ _) -> ()
+            | _ -> Alcotest.failf "expected error reply, got %S" payload)
+          | None -> Alcotest.fail "expected an error reply before close");
+          match Protocol.read_frame fd with
+          | None -> ()
+          | Some _ -> Alcotest.fail "connection should be closed");
+      match request1 c Protocol.Ping with
+      | Protocol.Ok_ -> ()
+      | _ -> Alcotest.fail "daemon should survive the oversized frame")
+
 let test_e2e_large_batch () =
   (* A maximal legal batch of the heaviest closed form: the ~500 KB
      reply far exceeds the socket buffer, so this drives the buffered
@@ -1084,6 +1125,7 @@ let () =
         [
           Alcotest.test_case "inline server" `Quick test_e2e_inline;
           Alcotest.test_case "oversized batch" `Quick test_e2e_batch_cap;
+          Alcotest.test_case "oversized frame" `Quick test_e2e_oversized_frame;
           Alcotest.test_case "buffered large batch" `Quick test_e2e_large_batch;
           Alcotest.test_case "backpressure" `Quick test_e2e_overloaded;
           Alcotest.test_case "in-flight dedup" `Quick test_e2e_dedup;

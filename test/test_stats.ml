@@ -30,11 +30,6 @@ let test_rng_split_independent () =
   let ys = List.init 20 (fun _ -> Rng.int b 1000000) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
-let test_rng_copy_freezes () =
-  let a = Rng.create ~seed:4 in
-  let b = Rng.copy a in
-  Alcotest.(check int) "copy replays" (Rng.int a 1000) (Rng.int b 1000)
-
 let test_rng_int_bounds () =
   let r = Rng.create ~seed:5 in
   for _ = 1 to 1000 do
@@ -93,34 +88,27 @@ let prop_shuffle_multiset =
 
 (* --- Rng.derive_seed: the scheduler's determinism contract ----------- *)
 
-(* The stream of seed [derive_seed (seed t) i]. *)
-let derive t i = Rng.create ~seed:(Rng.derive_seed (Rng.seed t) i)
+(* The stream of seed [derive_seed seed i]. *)
+let derive seed i = Rng.create ~seed:(Rng.derive_seed seed i)
 
 let test_rng_derive_deterministic () =
-  (* Equal (seed, i) pairs give equal derived streams, across copy and
-     across independently created parents. *)
-  let a = Rng.create ~seed:21 in
-  let b = Rng.create ~seed:21 in
-  let c = Rng.copy a in
-  let da = derive a 5 and db = derive b 5 and dc = derive c 5 in
+  (* Equal (seed, i) pairs give equal derived streams. *)
+  let da = derive 21 5 and db = derive 21 5 in
   for _ = 1 to 50 do
-    let x = Rng.int da 1000000 in
-    Alcotest.(check int) "fresh parent" x (Rng.int db 1000000);
-    Alcotest.(check int) "copied parent" x (Rng.int dc 1000000)
+    Alcotest.(check int) "same pair" (Rng.int da 1000000) (Rng.int db 1000000)
   done
 
 let test_rng_derive_pure () =
-  (* derive never advances the parent: the parent's stream after a
-     derive is the stream it would have produced anyway. *)
+  (* derive involves no generator: a parent's stream after a derive from
+     its seed is the stream it would have produced anyway. *)
   let a = Rng.create ~seed:22 in
-  let witness = Rng.copy a in
-  ignore (derive a 3);
-  ignore (derive a 4);
+  let witness = Rng.create ~seed:22 in
+  ignore (derive 22 3);
+  ignore (derive 22 4);
   for _ = 1 to 20 do
     Alcotest.(check int) "parent unperturbed" (Rng.int witness 1000000)
       (Rng.int a 1000000)
-  done;
-  Alcotest.(check int) "seed preserved" 22 (Rng.seed a)
+  done
 
 let test_rng_derive_seed_disperses () =
   (* Nearby (base, i) pairs must land on distinct, well-separated
@@ -165,7 +153,7 @@ let prop_derive_child_vs_parent =
   (* A derived child must not replay its parent's stream. *)
   qtest ~count:50 "child differs from parent" QCheck.small_nat (fun base ->
       let parent = Rng.create ~seed:base in
-      let child = derive parent 0 in
+      let child = derive base 0 in
       let xs = List.init 20 (fun _ -> Rng.int parent 1000000) in
       let ys = List.init 20 (fun _ -> Rng.int child 1000000) in
       xs <> ys)
@@ -266,9 +254,6 @@ let test_summary_known () =
   let s = Summary.of_array [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   check_float "mean" 5. (Summary.mean s);
   check_close 1e-9 "variance" (32. /. 7.) (Summary.variance s);
-  check_float "min" 2. (Summary.min s);
-  check_float "max" 9. (Summary.max s);
-  check_float "total" 40. (Summary.total s);
   Alcotest.(check int) "count" 8 (Summary.count s)
 
 let prop_summary_merge =
@@ -303,10 +288,7 @@ let prop_summary_partition_merge =
          || Float.abs (Summary.mean merged -. Summary.mean whole) < 1e-6)
       && (Summary.count merged < 2
          || Float.abs (Summary.variance merged -. Summary.variance whole)
-            < 1e-6)
-      && (Summary.count merged = 0
-         || Summary.min merged = Summary.min whole
-            && Summary.max merged = Summary.max whole))
+            < 1e-6))
 
 (* --- Histogram ------------------------------------------------------- *)
 
@@ -349,6 +331,28 @@ let prop_histogram_conservation =
 
 (* --- Coupon ---------------------------------------------------------- *)
 
+(* The ball-picking game played [samples] times: the fraction of games
+   in which [trials] uniform draws touch all [bins] cells. The oracle
+   the closed form is checked against. *)
+let coupon_monte_carlo rng ~bins ~trials ~samples =
+  let hits = ref 0 in
+  let seen = Array.make bins false in
+  for _ = 1 to samples do
+    Array.fill seen 0 bins false;
+    let distinct = ref 0 in
+    (let i = ref 0 in
+     while !i < trials && !distinct < bins do
+       let c = Rng.int rng bins in
+       if not seen.(c) then begin
+         seen.(c) <- true;
+         incr distinct
+       end;
+       incr i
+     done);
+    if !distinct = bins then incr hits
+  done;
+  float_of_int !hits /. float_of_int samples
+
 let test_coupon_edge_cases () =
   check_float "k < w" 0. (Coupon.prob_all_covered ~bins:8 ~trials:7);
   check_float "one bin" 1. (Coupon.prob_all_covered ~bins:1 ~trials:1);
@@ -363,7 +367,7 @@ let test_coupon_edge_cases () =
 let test_coupon_monte_carlo () =
   let rng = Rng.create ~seed:17 in
   let exact = Coupon.prob_all_covered ~bins:8 ~trials:20 in
-  let approx = Coupon.monte_carlo rng ~bins:8 ~trials:20 ~samples:20000 in
+  let approx = coupon_monte_carlo rng ~bins:8 ~trials:20 ~samples:20000 in
   check_close 0.02 "MC matches closed form" exact approx
 
 let test_coupon_monte_carlo_band () =
@@ -377,7 +381,7 @@ let test_coupon_monte_carlo_band () =
     (fun (bins, trials) ->
       let exact = Coupon.prob_all_covered ~bins ~trials in
       let rng = Rng.create ~seed:(1009 + (bins * 131) + trials) in
-      let approx = Coupon.monte_carlo rng ~bins ~trials ~samples in
+      let approx = coupon_monte_carlo rng ~bins ~trials ~samples in
       let se = sqrt (exact *. (1. -. exact) /. float_of_int samples) in
       check_close
         ((4. *. se) +. 1e-3)
@@ -463,7 +467,8 @@ let test_mi_of_samples () =
   let j =
     Mutual_information.of_samples ~x_card:3 ~y_card:3 [| (0, 1); (2, 2) |]
   in
-  Alcotest.(check int) "count" 2 (Mutual_information.count j)
+  (* X is uniform over {0, 2} and Y a function of it: one bit. *)
+  check_close 1e-12 "mi" 1. (Mutual_information.mi j)
 
 let () =
   Alcotest.run "stats"
@@ -473,7 +478,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
-          Alcotest.test_case "copy freezes" `Quick test_rng_copy_freezes;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "pick" `Quick test_rng_pick;
           Alcotest.test_case "gaussian sigma 0" `Quick test_rng_gaussian_zero_sigma;

@@ -20,6 +20,12 @@ let with_memory_tm f =
   Telemetry.close tm;
   (r, events ())
 
+(* The merged counter totals [Telemetry.close] emitted, in order. *)
+let counter_totals events =
+  List.filter_map
+    (function Event.Counter_total { name; value } -> Some (name, value) | _ -> None)
+    events
+
 (* --- span nesting ---------------------------------------------------- *)
 
 let test_span_nesting () =
@@ -102,7 +108,7 @@ let test_scheduler_batch_events () =
 (* --- counter merge: jobs:1 vs jobs:N --------------------------------- *)
 
 let counters_for ~jobs =
-  let sink, _ = Sink.memory () in
+  let sink, events = Sink.memory () in
   let tm = Telemetry.make ~sink () in
   let ctx = Run.make ~telemetry:tm ~jobs ~seed:42 () in
   let cfg =
@@ -114,9 +120,8 @@ let counters_for ~jobs =
   ignore
     (Driver.await
        (Driver.submit_cleaning_game ctx Spec.paper_sa ~accesses:16 ~samples:600));
-  let cs = Telemetry.counters tm in
   Telemetry.close tm;
-  cs
+  counter_totals (events ())
 
 let test_counter_merge_jobs_invariant () =
   let c1 = counters_for ~jobs:1 in
@@ -145,9 +150,9 @@ let campaign_telemetry submit =
   let r =
     Driver.await (submit (Run.make ~telemetry:tm ~jobs:2 ~seed:42 ()))
   in
-  let counters = Telemetry.counters tm in
   Telemetry.close tm;
   let events = events () in
+  let counters = counter_totals events in
   let spans =
     List.filter_map
       (function Event.Span_start { name; _ } -> Some name | _ -> None)
@@ -205,7 +210,7 @@ let test_adaptive_campaign_telemetry () =
     (counter "driver.trials_saved")
 
 let test_domain_local_counts_merge () =
-  let (), _ =
+  let (), events =
     with_memory_tm @@ fun tm ->
     (* Counts from several scheduler workers land in per-domain tables;
        the merged view must be the plain sum. *)
@@ -215,13 +220,12 @@ let test_domain_local_counts_merge () =
            Telemetry.count tm "units" 1;
            Telemetry.count tm "weighted" i;
            i)
-         (Array.init 32 (fun i -> i)));
-    Alcotest.(check (list (pair string int)))
-      "name-sorted sums"
-      [ ("units", 32); ("weighted", 32 * 31 / 2) ]
-      (Telemetry.counters tm)
+         (Array.init 32 (fun i -> i)))
   in
-  ()
+  Alcotest.(check (list (pair string int)))
+    "name-sorted sums"
+    [ ("units", 32); ("weighted", 32 * 31 / 2) ]
+    (counter_totals events)
 
 (* --- JSON sink round-trip -------------------------------------------- *)
 
