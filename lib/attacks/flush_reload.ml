@@ -60,21 +60,24 @@ let run_span ~victim ~attacker_pid ~rng ~count c =
   let epl = Aes_layout.entries_per_line layout in
   let hit_counts = Array.make nlines 0. in
   let cand_hits = Array.make 256 0. in
-  (* Per-trial scratch, hoisted out of the loop: the reload-hit vector
-     is fully overwritten every trial, the plaintext buffer is refilled,
-     and the table region to flush is one contiguous line range. The
-     trial loop allocates nothing; access/RNG order matches the
-     historical per-trial-list code bit for bit. *)
-  let hit = Array.make nlines false in
+  (* Per-trial scratch, hoisted out of the loop: the reload counter's
+     per-line slots are reset before each reload, the plaintext buffer
+     is refilled, and the table region to flush is one contiguous line
+     range. At sigma 0 the trial loop allocates nothing (test_hotpath's
+     attack-trial guards); at sigma > 0 each reload's gaussian draw
+     boxes floats, 64 minor words per trial of 16 reloads on the noisy
+     cache. Access/RNG order matches the historical per-trial-list code
+     bit for bit. *)
   let p = Bytes.create 16 in
   let flush_base = Aes_layout.base_line layout in
   let flush_count = Aes_layout.line_count layout in
-  (* Reload outcomes, written back by one batched Trace run per trial.
-     The engine draws (its own stream) group before the observation
-     draws (the experiment stream) instead of interleaving — distinct
-     streams, so both consume exactly the scalar sequence. *)
-  let out = Array.make nlines Outcome.hit in
-  let trace_mode = Kernel.Trace out in
+  (* Reload classification: line [idx] folds into slot [idx], observed
+     through the engine's sigma on the experiment stream. *)
+  let counter = Kernel.make_counter ~bins:nlines in
+  counter.Kernel.sigma <- engine.Engine.sigma;
+  counter.Kernel.noise <- rng;
+  let reload = Kernel.Count counter in
+  let missed = counter.Kernel.misses in
   for _ = 1 to count do
     (* Flush the whole shared table region (all five tables) so later-
        round fetches cannot linger across trials. *)
@@ -86,26 +89,23 @@ let run_span ~victim ~attacker_pid ~rng ~count c =
     if c.victim_prefetch then Victim.warm_tables victim;
     Victim.random_plaintext_into rng p;
     Victim.encrypt_quiet_fast victim p;
-    (* Reload: one batched Trace run, then classify each outcome's
-       noisy time. At sigma = 0, [observe] draws nothing and [classify]
-       returns the true event, so the observation step reduces to
-       [is_hit]. *)
-    engine.Engine.access_run ~pid:attacker_pid ~trace:lines ~pos:0 ~len:nlines
-      trace_mode;
-    let sigma = engine.Engine.sigma in
+    (* Reload: one [len:1] Count run per line, each into its own slot.
+       The engine's draws (its own stream) and the observation draws
+       (the experiment stream) interleave per access; the streams are
+       distinct, so each consumes exactly the scalar sequence. *)
     for idx = 0 to nlines - 1 do
-      let o = Array.unsafe_get out idx in
-      hit.(idx) <-
-        (if sigma = 0. then Outcome.is_hit o
-         else Timing.classify (Timing.observe_outcome rng ~sigma o) = Outcome.Hit)
+      missed.(idx) <- 0;
+      counter.Kernel.bin <- idx;
+      engine.Engine.access_run ~pid:attacker_pid ~trace:lines ~pos:idx ~len:1
+        reload
     done;
     for idx = 0 to nlines - 1 do
-      if hit.(idx) then hit_counts.(idx) <- hit_counts.(idx) +. 1.
+      if missed.(idx) = 0 then hit_counts.(idx) <- hit_counts.(idx) +. 1.
     done;
     let pb = Char.code (Bytes.get p c.target_byte) in
     for k = 0 to 255 do
       let predicted = (pb lxor k) / epl in
-      if hit.(predicted) then cand_hits.(k) <- cand_hits.(k) +. 1.
+      if missed.(predicted) = 0 then cand_hits.(k) <- cand_hits.(k) +. 1.
     done
   done;
   { hit_counts; cand_hits; span = count }

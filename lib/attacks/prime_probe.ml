@@ -66,10 +66,12 @@ let run_span ~victim ~attacker_pid ~rng ~count c =
   let cand_hits = Array.make 256 0. in
   (* Everything a trial touches is precompiled or reused: the probe plan
      holds the conflict lines and per-set scratch, [p] is the plaintext
-     buffer, and candidate k's predicted set is a pure table lookup. The
-     trial loop itself allocates nothing; access and RNG order are
-     identical to the historical list/record-based code (pinned by
-     test/golden/attacks.golden). *)
+     buffer, and candidate k's predicted set is a pure table lookup. At
+     sigma 0 the trial loop itself allocates nothing (test_hotpath's
+     attack-trial guards); at sigma > 0 each probe's gaussian draw
+     boxes floats, 2,048 minor words per trial of 512 probes on the
+     noisy cache. Access and RNG order are identical to the historical
+     list/record-based code (pinned by test/golden/attacks.golden). *)
   let plan = Probe_plan.make engine ~pid:attacker_pid in
   let p = Bytes.create 16 in
   let predicted =

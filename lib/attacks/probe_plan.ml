@@ -7,9 +7,11 @@ type t = {
   ways : int;
   lines : int array;  (** set-major: [lines.(set * ways + k)] *)
   (* Per-set probe scratch, owned by the embedded Count counter: its
-     arrays ARE the plan's result buffers ([bin] = the set being
+     [misses] array IS the plan's result buffer ([bin] = the set being
      probed). The counter and the [Count] value wrapping it are built
-     once here so the trial loops allocate nothing. *)
+     once here so the trial loops allocate nothing at sigma 0; at
+     sigma > 0 each probed access's gaussian draw boxes floats (4
+     minor words per probed access). *)
   counter : Kernel.counter;
   count_mode : Kernel.mode;
 }
@@ -32,15 +34,13 @@ let prime_all t =
 
 (* Probe: one batched Count run per set, folding into the set's scratch
    slot. The [Count] accumulation reproduces the scalar branch
-   exactly: at sigma = 0 no randomness is consumed, classified = true
-   misses and the time sum is the exact miss total; at sigma > 0 one
-   gaussian per access in access order — the same stream the scalar
-   [Timing.observe_outcome] loop consumed. *)
+   exactly: at sigma = 0 no randomness is consumed and a classified
+   miss is a true miss; at sigma > 0 one gaussian per access in access
+   order — the same stream the scalar [Timing.observe_outcome] loop
+   consumed. *)
 let probe_set t rng set =
   let c = t.counter in
-  c.Kernel.true_misses.(set) <- 0;
-  c.Kernel.classified.(set) <- 0;
-  c.Kernel.times.(set) <- 0.;
+  c.Kernel.misses.(set) <- 0;
   c.Kernel.bin <- set;
   c.Kernel.sigma <- t.engine.Engine.sigma;
   c.Kernel.noise <- rng;
@@ -52,4 +52,4 @@ let probe_all t rng =
     probe_set t rng set
   done
 
-let classified_misses t set = t.counter.Kernel.classified.(set)
+let classified_misses t set = t.counter.Kernel.misses.(set)

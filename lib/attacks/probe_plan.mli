@@ -12,9 +12,11 @@
       (* read Probe_plan.classified_misses plan set *)
     ]}
 
-    without allocating: the addresses are precompiled, the results are
-    written in place as unboxed ints/floats, and nothing survives the
-    trial but the scratch contents.
+    without allocating at sigma 0: the addresses are precompiled, the
+    results are written in place as unboxed ints, and nothing survives
+    the trial but the scratch contents. At sigma > 0 each probed access
+    draws one gaussian, which boxes floats: 4 minor words per access
+    (2,048 per trial of 512 probes on the noisy cache).
 
     {b Lifetime and ownership.} A plan is valid for the lifetime of the
     engine (and [base]) it was built from — line addresses depend only on
@@ -46,11 +48,11 @@ val prime_all : t -> unit
 
 val probe_all : t -> Cachesec_stats.Rng.t -> unit
 (** Re-access the plan lines of every set, ascending, overwriting each
-    set's scratch slots: true misses, classified misses (after
-    per-access noisy-time classification; equal to true misses when
-    sigma = 0) and total observed time. The RNG is consumed exactly as
-    the record-returning [Attacker.probe_all_sets] consumes it, set by set
-    (not at all when sigma = 0). *)
+    set's scratch slot: its classified misses (after per-access
+    noisy-time classification; equal to true misses when sigma = 0).
+    The RNG is consumed exactly as the record-returning
+    [Attacker.probe_all_sets] consumes it, set by set (not at all when
+    sigma = 0). *)
 
 val classified_misses : t -> int -> int
 (** Scratch readback for one set, valid until the next probe of it. *)

@@ -18,7 +18,6 @@ type t = {
   counter : Kernel.counter;
   count_mode : Kernel.mode;
   ct : Bytes.t;
-  mutable misses : int;
 }
 
 let create ~engine ~pid ~key ~layout =
@@ -37,7 +36,6 @@ let create ~engine ~pid ~key ~layout =
     counter;
     count_mode = Kernel.Count counter;
     ct = Bytes.create 16;
-    misses = 0;
   }
 
 let pid t = t.pid
@@ -60,14 +58,11 @@ let encrypt_misses t plaintext =
     Array.unsafe_set lines i
       (Aes_layout.line_of_packed t.layout (Array.unsafe_get tr i))
   done;
-  let c = t.counter in
-  c.Kernel.true_misses.(0) <- 0;
-  c.Kernel.classified.(0) <- 0;
-  c.Kernel.times.(0) <- 0.;
+  let misses = t.counter.Kernel.misses in
+  misses.(0) <- 0;
   t.engine.Engine.access_run ~pid:t.pid ~trace:lines ~pos:0
     ~len:Aes.trace_length t.count_mode;
-  t.misses <- c.Kernel.true_misses.(0);
-  t.misses
+  misses.(0)
 
 let encrypt_quiet_fast t plaintext = ignore (encrypt_misses t plaintext)
 

@@ -25,8 +25,8 @@ type t = {
       (** Step scratch, written by {!Kernel.fill} and {!Kernel.also_evict}:
           the line the access's fill installed, the [(owner, line)] that
           fill displaced and the second line the access displaced. Read
-          back only when {!Kernel.record} or {!Kernel.finish} builds an
-          outcome, for the step codes that say they are set. *)
+          back only when {!Kernel.record} builds an outcome, for the step
+          codes that say they are set. *)
 }
 
 val create : Config.t -> rng:Cachesec_stats.Rng.t -> t

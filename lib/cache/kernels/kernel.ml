@@ -6,8 +6,8 @@ open Cachesec_stats
    payloads an [Outcome.t] needs (the line fetched, the lines displaced)
    go into the [Backing.t] scratch fields, written by [fill] and
    [also_evict]. [Engine.access] turns the code into an outcome
-   ([record]); [Engine.access_run] folds it per mode ([finish]), building
-   an outcome only in Trace mode.
+   ([record]); [Engine.access_run] folds it per mode ([finish]) and never
+   builds one.
 
    Code layout:
    - bit 0: miss
@@ -76,20 +76,10 @@ let record (b : Backing.t) ~pid code =
 
 (* --- batched trace replay --------------------------------------------- *)
 
-(* Accumulation state for a [Count] run: true/classified miss counts and
-   observed-time sums folded into caller-owned scratch arrays at [bin].
-   The caller preallocates one counter (and one [Count] mode value
-   wrapping it) per plan/victim and re-points [bin]/[sigma]/[noise]
-   between runs, so the trial loops stay allocation-free. At
-   [sigma = 0.] no RNG is consumed and classified = true (the exact
-   [Timing.observe]/[Timing.classify] collapse the scalar probe loop
-   relies on); at [sigma > 0.] one gaussian is drawn from [noise] per
-   access, in access order — the same stream the scalar
-   [Timing.observe_outcome] loop consumes. *)
+(* A [Count] run folds each access's classified miss into
+   [misses.(bin)] of a caller-owned counter (see kernel.mli). *)
 type counter = {
-  true_misses : int array;
-  classified : int array;
-  times : float array;
+  misses : int array;
   mutable bin : int;
   mutable sigma : float;
   mutable noise : Rng.t;
@@ -98,65 +88,38 @@ type counter = {
 type mode =
   | Fill  (** outcomes discarded (prime/evict/warm phases) *)
   | Count of counter  (** fold miss counts; no [Outcome.t] is ever built *)
-  | Trace of Outcome.t array
-      (** full outcome writeback at indices [0 .. len-1] (compatibility) *)
 
 let make_counter ~bins =
   if bins <= 0 then invalid_arg "Kernel.make_counter: bins must be positive";
-  {
-    true_misses = Array.make bins 0;
-    classified = Array.make bins 0;
-    times = Array.make bins 0.;
-    bin = 0;
-    sigma = 0.;
-    noise = Rng.create ~seed:0;
-  }
+  { misses = Array.make bins 0; bin = 0; sigma = 0.; noise = Rng.create ~seed:0 }
 
 (* Per-access Count accumulation, shared by [finish] AND the
-   scalar-looping [run_of_scalar] so the classification arithmetic has
-   exactly one definition. [Timing.observe] keeps the draw semantics
-   (mu = the event's base time) in one place. *)
-let[@inline] count_hit (c : counter) =
-  if c.sigma <> 0. then begin
-    let tm = Timing.observe c.noise ~sigma:c.sigma Outcome.Hit in
-    (match Timing.classify tm with
-    | Outcome.Miss -> c.classified.(c.bin) <- c.classified.(c.bin) + 1
-    | Outcome.Hit -> ());
-    c.times.(c.bin) <- c.times.(c.bin) +. tm
-  end
-
-let[@inline] count_miss (c : counter) =
-  c.true_misses.(c.bin) <- c.true_misses.(c.bin) + 1;
-  if c.sigma = 0. then begin
-    c.classified.(c.bin) <- c.classified.(c.bin) + 1;
-    c.times.(c.bin) <- c.times.(c.bin) +. Timing.miss_time
-  end
-  else begin
-    let tm = Timing.observe c.noise ~sigma:c.sigma Outcome.Miss in
-    (match Timing.classify tm with
-    | Outcome.Miss -> c.classified.(c.bin) <- c.classified.(c.bin) + 1
-    | Outcome.Hit -> ());
-    c.times.(c.bin) <- c.times.(c.bin) +. tm
-  end
+   scalar-looping [run_of_scalar] so the classification has exactly one
+   definition. [Timing.observe] keeps the draw semantics (mu = the
+   event's base time) in one place. *)
+let[@inline] count (c : counter) event =
+  let seen =
+    if c.sigma = 0. then event
+    else Timing.classify (Timing.observe c.noise ~sigma:c.sigma event)
+  in
+  match seen with
+  | Outcome.Miss -> c.misses.(c.bin) <- c.misses.(c.bin) + 1
+  | Outcome.Hit -> ()
 
 (* The per-access epilogue of every engine's run loop: the pid cell
    bump [record] would make, then the mode's accumulation. *)
-let[@inline] finish (b : Backing.t) c mode k code =
+let[@inline] finish cell mode code =
   if code = hit then begin
-    Counters.cell_hit c;
-    match mode with
-    | Fill -> ()
-    | Count n -> count_hit n
-    | Trace out -> Array.unsafe_set out k Outcome.hit
+    Counters.cell_hit cell;
+    match mode with Fill -> () | Count c -> count c Outcome.Hit
   end
   else begin
     let miss = is_miss code in
-    Counters.cell_add c ~miss ~read_through:(code land 0b100 <> 0)
+    Counters.cell_add cell ~miss ~read_through:(code land 0b100 <> 0)
       ~evictions:(code lsr 3);
     match mode with
     | Fill -> ()
-    | Count n -> if miss then count_miss n else count_hit n
-    | Trace out -> Array.unsafe_set out k (outcome b code)
+    | Count c -> count c (if miss then Outcome.Miss else Outcome.Hit)
   end
 
 (* [access_run] for Hierarchy, the one wrapper with no step of its own:
@@ -170,10 +133,5 @@ let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     done
   | Count c ->
     for k = 0 to len - 1 do
-      let o = access ~pid (Array.unsafe_get trace (pos + k)) in
-      if Outcome.is_miss o then count_miss c else count_hit c
-    done
-  | Trace out ->
-    for k = 0 to len - 1 do
-      Array.unsafe_set out k (access ~pid (Array.unsafe_get trace (pos + k)))
+      count c (access ~pid (Array.unsafe_get trace (pos + k))).Outcome.event
     done

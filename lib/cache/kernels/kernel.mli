@@ -56,17 +56,16 @@ val record : Backing.t -> pid:int -> int -> Outcome.t
     step with the counter cells hoisted, accumulating per [mode].
     State, RNG draw order and counters equal [len] calls of [access]. *)
 
-(** Caller-owned accumulation state for a [Count] run. The counter (and
-    the [Count] value wrapping it) is preallocated once per plan/victim;
+(** Caller-owned accumulation state for a [Count] run: the classified
+    misses of each run fold into [misses.(bin)]. The counter (and the
+    [Count] value wrapping it) is preallocated once per plan/victim;
     [bin], [sigma] and [noise] are re-pointed between runs so the trial
-    loops allocate nothing. At [sigma = 0.] no RNG is consumed,
-    classified = true misses and the time sum is exact; at [sigma > 0.]
-    one gaussian is drawn from [noise] per access in access order — the
-    same stream the scalar [Timing.observe_outcome] loop consumes. *)
+    loops allocate nothing at [sigma = 0.]. At [sigma = 0.] no RNG is
+    consumed and a classified miss is a true miss; at [sigma > 0.] one
+    gaussian is drawn from [noise] per access in access order — the same
+    stream the scalar [Timing.observe_outcome] loop consumes. *)
 type counter = {
-  true_misses : int array;
-  classified : int array;
-  times : float array;
+  misses : int array;  (** classified misses, one slot per bin *)
   mutable bin : int;  (** scratch index the counts fold into *)
   mutable sigma : float;  (** observation noise; 0. = RNG-neutral *)
   mutable noise : Rng.t;  (** observation stream (only read at sigma > 0) *)
@@ -75,17 +74,15 @@ type counter = {
 type mode =
   | Fill  (** outcomes discarded (prime/evict/warm phases) *)
   | Count of counter  (** fold miss counts; no [Outcome.t] is ever built *)
-  | Trace of Outcome.t array
-      (** full outcome writeback at indices [0 .. len-1] (compatibility) *)
 
 val make_counter : bins:int -> counter
-(** Fresh counter with [bins]-slot scratch arrays, [bin = 0],
+(** Fresh counter with a [bins]-slot scratch array, [bin = 0],
     [sigma = 0.] and a placeholder noise stream. *)
 
-val finish : Backing.t -> Counters.cell -> mode -> int -> int -> unit
-(** [finish b cell mode k code]: the run loop's per-access epilogue —
-    bump the pid's cell as [Counters.record] would, then accumulate per
-    [mode] ([Trace] writes the outcome {!record} would build at [k]). *)
+val finish : Counters.cell -> mode -> int -> unit
+(** [finish cell mode code]: the run loop's per-access epilogue — bump
+    the pid's cell as [Counters.record] would, then accumulate per
+    [mode]. *)
 
 val run_of_scalar :
   (pid:int -> int -> Outcome.t) ->

@@ -47,7 +47,7 @@ let access t ~pid addr = Kernel.record t.b ~pid (step t ~pid addr)
 let run t ~pid ~trace ~pos ~len mode =
   let c = Counters.cell t.b.Backing.counters pid in
   for k = 0 to len - 1 do
-    Kernel.finish t.b c mode k (step t ~pid (Array.unsafe_get trace (pos + k)))
+    Kernel.finish c mode (step t ~pid (Array.unsafe_get trace (pos + k)))
   done
 
 let reset t ~rng =

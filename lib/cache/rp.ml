@@ -125,7 +125,7 @@ let[@inline] run p t ~pid ~trace ~pos ~len mode =
   let tbl = table_of t pid in
   let c = Counters.cell b.Backing.counters pid in
   for k = 0 to len - 1 do
-    Kernel.finish b c mode k (step p b tbl ~pid (Array.unsafe_get trace (pos + k)))
+    Kernel.finish c mode (step p b tbl ~pid (Array.unsafe_get trace (pos + k)))
   done
 
 (* One instantiation per policy, each with the policy a constant so the

@@ -40,7 +40,7 @@ let[@inline] access p (b : Backing.t) ~pid addr =
 let[@inline] run p (b : Backing.t) ~pid ~trace ~pos ~len mode =
   let c = Counters.cell b.Backing.counters pid in
   for k = 0 to len - 1 do
-    Kernel.finish b c mode k (step p b ~pid (Array.unsafe_get trace (pos + k)))
+    Kernel.finish c mode (step p b ~pid (Array.unsafe_get trace (pos + k)))
   done
 
 (* One instantiation per policy, each with the policy a constant so the

@@ -1,11 +1,17 @@
-type t = { state : Random.State.t; mutable spare : float option }
-(* [spare] caches the second variate produced by each Box-Muller step. *)
+type t = {
+  state : Random.State.t;
+  spare : float array;
+  mutable has_spare : bool;
+}
+(* [spare.(0)] caches the second variate produced by each Box-Muller
+   step while [has_spare]; a one-slot float array holds it unboxed. *)
 
-let create ~seed = { state = Random.State.make [| seed; 0x9e3779b9 |]; spare = None }
+let of_state state = { state; spare = [| 0. |]; has_spare = false }
+let create ~seed = of_state (Random.State.make [| seed; 0x9e3779b9 |])
 
 let split t =
   let seed = Random.State.bits t.state in
-  { state = Random.State.make [| seed; 0x85ebca6b |]; spare = None }
+  of_state (Random.State.make [| seed; 0x85ebca6b |])
 
 (* SplitMix64-style finalizer adapted to OCaml's 63-bit ints: two rounds
    of xorshift-multiply with odd constants (xorshift64* / golden-ratio
@@ -46,22 +52,29 @@ let permutation t n =
   shuffle_in_place t a;
   a
 
+(* A uniform draw in (0, 1). A loop, not a recursion, so it inlines and
+   its result stays unboxed. *)
+let[@inline] nonzero t =
+  let u = ref (float t 1.0) in
+  while not (!u > 0.) do
+    u := float t 1.0
+  done;
+  !u
+
 let gaussian t ~mu ~sigma =
   if sigma < 0. then invalid_arg "Rng.gaussian: negative sigma";
   if sigma = 0. then mu
-  else
-    match t.spare with
-    | Some z ->
-      t.spare <- None;
-      mu +. (sigma *. z)
-    | None ->
-      (* Box-Muller: two uniforms give two independent standard normals. *)
-      let rec nonzero () =
-        let u = float t 1.0 in
-        if u > 0. then u else nonzero ()
-      in
-      let u1 = nonzero () and u2 = float t 1.0 in
-      let r = sqrt (-2. *. log u1) in
-      let theta = 2. *. Float.pi *. u2 in
-      t.spare <- Some (r *. sin theta);
-      mu +. (sigma *. (r *. cos theta))
+  else if t.has_spare then begin
+    t.has_spare <- false;
+    mu +. (sigma *. t.spare.(0))
+  end
+  else begin
+    (* Box-Muller: two uniforms give two independent standard normals. *)
+    let u1 = nonzero t in
+    let u2 = float t 1.0 in
+    let r = sqrt (-2. *. log u1) in
+    let theta = 2. *. Float.pi *. u2 in
+    t.spare.(0) <- r *. sin theta;
+    t.has_spare <- true;
+    mu +. (sigma *. (r *. cos theta))
+  end

@@ -13,7 +13,9 @@
    every architecture — and every architecture's cold Count run after a
    [flush_all] to (essentially) zero minor-heap words per access: the
    path is hammered and the [Gc.minor_words] delta is asserted to be
-   far below one word per access. The "reset" guards hold every
+   far below one word per access. The attack-trial guards hold the
+   flush-reload and prime-probe trial loops at sigma 0, on SA and
+   Newcache, to the same budget per 500 trials. The "reset" guards hold every
    architecture's [Engine.reset] to the same budget, over samples that
    fit the dirty log and samples that overflow it. *)
 
@@ -179,14 +181,14 @@ let test_cold_count_run_allocation_free spec () =
   in
   trial ();
   let trials = 1_000 in
-  let misses = counter.Kernel.true_misses.(0) in
+  let misses = counter.Kernel.misses.(0) in
   let before = Gc.minor_words () in
   for _ = 1 to trials do
     trial ()
   done;
   let after = Gc.minor_words () in
   let delta = after -. before in
-  if counter.Kernel.true_misses.(0) - misses < trials * 80 then
+  if counter.Kernel.misses.(0) - misses < trials * 80 then
     Alcotest.failf "%s cold runs were mostly hits" engine.Engine.name;
   if delta > 64. then
     Alcotest.failf
@@ -228,6 +230,34 @@ let test_access_hit_allocation_free spec () =
   if delta > 64. then
     Alcotest.failf "%s warm access hits allocated %.0f minor words over %d hits"
       engine.Engine.name delta iters
+
+(* The attack trial loops at sigma 0: a flush-reload or prime-probe
+   trial (flush or prime, the victim's encryption, the reload or probe
+   Count runs, the score updates) runs on scratch its span preallocates.
+   A 505-trial span less a 5-trial span, each on a fresh setup, leaves
+   the 500 trials' words. *)
+let flush_reload victim rng count =
+  ignore
+    (Cachesec_attacks.Flush_reload.run_span ~victim ~attacker_pid:1 ~rng ~count
+       Cachesec_attacks.Flush_reload.default_config)
+
+let prime_probe victim rng count =
+  ignore
+    (Cachesec_attacks.Prime_probe.run_span ~victim ~attacker_pid:1 ~rng ~count
+       Cachesec_attacks.Prime_probe.default_config)
+
+let test_attack_span_allocation_free run_span spec () =
+  let span count =
+    let s = Cachesec_experiments.Setup.make ~seed:54 spec in
+    let before = Gc.minor_words () in
+    run_span s.Cachesec_experiments.Setup.victim s.Cachesec_experiments.Setup.rng
+      count;
+    Gc.minor_words () -. before
+  in
+  let delta = span 505 -. span 5 in
+  if delta > 64. then
+    Alcotest.failf "%s: 500 attack trials allocated %.0f minor words"
+      (Spec.name spec) delta
 
 (* [Engine.reset] on every architecture, as a cleaning batch uses it:
    a sample's Fill runs, then a reset. A short sample leaves the dirty
@@ -302,7 +332,20 @@ let () =
                   `Quick
                   (test_cold_count_run_allocation_free spec);
               ])
-            Spec.all_paper );
+            Spec.all_paper
+        @ List.concat_map
+            (fun spec ->
+              [
+                Alcotest.test_case
+                  (Spec.name spec ^ " flush-reload trials zero-alloc")
+                  `Quick
+                  (test_attack_span_allocation_free flush_reload spec);
+                Alcotest.test_case
+                  (Spec.name spec ^ " prime-probe trials zero-alloc")
+                  `Quick
+                  (test_attack_span_allocation_free prime_probe spec);
+              ])
+            [ Spec.paper_sa; Spec.paper_newcache ] );
       ( "reset",
         List.concat_map
           (fun spec ->

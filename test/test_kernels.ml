@@ -12,9 +12,10 @@
    The suites: "differential-fuzz" replays random mixed-op workloads
    (accesses, peeks, flushes, locks, window changes, full flushes) one
    scalar op at a time; "batched-fuzz" (QCheck) runs [access_run] in
-   Fill / Count / Trace mode, straddling the same scalar ops, against
-   the model looped one access at a time with the Count accumulation
-   written out below. "index-conflicts" replays a Newcache workload
+   Fill and Count mode, straddling the same scalar ops, against the
+   model looped one access at a time with the Count accumulation
+   written out below, and as one [len:1] Count run per access, whose
+   hit or miss is checked against the model's access by access. "index-conflicts" replays a Newcache workload
    built to hit its (pid, logical index) conflict path, which the
    shared address draw never reaches. "sp-homing" gives SP two or three
    victim ranges, where the shared scenario has one. "flush-equivalence"
@@ -54,6 +55,22 @@ let fmt_outcome (o : Outcome.t) =
     (fun (pid, line) -> Buffer.add_string b (Printf.sprintf "e%d.%d" pid line))
     (Reference.evictions o);
   Buffer.contents b
+
+(* A run observed access by access: one [len:1] Count run per access at
+   sigma 0, where a counted miss is a true miss, so each access reads
+   H or M. [model_events] is the model's side, from [Reference.access]. *)
+let run_events (engine : Engine.t) ~pid ~trace ~pos ~len =
+  let counter = Kernel.make_counter ~bins:1 in
+  let count = Kernel.Count counter in
+  String.init len (fun k ->
+      counter.Kernel.misses.(0) <- 0;
+      engine.Engine.access_run ~pid ~trace ~pos:(pos + k) ~len:1 count;
+      if counter.Kernel.misses.(0) = 0 then 'H' else 'M')
+
+let model_events model ~pid ~trace ~pos ~len =
+  String.init len (fun k ->
+      if Outcome.is_miss (Reference.access model ~pid trace.(pos + k)) then 'M'
+      else 'H')
 
 let fmt_counts ~accesses ~hits ~misses ~evictions ~read_throughs ~flushes =
   Printf.sprintf "acc=%d hit=%d miss=%d ev=%d rt=%d fl=%d" accesses hits misses
@@ -245,7 +262,7 @@ let test_newcache_conflicts () =
    ones among them, with addresses drawn at and next to every bound
    (where an off-by-one in the scan or a skipped range shows), under
    2 and 4 partitions, either victim pid, pids 0-2, and line flushes,
-   full flushes and Trace runs between the accesses. *)
+   full flushes and per-access Count runs between the accesses. *)
 let sp_scenarios =
   [
     { Factory.victim_pid = 0; victim_lines = [ (10, 20); (300, 300) ] };
@@ -291,12 +308,8 @@ let check_sp_homing ~seed ~scenario ~partitions policy =
       else if r < 98 then begin
         let trace = Array.init (Rng.int rng 24) (fun _ -> addr ()) in
         let len = Array.length trace in
-        let out = Array.make (max len 1) Outcome.hit in
-        engine.Engine.access_run ~pid ~trace ~pos:0 ~len (Kernel.Trace out);
-        ( String.concat "," (List.init len (fun k -> fmt_outcome out.(k))),
-          String.concat ","
-            (List.init len (fun k ->
-                 fmt_outcome (Reference.access model ~pid trace.(k)))) )
+        let e = run_events engine ~pid ~trace ~pos:0 ~len in
+        (e, model_events model ~pid ~trace ~pos:0 ~len)
       end
       else begin
         engine.Engine.flush_all ();
@@ -345,47 +358,34 @@ let test_kernel_selection () =
 
 (* --- batched-replay fuzz ------------------------------------------------ *)
 
-(* The model side of a Count run, written out: per access, true misses
-   and the observed time (the hit or miss time, plus one gaussian draw
-   from the noise stream when sigma > 0) classified against the 0.5
-   midpoint. *)
-type tally = {
-  true_misses : int array;
-  classified : int array;
-  times : float array;
-  noise : Rng.t;
-}
+(* The model side of a Count run, written out: per access, the observed
+   time (the hit or miss time, plus one gaussian draw from the noise
+   stream when sigma > 0) classified against the 0.5 midpoint. *)
+type tally = { misses : int array; noise : Rng.t }
 
 let tally_access t ~bin ~sigma (o : Outcome.t) =
-  let miss = Outcome.is_miss o in
-  let mu = if miss then 1. else 0. in
+  let mu = if Outcome.is_miss o then 1. else 0. in
   let tm = if sigma = 0. then mu else Rng.gaussian t.noise ~mu ~sigma in
-  if miss then t.true_misses.(bin) <- t.true_misses.(bin) + 1;
-  if tm > 0.5 then t.classified.(bin) <- t.classified.(bin) + 1;
-  t.times.(bin) <- t.times.(bin) +. tm
+  if tm > 0.5 then t.misses.(bin) <- t.misses.(bin) + 1
 
-(* A seed-derived random program of batched runs in all three modes
-   interleaved with the scalar ops a run must straddle: lock/unlock, RF
-   window rotation, line flushes, full flushes. [Error] names the first
-   diverging observable: a Trace outcome, a scalar op, the Count scratch
-   (true/classified/time sums), a probe draw on the classification
-   stream, the final counters or the line dump. *)
+(* A seed-derived random program of Fill runs, Count runs and per-access
+   Count runs interleaved with the scalar ops a run must straddle:
+   lock/unlock, RF window rotation, line flushes, full flushes. [Error]
+   names the first diverging observable: an access's hit or miss, a
+   scalar op, the Count scratch after a Count run, a probe draw on the
+   classification stream, the final counters or the line dump. *)
 let batched_program ~seed spec =
   let rng, engine, model = build ~seed spec in
   let noise_seed = seed lxor 0x5EED1 in
   let counter = Kernel.make_counter ~bins:4 in
   counter.Kernel.noise <- Rng.create ~seed:noise_seed;
-  let tally =
-    {
-      true_misses = Array.make 4 0;
-      classified = Array.make 4 0;
-      times = Array.make 4 0.;
-      noise = Rng.create ~seed:noise_seed;
-    }
-  in
+  let tally = { misses = Array.make 4 0; noise = Rng.create ~seed:noise_seed } in
   let ( let* ) = Result.bind in
   let same what e m =
     if e = m then Ok () else Error (Printf.sprintf "%s: engine %S vs reference %S" what e m)
+  in
+  let scratch (misses : int array) =
+    String.concat ";" (List.init 4 (fun b -> string_of_int misses.(b)))
   in
   let rec go step =
     if step = 40 then Ok ()
@@ -414,15 +414,15 @@ let batched_program ~seed spec =
             counter.Kernel.sigma <- sigma;
             engine.Engine.access_run ~pid ~trace ~pos ~len (Kernel.Count counter);
             ignore (model_run (tally_access tally ~bin ~sigma));
-            Ok ()
-          | _ ->
-            let out = Array.make (max len 1) Outcome.hit in
-            engine.Engine.access_run ~pid ~trace ~pos ~len (Kernel.Trace out);
-            let want = model_run fmt_outcome in
             same
-              (Printf.sprintf "step %d Trace run" step)
-              (String.concat "," (List.init len (fun k -> fmt_outcome out.(k))))
-              (String.concat "," want)
+              (Printf.sprintf "step %d Count scratch" step)
+              (scratch counter.Kernel.misses) (scratch tally.misses)
+          | _ ->
+            let e = run_events engine ~pid ~trace ~pos ~len in
+            same
+              (Printf.sprintf "step %d per-access Count runs" step)
+              e
+              (model_events model ~pid ~trace ~pos ~len)
         end
         else
           let e, m = scalar_op rng engine model ~pid ~weights:(33, 33, 49, 65, 78, 91) in
@@ -432,15 +432,6 @@ let batched_program ~seed spec =
     end
   in
   let* () = go 0 in
-  let scratch (tm : int array) (cl : int array) (ti : float array) =
-    String.concat ";"
-      (List.init 4 (fun b -> Printf.sprintf "%d/%d/%h" tm.(b) cl.(b) ti.(b)))
-  in
-  let* () =
-    same "Count scratch"
-      (scratch counter.Kernel.true_misses counter.Kernel.classified counter.Kernel.times)
-      (scratch tally.true_misses tally.classified tally.times)
-  in
   (* If either side consumed a different number of classification draws,
      the next draw diverges even when the sums happen to agree. *)
   let* () =
@@ -578,7 +569,8 @@ let test_flush_cell spec =
 (* --- reset = fresh build ------------------------------------------------ *)
 
 (* One op drawn from [rng] on a single engine, formatted: [scalar_op]'s
-   mix plus a Trace run, for comparing two engines with each other. *)
+   mix plus per-access Count runs, for comparing two engines with each
+   other. *)
 let engine_op rng (engine : Engine.t) =
   let pid = Rng.int rng 3 in
   let a = addr rng in
@@ -593,10 +585,7 @@ let engine_op rng (engine : Engine.t) =
     "w"
   | r when r < 98 ->
     let trace = Array.init (Rng.int rng 24) (fun _ -> addr rng) in
-    let len = Array.length trace in
-    let out = Array.make (max len 1) Outcome.hit in
-    engine.Engine.access_run ~pid ~trace ~pos:0 ~len (Kernel.Trace out);
-    String.concat "," (List.init len (fun k -> fmt_outcome out.(k)))
+    run_events engine ~pid ~trace ~pos:0 ~len:(Array.length trace)
   | _ ->
     engine.Engine.flush_all ();
     "F"
